@@ -115,12 +115,28 @@ def _field(cfg: dict, name: str, default=None, required: bool = False):
     return cfg[name]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _as_int(value, where: str) -> int:
+    """A JSON integer in the int64 range; floats, bools and strings are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool) and _INT64.min <= value <= _INT64.max:
+        return value
+    raise ConfigError(f"field '{where}' must be an integer, got {value!r}")
+
+
+def _as_float(value, where: str) -> float:
+    """A finite JSON number; NaN, infinities, bools and strings are rejected."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if is_number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"field '{where}' must be a finite number, got {value!r}")
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-    raise ConfigError(f"field '{where}' must be a number or {{re, im}} pair")
+        return complex(_as_float(value.get("re", 0.0), where), _as_float(value.get("im", 0.0), where))
+    return complex(_as_float(value, where))
 
 
 def build_dims(cfg: dict) -> HilbertDims:
@@ -128,7 +144,7 @@ def build_dims(cfg: dict) -> HilbertDims:
     if not isinstance(d, dict) or "dx" not in d or "dz" not in d:
         raise ConfigError("config field 'dims' must be an object with dx and dz")
     try:
-        return HilbertDims(int(d["dx"]), int(d["dz"]))
+        return HilbertDims(_as_int(d["dx"], "dims.dx"), _as_int(d["dz"], "dims.dz"))
     except ValueError as exc:
         raise ConfigError(f"bad dims: {exc}") from exc
 
@@ -138,21 +154,21 @@ def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
     kind = _field(spec, "kind", required=True)
-    tail_tol = float(_field(spec, "tail_tol", DEFAULT_TAIL_TOL))
+    tail_tol = _as_float(_field(spec, "tail_tol", DEFAULT_TAIL_TOL), "state.tail_tol")
     dim = dims.dx
     if kind == "fock":
-        state = fock(int(_field(spec, "n", required=True)), dim)
+        state = fock(_as_int(_field(spec, "n", required=True), "state.n"), dim)
     elif kind == "coherent":
         alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
         state = coherent(alpha, dim, tail_tol)
     elif kind == "squeezed":
-        state = squeezed(float(_field(spec, "r", required=True)),
-                         float(_field(spec, "phi", 0.0)), dim, tail_tol)
+        state = squeezed(_as_float(_field(spec, "r", required=True), "state.r"),
+                         _as_float(_field(spec, "phi", 0.0), "state.phi"), dim, tail_tol)
     elif kind == "cat":
         alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
         state = cat(alpha, _field(spec, "parity", required=True), dim, tail_tol)
     elif kind == "thermal":
-        state = thermal(float(_field(spec, "nbar", required=True)), dim, tail_tol)
+        state = thermal(_as_float(_field(spec, "nbar", required=True), "state.nbar"), dim, tail_tol)
     elif kind == "raw":
         values = _field(spec, "amplitudes", required=True)
         if not isinstance(values, list):
@@ -163,7 +179,7 @@ def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
         raise ConfigError(f"unknown state kind {kind!r}")
     lam = _field(spec, "dephase", None)
     if lam is not None:
-        state = dephase(state, float(lam))
+        state = dephase(state, _as_float(lam, "state.dephase"))
     return state
 
 
@@ -173,8 +189,8 @@ def build_settings(cfg: dict, dims: HilbertDims, compat: bool) -> protocol.Proto
         return protocol.ProtocolSettings(
             dims=dims,
             v_mode=_field(cfg, "v_mode", "ideal"),
-            shots=None if shots is None else int(shots),
-            seed=int(_field(cfg, "seed", 0)),
+            shots=None if shots is None else _as_int(shots, "shots"),
+            seed=_as_int(_field(cfg, "seed", 0), "seed"),
             compat_rminus_final=compat,
         )
     except ValueError as exc:
@@ -197,11 +213,19 @@ def _settings_echo(cfg: dict, settings: protocol.ProtocolSettings, **extra) -> d
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(cfg: dict, args, payload: dict, header: list[str], rows: list[list]) -> int:
+    """Write payload as stable JSON or rows as CSV to --out, the config's out, or stdout."""
+    out = args.out or _field(cfg, "out", None)
+    if (args.format or _field(cfg, "format", "json")) == "csv":
+        _write_output(to_csv(header, rows), out)
+    else:
+        _write_output(stable_json(payload) + "\n", out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +235,8 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     dims = build_dims(cfg)
     settings = build_settings(cfg, dims, args.compat_rminus_final)
     phi = build_state(cfg, dims)
-    nmax = _field(cfg, "nmax", required=True)
-    report = tomography.reconstruct(phi, int(nmax), settings,
+    nmax = _as_int(_field(cfg, "nmax", required=True), "nmax")
+    report = tomography.reconstruct(phi, nmax, settings,
                                     use_hermitian_symmetry=args.use_hermitian_symmetry)
     size = report.nmax + 1
     cells = [[{"re": report.estimates[m, n].real,
@@ -230,16 +254,9 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         "settings": _settings_echo(cfg, settings, nmax=report.nmax,
                                    use_hermitian_symmetry=args.use_hermitian_symmetry),
     }
-    fmt = args.format or _field(cfg, "format", "json")
-    out = args.out or _field(cfg, "out", None)
-    if fmt == "csv":
-        rows = [[m, n, report.estimates[m, n].real, report.estimates[m, n].imag,
-                 report.stderrs[m, n]]
-                for m in range(size) for n in range(size)]
-        _write_output(to_csv(["m", "n", "re", "im", "stderr"], rows), out)
-    else:
-        _write_output(stable_json(payload) + "\n", out)
-    return 0
+    rows = [[m, n, report.estimates[m, n].real, report.estimates[m, n].imag, report.stderrs[m, n]]
+            for m in range(size) for n in range(size)]
+    return _emit(cfg, args, payload, ["m", "n", "re", "im", "stderr"], rows)
 
 
 def cmd_coherence(cfg: dict, args) -> int:
@@ -257,29 +274,22 @@ def cmd_coherence(cfg: dict, args) -> int:
         "shots": est.shots_used,
         "settings": _settings_echo(cfg, settings),
     }
-    fmt = args.format or _field(cfg, "format", "json")
-    out = args.out or _field(cfg, "out", None)
-    if fmt == "csv":
-        rows = [[est.m, est.n, est.value.real, est.value.imag, est.stderr, est.shots_used]]
-        _write_output(to_csv(["m", "n", "re", "im", "stderr", "shots"], rows), out)
-    else:
-        _write_output(stable_json(payload) + "\n", out)
-    return 0
+    rows = [[est.m, est.n, est.value.real, est.value.imag, est.stderr, est.shots_used]]
+    return _emit(cfg, args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
 
 
 def _parse_lambdas(raw: str | None) -> list[float]:
-    if raw is None or raw.strip() == "":
-        raise UsageError("monitor requires a non-empty --lambdas list")
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        lambdas = [float(tok) for tok in (raw or "").split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --lambdas value: {exc}") from exc
+    if not lambdas:
+        raise UsageError("monitor requires a non-empty --lambdas list")
+    return lambdas
 
 
 def cmd_monitor(cfg: dict, args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    if not lambdas:
-        raise UsageError("monitor requires a non-empty --lambdas list")
     dims = build_dims(cfg)
     settings = build_settings(cfg, dims, args.compat_rminus_final)
     phi = build_state(cfg, dims)
@@ -289,14 +299,8 @@ def cmd_monitor(cfg: dict, args) -> int:
                    for p in points],
         "settings": _settings_echo(cfg, settings),
     }
-    fmt = args.format or _field(cfg, "format", "json")
-    out = args.out or _field(cfg, "out", None)
-    if fmt == "csv":
-        rows = [[p.lam, p.rho20_abs, p.bound] for p in points]
-        _write_output(to_csv(["lambda", "rho20_abs", "bound"], rows), out)
-    else:
-        _write_output(stable_json(payload) + "\n", out)
-    return 0
+    rows = [[p.lam, p.rho20_abs, p.bound] for p in points]
+    return _emit(cfg, args, payload, ["lambda", "rho20_abs", "bound"], rows)
 
 
 def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> list[dict]:

@@ -101,12 +101,38 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square(arr, dims, what: str) -> np.ndarray:
+    """Frozen copy of a square matrix whose dimension matches dims (if stated)."""
+    m = _freeze(arr)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    expected = _expected_dim(dims)
+    if expected is not None and m.shape[0] != expected:
+        raise ValueError(f"{what} dimension {m.shape[0]} does not match dims ({expected})")
+    return m
+
+
+def _derived(cls, **fields):
+    """An instance of cls holding fields, built without its construction checks.
+
+    Only for results of verified operands under an operation that keeps the
+    checked invariant: operator products and adjoints, and apply().
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix on the composite space (or a stated plain dimension).
 
-    The hermitian / unitary tags are advisory but verified at construction:
-    a tagged operator that fails its tolerance is rejected outright.
+    The hermitian / unitary tags are advisory but verified when an operator is
+    built from caller data: a tagged operator that fails its tolerance is
+    rejected outright. Products (@) and adjoints (dagger) carry the tags of
+    their verified operands unchecked; the tests assert the unitarity of the
+    composed protocol unitaries to the same 1e-10.
     """
 
     matrix: np.ndarray
@@ -115,13 +141,8 @@ class Operator:
     unitary: bool = False
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
+        m = _square(self.matrix, self.dims, "operator")
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        expected = _expected_dim(self.dims)
-        if expected is not None and m.shape[0] != expected:
-            raise ValueError(f"operator dimension {m.shape[0]} does not match dims ({expected})")
         if self.hermitian and np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("operator tagged hermitian is not hermitian within 1e-12")
         if self.unitary:
@@ -134,13 +155,14 @@ class Operator:
         return self.matrix.shape[0]
 
     def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dims,
+        return _derived(Operator, matrix=_freeze(self.matrix.conj().T), dims=self.dims,
                         hermitian=self.hermitian, unitary=self.unitary)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch {self.dim} vs {other.dim}")
-        return Operator(self.matrix @ other.matrix, self.dims or other.dims,
+        return _derived(Operator, matrix=_freeze(self.matrix @ other.matrix),
+                        dims=self.dims or other.dims, hermitian=False,
                         unitary=self.unitary and other.unitary)
 
 
@@ -171,19 +193,19 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Trace-one positive operator on the composite space (or a plain dimension)."""
+    """Trace-one positive operator on the composite space (or a plain dimension).
+
+    Built from caller data, it is checked for hermiticity (1e-12), unit trace
+    (1e-10) and positivity (no eigenvalue below -1e-10). Outputs of apply()
+    are not re-checked; the tests assert these tolerances on protocol outputs.
+    """
 
     matrix: np.ndarray
     dims: HilbertDims | int | None = None
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
+        m = _square(self.matrix, self.dims, "density operator")
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        expected = _expected_dim(self.dims)
-        if expected is not None and m.shape[0] != expected:
-            raise ValueError(f"density operator dimension {m.shape[0]} does not match dims")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("density operator is not hermitian within 1e-12")
         tr = np.trace(m)
@@ -220,12 +242,7 @@ def composite(elec: np.ndarray, opx: np.ndarray, opz: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def annihilator(mode: str, dims: HilbertDims) -> Operator:
-    """Truncated annihilation operator of the named mode, embedded in the composite space.
-
-    Parameters
-    ----------
-    mode : 'x' or 'z'
-    dims : HilbertDims
+    """Truncated annihilation operator of mode 'x' or 'z' in the composite space.
 
     The other mode and the electronic factor carry the identity.
     """
@@ -277,33 +294,20 @@ def pauli(l, j, axis: str, dims: HilbertDims) -> Operator:
 
 
 def unitary_from_generator(generator, theta: float) -> Operator:
-    """exp(i * theta * G) for hermitian G, via eigendecomposition.
+    """exp(i * theta * G) for a hermitian G (Operator or array), via eigendecomposition.
 
-    Parameters
-    ----------
-    generator : Operator or ndarray
-        Hermitian generator. Rejected if it deviates from hermiticity
-        by more than 1e-12 in max-abs norm.
-    theta : float
-        Dimensionless rotation angle.
-
-    Returns
-    -------
-    Operator with the unitary tag set (verified to 1e-10).
-
-    Every generator used by the pulse toolchain is hermitian, and at these
-    dimensions the eigendecomposition route gives machine-precision unitarity,
-    unlike a truncated series.
+    G is rejected if it deviates from hermiticity by more than 1e-12 (max-abs).
+    The result carries the unitary tag, verified here to 1e-10; compile_pulse
+    caches each pulse, so this runs once per pulse. At these dimensions the
+    eigendecomposition route gives machine-precision unitarity, unlike a
+    truncated series.
     """
-    if isinstance(generator, Operator):
-        g, dims = generator.matrix, generator.dims
-    else:
-        g, dims = np.asarray(generator, dtype=complex), None
-    if np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("generator is not hermitian within 1e-12")
-    w, v = np.linalg.eigh(g)
+    g = generator if isinstance(generator, Operator) else Operator(generator)
+    if not g.hermitian:  # a tagged generator was checked when it was built
+        g = Operator(g.matrix, g.dims, hermitian=True)
+    w, v = np.linalg.eigh(g.matrix)
     u = (v * np.exp(1j * theta * w)) @ v.conj().T
-    return Operator(u, dims, unitary=True)
+    return Operator(u, g.dims, unitary=True)
 
 
 def expectation(rho: DensityOperator, op: Operator) -> complex:
@@ -317,18 +321,22 @@ def expectation(rho: DensityOperator, op: Operator) -> complex:
 
 
 def apply(u: Operator, state):
-    """U|psi> or U rho U-dagger; requires the unitary tag on U."""
+    """U|psi> or U rho U-dagger; requires the unitary tag on U.
+
+    The result is not re-verified: U and its factors were verified when built
+    and the state when constructed, so its invariants carry over up to rounding.
+    """
     if not u.unitary:
         raise ValueError("apply requires an operator with the unitary tag")
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError(f"apply expects PureState or DensityOperator, got {type(state)}")
+    if u.dim != state.dim:
+        raise ValueError(f"dimension mismatch {u.dim} vs {state.dim}")
     if isinstance(state, PureState):
-        if u.dim != state.dim:
-            raise ValueError(f"dimension mismatch {u.dim} vs {state.dim}")
-        return PureState(u.matrix @ state.amplitudes, state.dims)
-    if isinstance(state, DensityOperator):
-        if u.dim != state.dim:
-            raise ValueError(f"dimension mismatch {u.dim} vs {state.dim}")
-        return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T, state.dims)
-    raise TypeError(f"apply expects PureState or DensityOperator, got {type(state)}")
+        return _derived(PureState, amplitudes=_freeze(u.matrix @ state.amplitudes),
+                        dims=state.dims)
+    return _derived(DensityOperator, matrix=_freeze(u.matrix @ state.matrix @ u.matrix.conj().T),
+                    dims=state.dims)
 
 
 def reduced_density_x(rho: DensityOperator, dims: HilbertDims) -> np.ndarray:

@@ -167,11 +167,8 @@ def u00(dims: HilbertDims, compat_rminus_final: bool = False) -> Operator:
     """The four-pulse entangler; see u00_schedule for the pulse roles."""
     if dims.dx != dims.dz:
         raise ValueError("entangler requires equal mode cutoffs")
-    u = None
-    for spec in u00_schedule(compat_rminus_final):
-        p = compile_pulse(spec, dims)
-        u = p if u is None else p @ u
-    return u
+    pulses = [compile_pulse(spec, dims) for spec in u00_schedule(compat_rminus_final)]
+    return functools.reduce(lambda u, p: p @ u, pulses)
 
 
 def _ideal_shift(k: int, dim: int, completion: str) -> np.ndarray:
@@ -180,27 +177,22 @@ def _ideal_shift(k: int, dim: int, completion: str) -> np.ndarray:
     if completion == "cycle":
         return (idx + k) % dim
     if completion == "swap":
-        out = idx.copy()
-        out[0], out[k] = k, 0
-        return out
+        idx[0], idx[k] = k, 0
+        return idx
     raise ValueError(f"unknown completion {completion!r}")
 
 
 def _branch_permutation(dims: HilbertDims, sector: int, axis: str, k: int,
                         completion: str) -> Operator:
     """Unitary permutation shifting one mode's Fock index inside one electronic sector."""
-    dim_mode = dims.dx if axis == "x" else dims.dz
-    shift = _ideal_shift(k, dim_mode, completion)
+    source = np.arange(dims.total_dim).reshape(3, dims.dx, dims.dz)
+    target = source.copy()
+    if axis == "x":
+        target[sector] = source[sector][_ideal_shift(k, dims.dx, completion), :]
+    else:
+        target[sector] = source[sector][:, _ideal_shift(k, dims.dz, completion)]
     m = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
-    for e in range(3):
-        for nx in range(dims.dx):
-            for nz in range(dims.dz):
-                if e == sector:
-                    tx = shift[nx] if axis == "x" else nx
-                    tz = shift[nz] if axis == "z" else nz
-                else:
-                    tx, tz = nx, nz
-                m[dims.index(e, tx, tz), dims.index(e, nx, nz)] = 1.0
+    m[target.ravel(), source.ravel()] = 1.0
     return Operator(m, dims, unitary=True)
 
 
@@ -257,10 +249,8 @@ def v_minus_schedule(m: int) -> list[PulseSpec]:
 
 
 def _compile_schedule(schedule: list[PulseSpec], dims: HilbertDims) -> Operator:
-    u = Operator(np.eye(dims.total_dim, dtype=complex), dims, unitary=True)
-    for spec in schedule:
-        u = compile_pulse(spec, dims) @ u
-    return u
+    identity = Operator(np.eye(dims.total_dim, dtype=complex), dims, unitary=True)
+    return functools.reduce(lambda u, spec: compile_pulse(spec, dims) @ u, schedule, identity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,8 +337,10 @@ def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
     Each transverse observable is measured `shots` times in its own eigenbasis
     (outcomes +1, -1, and 0 for the |xi> sector) with a generator seeded from
     (seed, m, n, observable tag), so estimates are reproducible bit-for-bit
-    and independent of evaluation order. stderr combines the two sample means:
-    sqrt(var_x + var_y) / sqrt(shots).
+    and independent of evaluation order. The stream does not depend on the
+    state: two runs of the same cell on different inputs (such as the points
+    of a decoherence monitor) share their random numbers. stderr combines the
+    two sample means: sqrt(var_x + var_y) / sqrt(shots).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -370,12 +362,19 @@ def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
     return CoherenceEstimate(value, stderr, shots, m, n)
 
 
-def measure_element(phi: VibrationalState, m: int, n: int,
-                    settings: ProtocolSettings) -> CoherenceEstimate:
-    """One full protocol run: prepare, transform with U_mn, read out <m| rho_vibr |n>."""
-    rho0 = prepare_initial(phi, settings.dims)
-    u = u_mn(m, n, settings)
-    rho_mn = apply(u, rho0)
+def measure_prepared(rho0: DensityOperator, m: int, n: int,
+                     settings: ProtocolSettings) -> CoherenceEstimate:
+    """One protocol run on a prepare_initial state: transform with U_mn, read out <m| rho_vibr |n>.
+
+    Sweeps prepare their input once; each cell still gets its own U_mn.
+    """
+    rho_mn = apply(u_mn(m, n, settings), rho0)
     if settings.shots is None:
         return CoherenceEstimate(coherence_expectation(rho_mn), 0.0, 0, m, n)
     return coherence_sampled(rho_mn, m, n, settings.shots, settings.seed)
+
+
+def measure_element(phi: VibrationalState, m: int, n: int,
+                    settings: ProtocolSettings) -> CoherenceEstimate:
+    """One full protocol run: prepare, transform with U_mn, read out <m| rho_vibr |n>."""
+    return measure_prepared(prepare_initial(phi, settings.dims), m, n, settings)

@@ -25,7 +25,6 @@ import numpy as np
 from .hilbert import (
     ELECTRONIC_DIM,
     LEVEL_NAMES,
-    MINUS,
     PLUS,
     XI,
     HilbertDims,
@@ -99,51 +98,43 @@ class PulseSpec:
         )
 
 
-def _mode_factors(mode: str, dims: HilbertDims, vib_op: np.ndarray) -> np.ndarray:
-    """vib_op on the named mode, identity on the other, in the (x, z) slot order."""
+def _vib_factor(kind: str, mode: str | None, dims: HilbertDims) -> np.ndarray:
+    """Vibrational factor of a coupling: identity (carrier), a-dag (jc) or a (ajc) on one mode."""
+    if kind == "carrier":
+        return np.eye(dims.vib_dim, dtype=complex)
+    a = annihilation(dims.dx if mode == "x" else dims.dz)
+    op = a.conj().T if kind == "jc" else a
     if mode == "x":
-        return np.kron(vib_op, np.eye(dims.dz, dtype=complex))
+        return np.kron(op, np.eye(dims.dz, dtype=complex))
     if mode == "z":
-        return np.kron(np.eye(dims.dx, dtype=complex), vib_op)
+        return np.kron(np.eye(dims.dx, dtype=complex), op)
     raise ValueError(f"mode must be 'x' or 'z', got {mode!r}")
 
 
-def _coupling(elec_lj: np.ndarray, vib: np.ndarray, phase: float) -> np.ndarray:
-    term = np.exp(1j * phase) * np.kron(elec_lj, vib)
-    return term + term.conj().T
+def _coupling(kind: str, mode: str | None, levels, phase: float, dims: HilbertDims) -> Operator:
+    """e^{i phase} |l><j| (x) vib + h.c., with vib the kind's vibrational factor."""
+    l, j = (level_index(x) for x in levels)
+    if l == j:
+        raise ValueError(f"{kind} level pair must be distinct")
+    term = np.exp(1j * phase) * np.kron(electronic_matrix(l, j), _vib_factor(kind, mode, dims))
+    return Operator(term + term.conj().T, dims, hermitian=True)
 
 
 def h_carrier(levels, phase: float, dims: HilbertDims) -> Operator:
     """Carrier coupling e^{i phase}|l><j| + h.c., identity on both modes."""
-    l, j = (level_index(x) for x in levels)
-    if l == j:
-        raise ValueError("carrier level pair must be distinct")
-    vib = np.eye(dims.vib_dim, dtype=complex)
-    return Operator(_coupling(electronic_matrix(l, j), vib, phase), dims, hermitian=True)
+    return _coupling("carrier", None, levels, phase, dims)
 
 
 def h_jc(mode: str, levels, phase: float, dims: HilbertDims) -> Operator:
     """Red-sideband-type coupling e^{i phase} a-dag_mode |l><j| + h.c."""
-    l, j = (level_index(x) for x in levels)
-    if l == j:
-        raise ValueError("jc level pair must be distinct")
-    dim_mode = dims.dx if mode == "x" else dims.dz
-    adag = annihilation(dim_mode).conj().T
-    vib = _mode_factors(mode, dims, adag)
-    return Operator(_coupling(electronic_matrix(l, j), vib, phase), dims, hermitian=True)
+    return _coupling("jc", mode, levels, phase, dims)
 
 
 def h_ajc(mode: str, levels, phase: float, dims: HilbertDims) -> Operator:
     """Blue-sideband-type coupling e^{i phase} a_mode |l><j| + h.c."""
-    l, j = (level_index(x) for x in levels)
-    if l == j:
-        raise ValueError("ajc level pair must be distinct")
-    dim_mode = dims.dx if mode == "x" else dims.dz
-    vib = _mode_factors(mode, dims, annihilation(dim_mode))
-    return Operator(_coupling(electronic_matrix(l, j), vib, phase), dims, hermitian=True)
+    return _coupling("ajc", mode, levels, phase, dims)
 
 
-@functools.lru_cache(maxsize=None)
 def r_electronic(level, theta: float, dims: HilbertDims) -> Operator:
     """Electronic rotation exp(i theta sigma_y) on the {level, xi} pair.
 
@@ -156,6 +147,13 @@ def r_electronic(level, theta: float, dims: HilbertDims) -> Operator:
     return unitary_from_generator(pauli(l, XI, "y", dims), theta)
 
 
+def _two_mode_ly(dims: HilbertDims) -> np.ndarray:
+    """i(a-dag_x a_z - a-dag_z a_x) on the two modes alone, in the (x, z) slot order."""
+    ax = annihilation(dims.dx)
+    az = annihilation(dims.dz)
+    return 1j * (np.kron(ax.conj().T, az) - np.kron(ax, az.conj().T))
+
+
 @functools.lru_cache(maxsize=None)
 def l_y(dims: HilbertDims) -> Operator:
     """Two-mode rotation generator i(a-dag_x a_z - a-dag_z a_x), embedded in the composite space.
@@ -165,14 +163,10 @@ def l_y(dims: HilbertDims) -> Operator:
     block-diagonal in total phonon number, so states supported on
     n_x + n_z < min(dx, dz) never feel the truncation.
     """
-    ax = annihilation(dims.dx)
-    az = annihilation(dims.dz)
-    l2 = 1j * (np.kron(ax.conj().T, az) - np.kron(ax, az.conj().T))
-    m = np.kron(np.eye(ELECTRONIC_DIM, dtype=complex), l2)
+    m = np.kron(np.eye(ELECTRONIC_DIM, dtype=complex), _two_mode_ly(dims))
     return Operator(m, dims, hermitian=True)
 
 
-@functools.lru_cache(maxsize=None)
 def r_vibr(theta: float, dims: HilbertDims) -> Operator:
     """Vibrational rotation exp(i theta L_y sigma_x^{+xi}).
 
@@ -181,25 +175,17 @@ def r_vibr(theta: float, dims: HilbertDims) -> Operator:
     between the two trap modes. theta = pi/2 swaps the mode contents on the
     bright branch.
     """
-    ax = annihilation(dims.dx)
-    az = annihilation(dims.dz)
-    l2 = 1j * (np.kron(ax.conj().T, az) - np.kron(ax, az.conj().T))
     sig = electronic_matrix(PLUS, XI) + electronic_matrix(XI, PLUS)
-    gen = Operator(np.kron(sig, l2), dims, hermitian=True)
+    gen = Operator(np.kron(sig, _two_mode_ly(dims)), dims, hermitian=True)
     return unitary_from_generator(gen, theta)
 
 
 @functools.lru_cache(maxsize=None)
 def compile_pulse(spec: PulseSpec, dims: HilbertDims) -> Operator:
-    """Unitary exp(i * angle * H_kind) of a primitive pulse."""
+    """Unitary exp(i * angle * H_kind) of a primitive pulse, built and verified once per spec."""
     if spec.kind == "erot":
         return r_electronic(spec.levels[0], spec.angle, dims)
     if spec.kind == "vrot":
         return r_vibr(spec.angle, dims)
-    if spec.kind == "carrier":
-        h = h_carrier(spec.levels, spec.phase, dims)
-    elif spec.kind == "jc":
-        h = h_jc(spec.mode, spec.levels, spec.phase, dims)
-    else:
-        h = h_ajc(spec.mode, spec.levels, spec.phase, dims)
+    h = _coupling(spec.kind, spec.mode, spec.levels, spec.phase, dims)
     return unitary_from_generator(h, spec.angle)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, TruncationLeakageError
+from .hilbert import DensityOperator
 
 STATE_NORM_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-12
@@ -27,7 +28,9 @@ class VibrationalState:
 
     tail_mass records the analytic population the truncation discarded
     (zero for states defined directly on the truncated space), tail_tol the
-    tolerance it was constructed under.
+    tolerance it was constructed under. A density matrix passes the
+    DensityOperator checks (hermitian to 1e-12, trace 1 to 1e-10, no
+    eigenvalue below -1e-10).
     """
 
     dim: int
@@ -48,17 +51,7 @@ class VibrationalState:
             v.setflags(write=False)
             object.__setattr__(self, "amplitudes", v)
         else:
-            m = np.array(self.matrix, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"density matrix shape {m.shape} != ({self.dim}, {self.dim})")
-            if np.max(np.abs(m - m.conj().T)) > 1e-12:
-                raise ValueError("vibrational density matrix is not hermitian within 1e-12")
-            if abs(np.trace(m).real - 1.0) > STATE_NORM_TOL:
-                raise ValueError("vibrational density matrix trace deviates from 1 by more than 1e-10")
-            if np.linalg.eigvalsh(m)[0] < -1e-10:
-                raise ValueError("vibrational density matrix has eigenvalue below -1e-10")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", DensityOperator(self.matrix, self.dim).matrix)
 
     @property
     def is_pure(self) -> bool:
@@ -91,18 +84,27 @@ def fock(n: int, dim: int) -> VibrationalState:
     return VibrationalState(dim, amplitudes=v, tail_tol=DEFAULT_TAIL_TOL)
 
 
-def coherent(alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
-    """Coherent state, <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized on the cutoff."""
-    alpha = complex(alpha)
-    nbig = dim + _TAIL_EXTEND
+def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> VibrationalState:
+    """Guard the analytic tail of amps beyond dim, then renormalize what the cutoff keeps."""
+    tail = _guard_tail(kind, np.abs(amps) ** 2, dim, tail_tol)
+    v = amps[:dim]
+    v = v / np.linalg.norm(v)
+    return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
+
+
+def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
+    """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < nbig, by recurrence."""
     amps = np.zeros(nbig, dtype=complex)
     amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(nbig - 1):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    tail = _guard_tail("coherent", np.abs(amps) ** 2, dim, tail_tol)
-    v = amps[:dim]
-    v = v / np.linalg.norm(v)
-    return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
+    return amps
+
+
+def coherent(alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
+    """Coherent state, <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized on the cutoff."""
+    amps = _displaced_vacuum(complex(alpha), dim + _TAIL_EXTEND)
+    return _truncated("coherent", amps, dim, tail_tol)
 
 
 def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
@@ -118,10 +120,7 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
     factor = -np.exp(1j * phi) * math.tanh(r)
     for n in range(0, nbig - 2, 2):
         amps[n + 2] = amps[n] * factor * math.sqrt((n + 1) / (n + 2))
-    tail = _guard_tail("squeezed", np.abs(amps) ** 2, dim, tail_tol)
-    v = amps[:dim]
-    v = v / np.linalg.norm(v)
-    return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
+    return _truncated("squeezed", amps, dim, tail_tol)
 
 
 def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
@@ -134,25 +133,15 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     if norm_sq < 1e-30:
         raise DegenerateInputError("odd cat with alpha = 0 is the zero vector")
     nbig = dim + _TAIL_EXTEND
-    base = np.zeros(nbig, dtype=complex)
-    base[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(nbig - 1):
-        base[n + 1] = base[n] * alpha / math.sqrt(n + 1)
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)
-    amps = base * (1.0 + sign * parities) / math.sqrt(norm_sq)
-    tail = _guard_tail("cat", np.abs(amps) ** 2, dim, tail_tol)
-    v = amps[:dim]
-    v = v / np.linalg.norm(v)
-    return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
+    amps = _displaced_vacuum(alpha, nbig) * (1.0 + sign * parities) / math.sqrt(norm_sq)
+    return _truncated("cat", amps, dim, tail_tol)
 
 
 def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Thermal (mixed) state, p_n proportional to (nbar/(1+nbar))^n, renormalized on the cutoff."""
     if nbar < 0:
         raise ValueError("mean occupation nbar must be >= 0")
-    if nbar == 0:
-        f = fock(0, dim)
-        return VibrationalState(dim, matrix=f.density_matrix(), tail_tol=tail_tol)
     q = nbar / (1.0 + nbar)
     tail = q ** dim  # geometric series remainder
     if tail > tail_tol:
@@ -170,8 +159,8 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     The kernel is a positive-semidefinite Gaussian Gram matrix, so the output
     is a valid density operator and the map preserves the trace exactly.
     """
-    if lam < 0:
-        raise ValueError("dephasing strength must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"dephasing strength must be finite and >= 0, got {lam}")
     n = np.arange(state.dim)
     kernel = np.exp(-lam * (n[:, None] - n[None, :]) ** 2)
     rho = state.density_matrix() * kernel

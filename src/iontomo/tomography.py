@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .hilbert import DensityOperator
-from .protocol import ProtocolSettings, measure_element
+from .protocol import ProtocolSettings, measure_prepared, prepare_initial
 from .states import VibrationalState, dephase
 
 
@@ -26,8 +26,8 @@ class ReconstructionReport:
 
     estimates[m, n] is the measured <m| rho_vibr |n>; stderrs is zero in exact
     mode. truth is the same block of the known input (always available here,
-    optional in the schema), projected the nearest physical density matrix of
-    the estimates.
+    optional in the schema), projected the Hilbert-Schmidt-nearest density
+    matrix to the estimates (see project_physical).
     """
 
     nmax: int
@@ -40,9 +40,7 @@ class ReconstructionReport:
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if isinstance(obj, DensityOperator):
-        return np.asarray(obj.matrix)
-    return np.asarray(obj, dtype=complex)
+    return np.asarray(obj.matrix if isinstance(obj, DensityOperator) else obj, dtype=complex)
 
 
 def trace_distance(a, b) -> float:
@@ -64,17 +62,26 @@ def hs_distance(a, b) -> float:
 
 
 def project_physical(matrix) -> DensityOperator:
-    """Nearest physical density matrix: hermitize, clip negative eigenvalues, renormalize."""
+    """Hilbert-Schmidt-nearest density matrix to the hermitian part of a square matrix.
+
+    Keeps the eigenvectors of the hermitian part and projects its eigenvalues
+    onto the probability simplex, lambda_i -> max(lambda_i - t, 0) with the
+    shift t that makes them sum to one (Smolin, Gambetta & Smith, PRL 108,
+    070502 (2012)). A matrix with no positive eigenvalue carries no state
+    information and is rejected.
+    """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(herm)
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total < 1e-30:
+    if np.clip(w, 0.0, None).sum() < 1e-30:
         raise DegenerateInputError("matrix has no positive part; cannot renormalize")
-    rho = (v * (w / total)) @ v.conj().T
+    # Largest k whose top-k eigenvalues all stay positive after the shift.
+    desc = w[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(w) + 1)
+    t = shifts[np.nonzero(desc > shifts)[0][-1]]
+    rho = (v * np.clip(w - t, 0.0, None)) @ v.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityOperator(rho, m.shape[0])
 
@@ -96,6 +103,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     if settings.v_mode == "compiled" and nmax > dims.dx - 2:
         raise ValueError(f"compiled mode needs nmax <= dx-2 = {dims.dx - 2}, got {nmax}")
     size = nmax + 1
+    rho0 = prepare_initial(phi, dims)
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
     for m in range(size):
@@ -104,7 +112,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
                 estimates[m, n] = np.conj(estimates[n, m])
                 stderrs[m, n] = stderrs[n, m]
                 continue
-            est = measure_element(phi, m, n, settings)
+            est = measure_prepared(rho0, m, n, settings)
             estimates[m, n] = est.value
             stderrs[m, n] = est.stderr
     truth = phi.density_matrix()[:size, :size]
@@ -141,25 +149,27 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
                         settings: ProtocolSettings) -> list[MonitorPoint]:
     """Track the 2-0 coherence against its positivity bound under growing dephasing.
 
-    For each lambda the input is dephased and exactly three elements are
-    measured: (2, 0), (0, 0) and (2, 2). For any valid density operator
-    |rho_20| <= sqrt(rho_00 rho_22), with equality on rank-one states.
+    For each lambda the input is dephased and prepared once, and exactly three
+    elements are measured: (2, 0), (0, 0) and (2, 2). For any valid density
+    operator |rho_20| <= sqrt(rho_00 rho_22), with equality on rank-one
+    states. In sampled mode every lambda reuses the (seed, m, n) streams of
+    coherence_sampled (common random numbers), so the populations (0, 0) and
+    (2, 2), which dephasing leaves unchanged, repeat their estimates from
+    point to point instead of scattering, and the points differ only through
+    the state.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("lambda list must not be empty")
-    if any(l < 0 for l in lambdas):
-        raise ValueError("dephasing strengths must be >= 0")
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
     if settings.dims.dx < 3:
         raise ValueError("monitor needs dx >= 3 to address the (2, 0) element")
     points = []
     for lam in lambdas:
-        phi_l = dephase(phi, lam)
-        r20 = measure_element(phi_l, 2, 0, settings)
-        r00 = measure_element(phi_l, 0, 0, settings)
-        r22 = measure_element(phi_l, 2, 2, settings)
+        rho0 = prepare_initial(dephase(phi, lam), settings.dims)
+        r20, r00, r22 = (measure_prepared(rho0, m, n, settings)
+                         for m, n in ((2, 0), (0, 0), (2, 2)))
         bound = float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0)))
         points.append(MonitorPoint(lam, abs(r20.value), bound))
     return points

@@ -265,3 +265,61 @@ class TestConfigAndErrors:
                     "--out", str(out)]) == 0
         text = out.read_text()
         assert "0.5272924240" in text
+
+
+# One case per numeric config input: (state overrides, field path, raw JSON literal).
+BAD_NUMBERS = [
+    ({}, ("dims", "dx"), "4.9"),
+    ({}, ("dims", "dz"), "true"),
+    ({}, ("nmax",), "2.5"),
+    ({"kind": "fock", "n": 0}, ("state", "n"), "1.7"),
+    ({}, ("shots",), "1e30"),
+    ({}, ("shots",), "1.7"),
+    ({}, ("shots",), "true"),
+    ({}, ("shots",), "99999999999999999999"),
+    ({}, ("seed",), "-1e400"),
+    ({}, ("seed",), "\"3\""),
+    ({}, ("state", "alpha"), "NaN"),
+    ({}, ("state", "alpha"), "{\"re\": 0.5, \"im\": Infinity}"),
+    ({"kind": "squeezed", "r": 0.3}, ("state", "r"), "Infinity"),
+    ({"kind": "squeezed", "r": 0.3}, ("state", "phi"), "NaN"),
+    ({"kind": "thermal", "nbar": 0.5}, ("state", "nbar"), "-Infinity"),
+    ({}, ("state", "tail_tol"), "NaN"),
+    ({}, ("state", "dephase"), "NaN"),
+    ({}, ("state", "dephase"), "false"),
+]
+
+
+@pytest.mark.parametrize("state,path,literal", BAD_NUMBERS,
+                         ids=[f"{'.'.join(p)}={lit}" for _, p, lit in BAD_NUMBERS])
+def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
+    cfg = {"dims": {"dx": 8, "dz": 8},
+           "state": {"kind": "coherent", "alpha": 0.8, "tail_tol": 1e-5, **state},
+           "nmax": 2, "v_mode": "ideal", "seed": 0}
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@BAD@"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"@BAD@"', literal))
+    assert run(["reconstruct", "--config", str(config)]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "config-error"
+    assert ".".join(path) in record["error"]["message"]
+
+
+@pytest.mark.parametrize("lambdas", ["nan", "0,inf"])
+def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, lambdas):
+    cfg = write_config()
+    assert run(["monitor", "--config", cfg, "--lambdas", lambdas]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "invalid-arguments"
+    assert "finite" in record["error"]["message"]
+
+
+def test_lambdas_of_only_separators_usage_error(write_config, capsys):
+    cfg = write_config()
+    assert run(["monitor", "--config", cfg, "--lambdas", " , ,"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "usage-error",
+                               "message": "monitor requires a non-empty --lambdas list"}

@@ -228,6 +228,40 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(not_unitary, basis_state(DIMS, MINUS, 0, 0))
 
+    def test_output_types_frozen(self):
+        u = unitary_from_generator(pauli(MINUS, PLUS, "y", DIMS), 0.6)
+        rho = apply(u, DensityOperator(np.eye(DIMS.total_dim) / DIMS.total_dim, DIMS))
+        psi = apply(u, basis_state(DIMS, PLUS, 1, 2))
+        assert isinstance(rho, DensityOperator) and rho.dims == DIMS
+        assert isinstance(psi, PureState) and psi.dims == DIMS
+        assert not rho.matrix.flags.writeable and not psi.amplitudes.flags.writeable
+
+
+class TestOperatorAlgebra:
+    def test_product_carries_unitary_tag(self):
+        u = unitary_from_generator(pauli(MINUS, PLUS, "y", DIMS), 0.6)
+        v = unitary_from_generator(pauli(PLUS, XI, "x", DIMS), 1.1)
+        w = u @ v
+        assert w.unitary and not w.hermitian and w.dims == DIMS
+        assert np.array_equal(w.matrix, u.matrix @ v.matrix)
+        assert not w.matrix.flags.writeable
+        assert not (u @ Operator(np.eye(DIMS.total_dim), DIMS)).unitary
+
+    def test_dagger_is_inverse_of_unitary(self):
+        u = unitary_from_generator(pauli(MINUS, XI, "y", DIMS), 0.8)
+        ud = u.dagger()
+        assert ud.unitary and np.array_equal(ud.matrix, u.matrix.conj().T)
+        assert np.max(np.abs((ud @ u).matrix - np.eye(DIMS.total_dim))) <= 1e-12
+
+    def test_dagger_keeps_hermitian_tag(self):
+        h = pauli(MINUS, PLUS, "y", DIMS)
+        assert h.dagger().hermitian
+        assert np.array_equal(h.dagger().matrix, h.matrix)
+
+    def test_product_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            Operator(np.eye(3), 3) @ Operator(np.eye(4), 4)
+
 
 class TestTypeInvariants:
     def test_operator_rejects_false_hermitian_tag(self):

@@ -22,6 +22,7 @@ from iontomo.protocol import (
     coherence_expectation,
     coherence_sampled,
     measure_element,
+    measure_prepared,
     prepare_initial,
     prepare_initial_pure,
     transverse_probabilities,
@@ -179,6 +180,27 @@ class TestIdealShifters:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             v_plus_ideal(8, DIMS)
+
+    @pytest.mark.parametrize("completion", ["cycle", "swap"])
+    def test_matches_loop_reference(self, completion):
+        # element-by-element construction of the sector-restricted Fock shift
+        dims = HilbertDims(5, 5)
+
+        def shift(j, k):
+            if completion == "cycle":
+                return (j + k) % 5
+            return k if j == 0 else (0 if j == k else j)
+
+        for k in range(5):
+            for shifter, sector, axis in ((v_plus_ideal, PLUS, "x"), (v_minus_ideal, MINUS, "z")):
+                ref = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
+                for e in range(3):
+                    for nx in range(5):
+                        for nz in range(5):
+                            tx = shift(nx, k) if e == sector and axis == "x" else nx
+                            tz = shift(nz, k) if e == sector and axis == "z" else nz
+                            ref[dims.index(e, tx, tz), dims.index(e, nx, nz)] = 1.0
+                assert np.array_equal(shifter(k, dims, completion).matrix, ref)
 
 
 class TestCompiledShifters:
@@ -467,3 +489,29 @@ class TestSettingsValidation:
             CoherenceEstimate(1.0 + 0j, -0.1, 100, 0, 0)
         with pytest.raises(ValueError):
             CoherenceEstimate(1.0 + 0j, 0.2, 0, 0, 0)
+
+
+class TestHotPathInvariants:
+    """Products and apply() skip re-verification; check what they skip here, with plain numpy."""
+
+    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+    def test_composed_unitaries_and_output_states(self, v_mode):
+        settings = ProtocolSettings(DIMS, v_mode=v_mode)
+        rho0 = prepare_initial(dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3), DIMS)
+        eye = np.eye(DIMS.total_dim)
+        for m in range(5):
+            for n in range(5):
+                u = u_mn(m, n, settings)
+                assert u.unitary
+                assert np.max(np.abs(u.matrix.conj().T @ u.matrix - eye)) <= 1e-10
+                rho = apply(u, rho0).matrix
+                assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+                assert abs(np.trace(rho) - 1.0) <= 1e-10
+                assert np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] >= -1e-10
+
+    def test_measure_prepared_matches_measure_element(self):
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        st = ProtocolSettings(DIMS, shots=1000, seed=4)
+        a = measure_prepared(prepare_initial(phi, DIMS), 2, 1, st)
+        b = measure_element(phi, 2, 1, st)
+        assert (a.value, a.stderr, a.shots_used) == (b.value, b.stderr, b.shots_used)

@@ -196,6 +196,11 @@ class TestDephase:
         with pytest.raises(ValueError):
             dephase(fock(0, 4), -0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nonfinite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dephase(fock(0, 4), lam)
+
 
 class TestRawAndInvariants:
     def test_from_amplitudes_renormalizes(self):

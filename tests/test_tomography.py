@@ -7,7 +7,7 @@ import pytest
 
 from iontomo.errors import DegenerateInputError
 from iontomo.hilbert import DensityOperator, HilbertDims
-from iontomo.protocol import ProtocolSettings
+from iontomo.protocol import ProtocolSettings, measure_element
 from iontomo.states import coherent, dephase, fock, thermal
 from iontomo.tomography import (
     decoherence_monitor,
@@ -16,7 +16,7 @@ from iontomo.tomography import (
     reconstruct,
     trace_distance,
 )
-from util import random_density
+from util import random_density, random_hermitian
 
 DIMS = HilbertDims(8, 8)
 SETTINGS = ProtocolSettings(DIMS)
@@ -74,6 +74,20 @@ class TestReconstruct:
         assert abs(np.trace(proj) - 1) <= 1e-10
         assert np.linalg.eigvalsh(proj)[0] >= -1e-10
 
+    @pytest.mark.parametrize("settings", [
+        ProtocolSettings(DIMS, v_mode="compiled"),
+        ProtocolSettings(DIMS, shots=3000, seed=6),
+    ], ids=["exact-compiled", "sampled-ideal"])
+    def test_cells_equal_per_cell_runs(self, settings):
+        # the input is prepared once per sweep; each cell still equals its own full run
+        phi = dephase(coherent(0.7 - 0.4j, 8, tail_tol=1e-5), 0.2)
+        report = reconstruct(phi, 3, settings)
+        for m in range(4):
+            for n in range(4):
+                est = measure_element(phi, m, n, settings)
+                assert report.estimates[m, n] == est.value
+                assert report.stderrs[m, n] == est.stderr
+
     def test_sampled_stderr_shrinks_with_shots(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         small = reconstruct(phi, 2, ProtocolSettings(DIMS, shots=400, seed=1))
@@ -107,6 +121,50 @@ class TestProjectPhysical:
                                                 + 1j * rng.normal(size=(6, 6)))
         out = project_physical(noisy)
         assert isinstance(out, DensityOperator)
+
+    def test_simplex_projection_pinned(self):
+        # clip-and-renormalize would give (7/12, 5/12, 0), which is farther away
+        out = project_physical(np.diag([0.7, 0.5, -0.2]))
+        assert np.max(np.abs(out.matrix - np.diag([0.6, 0.4, 0.0]))) <= 1e-12
+        clipped = np.diag([0.7, 0.5, 0.0]) / 1.2
+        target = np.diag([0.7, 0.5, -0.2])
+        assert hs_distance(out, target) < hs_distance(clipped, target) - 1e-3
+
+    def test_excess_trace_shifts_every_kept_eigenvalue(self):
+        # sum 1.6: the two largest drop by 0.25 each, the smallest would go negative and is cut
+        out = project_physical(np.diag([0.9, 0.6, 0.1]))
+        assert np.max(np.abs(out.matrix - np.diag([0.65, 0.35, 0.0]))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qubit_matches_brute_force_grid(self, seed):
+        # every 2x2 density matrix is (I + r.sigma)/2 with |r| <= 1: search a grid of the ball
+        rng = np.random.default_rng(200 + seed)
+        target = np.eye(2) / 2 + 0.8 * random_hermitian(2, rng)
+        best = hs_distance(project_physical(target), target)
+        axis = np.arange(-1.0, 1.0 + 1e-9, 0.025)
+        r = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        r = r[np.sum(r * r, axis=1) <= 1.0]
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        grid = (np.eye(2) + np.einsum("ki,iab->kab", r, paulis)) / 2
+        dists = np.sqrt(np.sum(np.abs(grid - target) ** 2, axis=(1, 2)))
+        assert best <= dists.min() + 1e-12
+        assert dists.min() <= best + 0.025
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_density_matrix_is_closer(self, seed):
+        # the density matrices are convex, so beating every nearby mixture certifies the optimum
+        rng = np.random.default_rng(300 + seed)
+        dim = 3 + seed % 3
+        target = random_density(dim, rng) + 0.3 * random_hermitian(dim, rng)
+        proj = project_physical(target).matrix
+        best = hs_distance(proj, target)
+        for t in np.geomspace(1e-4, 1.0, 12):
+            for _ in range(40):
+                other = random_density(dim, rng)
+                if rng.uniform() < 0.5:
+                    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                    other = np.outer(v, v.conj()) / np.vdot(v, v).real
+                assert hs_distance((1 - t) * proj + t * other, target) >= best - 1e-12
 
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -177,3 +235,15 @@ class TestDecoherenceMonitor:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             decoherence_monitor(fock(0, 8), [], SETTINGS)
+
+    def test_sampled_points_share_random_numbers(self):
+        # every lambda reuses the (seed, m, n) streams, so the unchanged populations repeat exactly
+        st = ProtocolSettings(DIMS, shots=2000, seed=11)
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        lams = [0.0, 0.4, 1.0]
+        for m, n in ((0, 0), (2, 2)):
+            values = [measure_element(dephase(phi, lam), m, n, st).value for lam in lams]
+            assert values[0] == values[1] == values[2]
+        points = decoherence_monitor(phi, lams, st)
+        assert points[0].bound == points[1].bound == points[2].bound
+        assert len({p.rho20_abs for p in points}) == 3
