@@ -28,7 +28,9 @@ from .protocol import (
     coherence_expectation,
     coherence_sampled,
     measure_element,
+    measure_prepared,
     prepare_initial,
+    prepare_vibrational,
     u00,
     u_mn,
     v_minus_compiled,
@@ -36,7 +38,7 @@ from .protocol import (
     v_plus_compiled,
     v_plus_ideal,
 )
-from .pulses import PulseSpec, compile_pulse, h_ajc, h_carrier, h_jc, l_y, r_electronic, r_vibr
+from .pulses import PulseSpec, act_pulse, compile_pulse, h_ajc, h_carrier, h_jc, l_y, r_electronic, r_vibr
 from .states import VibrationalState, cat, coherent, dephase, fock, from_amplitudes, squeezed, thermal
 from .tomography import (
     MonitorPoint,

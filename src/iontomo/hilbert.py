@@ -311,10 +311,13 @@ def unitary_from_generator(generator, theta: float) -> Operator:
 
 
 def expectation(rho: DensityOperator, op: Operator) -> complex:
-    """Tr(rho O). Real to 1e-12 when O carries the hermitian tag."""
+    """Tr(rho O), as the elementwise sum of rho_ij O_ji (O(N^2), no product formed).
+
+    Real to 1e-12 when O carries the hermitian tag.
+    """
     if rho.dim != op.dim:
         raise ValueError(f"dimension mismatch {rho.dim} vs {op.dim}")
-    val = complex(np.trace(rho.matrix @ op.matrix))
+    val = complex(np.einsum("ij,ji->", rho.matrix, op.matrix))
     if op.hermitian:
         return complex(val.real)
     return val

@@ -14,6 +14,15 @@ U_00 takes |phi>_x |0>_z |-> to (|phi>_x|0>_z|-> + |0>_x|phi>_z|+>)/sqrt(2);
 V-_m then lifts the z mode of the |-> branch from |0> to |m>, and V+_n lifts
 the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
+
+Two paths compute this. The measurement path (measure_prepared,
+measure_element) only follows the dx input states |->|k>_x|0>_z that the
+initial state lives on: it applies the cell's pulse schedule in closed form
+(pulses.act_pulse) to a (3, dx, dz, dx) tensor and reads the element out of
+its |-> and |+> blocks, with no operator on the composite space. The dense
+builders (u00, v_*, u_mn, with hilbert.apply and coherence_expectation) form
+the full N x N unitaries, N = 3 dx dz; they are the reference the tests and
+the validate subcommand check the measurement path against.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import numpy as np
 
 from .errors import TruncationLeakageError
 from .hilbert import (
+    ELECTRONIC_DIM,
     MINUS,
     PLUS,
     XI,
@@ -33,13 +43,12 @@ from .hilbert import (
     HilbertDims,
     Operator,
     PureState,
-    apply,
     composite,
     electronic_matrix,
     expectation,
     pauli,
 )
-from .pulses import PulseSpec, compile_pulse
+from .pulses import PulseSpec, act_pulse, compile_pulse
 from .states import VibrationalState
 
 HALF_PI = math.pi / 2.0
@@ -57,6 +66,9 @@ _EIGVEC_MINUS = {
     "y": np.array([1.0, 1.0j, 0.0]) / _SQRT2,
 }
 _OBSERVABLE_TAGS = {"x": 0, "y": 1}
+
+# Largest probability mass the sampler may clip away as rounding.
+CLIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,30 @@ class CoherenceEstimate:
             raise ValueError("exact-mode estimate must carry stderr = 0")
 
 
+def _check_input(phi: VibrationalState, dims: HilbertDims) -> None:
+    """Reject an input of the wrong dimension or with too much truncation leakage.
+
+    The leakage is the tail mass the state recorded, against the tolerance it
+    was built under.
+    """
+    if phi.dim != dims.dx:
+        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+    if phi.tail_mass > phi.tail_tol:
+        raise TruncationLeakageError("input", phi.dim, phi.tail_mass, phi.tail_tol, phi.dim)
+
+
+def prepare_vibrational(phi: VibrationalState, dims: HilbertDims) -> np.ndarray:
+    """The checked, write-locked dx x dx rho_vibr that measure_prepared reads.
+
+    phi was verified as a state when it was built; here it is checked against
+    the protocol (see _check_input), once per input however many cells read it.
+    """
+    _check_input(phi, dims)
+    rho = phi.density_matrix()
+    rho.setflags(write=False)
+    return rho
+
+
 def prepare_initial(phi: VibrationalState, dims: HilbertDims) -> DensityOperator:
     """Composite initial state rho_vibr (x) |0>_z<0| (x) |-><-|.
 
@@ -116,22 +152,17 @@ def prepare_initial(phi: VibrationalState, dims: HilbertDims) -> DensityOperator
     composite. States whose recorded truncation leakage exceeds the tolerance
     they were built under are rejected.
     """
-    if phi.dim != dims.dx:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
-    if phi.tail_mass > phi.tail_tol:
-        raise TruncationLeakageError("input", phi.dim, phi.tail_mass, phi.tail_tol, phi.dim)
     z_vac = np.zeros((dims.dz, dims.dz), dtype=complex)
     z_vac[0, 0] = 1.0
-    rho = composite(electronic_matrix(MINUS, MINUS), phi.density_matrix(), z_vac)
+    rho = composite(electronic_matrix(MINUS, MINUS), prepare_vibrational(phi, dims), z_vac)
     return DensityOperator(rho, dims)
 
 
 def prepare_initial_pure(phi: VibrationalState, dims: HilbertDims) -> PureState:
-    """State-vector form |phi>_x |0>_z |-> for pure phi."""
+    """State-vector form |phi>_x |0>_z |-> for pure phi, under the checks of prepare_initial."""
     if not phi.is_pure:
         raise ValueError("prepare_initial_pure requires a pure vibrational state")
-    if phi.dim != dims.dx:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+    _check_input(phi, dims)
     e_minus = np.zeros(3, dtype=complex)
     e_minus[MINUS] = 1.0
     z_vac = np.zeros(dims.dz, dtype=complex)
@@ -171,6 +202,18 @@ def u00(dims: HilbertDims, compat_rminus_final: bool = False) -> Operator:
     return functools.reduce(lambda u, p: p @ u, pulses)
 
 
+def _check_target(k: int, cutoff: int, mode: str, compiled: bool) -> None:
+    """Reject a branch-shift target beyond the cutoff, or beyond a ladder's reach.
+
+    A compiled ladder needs k <= d-2 so it stays clear of the truncation boundary.
+    """
+    if compiled:
+        if not 0 <= k <= cutoff - 2:
+            raise ValueError(f"compiled ladder requires 0 <= k <= d{mode}-2 = {cutoff - 2}, got {k}")
+    elif not 0 <= k < cutoff:
+        raise ValueError(f"target Fock index {k} out of range for d{mode}={cutoff}")
+
+
 def _ideal_shift(k: int, dim: int, completion: str) -> np.ndarray:
     """Permutation of Fock indices extending |0> -> |k| to a unitary."""
     idx = np.arange(dim)
@@ -205,16 +248,14 @@ def v_plus_ideal(n: int, dims: HilbertDims, completion: str = "cycle") -> Operat
     completed by a fixed Fock-index permutation ('cycle' or 'swap'), and any
     such completion yields identical observables.
     """
-    if not 0 <= n < dims.dx:
-        raise ValueError(f"target Fock index {n} out of range for dx={dims.dx}")
+    _check_target(n, dims.dx, "x", compiled=False)
     return _branch_permutation(dims, PLUS, "x", n, completion)
 
 
 @functools.lru_cache(maxsize=None)
 def v_minus_ideal(m: int, dims: HilbertDims, completion: str = "cycle") -> Operator:
     """Exact branch shifter: |phi>_x|0>_z|-> -> |phi>_x|m>_z|->, identity on the |+> sector."""
-    if not 0 <= m < dims.dz:
-        raise ValueError(f"target Fock index {m} out of range for dz={dims.dz}")
+    _check_target(m, dims.dz, "z", compiled=False)
     return _branch_permutation(dims, MINUS, "z", m, completion)
 
 
@@ -259,16 +300,14 @@ def v_plus_compiled(n: int, dims: HilbertDims) -> Operator:
 
     Requires n <= dx - 2 so the ladder stays clear of the truncation boundary.
     """
-    if not 0 <= n <= dims.dx - 2:
-        raise ValueError(f"compiled ladder requires 0 <= n <= dx-2 = {dims.dx - 2}, got {n}")
+    _check_target(n, dims.dx, "x", compiled=True)
     return _compile_schedule(v_plus_schedule(n), dims)
 
 
 @functools.lru_cache(maxsize=None)
 def v_minus_compiled(m: int, dims: HilbertDims) -> Operator:
     """V-_m as a product of carrier/sideband pi-pulses on the {-, xi} pair, mode z."""
-    if not 0 <= m <= dims.dz - 2:
-        raise ValueError(f"compiled ladder requires 0 <= m <= dz-2 = {dims.dz - 2}, got {m}")
+    _check_target(m, dims.dz, "z", compiled=True)
     return _compile_schedule(v_minus_schedule(m), dims)
 
 
@@ -285,23 +324,25 @@ def u_mn(m: int, n: int, settings: ProtocolSettings) -> Operator:
     return v_plus @ (v_minus @ u)
 
 
-def _electronic_reduced(rho: DensityOperator, dims: HilbertDims) -> np.ndarray:
-    r = rho.matrix.reshape(3, dims.vib_dim, 3, dims.vib_dim)
+def _electronic_reduced(rho: DensityOperator) -> np.ndarray:
+    """3 x 3 electronic state of a composite-space density operator (modes traced out)."""
+    if not isinstance(rho.dims, HilbertDims):
+        raise ValueError("transverse readout requires a composite-space density operator")
+    r = rho.matrix.reshape(3, rho.dims.vib_dim, 3, rho.dims.vib_dim)
     return np.einsum("avbv->ab", r)
 
 
-def transverse_probabilities(rho: DensityOperator, observable: str) -> np.ndarray:
+def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
     """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin.
 
-    The +-1 outcomes project onto the transverse eigenvectors of the {-, +}
-    pair; the 0 outcome is the |xi> sector. Since all projectors act as the
-    identity on the modes, only the reduced electronic state enters.
+    red is the 3 x 3 reduced electronic state. The +-1 outcomes project onto
+    the transverse eigenvectors of the {-, +} pair; the 0 outcome is the |xi>
+    level. Rounding can put a probability a hair outside [0, 1]; it is
+    clipped and the three renormalized, but clipping more than 1e-10 of
+    probability mass in all means red is no state, and raises ValueError.
     """
     if observable not in _OBSERVABLE_TAGS:
         raise ValueError(f"observable must be 'x' or 'y', got {observable!r}")
-    if not isinstance(rho.dims, HilbertDims):
-        raise ValueError("transverse sampling requires a composite-space density operator")
-    red = _electronic_reduced(rho, rho.dims)
     s_plus = _EIGVEC_PLUS[observable]
     s_minus = _EIGVEC_MINUS[observable]
     p = np.array([
@@ -309,8 +350,21 @@ def transverse_probabilities(rho: DensityOperator, observable: str) -> np.ndarra
         (s_minus.conj() @ red @ s_minus).real,
         red[XI, XI].real,
     ])
-    p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    clipped = np.clip(p, 0.0, 1.0)
+    lost = float(np.sum(np.abs(p - clipped)))
+    if lost > CLIP_TOL:
+        raise ValueError(f"transverse {observable} probabilities {p.tolist()} need {lost:.3e} "
+                         f"of probability mass clipped (tolerance {CLIP_TOL:.0e})")
+    return clipped / clipped.sum()
+
+
+def transverse_probabilities(rho: DensityOperator, observable: str) -> np.ndarray:
+    """reduced_probabilities of a composite-space density operator.
+
+    Since all projectors act as the identity on the modes, only the reduced
+    electronic state enters.
+    """
+    return reduced_probabilities(_electronic_reduced(rho), observable)
 
 
 def coherence_expectation(rho_mn: DensityOperator) -> complex:
@@ -330,23 +384,13 @@ def coherence_expectation(rho_mn: DensityOperator) -> complex:
     return complex(ex, -ey)
 
 
-def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
-                      shots: int, seed: int) -> CoherenceEstimate:
-    """Finite-statistics estimate of the coherence from projective samples.
-
-    Each transverse observable is measured `shots` times in its own eigenbasis
-    (outcomes +1, -1, and 0 for the |xi> sector) with a generator seeded from
-    (seed, m, n, observable tag), so estimates are reproducible bit-for-bit
-    and independent of evaluation order. The stream does not depend on the
-    state: two runs of the same cell on different inputs (such as the points
-    of a decoherence monitor) share their random numbers. stderr combines the
-    two sample means: sqrt(var_x + var_y) / sqrt(shots).
-    """
+def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> CoherenceEstimate:
+    """The sampler behind coherence_sampled and sampled measure_prepared; red is the 3 x 3 state."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     stats = {}
     for observable, tag in _OBSERVABLE_TAGS.items():
-        probs = transverse_probabilities(rho_mn, observable)
+        probs = reduced_probabilities(red, observable)
         rng = np.random.default_rng([int(seed), int(m), int(n), tag])
         c_plus, c_minus, _ = rng.multinomial(shots, probs)
         mean = (c_plus - c_minus) / shots
@@ -362,19 +406,78 @@ def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
     return CoherenceEstimate(value, stderr, shots, m, n)
 
 
-def measure_prepared(rho0: DensityOperator, m: int, n: int,
-                     settings: ProtocolSettings) -> CoherenceEstimate:
-    """One protocol run on a prepare_initial state: transform with U_mn, read out <m| rho_vibr |n>.
+def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
+                      shots: int, seed: int) -> CoherenceEstimate:
+    """Finite-statistics estimate of the coherence from projective samples.
 
-    Sweeps prepare their input once; each cell still gets its own U_mn.
+    Each transverse observable is measured `shots` times in its own eigenbasis
+    (outcomes +1, -1, and 0 for the |xi> sector, see reduced_probabilities)
+    with a generator seeded from (seed, m, n, observable tag), so estimates
+    are reproducible bit-for-bit and independent of evaluation order. The
+    stream does not depend on the state: two runs of the same cell on
+    different inputs (such as the points of a decoherence monitor) share
+    their random numbers. stderr combines the two sample means:
+    sqrt(var_x + var_y) / sqrt(shots).
     """
-    rho_mn = apply(u_mn(m, n, settings), rho0)
+    return _sample_reduced(_electronic_reduced(rho_mn), m, n, shots, seed)
+
+
+def _slice_images(m: int, n: int, settings: ProtocolSettings) -> np.ndarray:
+    """U_mn on the input slice: a (3, dx, dz, dx) tensor whose column k is U_mn |->|k>_x|0>_z.
+
+    Runs the cell's own schedule from the bare slice: the entangler pulses,
+    then the shifters. Ideal shifters move the Fock index cyclically (z of
+    the |-> sector by m, x of the |+> sector by n), as the 'cycle'
+    completion of v_minus_ideal and v_plus_ideal does; compiled ones apply
+    the V-_m then the V+_n ladder.
+    """
+    dims = settings.dims
+    compiled = settings.v_mode == "compiled"
+    _check_target(m, dims.dz, "z", compiled)
+    _check_target(n, dims.dx, "x", compiled)
+    k = np.arange(dims.dx)
+    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, dims.dx), dtype=complex)
+    w[MINUS, k, 0, k] = 1.0
+    for spec in u00_schedule(settings.compat_rminus_final):
+        act_pulse(spec, w)
+    if compiled:
+        for spec in v_minus_schedule(m) + v_plus_schedule(n):
+            act_pulse(spec, w)
+    else:
+        w[MINUS] = np.roll(w[MINUS], m, axis=1)
+        w[PLUS] = np.roll(w[PLUS], n, axis=0)
+    return w
+
+
+def _slice_reduced(w: np.ndarray, rho_vibr: np.ndarray) -> np.ndarray:
+    """3 x 3 electronic state Tr_v(W_a rho_vibr W_b^dag) from the (3, vib_dim, dx) slice images."""
+    return np.einsum("avk,bvk->ab", w @ rho_vibr, w.conj())
+
+
+def measure_prepared(rho_vibr: np.ndarray, m: int, n: int,
+                     settings: ProtocolSettings) -> CoherenceEstimate:
+    """One protocol run on a prepare_vibrational input: read out <m| rho_vibr |n>.
+
+    The initial state rho_vibr (x) |0><0|_z (x) |-><-| lives on the dx
+    input states, so the run needs only W = U_mn restricted to them
+    (_slice_images), with row blocks W_a = <a|W on each electronic level a.
+    The transformed state's electronic block <a|rho|b> is W_a rho_vibr W_b^dag;
+    exact mode returns <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ rho_vibr W_-^dag),
+    sampled mode samples from the reduced state Tr_v(W_a rho_vibr W_b^dag)
+    as coherence_sampled does. Sweeps prepare their input once; each cell
+    still runs its own full schedule.
+    """
+    dims = settings.dims
+    if np.shape(rho_vibr) != (dims.dx, dims.dx):
+        raise ValueError(f"rho_vibr shape {np.shape(rho_vibr)} != ({dims.dx}, {dims.dx})")
+    w = _slice_images(m, n, settings).reshape(ELECTRONIC_DIM, dims.vib_dim, dims.dx)
     if settings.shots is None:
-        return CoherenceEstimate(coherence_expectation(rho_mn), 0.0, 0, m, n)
-    return coherence_sampled(rho_mn, m, n, settings.shots, settings.seed)
+        value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ rho_vibr)
+        return CoherenceEstimate(complex(value), 0.0, 0, m, n)
+    return _sample_reduced(_slice_reduced(w, rho_vibr), m, n, settings.shots, settings.seed)
 
 
 def measure_element(phi: VibrationalState, m: int, n: int,
                     settings: ProtocolSettings) -> CoherenceEstimate:
     """One full protocol run: prepare, transform with U_mn, read out <m| rho_vibr |n>."""
-    return measure_prepared(prepare_initial(phi, settings.dims), m, n, settings)
+    return measure_prepared(prepare_vibrational(phi, settings.dims), m, n, settings)

@@ -12,6 +12,13 @@ on the {l, xi} pair and the two-mode vibrational rotation generated by
 L_y = i (a-dag_x a_z - a-dag_z a_x) gated by the {+, xi} sigma_x. Pulse areas
 are dimensionless: the coupling constant and duration enter only through
 angle = gamma * t, so no physical rates are modeled.
+
+Each pulse exists twice. compile_pulse builds its dense unitary on the whole
+composite space, the reference the tests and `validate` check against.
+act_pulse applies the same unitary in closed form to a (3, dx, dz, r) tensor
+of r states: the carrier, sideband and electronic pulses are 2x2 rotations on
+level-pair doublets, the vibrational rotation a beam splitter block per total
+phonon number. It never forms an operator on the composite space.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ class PulseSpec:
         if self.kind in ("carrier", "jc", "ajc"):
             if self.mode not in ("x", "z"):
                 raise ValueError(f"{self.kind} pulse must name mode 'x' or 'z'")
+            if "xi" not in (l, j):
+                raise ValueError(f"{self.kind} pulse level pair must contain 'xi'")
         else:
             object.__setattr__(self, "mode", None)
         if self.kind == "erot" and (l not in ("-", "+") or j != "xi"):
@@ -189,3 +198,91 @@ def compile_pulse(spec: PulseSpec, dims: HilbertDims) -> Operator:
         return r_vibr(spec.angle, dims)
     h = _coupling(spec.kind, spec.mode, spec.levels, spec.phase, dims)
     return unitary_from_generator(h, spec.angle)
+
+
+def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
+                 angle: float, coupling: complex) -> None:
+    """exp(i angle H) in place for H = coupling |up><down| (x) K + h.c.
+
+    With axis None, K is the identity (a carrier) and every |down, v> pairs
+    with |up, v>. With axis 0 (mode x) or 1 (mode z) of a sector, K is the
+    truncated a-dag of that mode: |down, k> pairs with |up, k+1> at coupling
+    sqrt(k+1), and the two unpaired edge states |up, 0> and |down, d-1> keep
+    their amplitude. On each pair H is coupling * g times a Pauli matrix, so
+    the pulse is the 2x2 rotation cos(g angle) + i sin(g angle) H / g.
+    """
+    hi, lo = state[up], state[down]
+    g = 1.0
+    if axis is not None:
+        hi = np.moveaxis(hi, axis, 0)[1:]
+        lo = np.moveaxis(lo, axis, 0)[:-1]
+        g = np.sqrt(np.arange(1, hi.shape[0] + 1)).reshape(-1, *(1,) * (hi.ndim - 1))
+    cos = np.cos(g * angle)
+    isin = 1j * np.sin(g * angle)
+    new_hi = cos * hi + (isin * coupling) * lo
+    lo[...] = cos * lo + (isin * np.conj(coupling)) * hi
+    hi[...] = new_hi
+
+
+@functools.lru_cache(maxsize=4)
+def _ly_blocks(theta: float, dx: int, dz: int) -> tuple:
+    """exp(i theta L_y) as (nx, nz, block) per total phonon number K = nx + nz.
+
+    The truncated L_y only couples |nx, nz> to |nx+1, nz-1> at strength
+    sqrt((nx+1) nz), so each K is one tridiagonal block of at most
+    min(dx, dz) states. i L_y is real antisymmetric, so each exponential is a
+    real orthogonal matrix and exp(-i theta L_y) is its transpose. The blocks
+    hold O(d^3) numbers in all.
+    """
+    blocks = []
+    for k in range(dx + dz - 1):
+        nx = np.arange(max(0, k - dz + 1), min(k, dx - 1) + 1)
+        g = np.sqrt((nx[:-1] + 1.0) * (k - nx[:-1]))
+        ly = np.diag(1j * g, -1) - np.diag(1j * g, 1)
+        w, v = np.linalg.eigh(ly)
+        block = ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+        blocks.append((nx, k - nx, block))
+    return tuple(blocks)
+
+
+def _beam_split(theta: float, state: np.ndarray) -> None:
+    """exp(i theta L_y sigma_x^{+xi}) in place.
+
+    sigma_x of {+, xi} is +-1 on (|+> +- |xi>)/sqrt(2); those branches turn
+    by exp(+-i theta L_y), one block per total phonon number.
+    """
+    bright = (state[PLUS] + state[XI]) / math.sqrt(2.0)
+    dark = (state[PLUS] - state[XI]) / math.sqrt(2.0)
+    for nx, nz, block in _ly_blocks(theta, state.shape[1], state.shape[2]):
+        bright[nx, nz] = block @ bright[nx, nz]
+        dark[nx, nz] = block.T @ dark[nx, nz]
+    state[PLUS] = (bright + dark) / math.sqrt(2.0)
+    state[XI] = (bright - dark) / math.sqrt(2.0)
+
+
+def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
+    """Apply the pulse's unitary in place to a (3, dx, dz, r) complex tensor of r states; return it.
+
+    Axis 0 is the electronic level, axes 1 and 2 the Fock indices of modes x
+    and z, axis 3 runs over the states. Equal to compile_pulse(spec, dims)
+    applied to each state, in O(3 dx dz r) work per pulse.
+    """
+    if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
+        raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "
+                         f"{state.dtype} {state.shape}")
+    l, j = (level_index(x) for x in spec.levels)
+    axis = 0 if spec.mode == "x" else 1
+    if spec.kind == "vrot":
+        _beam_split(spec.angle, state)
+    elif spec.kind == "erot":
+        # exp(i angle sigma_y) is the carrier rotation at laser phase pi/2.
+        _rotate_pair(state, l, j, None, spec.angle, 1j)
+    elif spec.kind == "carrier":
+        _rotate_pair(state, l, j, None, spec.angle, np.exp(1j * spec.phase))
+    elif spec.kind == "jc":
+        # e^{i phase} a-dag |l><j| + h.c. raises the phonon number on l.
+        _rotate_pair(state, l, j, axis, spec.angle, np.exp(1j * spec.phase))
+    else:
+        # ajc: e^{i phase} a |l><j| + h.c. = e^{-i phase} a-dag |j><l| + h.c.
+        _rotate_pair(state, j, l, axis, spec.angle, np.exp(-1j * spec.phase))
+    return state

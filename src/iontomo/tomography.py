@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .hilbert import DensityOperator
-from .protocol import ProtocolSettings, measure_prepared, prepare_initial
+from .protocol import ProtocolSettings, measure_prepared, prepare_vibrational
 from .states import VibrationalState, dephase
 
 
@@ -103,7 +103,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     if settings.v_mode == "compiled" and nmax > dims.dx - 2:
         raise ValueError(f"compiled mode needs nmax <= dx-2 = {dims.dx - 2}, got {nmax}")
     size = nmax + 1
-    rho0 = prepare_initial(phi, dims)
+    rho_vibr = prepare_vibrational(phi, dims)
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
     for m in range(size):
@@ -112,7 +112,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
                 estimates[m, n] = np.conj(estimates[n, m])
                 stderrs[m, n] = stderrs[n, m]
                 continue
-            est = measure_prepared(rho0, m, n, settings)
+            est = measure_prepared(rho_vibr, m, n, settings)
             estimates[m, n] = est.value
             stderrs[m, n] = est.stderr
     truth = phi.density_matrix()[:size, :size]
@@ -167,8 +167,8 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
         raise ValueError("monitor needs dx >= 3 to address the (2, 0) element")
     points = []
     for lam in lambdas:
-        rho0 = prepare_initial(dephase(phi, lam), settings.dims)
-        r20, r00, r22 = (measure_prepared(rho0, m, n, settings)
+        rho_vibr = prepare_vibrational(dephase(phi, lam), settings.dims)
+        r20, r00, r22 = (measure_prepared(rho_vibr, m, n, settings)
                          for m, n in ((2, 0), (0, 0), (2, 2)))
         bound = float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0)))
         points.append(MonitorPoint(lam, abs(r20.value), bound))

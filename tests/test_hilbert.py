@@ -201,6 +201,20 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(rho, pauli(MINUS, PLUS, "x", DIMS))
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_trace_of_product(self, hermitian):
+        rng = np.random.default_rng(11)
+        n = DIMS.total_dim
+        rho = DensityOperator(random_density(n, rng), DIMS)
+        if hermitian:
+            op = Operator(random_hermitian(n, rng), DIMS, hermitian=True)
+        else:
+            op = Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), DIMS)
+        reference = np.trace(rho.matrix @ op.matrix)
+        if hermitian:
+            reference = reference.real
+        assert abs(expectation(rho, op) - reference) <= 1e-12
+
 
 class TestApply:
     def test_identity(self):

@@ -1,6 +1,7 @@
 """Tests for the measurement protocol: preparation, entangler, branch shifters, readout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from iontomo.hilbert import (
     basis_state,
     reduced_density_x,
 )
+from iontomo import hilbert, protocol, pulses
 from iontomo.protocol import (
     CoherenceEstimate,
+    _electronic_reduced,
+    _slice_images,
+    _slice_reduced,
     ProtocolSettings,
     coherence_expectation,
     coherence_sampled,
@@ -25,6 +30,8 @@ from iontomo.protocol import (
     measure_prepared,
     prepare_initial,
     prepare_initial_pure,
+    prepare_vibrational,
+    reduced_probabilities,
     transverse_probabilities,
     u00,
     u00_schedule,
@@ -37,10 +44,12 @@ from iontomo.protocol import (
     v_plus_schedule,
 )
 from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
+from iontomo.tomography import reconstruct
 from util import expm_taylor
 
 DIMS = HilbertDims(8, 8)
 SETTINGS = ProtocolSettings(DIMS)
+PREPARERS = (prepare_initial, prepare_initial_pure, prepare_vibrational)
 
 RHO00_COH08 = 0.5272924240430485   # exp(-0.64)
 RHO10_COH08 = 0.42183393923443885  # exp(-0.64) * 0.8
@@ -75,16 +84,24 @@ class TestPrepareInitial:
         rho = prepare_initial(coherent(0.5, 8, tail_tol=1e-6), DIMS)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
-    def test_dim_mismatch(self):
+    @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
+    def test_dim_mismatch(self, prepare):
         with pytest.raises(ValueError):
-            prepare_initial(fock(0, 6), DIMS)
+            prepare(fock(0, 6), DIMS)
 
-    def test_rejects_leaky_state(self):
+    @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
+    def test_rejects_leaky_state(self, prepare):
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0
         leaky = VibrationalState(8, amplitudes=vec, tail_mass=1e-3, tail_tol=1e-12)
         with pytest.raises(TruncationLeakageError):
-            prepare_initial(leaky, DIMS)
+            prepare(leaky, DIMS)
+
+    def test_vibrational_input_is_locked_density_matrix(self):
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        rho = prepare_vibrational(phi, DIMS)
+        assert np.array_equal(rho, phi.density_matrix())
+        assert not rho.flags.writeable
 
 
 def _test_rotation_matrix(level, theta, dims):
@@ -464,6 +481,30 @@ class TestSampling:
         with pytest.raises(ValueError):
             coherence_sampled(self._rho_00_vacuum(), 0, 0, shots=0, seed=1)
 
+    @staticmethod
+    def _reduced_with_p_plus(p_plus):
+        # p(+1) of the x observable is 1/2 + Re red[-, +]
+        red = np.zeros((3, 3), dtype=complex)
+        red[MINUS, MINUS] = red[PLUS, PLUS] = 0.5
+        red[MINUS, PLUS] = red[PLUS, MINUS] = p_plus - 0.5
+        return red
+
+    def test_clipping_beyond_tolerance_raises(self):
+        with pytest.raises(ValueError, match="clipped"):
+            reduced_probabilities(self._reduced_with_p_plus(-1e-6), "x")
+
+    def test_rounding_is_clipped_as_before(self):
+        red = self._reduced_with_p_plus(-1e-15)
+        assert np.array_equal(reduced_probabilities(red, "x"), [0.0, 1.0, 0.0])
+
+    def test_transverse_probabilities_reads_reduced_state(self):
+        rho = apply(u_mn(1, 0, SETTINGS), prepare_initial(coherent(0.8, 8, tail_tol=1e-5), DIMS))
+        for observable in ("x", "y"):
+            assert np.array_equal(transverse_probabilities(rho, observable),
+                                  reduced_probabilities(_electronic_reduced(rho), observable))
+        with pytest.raises(ValueError):
+            reduced_probabilities(_electronic_reduced(rho), "z")
+
     def test_measure_element_sampled_mode(self):
         st = ProtocolSettings(DIMS, shots=5000, seed=9)
         est = measure_element(coherent(0.8, 8, tail_tol=1e-5), 1, 0, st)
@@ -512,6 +553,82 @@ class TestHotPathInvariants:
     def test_measure_prepared_matches_measure_element(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         st = ProtocolSettings(DIMS, shots=1000, seed=4)
-        a = measure_prepared(prepare_initial(phi, DIMS), 2, 1, st)
+        a = measure_prepared(prepare_vibrational(phi, DIMS), 2, 1, st)
         b = measure_element(phi, 2, 1, st)
         assert (a.value, a.stderr, a.shots_used) == (b.value, b.stderr, b.shots_used)
+
+
+MIXED_INPUTS = {
+    "thermal": lambda d: thermal(0.4, d, tail_tol=1e-1),
+    "dephased": lambda d: dephase(coherent(0.6 + 0.4j, d, tail_tol=1e-2), 0.2),
+}
+
+
+class TestSliceEngine:
+    """measure_prepared against the dense reference apply(u_mn, prepare_initial)."""
+
+    @pytest.mark.parametrize("d", [5, 8])
+    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+    @pytest.mark.parametrize("compat", [False, True], ids=["final-plus", "compat"])
+    @pytest.mark.parametrize("input_name", sorted(MIXED_INPUTS))
+    def test_every_cell_matches_dense(self, d, v_mode, compat, input_name):
+        dims = HilbertDims(d, d)
+        phi = MIXED_INPUTS[input_name](d)
+        settings = ProtocolSettings(dims, v_mode=v_mode, compat_rminus_final=compat)
+        rho0 = prepare_initial(phi, dims)
+        rho_vibr = prepare_vibrational(phi, dims)
+        for m in range(d - 1):
+            for n in range(d - 1):
+                dense = apply(u_mn(m, n, settings), rho0)
+                value = measure_prepared(rho_vibr, m, n, settings).value
+                assert abs(value - coherence_expectation(dense)) <= 1e-12
+                w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, d)
+                red = _slice_reduced(w, rho_vibr)
+                assert np.max(np.abs(red - _electronic_reduced(dense))) <= 1e-12
+
+    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+    def test_slice_images_are_dense_columns(self, v_mode):
+        settings = ProtocolSettings(DIMS, v_mode=v_mode)
+        columns = [DIMS.index(MINUS, k, 0) for k in range(DIMS.dx)]
+        for m, n in ((0, 0), (3, 1), (6, 5)):
+            w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
+            assert np.max(np.abs(w - u_mn(m, n, settings).matrix[:, columns])) <= 1e-12
+
+    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+    def test_d60_coherent_cell(self, v_mode):
+        alpha, m, n = 1.5 + 0.5j, 7, 3
+        settings = ProtocolSettings(HilbertDims(60, 60), v_mode=v_mode)
+        phi = coherent(alpha, 60)
+        tracemalloc.start()
+        try:
+            value = measure_element(phi, m, n, settings).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        closed = (math.exp(-abs(alpha) ** 2) * alpha ** m * np.conj(alpha) ** n
+                  / math.sqrt(math.factorial(m) * math.factorial(n)))
+        assert abs(value - closed) <= 1e-9
+        assert peak < 100 * 2 ** 20
+
+    def test_builds_no_dense_operator(self):
+        dense_caches = (pulses.compile_pulse, protocol.u00, protocol.v_plus_ideal,
+                        protocol.v_minus_ideal, protocol.v_plus_compiled,
+                        protocol.v_minus_compiled, hilbert.pauli)
+        for cache in dense_caches:
+            cache.cache_clear()
+        phi = dephase(coherent(0.5, 8, tail_tol=1e-4), 0.1)
+        for v_mode in ("ideal", "compiled"):
+            reconstruct(phi, 4, ProtocolSettings(DIMS, v_mode=v_mode))
+        measure_element(phi, 2, 1, ProtocolSettings(DIMS, shots=100, seed=1))
+        assert [cache.cache_info().currsize for cache in dense_caches] == [0] * len(dense_caches)
+        assert pulses._ly_blocks.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("v_mode,m,n", [("ideal", 8, 0), ("ideal", 0, -1),
+                                            ("compiled", 7, 0), ("compiled", 0, 7)])
+    def test_target_out_of_reach(self, v_mode, m, n):
+        with pytest.raises(ValueError):
+            measure_element(fock(0, 8), m, n, ProtocolSettings(DIMS, v_mode=v_mode))
+
+    def test_rejects_wrong_input_shape(self):
+        with pytest.raises(ValueError):
+            measure_prepared(prepare_initial(fock(0, 8), DIMS), 0, 0, SETTINGS)

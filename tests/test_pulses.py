@@ -19,6 +19,7 @@ from iontomo.hilbert import (
 )
 from iontomo.pulses import (
     PulseSpec,
+    act_pulse,
     compile_pulse,
     h_ajc,
     h_carrier,
@@ -58,6 +59,12 @@ class TestPulseSpec:
     def test_angle_finite(self):
         with pytest.raises(ValueError):
             PulseSpec("carrier", ("+", "xi"), "x", math.inf)
+
+    @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
+    def test_coupled_pair_contains_xi(self, kind):
+        with pytest.raises(ValueError):
+            PulseSpec(kind, ("-", "+"), "x", 1.0)
+        assert PulseSpec(kind, ("xi", "-"), "x", 1.0).levels == ("xi", "-")
 
 
 class TestHamiltonians:
@@ -244,3 +251,54 @@ class TestCompilePulse:
         u = compile_pulse(spec, DIMS).matrix
         proj = electronic_op(excluded, excluded, DIMS).matrix
         assert np.max(np.abs(u @ proj - proj @ u)) <= 1e-12
+
+
+def _action_specs():
+    """Every pulse kind on both level pairs (both orders), both modes, random angles and phases."""
+    rng = np.random.default_rng(2003)
+    specs = [PulseSpec("vrot", ("+", "xi"), None, rng.uniform(-4, 4))]
+    for level in ("-", "+"):
+        specs.append(PulseSpec("erot", (level, "xi"), None, rng.uniform(-4, 4)))
+        for kind in ("carrier", "jc", "ajc"):
+            for levels in ((level, "xi"), ("xi", level)):
+                for mode in ("x", "z"):
+                    specs.append(PulseSpec(kind, levels, mode, rng.uniform(-4, 4),
+                                           rng.uniform(0, 2 * math.pi)))
+    return specs
+
+
+class TestPulseActions:
+    """act_pulse against the dense compile_pulse matrix on random tensors of states."""
+
+    @pytest.mark.parametrize("spec", _action_specs(),
+                             ids=lambda s: f"{s.kind}-{''.join(s.levels)}-{s.mode}")
+    def test_matches_compiled_matrix(self, spec):
+        dims = HilbertDims(6, 6)
+        rng = np.random.default_rng(7)
+        state = rng.normal(size=(3, 6, 6, 5)) + 1j * rng.normal(size=(3, 6, 6, 5))
+        expected = compile_pulse(spec, dims).matrix @ state.reshape(dims.total_dim, 5)
+        got = act_pulse(spec, state.copy())
+        assert np.max(np.abs(got.reshape(dims.total_dim, 5) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["vrot", "jc"])
+    def test_unequal_cutoffs(self, kind):
+        dims = HilbertDims(4, 6)
+        spec = PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4)
+        rng = np.random.default_rng(5)
+        state = rng.normal(size=(3, 4, 6, 3)) + 1j * rng.normal(size=(3, 4, 6, 3))
+        expected = compile_pulse(spec, dims).matrix @ state.reshape(dims.total_dim, 3)
+        got = act_pulse(spec, state.copy())
+        assert np.max(np.abs(got.reshape(dims.total_dim, 3) - expected)) <= 1e-12
+
+    def test_acts_in_place(self):
+        state = np.zeros((3, 4, 4, 1), dtype=complex)
+        state[PLUS, 0, 0, 0] = 1.0
+        out = act_pulse(PulseSpec("erot", ("+", "xi"), None, math.pi / 2), state)
+        assert out is state
+        assert abs(state[XI, 0, 0, 0] - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("shape,dtype", [((3, 4, 4), complex), ((2, 4, 4, 1), complex),
+                                             ((3, 4, 4, 1), float)])
+    def test_rejects_bad_tensor(self, shape, dtype):
+        with pytest.raises(ValueError):
+            act_pulse(PulseSpec("vrot", ("+", "xi"), None, 0.3), np.zeros(shape, dtype=dtype))
