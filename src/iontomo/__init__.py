@@ -6,39 +6,15 @@ transverse pseudospin expectations, one element per protocol run.
 """
 
 from .errors import DegenerateInputError, TruncationLeakageError
-from .hilbert import (
-    MINUS,
-    PLUS,
-    XI,
-    DensityOperator,
-    HilbertDims,
-    Operator,
-    PureState,
-    annihilator,
-    apply,
-    basis_state,
-    electronic_op,
-    expectation,
-    pauli,
-    unitary_from_generator,
-)
+from .hilbert import MINUS, PLUS, XI, DensityOperator, HilbertDims
 from .protocol import (
     CoherenceEstimate,
     ProtocolSettings,
-    coherence_expectation,
-    coherence_sampled,
     measure_element,
     measure_prepared,
-    prepare_initial,
     prepare_vibrational,
-    u00,
-    u_mn,
-    v_minus_compiled,
-    v_minus_ideal,
-    v_plus_compiled,
-    v_plus_ideal,
 )
-from .pulses import PulseSpec, act_pulse, compile_pulse, h_ajc, h_carrier, h_jc, l_y, r_electronic, r_vibr
+from .pulses import PulseSpec, act_pulse
 from .states import VibrationalState, cat, coherent, dephase, fock, from_amplitudes, squeezed, thermal
 from .tomography import (
     MonitorPoint,

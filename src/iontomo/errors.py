@@ -5,7 +5,8 @@ class TruncationLeakageError(ValueError):
     """A state family puts too much population beyond the Fock cutoff.
 
     Carries the offending tail mass, the tolerance it violated, and the
-    smallest cutoff that would satisfy it.
+    smallest cutoff that would satisfy it (a lower bound on that cutoff when
+    the constructor's extended range does not reach it).
     """
 
     def __init__(self, kind: str, dim: int, tail_mass: float, tail_tol: float,

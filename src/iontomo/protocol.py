@@ -15,40 +15,26 @@ V-_m then lifts the z mode of the |-> branch from |0> to |m>, and V+_n lifts
 the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
 
-Two paths compute this. The measurement path (measure_prepared,
-measure_element) only follows the dx input states |->|k>_x|0>_z that the
-initial state lives on: it applies the cell's pulse schedule in closed form
-(pulses.act_pulse) to a (3, dx, dz, dx) tensor and reads the element out of
-its |-> and |+> blocks, with no operator on the composite space. The dense
-builders (u00, v_*, u_mn, with hilbert.apply and coherence_expectation) form
-the full N x N unitaries, N = 3 dx dz; they are the reference the tests and
-the validate subcommand check the measurement path against.
+A run (measure_prepared, measure_element) only follows the dx input states
+|->|k>_x|0>_z that the initial state lives on: it applies the cell's pulse
+schedule in closed form (pulses.act_pulse) to a (3, dx, dz, dx) tensor and
+reads the element out of its |-> and |+> blocks, with no operator on the
+composite space (dimension N = 3 dx dz). The identity checks at the end of
+this module (mode swap, entangled target, compiled vs ideal shifters, pulse
+unitarity) run on the same actions; the validate subcommand and the
+acceptance tests share them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationLeakageError
-from .hilbert import (
-    ELECTRONIC_DIM,
-    MINUS,
-    PLUS,
-    XI,
-    DensityOperator,
-    HilbertDims,
-    Operator,
-    PureState,
-    composite,
-    electronic_matrix,
-    expectation,
-    pauli,
-)
-from .pulses import PulseSpec, act_pulse, compile_pulse
+from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI, HilbertDims
+from .pulses import PulseSpec, act_pulse
 from .states import VibrationalState
 
 HALF_PI = math.pi / 2.0
@@ -145,31 +131,6 @@ def prepare_vibrational(phi: VibrationalState, dims: HilbertDims) -> np.ndarray:
     return rho
 
 
-def prepare_initial(phi: VibrationalState, dims: HilbertDims) -> DensityOperator:
-    """Composite initial state rho_vibr (x) |0>_z<0| (x) |-><-|.
-
-    phi supplies the unknown x-mode factor; a pure phi yields a rank-one
-    composite. States whose recorded truncation leakage exceeds the tolerance
-    they were built under are rejected.
-    """
-    z_vac = np.zeros((dims.dz, dims.dz), dtype=complex)
-    z_vac[0, 0] = 1.0
-    rho = composite(electronic_matrix(MINUS, MINUS), prepare_vibrational(phi, dims), z_vac)
-    return DensityOperator(rho, dims)
-
-
-def prepare_initial_pure(phi: VibrationalState, dims: HilbertDims) -> PureState:
-    """State-vector form |phi>_x |0>_z |-> for pure phi, under the checks of prepare_initial."""
-    if not phi.is_pure:
-        raise ValueError("prepare_initial_pure requires a pure vibrational state")
-    _check_input(phi, dims)
-    e_minus = np.zeros(3, dtype=complex)
-    e_minus[MINUS] = 1.0
-    z_vac = np.zeros(dims.dz, dtype=complex)
-    z_vac[0] = 1.0
-    return PureState(np.kron(np.kron(e_minus, phi.amplitudes), z_vac), dims)
-
-
 def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
     """The four electronic/vibrational rotations of the entangler, in application order.
 
@@ -193,15 +154,6 @@ def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
     return schedule
 
 
-@functools.lru_cache(maxsize=None)
-def u00(dims: HilbertDims, compat_rminus_final: bool = False) -> Operator:
-    """The four-pulse entangler; see u00_schedule for the pulse roles."""
-    if dims.dx != dims.dz:
-        raise ValueError("entangler requires equal mode cutoffs")
-    pulses = [compile_pulse(spec, dims) for spec in u00_schedule(compat_rminus_final)]
-    return functools.reduce(lambda u, p: p @ u, pulses)
-
-
 def _check_target(k: int, cutoff: int, mode: str, compiled: bool) -> None:
     """Reject a branch-shift target beyond the cutoff, or beyond a ladder's reach.
 
@@ -212,51 +164,6 @@ def _check_target(k: int, cutoff: int, mode: str, compiled: bool) -> None:
             raise ValueError(f"compiled ladder requires 0 <= k <= d{mode}-2 = {cutoff - 2}, got {k}")
     elif not 0 <= k < cutoff:
         raise ValueError(f"target Fock index {k} out of range for d{mode}={cutoff}")
-
-
-def _ideal_shift(k: int, dim: int, completion: str) -> np.ndarray:
-    """Permutation of Fock indices extending |0> -> |k| to a unitary."""
-    idx = np.arange(dim)
-    if completion == "cycle":
-        return (idx + k) % dim
-    if completion == "swap":
-        idx[0], idx[k] = k, 0
-        return idx
-    raise ValueError(f"unknown completion {completion!r}")
-
-
-def _branch_permutation(dims: HilbertDims, sector: int, axis: str, k: int,
-                        completion: str) -> Operator:
-    """Unitary permutation shifting one mode's Fock index inside one electronic sector."""
-    source = np.arange(dims.total_dim).reshape(3, dims.dx, dims.dz)
-    target = source.copy()
-    if axis == "x":
-        target[sector] = source[sector][_ideal_shift(k, dims.dx, completion), :]
-    else:
-        target[sector] = source[sector][:, _ideal_shift(k, dims.dz, completion)]
-    m = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
-    m[target.ravel(), source.ravel()] = 1.0
-    return Operator(m, dims, unitary=True)
-
-
-@functools.lru_cache(maxsize=None)
-def v_plus_ideal(n: int, dims: HilbertDims, completion: str = "cycle") -> Operator:
-    """Exact branch shifter: |0>_x|chi>_z|+> -> |n>_x|chi>_z|+>, identity on the |-> sector.
-
-    Only the action on the x-vacuum slice of the |+> sector and the identity
-    on |-> are protocol-relevant; the rest of the partial isometry is
-    completed by a fixed Fock-index permutation ('cycle' or 'swap'), and any
-    such completion yields identical observables.
-    """
-    _check_target(n, dims.dx, "x", compiled=False)
-    return _branch_permutation(dims, PLUS, "x", n, completion)
-
-
-@functools.lru_cache(maxsize=None)
-def v_minus_ideal(m: int, dims: HilbertDims, completion: str = "cycle") -> Operator:
-    """Exact branch shifter: |phi>_x|0>_z|-> -> |phi>_x|m>_z|->, identity on the |+> sector."""
-    _check_target(m, dims.dz, "z", compiled=False)
-    return _branch_permutation(dims, MINUS, "z", m, completion)
 
 
 def _ladder_schedule(k: int, levels: tuple[str, str], mode: str) -> list[PulseSpec]:
@@ -289,49 +196,6 @@ def v_minus_schedule(m: int) -> list[PulseSpec]:
     return _ladder_schedule(m, ("-", "xi"), "z")
 
 
-def _compile_schedule(schedule: list[PulseSpec], dims: HilbertDims) -> Operator:
-    identity = Operator(np.eye(dims.total_dim, dtype=complex), dims, unitary=True)
-    return functools.reduce(lambda u, spec: compile_pulse(spec, dims) @ u, schedule, identity)
-
-
-@functools.lru_cache(maxsize=None)
-def v_plus_compiled(n: int, dims: HilbertDims) -> Operator:
-    """V+_n as a product of carrier/sideband pi-pulses on the {+, xi} pair, mode x.
-
-    Requires n <= dx - 2 so the ladder stays clear of the truncation boundary.
-    """
-    _check_target(n, dims.dx, "x", compiled=True)
-    return _compile_schedule(v_plus_schedule(n), dims)
-
-
-@functools.lru_cache(maxsize=None)
-def v_minus_compiled(m: int, dims: HilbertDims) -> Operator:
-    """V-_m as a product of carrier/sideband pi-pulses on the {-, xi} pair, mode z."""
-    _check_target(m, dims.dz, "z", compiled=True)
-    return _compile_schedule(v_minus_schedule(m), dims)
-
-
-def u_mn(m: int, n: int, settings: ProtocolSettings) -> Operator:
-    """The full protocol unitary V+_n V-_m U_00 for one matrix element."""
-    dims = settings.dims
-    u = u00(dims, settings.compat_rminus_final)
-    if settings.v_mode == "ideal":
-        v_minus = v_minus_ideal(m, dims)
-        v_plus = v_plus_ideal(n, dims)
-    else:
-        v_minus = v_minus_compiled(m, dims)
-        v_plus = v_plus_compiled(n, dims)
-    return v_plus @ (v_minus @ u)
-
-
-def _electronic_reduced(rho: DensityOperator) -> np.ndarray:
-    """3 x 3 electronic state of a composite-space density operator (modes traced out)."""
-    if not isinstance(rho.dims, HilbertDims):
-        raise ValueError("transverse readout requires a composite-space density operator")
-    r = rho.matrix.reshape(3, rho.dims.vib_dim, 3, rho.dims.vib_dim)
-    return np.einsum("avbv->ab", r)
-
-
 def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
     """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin.
 
@@ -358,34 +222,18 @@ def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
     return clipped / clipped.sum()
 
 
-def transverse_probabilities(rho: DensityOperator, observable: str) -> np.ndarray:
-    """reduced_probabilities of a composite-space density operator.
-
-    Since all projectors act as the identity on the modes, only the reduced
-    electronic state enters.
-    """
-    return reduced_probabilities(_electronic_reduced(rho), observable)
-
-
-def coherence_expectation(rho_mn: DensityOperator) -> complex:
-    """<sigma_x> - i <sigma_y> of the transformed state = <m| rho_vibr |n>.
-
-    With the pseudospin conventions of this package sigma_x - i sigma_y is
-    2|-><+|, and on U_mn rho_0 U_mn-dag that combination evaluates to exactly
-    the (m, n) matrix element of the input vibrational density operator. The
-    sign of the imaginary part is pinned by the complex-coherent-state
-    regression test.
-    """
-    if not isinstance(rho_mn.dims, HilbertDims):
-        raise ValueError("coherence extraction requires a composite-space density operator")
-    dims = rho_mn.dims
-    ex = expectation(rho_mn, pauli(MINUS, PLUS, "x", dims)).real
-    ey = expectation(rho_mn, pauli(MINUS, PLUS, "y", dims)).real
-    return complex(ex, -ey)
-
-
 def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> CoherenceEstimate:
-    """The sampler behind coherence_sampled and sampled measure_prepared; red is the 3 x 3 state."""
+    """Finite-statistics estimate of cell (m, n) from its 3 x 3 reduced electronic state red.
+
+    Each transverse observable is measured `shots` times in its own eigenbasis
+    (outcomes +1, -1, and 0 for the |xi> sector, see reduced_probabilities)
+    with a generator seeded from (seed, m, n, observable tag), so estimates
+    are reproducible bit-for-bit and independent of evaluation order. The
+    stream does not depend on the state: two runs of the same cell on
+    different inputs (such as the points of a decoherence monitor) share
+    their random numbers. stderr combines the two sample means:
+    sqrt(var_x + var_y) / sqrt(shots).
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     stats = {}
@@ -406,30 +254,32 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     return CoherenceEstimate(value, stderr, shots, m, n)
 
 
-def coherence_sampled(rho_mn: DensityOperator, m: int, n: int,
-                      shots: int, seed: int) -> CoherenceEstimate:
-    """Finite-statistics estimate of the coherence from projective samples.
+def _shift_ideal(w: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Ideal V+_n V-_m in place on a (3, dx, dz, r) tensor; return it.
 
-    Each transverse observable is measured `shots` times in its own eigenbasis
-    (outcomes +1, -1, and 0 for the |xi> sector, see reduced_probabilities)
-    with a generator seeded from (seed, m, n, observable tag), so estimates
-    are reproducible bit-for-bit and independent of evaluation order. The
-    stream does not depend on the state: two runs of the same cell on
-    different inputs (such as the points of a decoherence monitor) share
-    their random numbers. stderr combines the two sample means:
-    sqrt(var_x + var_y) / sqrt(shots).
+    Moves the Fock index cyclically: z of the |-> sector by m, x of the |+>
+    sector by n. On the protocol's states (z vacuum in the |-> branch, x
+    vacuum in the |+> branch) this is the exact shift; the cycle is one
+    permutation completing it to a unitary, and any completion gives the
+    same observables.
     """
-    return _sample_reduced(_electronic_reduced(rho_mn), m, n, shots, seed)
+    w[MINUS] = np.roll(w[MINUS], m, axis=1)
+    w[PLUS] = np.roll(w[PLUS], n, axis=0)
+    return w
+
+
+def _shift_compiled(w: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Compiled V+_n V-_m in place on a (3, dx, dz, r) tensor: the V-_m, then the V+_n ladder."""
+    for spec in v_minus_schedule(m) + v_plus_schedule(n):
+        act_pulse(spec, w)
+    return w
 
 
 def _slice_images(m: int, n: int, settings: ProtocolSettings) -> np.ndarray:
     """U_mn on the input slice: a (3, dx, dz, dx) tensor whose column k is U_mn |->|k>_x|0>_z.
 
     Runs the cell's own schedule from the bare slice: the entangler pulses,
-    then the shifters. Ideal shifters move the Fock index cyclically (z of
-    the |-> sector by m, x of the |+> sector by n), as the 'cycle'
-    completion of v_minus_ideal and v_plus_ideal does; compiled ones apply
-    the V-_m then the V+_n ladder.
+    then the ideal or the compiled shifters.
     """
     dims = settings.dims
     compiled = settings.v_mode == "compiled"
@@ -440,13 +290,7 @@ def _slice_images(m: int, n: int, settings: ProtocolSettings) -> np.ndarray:
     w[MINUS, k, 0, k] = 1.0
     for spec in u00_schedule(settings.compat_rminus_final):
         act_pulse(spec, w)
-    if compiled:
-        for spec in v_minus_schedule(m) + v_plus_schedule(n):
-            act_pulse(spec, w)
-    else:
-        w[MINUS] = np.roll(w[MINUS], m, axis=1)
-        w[PLUS] = np.roll(w[PLUS], n, axis=0)
-    return w
+    return (_shift_compiled if compiled else _shift_ideal)(w, m, n)
 
 
 def _slice_reduced(w: np.ndarray, rho_vibr: np.ndarray) -> np.ndarray:
@@ -464,8 +308,8 @@ def measure_prepared(rho_vibr: np.ndarray, m: int, n: int,
     The transformed state's electronic block <a|rho|b> is W_a rho_vibr W_b^dag;
     exact mode returns <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ rho_vibr W_-^dag),
     sampled mode samples from the reduced state Tr_v(W_a rho_vibr W_b^dag)
-    as coherence_sampled does. Sweeps prepare their input once; each cell
-    still runs its own full schedule.
+    (see _sample_reduced). Sweeps prepare their input once; each cell still
+    runs its own full schedule.
     """
     dims = settings.dims
     if np.shape(rho_vibr) != (dims.dx, dims.dx):
@@ -481,3 +325,87 @@ def measure_element(phi: VibrationalState, m: int, n: int,
                     settings: ProtocolSettings) -> CoherenceEstimate:
     """One full protocol run: prepare, transform with U_mn, read out <m| rho_vibr |n>."""
     return measure_prepared(prepare_vibrational(phi, settings.dims), m, n, settings)
+
+
+# ---------------------------------------------------------------------------
+# Identity checks. Each runs the engine's own actions on the input columns it
+# is given and returns the largest deviation from the identity it tests; the
+# validate subcommand and the acceptance tests record them against their
+# tolerances. Columns of the composite space are (N, r) matrices, N = 3 dx dz,
+# in the row-major order of the (3, dx, dz) tensors.
+
+def _column_tensor(dims: HilbertDims, columns) -> np.ndarray:
+    """A complex (3, dx, dz, r) copy of r composite-space columns."""
+    return np.array(columns, dtype=complex).reshape(ELECTRONIC_DIM, dims.dx, dims.dz, -1)
+
+
+def _max_column_norm(w: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(w.reshape(-1, w.shape[-1]), axis=0)))
+
+
+def mode_swap_deviation(dims: HilbertDims, fock_numbers) -> float:
+    """Largest |amplitude - 1| of the mode swap |n>_x|0>_z -> |0>_x|n>_z over the given n.
+
+    The vibrational pulse at pi/2 acts as exp(i (pi/2) L_y) on the bright
+    state |alpha> = (|+> + |xi>)/sqrt(2); each |alpha>|n>_x|0>_z must land on
+    |alpha>|0>_x|n>_z with amplitude exactly +1.
+    """
+    ns = np.asarray(fock_numbers)
+    cols = np.arange(len(ns))
+    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, len(ns)), dtype=complex)
+    w[PLUS, ns, 0, cols] = w[XI, ns, 0, cols] = 1.0 / _SQRT2
+    act_pulse(PulseSpec("vrot", ("+", "xi"), None, HALF_PI), w)
+    amplitude = (w[PLUS, 0, ns, cols] + w[XI, 0, ns, cols]) / _SQRT2
+    return float(np.max(np.abs(amplitude - 1.0)))
+
+
+def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, amplitudes) -> float:
+    """Largest norm of U_mn|phi,0,-> - (|phi,m,-> + |n,phi,+>)/sqrt(2) over the given inputs.
+
+    amplitudes is a (dx, r) matrix whose columns are the input states phi.
+    """
+    dims = settings.dims
+    phi = np.asarray(amplitudes, dtype=complex).reshape(dims.dx, -1)
+    got = _slice_images(m, n, settings) @ phi
+    target = np.zeros_like(got)
+    target[MINUS, :, m] = phi / _SQRT2
+    target[PLUS, n, :] = phi / _SQRT2
+    return _max_column_norm(got - target)
+
+
+def shifter_deviation(dims: HilbertDims, k: int, columns) -> float:
+    """Largest column norm of compiled minus ideal V+_k and V-_k on the given columns.
+
+    Each shifter is compared on the part of every column the protocol feeds
+    it: the shifted branch's vacuum slice (|+>|0>_x|.>_z for V+_k,
+    |->|.>_x|0>_z for V-_k) and the whole spectator sector (|-> for V+_k,
+    |+> for V-_k). The rest of each column is masked out.
+    """
+    full = _column_tensor(dims, columns)
+    dev = 0.0
+    for branch, m, n in ((PLUS, 0, k), (MINUS, k, 0)):
+        spectator = MINUS if branch == PLUS else PLUS
+        w = np.zeros_like(full)
+        w[spectator] = full[spectator]
+        if branch == PLUS:
+            w[PLUS, 0] = full[PLUS, 0]
+        else:
+            w[MINUS, :, 0] = full[MINUS, :, 0]
+        dev = max(dev, _max_column_norm(_shift_compiled(w.copy(), m, n) - _shift_ideal(w, m, n)))
+    return dev
+
+
+def pulse_unitarity_defect(dims: HilbertDims, specs, columns) -> float:
+    """Largest Gram defect max |(U P)^dag (U P) - P^dag P| of the pulses over the columns P.
+
+    For the full basis P = 1 this is max |U^dag U - 1|; an orthonormal probe
+    of fewer columns checks that U keeps the probe orthonormal.
+    """
+    probe = _column_tensor(dims, columns)
+    flat = probe.reshape(dims.total_dim, -1)
+    gram = flat.conj().T @ flat
+    dev = 0.0
+    for spec in dict.fromkeys(specs):
+        image = act_pulse(spec, probe.copy()).reshape(dims.total_dim, -1)
+        dev = max(dev, float(np.max(np.abs(image.conj().T @ image - gram))))
+    return dev

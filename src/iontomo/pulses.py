@@ -1,4 +1,4 @@
-"""Primitive laser-pulse Hamiltonians and their compiled unitaries.
+"""Primitive laser pulses and their closed-form actions on states.
 
 Three resonant couplings act on one vibrational mode and one electronic level
 pair in the Lamb-Dicke regime:
@@ -9,16 +9,18 @@ pair in the Lamb-Dicke regime:
 
 On top of these sit the electronic rotations R^l(theta) = exp(i theta sigma_y)
 on the {l, xi} pair and the two-mode vibrational rotation generated by
-L_y = i (a-dag_x a_z - a-dag_z a_x) gated by the {+, xi} sigma_x. Pulse areas
-are dimensionless: the coupling constant and duration enter only through
-angle = gamma * t, so no physical rates are modeled.
+L_y = i (a-dag_x a_z - a-dag_z a_x) gated by the {+, xi} sigma_x. The sign
+and scale of L_y are fixed operationally: exp(i (pi/2) L_y) maps |n>_x|0>_z to
+|0>_x|n>_z with coefficient exactly +1 for every n below the cutoff. Pulse
+areas are dimensionless: the coupling constant and duration enter only
+through angle = gamma * t, so no physical rates are modeled.
 
-Each pulse exists twice. compile_pulse builds its dense unitary on the whole
-composite space, the reference the tests and `validate` check against.
-act_pulse applies the same unitary in closed form to a (3, dx, dz, r) tensor
-of r states: the carrier, sideband and electronic pulses are 2x2 rotations on
-level-pair doublets, the vibrational rotation a beam splitter block per total
-phonon number. It never forms an operator on the composite space.
+A pulse of area theta is the unitary exp(i theta H). act_pulse applies it in
+closed form to a (3, dx, dz, r) tensor of r states: the carrier, sideband and
+electronic pulses are 2x2 rotations on level-pair doublets, the vibrational
+rotation a beam splitter block per total phonon number. No operator on the
+composite space is formed; the tests compare each action with the dense
+N x N unitary of tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -29,19 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    ELECTRONIC_DIM,
-    LEVEL_NAMES,
-    PLUS,
-    XI,
-    HilbertDims,
-    Operator,
-    annihilation,
-    electronic_matrix,
-    level_index,
-    pauli,
-    unitary_from_generator,
-)
+from .hilbert import ELECTRONIC_DIM, LEVEL_NAMES, PLUS, XI, level_index
 
 PULSE_KINDS = ("carrier", "jc", "ajc", "erot", "vrot")
 
@@ -105,99 +95,6 @@ class PulseSpec:
             angle=float(record["angle"]),
             phase=float(record.get("phase", 0.0)),
         )
-
-
-def _vib_factor(kind: str, mode: str | None, dims: HilbertDims) -> np.ndarray:
-    """Vibrational factor of a coupling: identity (carrier), a-dag (jc) or a (ajc) on one mode."""
-    if kind == "carrier":
-        return np.eye(dims.vib_dim, dtype=complex)
-    a = annihilation(dims.dx if mode == "x" else dims.dz)
-    op = a.conj().T if kind == "jc" else a
-    if mode == "x":
-        return np.kron(op, np.eye(dims.dz, dtype=complex))
-    if mode == "z":
-        return np.kron(np.eye(dims.dx, dtype=complex), op)
-    raise ValueError(f"mode must be 'x' or 'z', got {mode!r}")
-
-
-def _coupling(kind: str, mode: str | None, levels, phase: float, dims: HilbertDims) -> Operator:
-    """e^{i phase} |l><j| (x) vib + h.c., with vib the kind's vibrational factor."""
-    l, j = (level_index(x) for x in levels)
-    if l == j:
-        raise ValueError(f"{kind} level pair must be distinct")
-    term = np.exp(1j * phase) * np.kron(electronic_matrix(l, j), _vib_factor(kind, mode, dims))
-    return Operator(term + term.conj().T, dims, hermitian=True)
-
-
-def h_carrier(levels, phase: float, dims: HilbertDims) -> Operator:
-    """Carrier coupling e^{i phase}|l><j| + h.c., identity on both modes."""
-    return _coupling("carrier", None, levels, phase, dims)
-
-
-def h_jc(mode: str, levels, phase: float, dims: HilbertDims) -> Operator:
-    """Red-sideband-type coupling e^{i phase} a-dag_mode |l><j| + h.c."""
-    return _coupling("jc", mode, levels, phase, dims)
-
-
-def h_ajc(mode: str, levels, phase: float, dims: HilbertDims) -> Operator:
-    """Blue-sideband-type coupling e^{i phase} a_mode |l><j| + h.c."""
-    return _coupling("ajc", mode, levels, phase, dims)
-
-
-def r_electronic(level, theta: float, dims: HilbertDims) -> Operator:
-    """Electronic rotation exp(i theta sigma_y) on the {level, xi} pair.
-
-    Acts as identity on the unaddressed level and on both vibrational modes:
-    |l> -> cos(theta)|l> + sin(theta)|xi>, |xi> -> -sin(theta)|l> + cos(theta)|xi>.
-    """
-    l = level_index(level)
-    if l == XI:
-        raise ValueError("electronic rotation addresses '-' or '+' against 'xi'")
-    return unitary_from_generator(pauli(l, XI, "y", dims), theta)
-
-
-def _two_mode_ly(dims: HilbertDims) -> np.ndarray:
-    """i(a-dag_x a_z - a-dag_z a_x) on the two modes alone, in the (x, z) slot order."""
-    ax = annihilation(dims.dx)
-    az = annihilation(dims.dz)
-    return 1j * (np.kron(ax.conj().T, az) - np.kron(ax, az.conj().T))
-
-
-@functools.lru_cache(maxsize=None)
-def l_y(dims: HilbertDims) -> Operator:
-    """Two-mode rotation generator i(a-dag_x a_z - a-dag_z a_x), embedded in the composite space.
-
-    Sign and scale are fixed operationally: exp(i (pi/2) L_y) maps |n>_x|0>_z
-    to |0>_x|n>_z with coefficient exactly +1 for every n below cutoff. It is
-    block-diagonal in total phonon number, so states supported on
-    n_x + n_z < min(dx, dz) never feel the truncation.
-    """
-    m = np.kron(np.eye(ELECTRONIC_DIM, dtype=complex), _two_mode_ly(dims))
-    return Operator(m, dims, hermitian=True)
-
-
-def r_vibr(theta: float, dims: HilbertDims) -> Operator:
-    """Vibrational rotation exp(i theta L_y sigma_x^{+xi}).
-
-    Identity on the |-> electronic sector; on the sigma_x = +-1 eigensectors of
-    the {+, xi} pair it acts as exp(+-i theta L_y), i.e. a beam splitter
-    between the two trap modes. theta = pi/2 swaps the mode contents on the
-    bright branch.
-    """
-    sig = electronic_matrix(PLUS, XI) + electronic_matrix(XI, PLUS)
-    gen = Operator(np.kron(sig, _two_mode_ly(dims)), dims, hermitian=True)
-    return unitary_from_generator(gen, theta)
-
-
-@functools.lru_cache(maxsize=None)
-def compile_pulse(spec: PulseSpec, dims: HilbertDims) -> Operator:
-    """Unitary exp(i * angle * H_kind) of a primitive pulse, built and verified once per spec."""
-    if spec.kind == "erot":
-        return r_electronic(spec.levels[0], spec.angle, dims)
-    if spec.kind == "vrot":
-        return r_vibr(spec.angle, dims)
-    h = _coupling(spec.kind, spec.mode, spec.levels, spec.phase, dims)
-    return unitary_from_generator(h, spec.angle)
 
 
 def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
@@ -264,8 +161,7 @@ def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     """Apply the pulse's unitary in place to a (3, dx, dz, r) complex tensor of r states; return it.
 
     Axis 0 is the electronic level, axes 1 and 2 the Fock indices of modes x
-    and z, axis 3 runs over the states. Equal to compile_pulse(spec, dims)
-    applied to each state, in O(3 dx dz r) work per pulse.
+    and z, axis 3 runs over the states. The work is O(3 dx dz r) per pulse.
     """
     if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
         raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "

@@ -46,6 +46,8 @@ class VibrationalState:
             v = np.array(self.amplitudes, dtype=complex).reshape(-1)
             if v.shape[0] != self.dim:
                 raise ValueError(f"amplitude vector length {v.shape[0]} != dim {self.dim}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("pure vibrational state has non-finite amplitudes")
             if abs(np.linalg.norm(v) - 1.0) > STATE_NORM_TOL:
                 raise ValueError("pure vibrational state is not normalized within 1e-10")
             v.setflags(write=False)
@@ -64,10 +66,25 @@ class VibrationalState:
         return np.array(self.matrix)
 
 
+def _check_tail_tol(tail_tol: float) -> None:
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail_tol must be a positive number, got {tail_tol}")
+
+
 def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -> float:
-    """Check the analytic out-of-range mass; return it or raise with the required dim."""
-    suffix = np.cumsum(populations[::-1])[::-1]
-    tail = float(suffix[dim]) if dim < len(suffix) else 0.0
+    """Check the analytic out-of-range mass; return it or raise with the required dim.
+
+    populations are those of a normalized family over an extended range of
+    Fock numbers. The mass beyond that range, 1 minus their sum (less the
+    sum's rounding), counts as tail too; when it alone exceeds tail_tol no
+    cutoff within the range suffices, and the range's length is reported as
+    the lower bound it is.
+    """
+    _check_tail_tol(tail_tol)
+    rounding = len(populations) * np.finfo(float).eps
+    beyond = max(0.0, 1.0 - float(np.sum(populations)) - rounding)
+    suffix = np.cumsum(populations[::-1])[::-1] + beyond
+    tail = float(suffix[dim]) if dim < len(suffix) else beyond
     if tail > tail_tol:
         ok = np.nonzero(suffix <= tail_tol)[0]
         required = int(ok[0]) if len(ok) else len(populations)
@@ -92,10 +109,18 @@ def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> Vibrat
     return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
 
 
+def _abs_sq(z: complex) -> float:
+    """|z|^2, or inf where it overflows a float."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
     """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < nbig, by recurrence."""
     amps = np.zeros(nbig, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    amps[0] = math.exp(-_abs_sq(alpha) / 2.0)
     for n in range(nbig - 1):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     return amps
@@ -116,7 +141,10 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
         raise ValueError("squeezing magnitude r must be >= 0")
     nbig = dim + _TAIL_EXTEND
     amps = np.zeros(nbig, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(math.cosh(r))
+    try:
+        amps[0] = 1.0 / math.sqrt(math.cosh(r))
+    except OverflowError:  # cosh(r) beyond a float: every amplitude in range is below one too
+        amps[0] = 0.0
     factor = -np.exp(1j * phi) * math.tanh(r)
     for n in range(0, nbig - 2, 2):
         amps[n + 2] = amps[n] * factor * math.sqrt((n + 1) / (n + 2))
@@ -129,7 +157,10 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     sign = 1.0 if parity == "even" else -1.0
     alpha = complex(alpha)
-    norm_sq = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
+    x = -2.0 * _abs_sq(alpha)
+    # <alpha|-alpha> = exp(x); the odd norm takes 1 - exp(x) by expm1, which keeps its digits
+    # as alpha -> 0.
+    norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
     if norm_sq < 1e-30:
         raise DegenerateInputError("odd cat with alpha = 0 is the zero vector")
     nbig = dim + _TAIL_EXTEND
@@ -142,10 +173,13 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
     """Thermal (mixed) state, p_n proportional to (nbar/(1+nbar))^n, renormalized on the cutoff."""
     if nbar < 0:
         raise ValueError("mean occupation nbar must be >= 0")
+    _check_tail_tol(tail_tol)
     q = nbar / (1.0 + nbar)
     tail = q ** dim  # geometric series remainder
     if tail > tail_tol:
-        required = math.ceil(math.log(tail_tol) / math.log(q))
+        # q**d <= tail_tol from d = log(tail_tol) / log(q); log(q) = -log1p(1/nbar)
+        # keeps its digits where q rounds to 1, and no cutoff past 2**63 is buildable.
+        required = math.ceil(min(math.log(tail_tol) / -math.log1p(1.0 / nbar), 2.0 ** 63))
         raise TruncationLeakageError("thermal", dim, tail, tail_tol, required)
     p = (1.0 - q) * q ** np.arange(dim)
     p = p / p.sum()

@@ -153,7 +153,7 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     elements are measured: (2, 0), (0, 0) and (2, 2). For any valid density
     operator |rho_20| <= sqrt(rho_00 rho_22), with equality on rank-one
     states. In sampled mode every lambda reuses the (seed, m, n) streams of
-    coherence_sampled (common random numbers), so the populations (0, 0) and
+    the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
     the state.

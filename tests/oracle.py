@@ -1,0 +1,183 @@
+"""Dense reference for the slice engine: the protocol as explicit N x N matrices, N = 3 dx dz.
+
+Plain numpy, for small cutoffs only. The flat index of |e>|nx>_x|nz>_z is
+e dx dz + nx dz + nz, the row-major order of the engine's (3, dx, dz) tensors.
+Each pulse is exp(i angle H) from an eigendecomposition of its dense
+generator H, cross-checked against the series exponential of tests/util.py.
+Nothing here is cached; tests that sweep many cells build the shared factors
+once themselves (see schedule).
+"""
+
+import numpy as np
+
+from iontomo.hilbert import MINUS, PLUS, XI, level_index
+from iontomo.protocol import prepare_vibrational, u00_schedule, v_minus_schedule, v_plus_schedule
+
+
+def index(dims, e, nx, nz) -> int:
+    """Flat index of |e>|nx>_x|nz>_z."""
+    return level_index(e) * dims.vib_dim + nx * dims.dz + nz
+
+
+def basis(dims, e, nx, nz) -> np.ndarray:
+    v = np.zeros(dims.total_dim, dtype=complex)
+    v[index(dims, e, nx, nz)] = 1.0
+    return v
+
+
+def electronic(l, j, dims) -> np.ndarray:
+    """|l><j| on the electronic factor, identity on both modes."""
+    e = np.zeros((3, 3), dtype=complex)
+    e[level_index(l), level_index(j)] = 1.0
+    return np.kron(e, np.eye(dims.vib_dim))
+
+
+def annihilator(mode, dims) -> np.ndarray:
+    """Truncated a of mode 'x' or 'z', identity on the other mode and the electronic factor."""
+    if mode not in ("x", "z"):
+        raise ValueError(f"mode must be 'x' or 'z', got {mode!r}")
+    d = dims.dx if mode == "x" else dims.dz
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    factors = (a, np.eye(dims.dz)) if mode == "x" else (np.eye(dims.dx), a)
+    return np.kron(np.eye(3), np.kron(*factors)).astype(complex)
+
+
+def pauli(l, j, axis, dims) -> np.ndarray:
+    """x: |l><j| + |j><l|,  y: i(|l><j| - |j><l|),  z: |j><j| - |l><l| on the {l, j} pair."""
+    if level_index(l) == level_index(j):
+        raise ValueError("pauli requires two distinct electronic levels")
+    lj = electronic(l, j, dims)
+    return {"x": lj + lj.conj().T,
+            "y": 1j * (lj - lj.conj().T),
+            "z": electronic(j, j, dims) - electronic(l, l, dims)}[axis]
+
+
+def l_y(dims) -> np.ndarray:
+    """i(a-dag_x a_z - a-dag_z a_x), identity on the electronic factor."""
+    ax, az = annihilator("x", dims), annihilator("z", dims)
+    return 1j * (ax.conj().T @ az - az.conj().T @ ax)
+
+
+def unitary(generator, theta) -> np.ndarray:
+    """exp(i theta G) of a hermitian G by eigendecomposition."""
+    g = np.asarray(generator, dtype=complex)
+    if np.max(np.abs(g - g.conj().T)) > 1e-12:
+        raise ValueError("generator is not hermitian within 1e-12")
+    w, v = np.linalg.eigh(g)
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
+
+
+def hamiltonian(spec, dims) -> np.ndarray:
+    """The generator H of a pulse, whose unitary is exp(i angle H)."""
+    l, j = spec.levels
+    if spec.kind == "erot":
+        return pauli(l, XI, "y", dims)
+    if spec.kind == "vrot":
+        return pauli(PLUS, XI, "x", dims) @ l_y(dims)
+    vib = np.eye(dims.total_dim)
+    if spec.kind != "carrier":
+        a = annihilator(spec.mode, dims)
+        vib = a.conj().T if spec.kind == "jc" else a
+    term = np.exp(1j * spec.phase) * electronic(l, j, dims) @ vib
+    return term + term.conj().T
+
+
+def pulse(spec, dims) -> np.ndarray:
+    return unitary(hamiltonian(spec, dims), spec.angle)
+
+
+def schedule(specs, dims, built=None) -> np.ndarray:
+    """Product of the pulses in application order; a caller's dict `built` shares pulses across calls."""
+    built = {} if built is None else built
+    u = np.eye(dims.total_dim, dtype=complex)
+    for spec in specs:
+        if spec not in built:
+            built[spec] = pulse(spec, dims)
+        u = built[spec] @ u
+    return u
+
+
+def shift(dims, sector, axis, k, completion="cycle") -> np.ndarray:
+    """Permutation moving one mode's Fock index of one electronic sector by |0> -> |k>.
+
+    'cycle' completes it as j -> j + k mod d, 'swap' as the transposition 0 <-> k.
+    """
+    d = dims.dx if axis == "x" else dims.dz
+    perm = np.arange(d)
+    if completion == "cycle":
+        perm = (perm + k) % d
+    else:
+        perm[0], perm[k] = k, 0
+    source = np.arange(dims.total_dim).reshape(3, dims.dx, dims.dz)
+    target = source.copy()
+    target[sector] = source[sector][perm, :] if axis == "x" else source[sector][:, perm]
+    u = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
+    u[target, source] = 1.0
+    return u
+
+
+def u00(dims, compat=False) -> np.ndarray:
+    return schedule(u00_schedule(compat), dims)
+
+
+def v_minus(m, settings, completion="cycle", built=None) -> np.ndarray:
+    if settings.v_mode == "compiled":
+        return schedule(v_minus_schedule(m), settings.dims, built)
+    return shift(settings.dims, MINUS, "z", m, completion)
+
+
+def v_plus(n, settings, completion="cycle", built=None) -> np.ndarray:
+    if settings.v_mode == "compiled":
+        return schedule(v_plus_schedule(n), settings.dims, built)
+    return shift(settings.dims, PLUS, "x", n, completion)
+
+
+def u_mn(m, n, settings, completion="cycle") -> np.ndarray:
+    """V+_n V-_m U_00."""
+    return (v_plus(n, settings, completion) @ v_minus(m, settings, completion)
+            @ u00(settings.dims, settings.compat_rminus_final))
+
+
+def prepare_initial(phi, dims) -> np.ndarray:
+    """rho_vibr (x) |0><0|_z (x) |-><-|, for an input the engine accepts (prepare_vibrational)."""
+    e_minus = np.zeros((3, 3))
+    e_minus[MINUS, MINUS] = 1.0
+    z_vac = np.zeros((dims.dz, dims.dz))
+    z_vac[0, 0] = 1.0
+    return np.kron(e_minus, np.kron(prepare_vibrational(phi, dims), z_vac))
+
+
+def prepare_initial_pure(phi, dims) -> np.ndarray:
+    """|phi>_x |0>_z |-> for a pure input the engine accepts (prepare_vibrational)."""
+    if not phi.is_pure:
+        raise ValueError("prepare_initial_pure requires a pure vibrational state")
+    prepare_vibrational(phi, dims)  # the engine's input check
+    z_vac = np.zeros(dims.dz)
+    z_vac[0] = 1.0
+    return np.kron(np.eye(3)[MINUS], np.kron(phi.amplitudes, z_vac)).astype(complex)
+
+
+def evolve(u, rho) -> np.ndarray:
+    return u @ rho @ u.conj().T
+
+
+def expectation(rho, op) -> complex:
+    """Tr(rho O) as the elementwise sum of rho_ij O_ji."""
+    return complex(np.einsum("ij,ji->", rho, op))
+
+
+def electronic_reduced(rho, dims) -> np.ndarray:
+    """3 x 3 electronic state, both modes traced out."""
+    return np.einsum("avbv->ab", rho.reshape(3, dims.vib_dim, 3, dims.vib_dim))
+
+
+def reduced_x(rho, dims) -> np.ndarray:
+    """dx x dx state of mode x, mode z and the electronic factor traced out."""
+    return np.einsum("eacebc->ab", rho.reshape(3, dims.dx, dims.dz, 3, dims.dx, dims.dz))
+
+
+def coherence(rho, dims) -> complex:
+    """<sigma_x> - i <sigma_y> of the {-, +} pair."""
+    sx = expectation(rho, pauli(MINUS, PLUS, "x", dims)).real
+    sy = expectation(rho, pauli(MINUS, PLUS, "y", dims)).real
+    return complex(sx, -sy)

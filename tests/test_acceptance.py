@@ -8,33 +8,21 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from iontomo.hilbert import (
-    MINUS,
-    PLUS,
-    HilbertDims,
-    apply,
-    basis_state,
-    unitary_from_generator,
-)
+from iontomo.hilbert import XI, HilbertDims
 from iontomo.protocol import (
     ProtocolSettings,
-    coherence_expectation,
-    coherence_sampled,
+    _slice_images,
+    entangled_target_deviation,
     measure_element,
-    prepare_initial,
-    prepare_initial_pure,
-    u00,
-    u_mn,
-    v_minus_compiled,
-    v_minus_ideal,
+    measure_prepared,
+    mode_swap_deviation,
+    prepare_vibrational,
+    pulse_unitarity_defect,
+    shifter_deviation,
     v_minus_schedule,
-    v_plus_compiled,
-    v_plus_ideal,
     v_plus_schedule,
 )
-from iontomo.pulses import compile_pulse, l_y
 from iontomo.states import cat, coherent, dephase, fock, thermal
 from iontomo.tomography import decoherence_monitor, reconstruct
 
@@ -57,23 +45,14 @@ def _phi_family(dim: int):
     ]
 
 
-def _entangled_target(phi, dims, m, n):
-    target = np.zeros(dims.total_dim, dtype=complex)
-    for k in range(dims.dx):
-        target[dims.index(MINUS, k, m)] += phi.amplitudes[k] / math.sqrt(2)
-        target[dims.index(PLUS, n, k)] += phi.amplitudes[k] / math.sqrt(2)
-    return target
+def _amplitudes(family):
+    """The inputs' amplitude vectors as the columns of a (dx, r) matrix."""
+    return np.stack([phi.amplitudes for _, phi in family], axis=1)
 
 
 def test_criterion_1_mode_swap_convention():
     start = time.perf_counter()
-    dims = HilbertDims(10, 10)
-    swap = unitary_from_generator(l_y(dims), math.pi / 2)
-    worst = 0.0
-    for n in range(9):
-        out = apply(swap, basis_state(dims, MINUS, n, 0))
-        amp = out.amplitudes[dims.index(MINUS, 0, n)]
-        worst = max(worst, abs(amp - 1.0))
+    worst = mode_swap_deviation(HilbertDims(10, 10), range(9))
     elapsed = time.perf_counter() - start
     _report(1, "mode swap sends |n,0> to |0,n> with amplitude +1",
             worst <= 1e-10 and elapsed < 1.0,
@@ -83,16 +62,13 @@ def test_criterion_1_mode_swap_convention():
 def test_criterion_2_end_to_end_entangled_state():
     start = time.perf_counter()
     worst = {"ideal": 0.0, "compiled": 0.0}
-    for v_mode, tol in (("ideal", 1e-9), ("compiled", 1e-7)):
+    amplitudes = _amplitudes(_phi_family(12))
+    for v_mode in ("ideal", "compiled"):
         settings = ProtocolSettings(DIMS12, v_mode=v_mode)
-        for _, phi in _phi_family(12):
-            psi = prepare_initial_pure(phi, DIMS12)
-            for m in range(3):
-                for n in range(3):
-                    out = apply(u_mn(m, n, settings), psi)
-                    resid = np.linalg.norm(out.amplitudes
-                                           - _entangled_target(phi, DIMS12, m, n))
-                    worst[v_mode] = max(worst[v_mode], resid)
+        for m in range(3):
+            for n in range(3):
+                worst[v_mode] = max(worst[v_mode],
+                                    entangled_target_deviation(settings, m, n, amplitudes))
     elapsed = time.perf_counter() - start
     ok = worst["ideal"] <= 1e-9 and worst["compiled"] <= 1e-7 and elapsed < 30.0
     _report(2, "composed unitary produces the entangled target state", ok,
@@ -143,29 +119,11 @@ def test_criterion_5_independence_hermiticity():
 
 
 def test_criterion_6_compiled_vs_ideal_shifters():
-    worst_agree = 0.0
-    worst_unitary = 0.0
-    eye = np.eye(DIMS12.total_dim)
-    for k in range(5):
-        pairs = (
-            (v_plus_compiled(k, DIMS12), v_plus_ideal(k, DIMS12), PLUS, "x"),
-            (v_minus_compiled(k, DIMS12), v_minus_ideal(k, DIMS12), MINUS, "z"),
-        )
-        for compiled, ideal, sector, axis in pairs:
-            diff = compiled.matrix - ideal.matrix
-            # branch columns: vacuum of the shifted mode, any content in the other
-            for j in range(12):
-                nx, nz = (0, j) if axis == "x" else (j, 0)
-                col = DIMS12.index(sector, nx, nz)
-                worst_agree = max(worst_agree, float(np.linalg.norm(diff[:, col])))
-            # spectator sector columns: compiled shifter must be the identity there
-            other = MINUS if sector == PLUS else PLUS
-            for j in range(DIMS12.vib_dim):
-                col = other * DIMS12.vib_dim + j
-                worst_agree = max(worst_agree, float(np.linalg.norm(diff[:, col])))
-        for spec in v_plus_schedule(k) + v_minus_schedule(k):
-            u = compile_pulse(spec, DIMS12).matrix
-            worst_unitary = max(worst_unitary, float(np.max(np.abs(u.conj().T @ u - eye))))
+    # the full basis: every branch and spectator column, and full unitarity of each pulse
+    basis = np.eye(DIMS12.total_dim)
+    worst_agree = max(shifter_deviation(DIMS12, k, basis) for k in range(5))
+    specs = [spec for k in range(5) for spec in v_plus_schedule(k) + v_minus_schedule(k)]
+    worst_unitary = pulse_unitarity_defect(DIMS12, specs, basis)
     _report(6, "compiled shifters agree with ideal on the protocol subspace",
             worst_agree <= 1e-8 and worst_unitary <= 1e-10,
             f"agreement {worst_agree:.2e}, unitarity defect {worst_unitary:.2e}")
@@ -173,24 +131,20 @@ def test_criterion_6_compiled_vs_ideal_shifters():
 
 def test_criterion_7_finite_shot_statistics():
     dims = HilbertDims(8, 8)
-    settings = ProtocolSettings(dims)
     phi = coherent(0.8, 8, tail_tol=1e-5)
-    rho0 = prepare_initial(phi, dims)
+    rho_vibr = prepare_vibrational(phi, dims)
     cells = [(m, n) for m in range(4) for n in range(4)]
-    rho_mn = {}
-    exact = {}
-    for m, n in cells:
-        rho = apply(u_mn(m, n, settings), rho0)
-        rho_mn[(m, n)] = rho
-        exact[(m, n)] = coherence_expectation(rho)
+    exact = {(m, n): measure_prepared(rho_vibr, m, n, ProtocolSettings(dims)).value
+             for m, n in cells}
 
     def run_errors(shots):
         within = 0
         total = 0
         errors = []
         for seed in range(32):
+            settings = ProtocolSettings(dims, shots=shots, seed=seed)
             for m, n in cells:
-                est = coherence_sampled(rho_mn[(m, n)], m, n, shots, seed)
+                est = measure_prepared(rho_vibr, m, n, settings)
                 err = abs(est.value - exact[(m, n)])
                 errors.append(err)
                 total += 1
@@ -224,15 +178,11 @@ def test_criterion_8_decoherence_monitor():
 
 def test_criterion_9_final_pulse_regression():
     settings = ProtocolSettings(DIMS12, compat_rminus_final=True)
-    min_xi = 1.0
-    max_resid = 0.0
-    for _, phi in _phi_family(12):
-        psi = prepare_initial_pure(phi, DIMS12)
-        out = apply(u_mn(0, 0, settings), psi)
-        xi_pop = float(np.sum(np.abs(out.amplitudes[2 * DIMS12.vib_dim:]) ** 2))
-        min_xi = min(min_xi, xi_pop)
-        resid = np.linalg.norm(out.amplitudes - _entangled_target(phi, DIMS12, 0, 0))
-        max_resid = max(max_resid, resid)
+    family = _phi_family(12)
+    amplitudes = _amplitudes(family)
+    out = _slice_images(0, 0, settings) @ amplitudes
+    min_xi = float(np.min(np.sum(np.abs(out[XI]) ** 2, axis=(0, 1))))
+    max_resid = entangled_target_deviation(settings, 0, 0, amplitudes)
     ok = min_xi > 0.05 and max_resid > 1e-7
     _report(9, "historical final-pulse ordering fails with stray xi population",
             ok, f"min xi population {min_xi:.3f}")

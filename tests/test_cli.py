@@ -1,10 +1,18 @@
 """End-to-end tests of the command-line interface and its serialized outputs."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iontomo import pulses
 from iontomo.cli import main
 
 RHO10_COH08 = 0.42183393923443885
@@ -179,6 +187,35 @@ class TestValidateCommand:
         assert doc["schedules"]["v_plus"]["2"][0]["kind"] == "ajc"
 
 
+    def test_d40_checks_stay_small(self, write_config, capsys):
+        # one dense operator at d = 40 (N = 4800) would be 369 MB
+        cfg = write_config(dims={"dx": 40, "dz": 40})
+        tracemalloc.start()
+        try:
+            code = run(["validate", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().out
+        assert peak < 100 * 2 ** 20
+
+    def test_pulse_unitarity_catches_beam_splitter_defect(self, write_config, capsys, monkeypatch):
+        # scale the largest per-K block of exp(i theta L_y) by 1 + 1e-8
+        exact = pulses._ly_blocks
+
+        def defective(theta, dx, dz):
+            blocks = list(exact(theta, dx, dz))
+            k = max(range(len(blocks)), key=lambda i: len(blocks[i][0]))
+            nx, nz, block = blocks[k]
+            blocks[k] = (nx, nz, block * (1 + 1e-8))
+            return tuple(blocks)
+
+        monkeypatch.setattr(pulses, "_ly_blocks", defective)
+        cfg = write_config()
+        assert run(["validate", "--config", cfg]) == 1
+        assert "FAIL pulse-unitarity" in capsys.readouterr().out
+
+
 class TestConfigAndErrors:
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -323,3 +360,60 @@ def test_lambdas_of_only_separators_usage_error(write_config, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == {"type": "usage-error",
                                "message": "monitor requires a non-empty --lambdas list"}
+
+
+# Configs that the leakage guard used to pass or crash on: every one must end in a
+# truncation-leakage record.
+LEAKY_STATES = [
+    {"kind": "coherent", "alpha": 30},
+    {"kind": "coherent", "alpha": 40},
+    {"kind": "coherent", "alpha": 25},
+    {"kind": "cat", "alpha": 40, "parity": "odd"},
+    {"kind": "squeezed", "r": 50},
+    {"kind": "squeezed", "r": 1000},
+    {"kind": "thermal", "nbar": 1e17},
+]
+
+
+@pytest.mark.parametrize("state", LEAKY_STATES,
+                         ids=[f"{s['kind']}-{next(iter(v for k, v in s.items() if k != 'kind'))}"
+                              for s in LEAKY_STATES])
+def test_far_tail_is_truncation_leakage(write_config, capsys, state):
+    cfg = write_config(dims={"dx": 12, "dz": 12}, state=state)
+    assert run(["coherence", "--config", cfg, "--m", "0", "--n", "0"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "truncation-leakage"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.one_of(_FINITE, st.fixed_dictionaries({"re": _FINITE, "im": _FINITE}))
+_OPTIONAL = {"tail_tol": _FINITE, "dephase": _FINITE}
+_STATES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("fock"), "n": st.integers(-2 ** 63, 2 ** 63 - 1)},
+                          optional=_OPTIONAL),
+    st.fixed_dictionaries({"kind": st.just("coherent"), "alpha": _COMPLEX}, optional=_OPTIONAL),
+    st.fixed_dictionaries({"kind": st.just("squeezed"), "r": _FINITE},
+                          optional={"phi": _FINITE, **_OPTIONAL}),
+    st.fixed_dictionaries({"kind": st.just("cat"), "alpha": _COMPLEX,
+                           "parity": st.sampled_from(["even", "odd"])}, optional=_OPTIONAL),
+    st.fixed_dictionaries({"kind": st.just("thermal"), "nbar": _FINITE}, optional=_OPTIONAL),
+    st.fixed_dictionaries({"kind": st.just("raw"), "amplitudes": st.lists(_COMPLEX, max_size=9)},
+                          optional=_OPTIONAL),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=_STATES, d=st.integers(2, 8), v_mode=st.sampled_from(["ideal", "compiled"]))
+def test_fuzzed_state_configs_never_crash(state, d, v_mode):
+    cfg = {"dims": {"dx": d, "dz": d}, "state": state, "v_mode": v_mode}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["coherence", "--config", str(path), "--m", "0", "--n", "0"])
+    doc = json.loads(out.getvalue())
+    if code == 0:
+        assert all(math.isfinite(doc["value"][part]) for part in ("re", "im"))
+    else:
+        assert doc["error"]["type"] != "internal-error", doc["error"]

@@ -1,4 +1,9 @@
-"""Tests for the measurement protocol: preparation, entangler, branch shifters, readout."""
+"""Tests for the measurement protocol: preparation, entangler, branch shifters, readout.
+
+The protocol runs on the slice engine (pulses.act_pulse on (3, dx, dz, r)
+tensors); tests/oracle.py builds the same unitaries as dense N x N matrices,
+and the engine is compared with it cell by cell.
+"""
 
 import math
 import tracemalloc
@@ -6,50 +11,35 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
+from iontomo import cli, hilbert, protocol, pulses, states, tomography
 from iontomo.errors import TruncationLeakageError
-from iontomo.hilbert import (
-    MINUS,
-    PLUS,
-    XI,
-    HilbertDims,
-    PureState,
-    apply,
-    basis_state,
-    reduced_density_x,
-)
-from iontomo import hilbert, protocol, pulses
+from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
 from iontomo.protocol import (
     CoherenceEstimate,
-    _electronic_reduced,
+    ProtocolSettings,
+    _sample_reduced,
+    _shift_compiled,
+    _shift_ideal,
     _slice_images,
     _slice_reduced,
-    ProtocolSettings,
-    coherence_expectation,
-    coherence_sampled,
+    entangled_target_deviation,
     measure_element,
     measure_prepared,
-    prepare_initial,
-    prepare_initial_pure,
     prepare_vibrational,
     reduced_probabilities,
-    transverse_probabilities,
-    u00,
     u00_schedule,
-    u_mn,
-    v_minus_compiled,
-    v_minus_ideal,
     v_minus_schedule,
-    v_plus_compiled,
-    v_plus_ideal,
     v_plus_schedule,
 )
+from iontomo.pulses import act_pulse
 from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
 from iontomo.tomography import reconstruct
 from util import expm_taylor
 
 DIMS = HilbertDims(8, 8)
 SETTINGS = ProtocolSettings(DIMS)
-PREPARERS = (prepare_initial, prepare_initial_pure, prepare_vibrational)
+PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure, prepare_vibrational)
 
 RHO00_COH08 = 0.5272924240430485   # exp(-0.64)
 RHO10_COH08 = 0.42183393923443885  # exp(-0.64) * 0.8
@@ -60,29 +50,47 @@ def entangled_target(phi, dims, m=0, n=0):
     """(|phi>_x|m>_z|-> + |n>_x|phi>_z|+>)/sqrt(2) as a raw vector."""
     target = np.zeros(dims.total_dim, dtype=complex)
     for k in range(dims.dx):
-        target[dims.index(MINUS, k, m)] += phi.amplitudes[k] / math.sqrt(2)
-        target[dims.index(PLUS, n, k)] += phi.amplitudes[k] / math.sqrt(2)
+        target[oracle.index(dims, MINUS, k, m)] += phi.amplitudes[k] / math.sqrt(2)
+        target[oracle.index(dims, PLUS, n, k)] += phi.amplitudes[k] / math.sqrt(2)
     return target
+
+
+def run_pure(phi, m, n, settings):
+    """U_mn |phi>_x|0>_z|-> from the engine's slice images, as a flat vector."""
+    dims = settings.dims
+    return (_slice_images(m, n, settings) @ phi.amplitudes).reshape(dims.total_dim)
+
+
+def tensor(vector, dims=DIMS):
+    """A composite-space vector as a (3, dx, dz, 1) tensor for act_pulse and the shifters."""
+    return np.array(vector, dtype=complex).reshape(3, dims.dx, dims.dz, 1)
+
+
+def engine_reduced(phi, m, n, settings):
+    """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
+    dims = settings.dims
+    w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, dims.dx)
+    return _slice_reduced(w, prepare_vibrational(phi, dims))
 
 
 class TestPrepareInitial:
     def test_vacuum_input(self):
-        rho = prepare_initial(fock(0, 8), DIMS)
-        expected = basis_state(DIMS, MINUS, 0, 0).density_matrix()
-        assert np.max(np.abs(rho.matrix - expected)) < 1e-15
+        rho = oracle.prepare_initial(fock(0, 8), DIMS)
+        expected = np.outer(oracle.basis(DIMS, MINUS, 0, 0), oracle.basis(DIMS, MINUS, 0, 0))
+        assert np.max(np.abs(rho - expected)) < 1e-15
 
     def test_trace_one(self):
-        rho = prepare_initial(thermal(0.5, 8, tail_tol=1e-3), DIMS)
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        rho = oracle.prepare_initial(thermal(0.5, 8, tail_tol=1e-3), DIMS)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_trace_recovers_input(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
-        rho = prepare_initial(phi, DIMS)
-        assert np.max(np.abs(reduced_density_x(rho, DIMS) - phi.density_matrix())) < 1e-13
+        rho = oracle.prepare_initial(phi, DIMS)
+        assert np.max(np.abs(oracle.reduced_x(rho, DIMS) - phi.density_matrix())) < 1e-13
 
     def test_pure_input_gives_pure_output(self):
-        rho = prepare_initial(coherent(0.5, 8, tail_tol=1e-6), DIMS)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        rho = oracle.prepare_initial(coherent(0.5, 8, tail_tol=1e-6), DIMS)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
     def test_dim_mismatch(self, prepare):
@@ -105,7 +113,7 @@ class TestPrepareInitial:
 
 
 def _test_rotation_matrix(level, theta, dims):
-    """Hand-built electronic rotation, independent of the package constructors."""
+    """Hand-built electronic rotation, independent of the package and the oracle."""
     r3 = np.eye(3, dtype=complex)
     r3[level, level] = math.cos(theta)
     r3[XI, XI] = math.cos(theta)
@@ -127,80 +135,80 @@ class TestEntangler:
     def test_vacuum_input(self):
         # phi = |0> makes both branches identical: |0,0> (x) (|-> + |+>)/sqrt(2)
         dims = HilbertDims(4, 4)
-        out = apply(u00(dims), prepare_initial_pure(fock(0, 4), dims))
-        expected = (basis_state(dims, MINUS, 0, 0).amplitudes
-                    + basis_state(dims, PLUS, 0, 0).amplitudes) / math.sqrt(2)
-        assert np.linalg.norm(out.amplitudes - expected) < 1e-12
+        out = run_pure(fock(0, 4), 0, 0, ProtocolSettings(dims))
+        expected = (oracle.basis(dims, MINUS, 0, 0) + oracle.basis(dims, PLUS, 0, 0)) / math.sqrt(2)
+        assert np.linalg.norm(out - expected) < 1e-12
 
     def test_single_phonon_input(self):
         dims = HilbertDims(4, 4)
-        out = apply(u00(dims), prepare_initial_pure(fock(1, 4), dims))
-        assert np.linalg.norm(out.amplitudes - entangled_target(fock(1, 4), dims)) < 1e-12
+        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(dims))
+        assert np.linalg.norm(out - entangled_target(fock(1, 4), dims)) < 1e-12
 
     def test_matches_independent_pulse_product(self):
-        # brute-force product of the four hand-built pulse matrices
+        # brute-force product of the four hand-built pulse matrices, against the
+        # oracle's entangler and the engine's slice images (its |->|k>_x|0>_z columns)
         dims = HilbertDims(4, 4)
-        oracle = (_test_rotation_matrix(PLUS, -math.pi / 4, dims)
-                  @ _test_vrot_matrix(math.pi / 2, dims)
-                  @ _test_rotation_matrix(PLUS, -math.pi / 4, dims)
-                  @ _test_rotation_matrix(MINUS, math.pi / 4, dims))
-        assert np.max(np.abs(u00(dims).matrix - oracle)) < 1e-11
+        reference = (_test_rotation_matrix(PLUS, -math.pi / 4, dims)
+                     @ _test_vrot_matrix(math.pi / 2, dims)
+                     @ _test_rotation_matrix(PLUS, -math.pi / 4, dims)
+                     @ _test_rotation_matrix(MINUS, math.pi / 4, dims))
+        assert np.max(np.abs(oracle.u00(dims) - reference)) < 1e-11
+        columns = [oracle.index(dims, MINUS, k, 0) for k in range(dims.dx)]
+        images = _slice_images(0, 0, ProtocolSettings(dims)).reshape(dims.total_dim, dims.dx)
+        assert np.max(np.abs(images - reference[:, columns])) < 1e-11
 
     def test_intermediate_bright_state(self):
         # after the first two pulses the electronic factor is (|-> + |alpha>)/sqrt(2)
         dims = HilbertDims(4, 4)
-        from iontomo.pulses import compile_pulse
-        sched = u00_schedule()
-        u2 = compile_pulse(sched[1], dims) @ compile_pulse(sched[0], dims)
-        out = apply(u2, prepare_initial_pure(fock(1, 4), dims)).amplitudes
+        state = tensor(oracle.prepare_initial_pure(fock(1, 4), dims), dims)
+        for spec in u00_schedule()[:2]:
+            act_pulse(spec, state)
         alpha_part = np.zeros(dims.total_dim, dtype=complex)
-        alpha_part[dims.index(MINUS, 1, 0)] = 1 / math.sqrt(2)
-        alpha_part[dims.index(PLUS, 1, 0)] = 0.5
-        alpha_part[dims.index(XI, 1, 0)] = 0.5
-        assert np.linalg.norm(out - alpha_part) < 1e-12
+        alpha_part[oracle.index(dims, MINUS, 1, 0)] = 1 / math.sqrt(2)
+        alpha_part[oracle.index(dims, PLUS, 1, 0)] = 0.5
+        alpha_part[oracle.index(dims, XI, 1, 0)] = 0.5
+        assert np.linalg.norm(state.reshape(-1) - alpha_part) < 1e-12
 
     def test_compat_variant_leaves_xi_population(self):
         dims = HilbertDims(4, 4)
-        out = apply(u00(dims, compat_rminus_final=True),
-                    prepare_initial_pure(fock(1, 4), dims))
-        xi_slice = out.amplitudes[2 * dims.vib_dim:]
+        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(dims, compat_rminus_final=True))
+        xi_slice = out[2 * dims.vib_dim:]
         assert np.sum(np.abs(xi_slice) ** 2) > 0.05
-
-    def test_requires_equal_cutoffs(self):
-        with pytest.raises(ValueError):
-            u00(HilbertDims(4, 5))
 
 
 class TestIdealShifters:
+    """The engine's ideal shifters: Fock-index rolls inside one electronic sector."""
+
     def test_zero_shift_identity_slice(self):
-        v = v_plus_ideal(0, DIMS)
-        src = basis_state(DIMS, PLUS, 0, 3)
-        assert np.allclose(apply(v, src).amplitudes, src.amplitudes)
+        src = tensor(oracle.basis(DIMS, PLUS, 0, 3))
+        assert np.array_equal(_shift_ideal(src.copy(), 0, 0), src)
 
     def test_plus_shifts_x_vacuum(self):
-        v = v_plus_ideal(2, DIMS)
-        src = basis_state(DIMS, PLUS, 0, 1)  # chi = fock(1)
-        out = apply(v, src)
-        assert np.linalg.norm(out.amplitudes - basis_state(DIMS, PLUS, 2, 1).amplitudes) < 1e-14
+        out = _shift_ideal(tensor(oracle.basis(DIMS, PLUS, 0, 1)), 0, 2)  # chi = fock(1)
+        assert np.linalg.norm(out.reshape(-1) - oracle.basis(DIMS, PLUS, 2, 1)) < 1e-14
 
     def test_minus_commutes_with_plus_projector(self):
-        from iontomo.hilbert import electronic_op
-        v = v_minus_ideal(3, DIMS).matrix
-        proj = electronic_op(PLUS, PLUS, DIMS).matrix
-        assert np.max(np.abs(v @ proj - proj @ v)) <= 1e-14
+        # V-_3 neither moves |+> content nor lets |-> content reach the |+> sector
+        rng = np.random.default_rng(5)
+        state = rng.normal(size=(3, 8, 8, 4)) + 1j * rng.normal(size=(3, 8, 8, 4))
+        out = _shift_ideal(state.copy(), 3, 0)
+        assert np.array_equal(out[PLUS], state[PLUS])
+        only_minus = state.copy()
+        only_minus[PLUS] = only_minus[XI] = 0.0
+        assert np.max(np.abs(_shift_ideal(only_minus, 3, 0)[PLUS])) == 0.0
 
     def test_minus_identity_on_plus_sector(self):
-        v = v_minus_ideal(2, DIMS)
-        src = basis_state(DIMS, PLUS, 3, 1)
-        assert np.allclose(apply(v, src).amplitudes, src.amplitudes)
+        src = tensor(oracle.basis(DIMS, PLUS, 3, 1))
+        assert np.array_equal(_shift_ideal(src.copy(), 2, 0), src)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            v_plus_ideal(8, DIMS)
+            _slice_images(0, 8, SETTINGS)
 
     @pytest.mark.parametrize("completion", ["cycle", "swap"])
     def test_matches_loop_reference(self, completion):
-        # element-by-element construction of the sector-restricted Fock shift
+        # element-by-element construction of the sector-restricted Fock shift,
+        # against the oracle's permutations and (for 'cycle') the engine's rolls
         dims = HilbertDims(5, 5)
 
         def shift(j, k):
@@ -209,21 +217,30 @@ class TestIdealShifters:
             return k if j == 0 else (0 if j == k else j)
 
         for k in range(5):
-            for shifter, sector, axis in ((v_plus_ideal, PLUS, "x"), (v_minus_ideal, MINUS, "z")):
+            for sector, axis in ((PLUS, "x"), (MINUS, "z")):
                 ref = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
                 for e in range(3):
                     for nx in range(5):
                         for nz in range(5):
                             tx = shift(nx, k) if e == sector and axis == "x" else nx
                             tz = shift(nz, k) if e == sector and axis == "z" else nz
-                            ref[dims.index(e, tx, tz), dims.index(e, nx, nz)] = 1.0
-                assert np.array_equal(shifter(k, dims, completion).matrix, ref)
+                            ref[oracle.index(dims, e, tx, tz), oracle.index(dims, e, nx, nz)] = 1.0
+                assert np.array_equal(oracle.shift(dims, sector, axis, k, completion), ref)
+                if completion == "cycle":
+                    m, n = (0, k) if sector == PLUS else (k, 0)
+                    eye = np.eye(dims.total_dim, dtype=complex).reshape(3, 5, 5, -1)
+                    rolled = _shift_ideal(eye, m, n).reshape(dims.total_dim, -1)
+                    assert np.array_equal(rolled, ref)
 
 
 class TestCompiledShifters:
+    """The engine's compiled shifters: sideband ladders acting through act_pulse."""
+
     def test_zero_schedule_empty(self):
         assert v_plus_schedule(0) == []
-        assert np.allclose(v_plus_compiled(0, DIMS).matrix, np.eye(DIMS.total_dim))
+        rng = np.random.default_rng(1)
+        state = rng.normal(size=(3, 8, 8, 2)) + 1j * rng.normal(size=(3, 8, 8, 2))
+        assert np.array_equal(_shift_compiled(state.copy(), 0, 0), state)
 
     def test_schedule_lengths(self):
         # n sideband pulses, plus a closing carrier when n is odd
@@ -233,43 +250,43 @@ class TestCompiledShifters:
 
     def test_single_step_matches_ideal_on_branch(self):
         chi = coherent(0.5, 8, tail_tol=1e-6)
-        vc = v_plus_compiled(1, DIMS).matrix
-        vi = v_plus_ideal(1, DIMS).matrix
         src = np.zeros(DIMS.total_dim, dtype=complex)
         for k in range(8):
-            src[DIMS.index(PLUS, 0, k)] = chi.amplitudes[k]
-        assert np.linalg.norm(vc @ src - vi @ src) < 1e-12
+            src[oracle.index(DIMS, PLUS, 0, k)] = chi.amplitudes[k]
+        compiled = _shift_compiled(tensor(src), 0, 1)
+        ideal = _shift_ideal(tensor(src), 0, 1)
+        assert np.linalg.norm(compiled - ideal) < 1e-12
 
     def test_minus_sector_invariance(self):
-        from iontomo.hilbert import electronic_op
-        v = v_plus_compiled(2, DIMS).matrix
-        proj = electronic_op(MINUS, MINUS, DIMS).matrix
+        # V+_2 leaves every |-> state in place and sends nothing into the |-> sector
+        eye = np.eye(DIMS.total_dim, dtype=complex).reshape(3, 8, 8, -1)
+        v = _shift_compiled(eye, 0, 2).reshape(DIMS.total_dim, -1)
+        proj = oracle.electronic(MINUS, MINUS, DIMS)
         assert np.max(np.abs(v @ proj - proj @ v)) <= 1e-10
 
     @pytest.mark.parametrize("k", range(5))
     def test_branch_action_both_shifters(self, k):
         # V+_k : |0, chi, +> -> |k, chi, +>; V-_k : |chi, 0, -> -> |chi, k, ->
         chi_vec = coherent(0.5, 8, tail_tol=1e-6).amplitudes
-        vp = v_plus_compiled(k, DIMS).matrix
         src = np.zeros(DIMS.total_dim, dtype=complex)
         tgt = np.zeros(DIMS.total_dim, dtype=complex)
         for j in range(8):
-            src[DIMS.index(PLUS, 0, j)] = chi_vec[j]
-            tgt[DIMS.index(PLUS, k, j)] = chi_vec[j]
-        assert np.linalg.norm(vp @ src - tgt) < 1e-10
-        vm = v_minus_compiled(k, DIMS).matrix
+            src[oracle.index(DIMS, PLUS, 0, j)] = chi_vec[j]
+            tgt[oracle.index(DIMS, PLUS, k, j)] = chi_vec[j]
+        assert np.linalg.norm(_shift_compiled(tensor(src), 0, k).reshape(-1) - tgt) < 1e-10
         src = np.zeros(DIMS.total_dim, dtype=complex)
         tgt = np.zeros(DIMS.total_dim, dtype=complex)
         for j in range(8):
-            src[DIMS.index(MINUS, j, 0)] = chi_vec[j]
-            tgt[DIMS.index(MINUS, j, k)] = chi_vec[j]
-        assert np.linalg.norm(vm @ src - tgt) < 1e-10
+            src[oracle.index(DIMS, MINUS, j, 0)] = chi_vec[j]
+            tgt[oracle.index(DIMS, MINUS, j, k)] = chi_vec[j]
+        assert np.linalg.norm(_shift_compiled(tensor(src), k, 0).reshape(-1) - tgt) < 1e-10
 
     def test_near_cutoff_rejected(self):
+        compiled = ProtocolSettings(DIMS, v_mode="compiled")
         with pytest.raises(ValueError):
-            v_plus_compiled(7, DIMS)
+            _slice_images(0, 7, compiled)
         with pytest.raises(ValueError):
-            v_minus_compiled(7, DIMS)
+            _slice_images(7, 0, compiled)
 
     def test_minus_schedule_addresses_z_and_minus(self):
         for spec in v_minus_schedule(3):
@@ -279,24 +296,28 @@ class TestCompiledShifters:
 
 class TestComposedUnitary:
     def test_zero_indices_equal_entangler(self):
-        assert np.array_equal(u_mn(0, 0, SETTINGS).matrix, u00(DIMS).matrix)
+        # with m = n = 0 neither shifter acts: the slice images are the entangler's alone
+        k = np.arange(DIMS.dx)
+        w = np.zeros((3, 8, 8, 8), dtype=complex)
+        w[MINUS, k, 0, k] = 1.0
+        for spec in u00_schedule():
+            act_pulse(spec, w)
+        for v_mode in ("ideal", "compiled"):
+            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(DIMS, v_mode=v_mode)), w)
 
     def test_example_final_state(self):
         # (m, n) = (1, 2) on phi = |1>: (|1,1,-> + |2,1,+>)/sqrt(2)
         dims = HilbertDims(5, 5)
-        st = ProtocolSettings(dims)
-        psi = prepare_initial_pure(fock(1, 5), dims)
-        out = apply(u_mn(1, 2, st), psi)
+        out = run_pure(fock(1, 5), 1, 2, ProtocolSettings(dims))
         target = np.zeros(dims.total_dim, dtype=complex)
-        target[dims.index(MINUS, 1, 1)] = 1 / math.sqrt(2)
-        target[dims.index(PLUS, 2, 1)] = 1 / math.sqrt(2)
-        assert np.linalg.norm(out.amplitudes - target) < 1e-12
+        target[oracle.index(dims, MINUS, 1, 1)] = 1 / math.sqrt(2)
+        target[oracle.index(dims, PLUS, 2, 1)] = 1 / math.sqrt(2)
+        assert np.linalg.norm(out - target) < 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_unitarity(self, v_mode):
-        st = ProtocolSettings(DIMS, v_mode=v_mode)
-        u = u_mn(2, 3, st)
-        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(DIMS.total_dim))) <= 1e-10
+        u = oracle.u_mn(2, 3, ProtocolSettings(DIMS, v_mode=v_mode))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(DIMS.total_dim))) <= 1e-10
 
     @pytest.mark.parametrize("phi_name,phi", [
         ("fock0", fock(0, 8)),
@@ -307,29 +328,30 @@ class TestComposedUnitary:
     @pytest.mark.parametrize("v_mode,tol", [("ideal", 1e-9), ("compiled", 1e-7)])
     def test_produces_entangled_target(self, phi_name, phi, v_mode, tol):
         st = ProtocolSettings(DIMS, v_mode=v_mode)
-        psi = prepare_initial_pure(phi, DIMS)
         for m in range(3):
             for n in range(3):
-                out = apply(u_mn(m, n, st), psi)
-                resid = np.linalg.norm(out.amplitudes - entangled_target(phi, DIMS, m, n))
+                resid = entangled_target_deviation(st, m, n, phi.amplitudes)
                 assert resid <= tol, f"(m={m}, n={n}): residual {resid:.2e}"
+                assert np.linalg.norm(run_pure(phi, m, n, st)
+                                      - entangled_target(phi, DIMS, m, n)) == pytest.approx(resid)
 
 
 class TestCoherenceExpectation:
+    """The oracle's readout <sigma_x> - i <sigma_y> on its dense transformed state."""
+
     def test_vacuum_diagonal(self):
-        rho = apply(u_mn(0, 0, SETTINGS), prepare_initial(fock(0, 8), DIMS))
-        assert coherence_expectation(rho) == pytest.approx(1.0, abs=1e-12)
+        rho = oracle.evolve(oracle.u_mn(0, 0, SETTINGS), oracle.prepare_initial(fock(0, 8), DIMS))
+        assert oracle.coherence(rho, DIMS) == pytest.approx(1.0, abs=1e-12)
 
     def test_fock_offdiagonal_vanishes(self):
-        rho = apply(u_mn(0, 1, SETTINGS), prepare_initial(fock(1, 8), DIMS))
-        assert abs(coherence_expectation(rho)) < 1e-12
+        rho = oracle.evolve(oracle.u_mn(0, 1, SETTINGS), oracle.prepare_initial(fock(1, 8), DIMS))
+        assert abs(oracle.coherence(rho, DIMS)) < 1e-12
 
     def test_coherent_20_element(self):
         phi = coherent(0.8, 12, tail_tol=1e-9)
         dims = HilbertDims(12, 12)
-        st = ProtocolSettings(dims)
-        rho = apply(u_mn(2, 0, st), prepare_initial(phi, dims))
-        assert coherence_expectation(rho).real == pytest.approx(RHO20_COH08, abs=1e-6)
+        rho = oracle.evolve(oracle.u_mn(2, 0, ProtocolSettings(dims)), oracle.prepare_initial(phi, dims))
+        assert oracle.coherence(rho, dims).real == pytest.approx(RHO20_COH08, abs=1e-6)
 
 
 class TestMeasureElement:
@@ -393,15 +415,14 @@ class TestMeasureElement:
                 assert abs(a.value - np.conj(b.value)) <= 1e-9
 
     def test_completion_choice_is_unobservable(self):
+        # the engine completes the ideal shifts by a cycle; the oracle's 'swap'
+        # completion reads the same element
         phi = coherent(0.8, 8, tail_tol=1e-5)
-        rho0 = prepare_initial(phi, DIMS)
+        rho0 = oracle.prepare_initial(phi, DIMS)
         for m, n in ((1, 2), (3, 0), (2, 2)):
-            vals = []
-            for completion in ("cycle", "swap"):
-                u = v_plus_ideal(n, DIMS, completion) @ (
-                    v_minus_ideal(m, DIMS, completion) @ u00(DIMS))
-                vals.append(coherence_expectation(apply(u, rho0)))
-            assert abs(vals[0] - vals[1]) < 1e-12
+            swap = oracle.evolve(oracle.u_mn(m, n, SETTINGS, "swap"), rho0)
+            value = measure_element(phi, m, n, SETTINGS).value
+            assert abs(oracle.coherence(swap, DIMS) - value) < 1e-12
 
 
 class TestBranchIsolation:
@@ -409,69 +430,65 @@ class TestBranchIsolation:
         # two superpositions differing only in the minus branch's z content
         def make_state(zq):
             v = np.zeros(DIMS.total_dim, dtype=complex)
-            v[DIMS.index(MINUS, 1, zq)] = 1 / math.sqrt(2)
-            v[DIMS.index(PLUS, 0, 2)] = 1 / math.sqrt(2)
-            return PureState(v, DIMS)
+            v[oracle.index(DIMS, MINUS, 1, zq)] = 1 / math.sqrt(2)
+            v[oracle.index(DIMS, PLUS, 0, 2)] = 1 / math.sqrt(2)
+            return tensor(v)
 
-        v = v_plus_compiled(2, DIMS)
-        outs = [apply(v, make_state(zq)).amplitudes for zq in (0, 1)]
+        outs = [_shift_compiled(make_state(zq), 0, 2).reshape(-1) for zq in (0, 1)]
         plus_and_xi = slice(DIMS.vib_dim, 3 * DIMS.vib_dim)
         assert np.linalg.norm(outs[0][plus_and_xi] - outs[1][plus_and_xi]) < 1e-12
         # and the minus branch itself is untouched
         for zq, out in zip((0, 1), outs):
-            assert out[DIMS.index(MINUS, 1, zq)] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            assert out[oracle.index(DIMS, MINUS, 1, zq)] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_minus_shifter_ignores_plus_branch_content(self):
         def make_state(xq):
             v = np.zeros(DIMS.total_dim, dtype=complex)
-            v[DIMS.index(MINUS, 1, 0)] = 1 / math.sqrt(2)
-            v[DIMS.index(PLUS, xq, 2)] = 1 / math.sqrt(2)
-            return PureState(v, DIMS)
+            v[oracle.index(DIMS, MINUS, 1, 0)] = 1 / math.sqrt(2)
+            v[oracle.index(DIMS, PLUS, xq, 2)] = 1 / math.sqrt(2)
+            return tensor(v)
 
-        v = v_minus_compiled(2, DIMS)
-        outs = [apply(v, make_state(xq)).amplitudes for xq in (0, 3)]
+        outs = [_shift_compiled(make_state(xq), 2, 0).reshape(-1) for xq in (0, 3)]
         minus_slice = slice(0, DIMS.vib_dim)
-        diff = outs[0][minus_slice] - outs[1][minus_slice]
-        assert np.linalg.norm(diff) < 1e-12
+        assert np.linalg.norm(outs[0][minus_slice] - outs[1][minus_slice]) < 1e-12
 
 
 class TestSampling:
-    def _rho_00_vacuum(self):
-        return apply(u_mn(0, 0, SETTINGS), prepare_initial(fock(0, 8), DIMS))
+    def _red_00_vacuum(self):
+        return engine_reduced(fock(0, 8), 0, 0, SETTINGS)
 
     def test_x_channel_deterministic_on_vacuum(self):
         # the transformed state is a +1 eigenstate of the x pseudospin
-        probs = transverse_probabilities(self._rho_00_vacuum(), "x")
+        probs = reduced_probabilities(self._red_00_vacuum(), "x")
         assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
-        est = coherence_sampled(self._rho_00_vacuum(), 0, 0, shots=500, seed=3)
+        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(DIMS, shots=500, seed=3))
         assert est.value.real == 1.0
 
     def test_deterministic_given_seed(self):
-        rho = apply(u_mn(1, 0, SETTINGS), prepare_initial(coherent(0.8, 8, tail_tol=1e-5), DIMS))
-        a = coherence_sampled(rho, 1, 0, shots=4096, seed=17)
-        b = coherence_sampled(rho, 1, 0, shots=4096, seed=17)
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        st = ProtocolSettings(DIMS, shots=4096, seed=17)
+        a = measure_element(phi, 1, 0, st)
+        b = measure_element(phi, 1, 0, st)
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_different_cells_use_independent_streams(self):
-        rho = apply(u_mn(1, 0, SETTINGS), prepare_initial(coherent(0.8, 8, tail_tol=1e-5), DIMS))
-        a = coherence_sampled(rho, 1, 0, shots=4096, seed=17)
-        b = coherence_sampled(rho, 0, 1, shots=4096, seed=17)
+        red = engine_reduced(coherent(0.8, 8, tail_tol=1e-5), 1, 0, SETTINGS)
+        a = _sample_reduced(red, 1, 0, shots=4096, seed=17)
+        b = _sample_reduced(red, 0, 1, shots=4096, seed=17)
         assert a.value != b.value
 
     def test_converges_to_exact(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
-        rho = apply(u_mn(1, 0, SETTINGS), prepare_initial(phi, DIMS))
-        exact = coherence_expectation(rho)
-        est = coherence_sampled(rho, 1, 0, shots=100_000, seed=42)
+        exact = measure_element(phi, 1, 0, SETTINGS).value
+        est = measure_element(phi, 1, 0, ProtocolSettings(DIMS, shots=100_000, seed=42))
         assert abs(est.value - exact) <= 5 * est.stderr
 
     def test_seed_ensemble_consistency(self):
         # mean over 64 seeds within 3 standard errors of that mean
         phi = coherent(0.5 + 0.3j, 8, tail_tol=1e-4)
-        rho = apply(u_mn(2, 0, SETTINGS), prepare_initial(phi, DIMS))
-        exact = coherence_expectation(rho)
-        vals = np.array([coherence_sampled(rho, 2, 0, shots=2000, seed=s).value
-                         for s in range(64)])
+        exact = measure_element(phi, 2, 0, SETTINGS).value
+        red = engine_reduced(phi, 2, 0, SETTINGS)
+        vals = np.array([_sample_reduced(red, 2, 0, shots=2000, seed=s).value for s in range(64)])
         for part in (np.real, np.imag):
             samples = part(vals)
             sem = samples.std(ddof=1) / math.sqrt(len(samples))
@@ -479,7 +496,7 @@ class TestSampling:
 
     def test_shots_validation(self):
         with pytest.raises(ValueError):
-            coherence_sampled(self._rho_00_vacuum(), 0, 0, shots=0, seed=1)
+            _sample_reduced(self._red_00_vacuum(), 0, 0, shots=0, seed=1)
 
     @staticmethod
     def _reduced_with_p_plus(p_plus):
@@ -498,12 +515,17 @@ class TestSampling:
         assert np.array_equal(reduced_probabilities(red, "x"), [0.0, 1.0, 0.0])
 
     def test_transverse_probabilities_reads_reduced_state(self):
-        rho = apply(u_mn(1, 0, SETTINGS), prepare_initial(coherent(0.8, 8, tail_tol=1e-5), DIMS))
+        # the sampler's probabilities from the engine's reduced state equal those of the
+        # oracle's dense transformed state
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        dense = oracle.evolve(oracle.u_mn(1, 0, SETTINGS), oracle.prepare_initial(phi, DIMS))
+        red = engine_reduced(phi, 1, 0, SETTINGS)
         for observable in ("x", "y"):
-            assert np.array_equal(transverse_probabilities(rho, observable),
-                                  reduced_probabilities(_electronic_reduced(rho), observable))
+            assert np.max(np.abs(reduced_probabilities(red, observable)
+                                 - reduced_probabilities(oracle.electronic_reduced(dense, DIMS),
+                                                         observable))) <= 1e-12
         with pytest.raises(ValueError):
-            reduced_probabilities(_electronic_reduced(rho), "z")
+            reduced_probabilities(red, "z")
 
     def test_measure_element_sampled_mode(self):
         st = ProtocolSettings(DIMS, shots=5000, seed=9)
@@ -533,19 +555,19 @@ class TestSettingsValidation:
 
 
 class TestHotPathInvariants:
-    """Products and apply() skip re-verification; check what they skip here, with plain numpy."""
+    """The engine's outputs are not re-verified as they are computed; check them here."""
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_composed_unitaries_and_output_states(self, v_mode):
+        # every slice image set is an isometry, and the transformed state
+        # W rho_vibr W^dag is a density matrix to the protocol's tolerances
         settings = ProtocolSettings(DIMS, v_mode=v_mode)
-        rho0 = prepare_initial(dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3), DIMS)
-        eye = np.eye(DIMS.total_dim)
+        rho_vibr = prepare_vibrational(dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3), DIMS)
         for m in range(5):
             for n in range(5):
-                u = u_mn(m, n, settings)
-                assert u.unitary
-                assert np.max(np.abs(u.matrix.conj().T @ u.matrix - eye)) <= 1e-10
-                rho = apply(u, rho0).matrix
+                w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
+                assert np.max(np.abs(w.conj().T @ w - np.eye(DIMS.dx))) <= 1e-10
+                rho = w @ rho_vibr @ w.conj().T
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
                 assert abs(np.trace(rho) - 1.0) <= 1e-10
                 assert np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] >= -1e-10
@@ -565,7 +587,7 @@ MIXED_INPUTS = {
 
 
 class TestSliceEngine:
-    """measure_prepared against the dense reference apply(u_mn, prepare_initial)."""
+    """measure_prepared against the oracle's dense U_mn rho_0 U_mn^dag."""
 
     @pytest.mark.parametrize("d", [5, 8])
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
@@ -575,24 +597,29 @@ class TestSliceEngine:
         dims = HilbertDims(d, d)
         phi = MIXED_INPUTS[input_name](d)
         settings = ProtocolSettings(dims, v_mode=v_mode, compat_rminus_final=compat)
-        rho0 = prepare_initial(phi, dims)
         rho_vibr = prepare_vibrational(phi, dims)
+        # the oracle's factors, each built once for the sweep
+        built = {}
+        entangled = oracle.evolve(oracle.schedule(u00_schedule(compat), dims, built),
+                                  oracle.prepare_initial(phi, dims))
+        v_minus = [oracle.v_minus(k, settings, built=built) for k in range(d - 1)]
+        v_plus = [oracle.v_plus(k, settings, built=built) for k in range(d - 1)]
         for m in range(d - 1):
             for n in range(d - 1):
-                dense = apply(u_mn(m, n, settings), rho0)
+                dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
                 value = measure_prepared(rho_vibr, m, n, settings).value
-                assert abs(value - coherence_expectation(dense)) <= 1e-12
+                assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
                 w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, d)
                 red = _slice_reduced(w, rho_vibr)
-                assert np.max(np.abs(red - _electronic_reduced(dense))) <= 1e-12
+                assert np.max(np.abs(red - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_slice_images_are_dense_columns(self, v_mode):
         settings = ProtocolSettings(DIMS, v_mode=v_mode)
-        columns = [DIMS.index(MINUS, k, 0) for k in range(DIMS.dx)]
+        columns = [oracle.index(DIMS, MINUS, k, 0) for k in range(DIMS.dx)]
         for m, n in ((0, 0), (3, 1), (6, 5)):
             w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
-            assert np.max(np.abs(w - u_mn(m, n, settings).matrix[:, columns])) <= 1e-12
+            assert np.max(np.abs(w - oracle.u_mn(m, n, settings)[:, columns])) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_d60_coherent_cell(self, v_mode):
@@ -611,17 +638,26 @@ class TestSliceEngine:
         assert peak < 100 * 2 ** 20
 
     def test_builds_no_dense_operator(self):
-        dense_caches = (pulses.compile_pulse, protocol.u00, protocol.v_plus_ideal,
-                        protocol.v_minus_ideal, protocol.v_plus_compiled,
-                        protocol.v_minus_compiled, hilbert.pauli)
-        for cache in dense_caches:
-            cache.cache_clear()
-        phi = dephase(coherent(0.5, 8, tail_tol=1e-4), 0.1)
-        for v_mode in ("ideal", "compiled"):
-            reconstruct(phi, 4, ProtocolSettings(DIMS, v_mode=v_mode))
-        measure_element(phi, 2, 1, ProtocolSettings(DIMS, shots=100, seed=1))
-        assert [cache.cache_info().currsize for cache in dense_caches] == [0] * len(dense_caches)
+        # the only cache in the package is the bounded beam-splitter block cache, and a
+        # reconstruct in both modes plus a sampled cell at d = 24 (N = 1728) peaks far
+        # below the 48 MB of one N x N operator
+        caches = [f"{mod.__name__}.{name}" for mod in (hilbert, pulses, protocol, states,
+                                                       tomography, cli)
+                  for name, obj in vars(mod).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
+        assert caches == ["iontomo.pulses._ly_blocks"]
         assert pulses._ly_blocks.cache_info().maxsize is not None
+        dims = HilbertDims(24, 24)
+        phi = dephase(coherent(0.5, 24), 0.1)
+        tracemalloc.start()
+        try:
+            for v_mode in ("ideal", "compiled"):
+                reconstruct(phi, 3, ProtocolSettings(dims, v_mode=v_mode))
+            measure_element(phi, 2, 1, ProtocolSettings(dims, shots=100, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dims.total_dim ** 2 / 10
 
     @pytest.mark.parametrize("v_mode,m,n", [("ideal", 8, 0), ("ideal", 0, -1),
                                             ("compiled", 7, 0), ("compiled", 0, 7)])
@@ -631,4 +667,4 @@ class TestSliceEngine:
 
     def test_rejects_wrong_input_shape(self):
         with pytest.raises(ValueError):
-            measure_prepared(prepare_initial(fock(0, 8), DIMS), 0, 0, SETTINGS)
+            measure_prepared(oracle.prepare_initial(fock(0, 8), DIMS), 0, 0, SETTINGS)

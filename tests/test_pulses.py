@@ -1,37 +1,42 @@
-"""Tests for the primitive pulse Hamiltonians and compiled unitaries."""
+"""Tests for the primitive pulses: their specs, their closed-form actions, and the dense oracle's generators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from iontomo.hilbert import (
-    MINUS,
-    PLUS,
-    XI,
-    HilbertDims,
-    annihilation,
-    apply,
-    basis_state,
-    electronic_op,
-    pauli,
-    unitary_from_generator,
-)
-from iontomo.pulses import (
-    PulseSpec,
-    act_pulse,
-    compile_pulse,
-    h_ajc,
-    h_carrier,
-    h_jc,
-    l_y,
-    r_electronic,
-    r_vibr,
-)
+import oracle
+from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
+from iontomo.protocol import pulse_unitarity_defect
+from iontomo.pulses import PulseSpec, act_pulse
 from iontomo.states import coherent
 from util import expm_taylor
 
 DIMS = HilbertDims(4, 4)
+
+
+def h_carrier(levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("carrier", levels, "x", 0.0, phase), dims)
+
+
+def h_jc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("jc", levels, mode, 0.0, phase), dims)
+
+
+def h_ajc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
+
+
+def act(spec, vector, dims=DIMS):
+    """act_pulse on one composite-space vector, returned flat."""
+    state = np.array(vector, dtype=complex).reshape(3, dims.dx, dims.dz, 1)
+    return act_pulse(spec, state).reshape(-1)
+
+
+def full_action(spec, dims=DIMS):
+    """The N x N matrix of act_pulse, one basis column at a time."""
+    eye = np.eye(dims.total_dim, dtype=complex).reshape(3, dims.dx, dims.dz, -1)
+    return act_pulse(spec, eye).reshape(dims.total_dim, -1)
 
 
 class TestPulseSpec:
@@ -68,13 +73,15 @@ class TestPulseSpec:
 
 
 class TestHamiltonians:
+    """The oracle's dense generators, pinned against their defining matrix elements."""
+
     def test_carrier_zero_phase_is_sigma_x(self):
         h = h_carrier(("+", "xi"), 0.0, DIMS)
-        assert np.array_equal(h.matrix, pauli(PLUS, XI, "x", DIMS).matrix)
+        assert np.array_equal(h, oracle.pauli(PLUS, XI, "x", DIMS))
 
     def test_carrier_quarter_phase_is_sigma_y(self):
         h = h_carrier(("+", "xi"), math.pi / 2, DIMS)
-        assert np.max(np.abs(h.matrix - pauli(PLUS, XI, "y", DIMS).matrix)) < 1e-15
+        assert np.max(np.abs(h - oracle.pauli(PLUS, XI, "y", DIMS))) < 1e-15
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hermitian_for_random_phase(self, seed):
@@ -83,95 +90,98 @@ class TestHamiltonians:
         for h in (h_carrier(("+", "xi"), phase, DIMS),
                   h_jc("x", ("+", "xi"), phase, DIMS),
                   h_ajc("z", ("-", "xi"), phase, DIMS)):
-            assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
+            assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     def test_jc_ladder_coupling(self):
         # on |k-1>_x|xi> the coupling reaches only |k>_x|+> with element sqrt(k)
         h = h_jc("x", ("+", "xi"), 0.0, DIMS)
         for k in (1, 2, 3):
-            src = basis_state(DIMS, XI, k - 1, 2)
-            out = h.matrix @ src.amplitudes
-            expected = math.sqrt(k) * basis_state(DIMS, PLUS, k, 2).amplitudes
+            out = h @ oracle.basis(DIMS, XI, k - 1, 2)
+            expected = math.sqrt(k) * oracle.basis(DIMS, PLUS, k, 2)
             assert np.allclose(out, expected, atol=1e-14)
 
     def test_jc_conserves_excitation_counter(self):
-        h = h_jc("x", ("+", "xi"), 0.0, DIMS).matrix
+        h = h_jc("x", ("+", "xi"), 0.0, DIMS)
         n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
-        counter = n_x + electronic_op(XI, XI, DIMS).matrix
+        counter = n_x + oracle.electronic(XI, XI, DIMS)
         assert np.max(np.abs(h @ counter - counter @ h)) <= 1e-12
 
     def test_jc_vanishes_on_minus_sector(self):
         h = h_jc("x", ("+", "xi"), 0.3, DIMS)
         for nx in range(4):
-            src = basis_state(DIMS, MINUS, nx, 1)
-            assert np.max(np.abs(h.matrix @ src.amplitudes)) == 0.0
+            assert np.max(np.abs(h @ oracle.basis(DIMS, MINUS, nx, 1))) == 0.0
 
     def test_ajc_ladder_coupling(self):
         # on |k>_x|+> the coupling reaches |k+1>_x|xi> with element sqrt(k+1)
         h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
         for k in (0, 1, 2):
-            src = basis_state(DIMS, PLUS, k, 0)
-            out = h.matrix @ src.amplitudes
-            expected = math.sqrt(k + 1) * basis_state(DIMS, XI, k + 1, 0).amplitudes
+            out = h @ oracle.basis(DIMS, PLUS, k, 0)
+            expected = math.sqrt(k + 1) * oracle.basis(DIMS, XI, k + 1, 0)
             assert np.allclose(out, expected, atol=1e-14)
 
     def test_ajc_row_structure_at_vacuum(self):
         # the <0,+| row couples only through the lowering term: reached from |1, xi> alone
-        h = h_ajc("x", ("+", "xi"), 0.0, DIMS).matrix
-        row = h[DIMS.index(PLUS, 0, 0), :]
+        h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
+        row = h[oracle.index(DIMS, PLUS, 0, 0), :]
         nonzero = np.nonzero(np.abs(row) > 1e-15)[0]
-        assert list(nonzero) == [DIMS.index(XI, 1, 0)]
+        assert list(nonzero) == [oracle.index(DIMS, XI, 1, 0)]
 
     def test_ajc_vanishes_on_minus_sector(self):
         h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
-        src = basis_state(DIMS, MINUS, 2, 2)
-        assert np.max(np.abs(h.matrix @ src.amplitudes)) == 0.0
+        assert np.max(np.abs(h @ oracle.basis(DIMS, MINUS, 2, 2))) == 0.0
+
+
+def _erot(level, theta):
+    return PulseSpec("erot", (level, "xi"), None, theta)
 
 
 class TestElectronicRotation:
     def test_splits_ground_level(self):
-        u = r_electronic(MINUS, math.pi / 4, DIMS)
-        out = apply(u, basis_state(DIMS, MINUS, 0, 0))
-        expected = (basis_state(DIMS, MINUS, 0, 0).amplitudes
-                    + basis_state(DIMS, XI, 0, 0).amplitudes) / math.sqrt(2)
-        assert np.linalg.norm(out.amplitudes - expected) < 1e-12
+        out = act(_erot("-", math.pi / 4), oracle.basis(DIMS, MINUS, 0, 0))
+        expected = (oracle.basis(DIMS, MINUS, 0, 0)
+                    + oracle.basis(DIMS, XI, 0, 0)) / math.sqrt(2)
+        assert np.linalg.norm(out - expected) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.9])
     def test_unaddressed_level_untouched(self, theta):
-        u = r_electronic(PLUS, theta, DIMS)
-        src = basis_state(DIMS, MINUS, 1, 2)
-        assert np.linalg.norm(apply(u, src).amplitudes - src.amplitudes) < 1e-13
+        src = oracle.basis(DIMS, MINUS, 1, 2)
+        assert np.linalg.norm(act(_erot("+", theta), src) - src) < 1e-13
 
     def test_inverse(self):
-        u = r_electronic(MINUS, math.pi / 4, DIMS)
-        v = r_electronic(MINUS, -math.pi / 4, DIMS)
-        assert np.max(np.abs((u @ v).matrix - np.eye(DIMS.total_dim))) < 1e-12
+        u = full_action(_erot("-", math.pi / 4))
+        v = full_action(_erot("-", -math.pi / 4))
+        assert np.max(np.abs(u @ v - np.eye(DIMS.total_dim))) < 1e-12
 
 
 class TestModeRotation:
+    """The oracle's two-mode generator L_y and its exponential."""
+
     def test_swap_is_phase_free(self):
         # exp(i pi/2 L_y)|n, 0> = |0, n> with coefficient +1, for every n and level
-        u = unitary_from_generator(l_y(DIMS), math.pi / 2)
+        u = oracle.unitary(oracle.l_y(DIMS), math.pi / 2)
         for e in range(3):
             for n in range(4):
-                out = apply(u, basis_state(DIMS, e, n, 0))
-                target = basis_state(DIMS, e, 0, n).amplitudes
-                assert np.linalg.norm(out.amplitudes - target) < 1e-12
+                out = u @ oracle.basis(DIMS, e, n, 0)
+                assert np.linalg.norm(out - oracle.basis(DIMS, e, 0, n)) < 1e-12
 
     def test_matches_series_exponential(self):
-        g = l_y(DIMS).matrix
-        u = unitary_from_generator(l_y(DIMS), math.pi / 2).matrix
+        g = oracle.l_y(DIMS)
+        u = oracle.unitary(g, math.pi / 2)
         assert np.max(np.abs(u - expm_taylor(1j * (math.pi / 2) * g))) < 1e-11
 
     def test_commutes_with_total_phonon_number(self):
         n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
         n_z = np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
-        g = l_y(DIMS).matrix
+        g = oracle.l_y(DIMS)
         assert np.max(np.abs(g @ (n_x + n_z) - (n_x + n_z) @ g)) <= 1e-12
 
     def test_zero_angle_is_identity(self):
-        u = unitary_from_generator(l_y(DIMS), 0.0)
-        assert np.allclose(u.matrix, np.eye(DIMS.total_dim), atol=1e-14)
+        u = oracle.unitary(oracle.l_y(DIMS), 0.0)
+        assert np.allclose(u, np.eye(DIMS.total_dim), atol=1e-14)
+
+
+def _vrot(theta):
+    return PulseSpec("vrot", ("+", "xi"), None, theta)
 
 
 class TestVibrationalRotation:
@@ -184,7 +194,7 @@ class TestVibrationalRotation:
         z0 = np.zeros(8, dtype=complex)
         z0[0] = 1.0
         src = np.kron(alpha_e, np.kron(phi.amplitudes, z0))
-        out = r_vibr(math.pi / 2, dims).matrix @ src
+        out = act(_vrot(math.pi / 2), src, dims)
         target = np.kron(alpha_e, np.kron(z0, phi.amplitudes))
         assert np.linalg.norm(out - target) < 1e-12
 
@@ -195,36 +205,40 @@ class TestVibrationalRotation:
         e_minus = np.zeros(3, dtype=complex)
         e_minus[MINUS] = 1.0
         src = np.kron(e_minus, np.kron(phi.amplitudes, z))
-        out = r_vibr(1.3, DIMS).matrix @ src
-        assert np.linalg.norm(out - src) < 1e-13
+        assert np.linalg.norm(act(_vrot(1.3), src) - src) < 1e-13
 
     def test_conserves_total_phonon_number(self):
-        u = r_vibr(0.9, DIMS).matrix
         n_tot = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4))) \
             + np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
-        src = basis_state(DIMS, PLUS, 2, 1).amplitudes
+        src = oracle.basis(DIMS, PLUS, 2, 1)
+        out = act(_vrot(0.9), src)
         before = np.vdot(src, n_tot @ src)
-        after = np.vdot(u @ src, n_tot @ (u @ src))
+        after = np.vdot(out, n_tot @ out)
         assert abs(before - after) < 1e-12
 
 
 class TestCompilePulse:
     def test_carrier_pi_pulse_transfers_population(self):
-        u = compile_pulse(PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 0.0), DIMS)
-        out = apply(u, basis_state(DIMS, PLUS, 1, 1))
-        pop_xi = abs(out.amplitudes[DIMS.index(XI, 1, 1)]) ** 2
-        assert pop_xi == pytest.approx(1.0, abs=1e-12)
+        spec = PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 0.0)
+        out = act(spec, oracle.basis(DIMS, PLUS, 1, 1))
+        amp = out[oracle.index(DIMS, XI, 1, 1)]
+        assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-12)
         # phase of the transferred amplitude is set by the laser phase
-        assert out.amplitudes[DIMS.index(XI, 1, 1)] == pytest.approx(1j, abs=1e-12)
+        assert amp == pytest.approx(1j, abs=1e-12)
 
     def test_erot_dispatch_matches_r_electronic(self):
-        spec = PulseSpec("erot", ("-", "xi"), None, 0.41)
-        assert np.array_equal(compile_pulse(spec, DIMS).matrix,
-                              r_electronic(MINUS, 0.41, DIMS).matrix)
+        # the oracle's erot is the closed-form rotation |l> -> cos|l> + sin|xi>, |xi> -> -sin|l> + cos|xi>
+        theta = 0.41
+        r3 = np.eye(3)
+        r3[MINUS, MINUS] = r3[XI, XI] = math.cos(theta)
+        r3[XI, MINUS] = math.sin(theta)
+        r3[MINUS, XI] = -math.sin(theta)
+        closed = np.kron(r3, np.eye(DIMS.vib_dim))
+        assert np.max(np.abs(oracle.pulse(_erot("-", theta), DIMS) - closed)) <= 1e-14
 
     def test_zero_angle_jc_is_identity(self):
-        u = compile_pulse(PulseSpec("jc", ("+", "xi"), "x", 0.0, 0.3), DIMS)
-        assert np.allclose(u.matrix, np.eye(DIMS.total_dim), atol=1e-14)
+        assert np.allclose(full_action(PulseSpec("jc", ("+", "xi"), "x", 0.0, 0.3)),
+                           np.eye(DIMS.total_dim), atol=1e-14)
 
     @pytest.mark.parametrize("spec", [
         PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 4.71238898038469),
@@ -234,10 +248,7 @@ class TestCompilePulse:
         PulseSpec("vrot", ("+", "xi"), None, math.pi / 2),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_all_compiled_pulses_unitary(self, spec):
-        u = compile_pulse(spec, DIMS)
-        assert u.unitary
-        defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(DIMS.total_dim)))
-        assert defect <= 1e-10
+        assert pulse_unitarity_defect(DIMS, [spec], np.eye(DIMS.total_dim)) <= 1e-10
 
     @pytest.mark.parametrize("spec,excluded", [
         (PulseSpec("carrier", ("+", "xi"), "x", 0.7, 1.0), MINUS),
@@ -248,8 +259,8 @@ class TestCompilePulse:
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_sector_confinement(self, spec, excluded):
         # a pulse whose levels exclude a sector commutes with that sector's projector
-        u = compile_pulse(spec, DIMS).matrix
-        proj = electronic_op(excluded, excluded, DIMS).matrix
+        u = full_action(spec)
+        proj = oracle.electronic(excluded, excluded, DIMS)
         assert np.max(np.abs(u @ proj - proj @ u)) <= 1e-12
 
 
@@ -268,7 +279,7 @@ def _action_specs():
 
 
 class TestPulseActions:
-    """act_pulse against the dense compile_pulse matrix on random tensors of states."""
+    """act_pulse against the oracle's dense pulse unitary on random tensors of states."""
 
     @pytest.mark.parametrize("spec", _action_specs(),
                              ids=lambda s: f"{s.kind}-{''.join(s.levels)}-{s.mode}")
@@ -276,7 +287,7 @@ class TestPulseActions:
         dims = HilbertDims(6, 6)
         rng = np.random.default_rng(7)
         state = rng.normal(size=(3, 6, 6, 5)) + 1j * rng.normal(size=(3, 6, 6, 5))
-        expected = compile_pulse(spec, dims).matrix @ state.reshape(dims.total_dim, 5)
+        expected = oracle.pulse(spec, dims) @ state.reshape(dims.total_dim, 5)
         got = act_pulse(spec, state.copy())
         assert np.max(np.abs(got.reshape(dims.total_dim, 5) - expected)) <= 1e-12
 
@@ -286,7 +297,7 @@ class TestPulseActions:
         spec = PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4)
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 4, 6, 3)) + 1j * rng.normal(size=(3, 4, 6, 3))
-        expected = compile_pulse(spec, dims).matrix @ state.reshape(dims.total_dim, 3)
+        expected = oracle.pulse(spec, dims) @ state.reshape(dims.total_dim, 3)
         got = act_pulse(spec, state.copy())
         assert np.max(np.abs(got.reshape(dims.total_dim, 3) - expected)) <= 1e-12
 

@@ -233,3 +233,45 @@ class TestRawAndInvariants:
     def test_requires_exactly_one_representation(self):
         with pytest.raises(ValueError):
             VibrationalState(4)
+
+
+class TestFarTail:
+    """Mass beyond the constructors' extended Fock range still counts as leakage."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: coherent(30, 12),
+        lambda: coherent(40, 12),
+        lambda: cat(40, "odd", 12),
+        lambda: squeezed(50, 0, 12),
+        lambda: squeezed(1000, 0, 12),
+        lambda: thermal(1e17, 12),
+    ], ids=["coherent30", "coherent40", "odd-cat40", "squeezed50", "squeezed1000", "thermal1e17"])
+    def test_rejected(self, build):
+        with pytest.raises(TruncationLeakageError) as err:
+            build()
+        assert err.value.tail_mass == pytest.approx(1.0, abs=1e-6)
+        assert err.value.required_dim > 12
+
+    def test_reports_true_tail(self):
+        # mean occupation 625 lies beyond the extended range, so nearly all mass is missing
+        with pytest.raises(TruncationLeakageError) as err:
+            coherent(25, 12)
+        assert err.value.tail_mass > 0.99
+
+    def test_in_range_tail_unchanged(self):
+        # the extended range holds the whole state: the tail is the suffix beyond the cutoff
+        st = coherent(1.5, 20, tail_tol=1e-5)
+        expected = sum(math.exp(-2.25) * 2.25 ** n / math.factorial(n) for n in range(20, 80))
+        assert st.tail_mass == pytest.approx(expected, rel=1e-9)
+
+    def test_odd_cat_near_zero_alpha_is_one_phonon(self):
+        # (|a> - |-a>) / norm -> |1> as a -> 0; the norm keeps its digits there
+        st = cat(1e-5, "odd", 6)
+        assert abs(st.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+        assert st.tail_mass < 1e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_tail_tol_must_be_positive(self, tol):
+        for build in (lambda: coherent(0.5, 8, tail_tol=tol), lambda: thermal(0.5, 8, tail_tol=tol)):
+            with pytest.raises(ValueError, match="tail_tol"):
+                build()
