@@ -92,6 +92,20 @@ def to_csv(header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------------------
 # config handling
 
+# One config serves every subcommand, so each accepts all top-level fields.
+_TOP_FIELDS = ("dims", "state", "nmax", "v_mode", "shots", "seed", "out", "format")
+_STATE_COMMON = ("kind", "tail_tol", "dephase")
+_STATE_FIELDS = {"fock": ("n",), "coherent": ("alpha",), "squeezed": ("r", "phi"),
+                 "cat": ("alpha", "parity"), "thermal": ("nbar",), "raw": ("amplitudes",)}
+
+
+def _reject_unknown(obj: dict, allowed, prefix: str = "") -> None:
+    """Raise a config error naming the first field of obj that is not in allowed."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown config field '{prefix}{unknown[0]}'")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -103,6 +117,7 @@ def load_config(path: str) -> dict:
                           f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(cfg, _TOP_FIELDS)
     return cfg
 
 
@@ -142,6 +157,7 @@ def build_dims(cfg: dict) -> HilbertDims:
     d = _field(cfg, "dims", required=True)
     if not isinstance(d, dict) or "dx" not in d or "dz" not in d:
         raise ConfigError("config field 'dims' must be an object with dx and dz")
+    _reject_unknown(d, ("dx", "dz"), "dims.")
     try:
         return HilbertDims(_as_int(d["dx"], "dims.dx"), _as_int(d["dz"], "dims.dz"))
     except ValueError as exc:
@@ -153,6 +169,9 @@ def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
     kind = _field(spec, "kind", required=True)
+    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    _reject_unknown(spec, _STATE_COMMON + _STATE_FIELDS[kind], "state.")
     tail_tol = _as_float(_field(spec, "tail_tol", DEFAULT_TAIL_TOL), "state.tail_tol")
     dim = dims.dx
     if kind == "fock":
@@ -168,14 +187,12 @@ def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
         state = cat(alpha, _field(spec, "parity", required=True), dim, tail_tol)
     elif kind == "thermal":
         state = thermal(_as_float(_field(spec, "nbar", required=True), "state.nbar"), dim, tail_tol)
-    elif kind == "raw":
+    else:
         values = _field(spec, "amplitudes", required=True)
         if not isinstance(values, list):
             raise ConfigError("state.amplitudes must be a list")
         amps = [_as_complex(v, "state.amplitudes") for v in values]
         state = from_amplitudes(amps, dim)
-    else:
-        raise ConfigError(f"unknown state kind {kind!r}")
     lam = _field(spec, "dephase", None)
     if lam is not None:
         state = dephase(state, _as_float(lam, "state.dephase"))
@@ -209,21 +226,33 @@ def _settings_echo(cfg: dict, settings: protocol.ProtocolSettings, **extra) -> d
     return echo
 
 
+def _resolve_output(cfg: dict, args) -> None:
+    """Settle args.out and args.format: the flag, else the config's out and format fields."""
+    args.out = args.out or _field(cfg, "out", None)
+    args.format = args.format or _field(cfg, "format", "json")
+    if args.out is not None and not isinstance(args.out, str):
+        raise ConfigError(f"field 'out' must be a path string, got {args.out!r}")
+    if args.format not in ("json", "csv"):
+        raise ConfigError(f"field 'format' must be 'json' or 'csv', got {args.format!r}")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {path}: {exc}") from exc
 
 
-def _emit(cfg: dict, args, payload: dict, header: list[str], rows: list[list]) -> int:
-    """Write payload as stable JSON or rows as CSV to --out, the config's out, or stdout."""
-    out = args.out or _field(cfg, "out", None)
-    if (args.format or _field(cfg, "format", "json")) == "csv":
-        _write_output(to_csv(header, rows), out)
+def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
+    """Write payload as stable JSON or rows as CSV to args.out or stdout."""
+    if args.format == "csv":
+        _write_output(to_csv(header, rows), args.out)
     else:
-        _write_output(stable_json(payload) + "\n", out)
+        _write_output(stable_json(payload) + "\n", args.out)
     return 0
 
 
@@ -255,7 +284,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     }
     rows = [[m, n, report.estimates[m, n].real, report.estimates[m, n].imag, report.stderrs[m, n]]
             for m in range(size) for n in range(size)]
-    return _emit(cfg, args, payload, ["m", "n", "re", "im", "stderr"], rows)
+    return _emit(args, payload, ["m", "n", "re", "im", "stderr"], rows)
 
 
 def cmd_coherence(cfg: dict, args) -> int:
@@ -274,7 +303,7 @@ def cmd_coherence(cfg: dict, args) -> int:
         "settings": _settings_echo(cfg, settings),
     }
     rows = [[est.m, est.n, est.value.real, est.value.imag, est.stderr, est.shots_used]]
-    return _emit(cfg, args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
+    return _emit(args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
 
 
 def _parse_lambdas(raw: str | None) -> list[float]:
@@ -299,7 +328,12 @@ def cmd_monitor(cfg: dict, args) -> int:
         "settings": _settings_echo(cfg, settings),
     }
     rows = [[p.lam, p.rho20_abs, p.bound] for p in points]
-    return _emit(cfg, args, payload, ["lambda", "rho20_abs", "bound"], rows)
+    return _emit(args, payload, ["lambda", "rho20_abs", "bound"], rows)
+
+
+def _ladder_targets(dims: HilbertDims) -> range:
+    """Shifter targets validate exercises: k <= 4 within the compiled ladders' reach."""
+    return range(min(4, protocol.shifter_reach(dims.dx, "compiled")) + 1)
 
 
 def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> list[dict]:
@@ -327,7 +361,7 @@ def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> 
     # Element identity, ideal and compiled branch shifters.
     phi = family[-1]
     truth = phi.density_matrix()
-    kmax = min(2, dims.dx - 2)
+    kmax = min(2, protocol.shifter_reach(dims.dx, "compiled"))
     for v_mode, tol in (("ideal", 1e-9), ("compiled", 1e-7)):
         st = protocol.ProtocolSettings(dims, v_mode=v_mode,
                                        compat_rminus_final=settings.compat_rminus_final)
@@ -337,18 +371,17 @@ def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> 
 
     # Compiled vs ideal shifters on the branch slices |->|j>_x|0>_z and |+>|0>_x|j>_z,
     # each the other shifter's spectator.
-    kmax = min(4, dims.dx - 2)
     j = np.arange(dims.dx)
     slices = np.zeros((3, dims.dx, dims.dz, 2 * dims.dx))
     slices[MINUS, j, 0, j] = 1.0
     slices[PLUS, 0, j, dims.dx + j] = 1.0
     slices = slices.reshape(dims.total_dim, -1)
     record("compiled-vs-ideal",
-           max(protocol.shifter_deviation(dims, k, slices) for k in range(kmax + 1)), 1e-8)
+           max(protocol.shifter_deviation(dims, k, slices) for k in _ladder_targets(dims)), 1e-8)
 
     # Unitarity of every scheduled pulse, on a seeded random orthonormal (N, dx) probe.
     specs = list(protocol.u00_schedule(settings.compat_rminus_final))
-    for k in range(kmax + 1):
+    for k in _ladder_targets(dims):
         specs.extend(protocol.v_plus_schedule(k))
         specs.extend(protocol.v_minus_schedule(k))
     rng = np.random.default_rng(0)
@@ -367,18 +400,17 @@ def cmd_validate(cfg: dict, args) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']} (deviation {c['deviation']:.3e}, tolerance {c['tolerance']:.1e})")
     all_passed = all(c["passed"] for c in checks)
-    out = args.out or _field(cfg, "out", None)
-    if out is not None:
+    if args.out is not None:
         schedules = {
             "u00": [s.to_record() for s in protocol.u00_schedule(settings.compat_rminus_final)],
             "v_plus": {str(k): [s.to_record() for s in protocol.v_plus_schedule(k)]
-                       for k in range(min(4, dims.dx - 2) + 1)},
+                       for k in _ladder_targets(dims)},
             "v_minus": {str(k): [s.to_record() for s in protocol.v_minus_schedule(k)]
-                        for k in range(min(4, dims.dz - 2) + 1)},
+                        for k in _ladder_targets(dims)},
         }
         payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
                    "settings": _settings_echo(cfg, settings)}
-        _write_output(stable_json(payload) + "\n", out)
+        _write_output(stable_json(payload) + "\n", args.out)
     return 0 if all_passed else 1
 
 
@@ -426,6 +458,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
+        _resolve_output(cfg, args)
         return args.func(cfg, args)
     except Exception as exc:  # every failure becomes a structured record
         for klass, label, code in _ERROR_TYPES:

@@ -20,12 +20,6 @@ MINUS, PLUS, XI = 0, 1, 2
 ELECTRONIC_DIM = 3
 LEVEL_NAMES = ("-", "+", "xi")
 
-_LEVEL_ALIASES = {
-    "-": MINUS, "minus": MINUS,
-    "+": PLUS, "plus": PLUS,
-    "xi": XI, "ξ": XI,
-}
-
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -34,10 +28,9 @@ PSD_TOL = 1e-10
 def level_index(level) -> int:
     """Normalize an electronic level given as int (0..2) or name ('-', '+', 'xi')."""
     if isinstance(level, str):
-        try:
-            return _LEVEL_ALIASES[level]
-        except KeyError:
-            raise ValueError(f"unknown electronic level {level!r}") from None
+        if level not in LEVEL_NAMES:
+            raise ValueError(f"unknown electronic level {level!r}")
+        return LEVEL_NAMES.index(level)
     level = int(level)
     if level not in (MINUS, PLUS, XI):
         raise ValueError(f"electronic level index {level} not in 0..2")

@@ -100,12 +100,6 @@ class CoherenceEstimate:
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be >= 0")
-        if self.shots_used == 0 and self.stderr != 0.0:
-            raise ValueError("exact-mode estimate must carry stderr = 0")
-
 
 def _check_input(phi: VibrationalState, dims: HilbertDims) -> None:
     """Reject an input of the wrong dimension or with too much truncation leakage.
@@ -154,16 +148,20 @@ def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
     return schedule
 
 
-def _check_target(k: int, cutoff: int, mode: str, compiled: bool) -> None:
-    """Reject a branch-shift target beyond the cutoff, or beyond a ladder's reach.
+def shifter_reach(cutoff: int, v_mode: str) -> int:
+    """Largest target k of a branch shifter V+_k or V-_k on a mode with `cutoff` Fock levels.
 
-    A compiled ladder needs k <= d-2 so it stays clear of the truncation boundary.
+    An ideal shifter reaches every retained level, k <= d-1; a compiled ladder
+    needs k <= d-2 so that it stays clear of the truncation boundary.
     """
-    if compiled:
-        if not 0 <= k <= cutoff - 2:
-            raise ValueError(f"compiled ladder requires 0 <= k <= d{mode}-2 = {cutoff - 2}, got {k}")
-    elif not 0 <= k < cutoff:
-        raise ValueError(f"target Fock index {k} out of range for d{mode}={cutoff}")
+    return cutoff - 1 if v_mode == "ideal" else cutoff - 2
+
+
+def _check_target(k: int, cutoff: int, mode: str, v_mode: str) -> None:
+    """Reject a branch-shift target outside 0..shifter_reach."""
+    reach = shifter_reach(cutoff, v_mode)
+    if not 0 <= k <= reach:
+        raise ValueError(f"{v_mode} shifter target k = {k} out of reach 0..{reach} for d{mode}={cutoff}")
 
 
 def _ladder_schedule(k: int, levels: tuple[str, str], mode: str) -> list[PulseSpec]:
@@ -234,8 +232,6 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     their random numbers. stderr combines the two sample means:
     sqrt(var_x + var_y) / sqrt(shots).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     stats = {}
     for observable, tag in _OBSERVABLE_TAGS.items():
         probs = reduced_probabilities(red, observable)
@@ -282,15 +278,14 @@ def _slice_images(m: int, n: int, settings: ProtocolSettings) -> np.ndarray:
     then the ideal or the compiled shifters.
     """
     dims = settings.dims
-    compiled = settings.v_mode == "compiled"
-    _check_target(m, dims.dz, "z", compiled)
-    _check_target(n, dims.dx, "x", compiled)
+    _check_target(m, dims.dz, "z", settings.v_mode)
+    _check_target(n, dims.dx, "x", settings.v_mode)
     k = np.arange(dims.dx)
     w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, dims.dx), dtype=complex)
     w[MINUS, k, 0, k] = 1.0
     for spec in u00_schedule(settings.compat_rminus_final):
         act_pulse(spec, w)
-    return (_shift_compiled if compiled else _shift_ideal)(w, m, n)
+    return (_shift_ideal if settings.v_mode == "ideal" else _shift_compiled)(w, m, n)
 
 
 def _slice_reduced(w: np.ndarray, rho_vibr: np.ndarray) -> np.ndarray:

@@ -86,16 +86,6 @@ class PulseSpec:
             "phase": float(self.phase),
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "PulseSpec":
-        return cls(
-            kind=record["kind"],
-            levels=tuple(record["levels"]),
-            mode=record["mode"],
-            angle=float(record["angle"]),
-            phase=float(record.get("phase", 0.0)),
-        )
-
 
 def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
                  angle: float, coupling: complex) -> None:

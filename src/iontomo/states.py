@@ -10,6 +10,7 @@ the truncated state so every downstream invariant holds exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .hilbert import DensityOperator
 STATE_NORM_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-12
 _TAIL_EXTEND = 512
+# exp(-x) is 0 in double precision for every x above ~745.2.
+_EXP_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +90,9 @@ def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -
     tail = float(suffix[dim]) if dim < len(suffix) else beyond
     if tail > tail_tol:
         ok = np.nonzero(suffix <= tail_tol)[0]
-        required = int(ok[0]) if len(ok) else len(populations)
-        raise TruncationLeakageError(kind, dim, tail, tail_tol, required)
+        if len(ok):
+            raise TruncationLeakageError(kind, dim, tail, tail_tol, int(ok[0]))
+        raise TruncationLeakageError(kind, dim, tail, tail_tol, len(populations), lower_bound=True)
     return tail
 
 
@@ -105,8 +109,11 @@ def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> Vibrat
     """Guard the analytic tail of amps beyond dim, then renormalize what the cutoff keeps."""
     tail = _guard_tail(kind, np.abs(amps) ** 2, dim, tail_tol)
     v = amps[:dim]
-    v = v / np.linalg.norm(v)
-    return VibrationalState(dim, amplitudes=v, tail_mass=tail, tail_tol=tail_tol)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError(f"{kind} state keeps no representable amplitude below the cutoff "
+                         f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
+    return VibrationalState(dim, amplitudes=v / norm, tail_mass=tail, tail_tol=tail_tol)
 
 
 def _abs_sq(z: complex) -> float:
@@ -179,9 +186,13 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
     if tail > tail_tol:
         # q**d <= tail_tol from d = log(tail_tol) / log(q); log(q) = -log1p(1/nbar)
         # keeps its digits where q rounds to 1, and no cutoff past 2**63 is buildable.
-        required = math.ceil(min(math.log(tail_tol) / -math.log1p(1.0 / nbar), 2.0 ** 63))
-        raise TruncationLeakageError("thermal", dim, tail, tail_tol, required)
+        required = math.log(tail_tol) / -math.log1p(1.0 / nbar)
+        raise TruncationLeakageError("thermal", dim, tail, tail_tol, math.ceil(min(required, 2.0 ** 63)),
+                                     lower_bound=required > 2.0 ** 63)
     p = (1.0 - q) * q ** np.arange(dim)
+    if p.sum() == 0.0:
+        raise ValueError(f"thermal state keeps no representable population below the cutoff "
+                         f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
     p = p / p.sum()
     return VibrationalState(dim, matrix=np.diag(p).astype(complex),
                             tail_mass=tail, tail_tol=tail_tol)
@@ -196,10 +207,19 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     if not 0 <= lam < math.inf:
         raise ValueError(f"dephasing strength must be finite and >= 0, got {lam}")
     n = np.arange(state.dim)
-    kernel = np.exp(-lam * (n[:, None] - n[None, :]) ** 2)
+    # Capping lam where exp underflows changes no entry and keeps lam (m-n)^2 finite.
+    kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * (n[:, None] - n[None, :]) ** 2)
     rho = state.density_matrix() * kernel
     return VibrationalState(state.dim, matrix=rho,
                             tail_mass=state.tail_mass, tail_tol=state.tail_tol)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, scaled by its largest part only where the plain sum of squares overflows."""
+    big = float(np.max(np.abs(v.view(float)), initial=0.0))
+    if big * big * len(v) <= sys.float_info.max:
+        return float(np.linalg.norm(v))
+    return big * float(np.linalg.norm(v / big))
 
 
 def from_amplitudes(values, dim: int | None = None) -> VibrationalState:
@@ -207,7 +227,7 @@ def from_amplitudes(values, dim: int | None = None) -> VibrationalState:
     v = np.array(values, dtype=complex).reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"raw amplitude list has length {v.shape[0]}, expected {dim}")
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     if norm < 1e-30:
         raise DegenerateInputError("raw amplitude list is the zero vector")
     if abs(norm - 1.0) > 1e-6:

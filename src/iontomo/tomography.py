@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .hilbert import DensityOperator
-from .protocol import ProtocolSettings, measure_prepared, prepare_vibrational
+from .protocol import ProtocolSettings, measure_prepared, prepare_vibrational, shifter_reach
 from .states import VibrationalState, dephase
 
 
@@ -36,7 +36,6 @@ class ReconstructionReport:
     truth: np.ndarray | None = None
     projected: np.ndarray | None = None
     metrics: dict = field(default_factory=dict)
-    settings: dict = field(default_factory=dict)
 
 
 def _as_matrix(obj) -> np.ndarray:
@@ -96,12 +95,9 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     element-independence property.
     """
     dims = settings.dims
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    if nmax + 1 > dims.dx:
-        raise ValueError(f"nmax {nmax} needs dx >= {nmax + 1}, got {dims.dx}")
-    if settings.v_mode == "compiled" and nmax > dims.dx - 2:
-        raise ValueError(f"compiled mode needs nmax <= dx-2 = {dims.dx - 2}, got {nmax}")
+    reach = shifter_reach(dims.dx, settings.v_mode)
+    if not 0 <= nmax <= reach:
+        raise ValueError(f"nmax {nmax} out of the {settings.v_mode} shifter reach 0..{reach} at dx={dims.dx}")
     size = nmax + 1
     rho_vibr = prepare_vibrational(phi, dims)
     estimates = np.zeros((size, size), dtype=complex)
@@ -122,18 +118,8 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
         "hs_distance": hs_distance(estimates, truth),
     }
     projected = project_physical(estimates).matrix
-    echo = {
-        "dx": dims.dx,
-        "dz": dims.dz,
-        "v_mode": settings.v_mode,
-        "shots": settings.shots,
-        "seed": settings.seed,
-        "nmax": nmax,
-        "use_hermitian_symmetry": use_hermitian_symmetry,
-        "compat_rminus_final": settings.compat_rminus_final,
-    }
     return ReconstructionReport(nmax, estimates, stderrs, truth=truth,
-                                projected=projected, metrics=metrics, settings=echo)
+                                projected=projected, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -163,8 +149,10 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
         raise ValueError("lambda list must not be empty")
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
-    if settings.dims.dx < 3:
-        raise ValueError("monitor needs dx >= 3 to address the (2, 0) element")
+    reach = shifter_reach(settings.dims.dx, settings.v_mode)
+    if reach < 2:
+        raise ValueError(f"monitor addresses the (2, 0) element, beyond the {settings.v_mode} "
+                         f"shifter reach 0..{reach} at dx={settings.dims.dx}")
     points = []
     for lam in lambdas:
         rho_vibr = prepare_vibrational(dephase(phi, lam), settings.dims)

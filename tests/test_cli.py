@@ -331,7 +331,7 @@ BAD_NUMBERS = [
                          ids=[f"{'.'.join(p)}={lit}" for _, p, lit in BAD_NUMBERS])
 def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
     cfg = {"dims": {"dx": 8, "dz": 8},
-           "state": {"kind": "coherent", "alpha": 0.8, "tail_tol": 1e-5, **state},
+           "state": {"tail_tol": 1e-5, **(state or {"kind": "coherent", "alpha": 0.8})},
            "nmax": 2, "v_mode": "ideal", "seed": 0}
     node = cfg
     for key in path[:-1]:
@@ -385,6 +385,80 @@ def test_far_tail_is_truncation_leakage(write_config, capsys, state):
     assert record["error"]["type"] == "truncation-leakage"
 
 
+# Huge but finite inputs that once made numpy warn on stderr: (state, cutoff, outcome), the
+# outcome being the value of cell (2, 0) or the type of the error record.
+EXTREME_INPUTS = [
+    ({"kind": "coherent", "alpha": 0.8, "tail_tol": 1e-5, "dephase": 1e308}, 8, 0.0),
+    ({"kind": "raw", "amplitudes": [1e154, 1e154]}, 2, "invalid-arguments"),
+    ({"kind": "coherent", "alpha": 30, "tail_tol": 2.0}, 4, "invalid-arguments"),
+    ({"kind": "thermal", "nbar": 1e300, "tail_tol": 2.0}, 4, "invalid-arguments"),
+]
+
+
+@pytest.mark.parametrize("state,d,outcome", EXTREME_INPUTS,
+                         ids=["dephase-1e308", "raw-1e154", "coherent30-tol2", "thermal1e300-tol2"])
+def test_extreme_inputs_leave_stderr_empty(write_config, capsys, state, d, outcome):
+    cfg = write_config(dims={"dx": d, "dz": d}, state=state)
+    code = run(["coherence", "--config", cfg, "--m", "2", "--n", "0"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    if isinstance(outcome, str):
+        assert code == 1 and doc["error"]["type"] == outcome
+    else:
+        assert code == 0 and doc["value"] == {"re": outcome, "im": outcome}
+
+
+# One misspelt field per level of the config, and the name the error must give.
+UNKNOWN_FIELDS = [
+    ("top", {"shot": 1000}, "'shot'"),
+    ("dims", {"dims": {"dx": 8, "dz": 8, "dy": 8}}, "'dims.dy'"),
+    ("state", {"state": {"kind": "coherent", "alpha": 0.8, "tail_tol": 1e-5, "dephse": 0.4}},
+     "'state.dephse'"),
+    ("state-kind", {"state": {"kind": "fock", "n": 0, "alpha": 0.8}}, "'state.alpha'"),
+]
+# validate reads no state, so only the top level and dims reach it.
+UNKNOWN_FIELD_RUNS = [(command, *case) for case in UNKNOWN_FIELDS
+                      for command in ("reconstruct", "coherence", "monitor", "validate")
+                      if command != "validate" or not case[0].startswith("state")]
+
+
+@pytest.mark.parametrize("command,level,overrides,name", UNKNOWN_FIELD_RUNS,
+                         ids=[f"{c}-{level}" for c, level, _, _ in UNKNOWN_FIELD_RUNS])
+def test_unknown_config_field_is_config_error(write_config, capsys, command, level, overrides, name):
+    cfg = write_config(**overrides)
+    args = {"coherence": ["--m", "0", "--n", "0"], "monitor": ["--lambdas", "0"]}.get(command, [])
+    assert run([command, "--config", cfg, *args]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "config-error", "message": f"unknown config field {name}"}
+
+
+@pytest.mark.parametrize("overrides,argv,kind", [
+    ({"out": 2}, [], "config-error"),
+    ({"out": True}, [], "config-error"),
+    ({"format": "xml"}, [], "config-error"),
+    ({"out": ""}, [], "invalid-arguments"),
+    ({}, ["--out", "missing-dir/out.json"], "invalid-arguments"),
+], ids=["out-int", "out-bool", "format-xml", "out-empty", "out-missing-dir"])
+def test_bad_output_target_is_structured_error(write_config, capsys, monkeypatch, tmp_path,
+                                               overrides, argv, kind):
+    # an integer out once opened (and closed) that file descriptor
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(**overrides)
+    assert run(["reconstruct", "--config", cfg, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"]["type"] == kind
+
+
+def test_every_documented_field_is_accepted(write_config, tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = write_config(shots=100, out=str(out), format="csv",
+                       state={"kind": "squeezed", "r": 0.1, "phi": 0.2, "tail_tol": 1e-3, "dephase": 0.1})
+    assert run(["reconstruct", "--config", cfg]) == 0
+    assert out.read_text().startswith("m,n,re,im,stderr\n")
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _COMPLEX = st.one_of(_FINITE, st.fixed_dictionaries({"re": _FINITE, "im": _FINITE}))
 _OPTIONAL = {"tail_tol": _FINITE, "dephase": _FINITE}
@@ -417,3 +491,95 @@ def test_fuzzed_state_configs_never_crash(state, d, v_mode):
         assert all(math.isfinite(doc["value"][part]) for part in ("re", "im"))
     else:
         assert doc["error"]["type"] != "internal-error", doc["error"]
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+def _mostly(good, wild):
+    """good seven times in eight, so that about half the runs reach the engine."""
+    return st.integers(0, 7).flatmap(lambda i: wild if i == 7 else good)
+
+
+_RUN_STATES = _mostly(st.sampled_from([
+    {"kind": "fock", "n": 1},
+    {"kind": "coherent", "alpha": {"re": 0.4, "im": -0.3}, "tail_tol": 0.2, "dephase": 0.2},
+    {"kind": "thermal", "nbar": 0.3, "tail_tol": 0.2},
+]), _STATES)
+_RUN_FIELDS = {
+    "nmax": _mostly(st.integers(0, 6), _INT64),
+    "shots": _mostly(st.one_of(st.none(), st.integers(1, 10 ** 5)), _INT64),
+    "seed": _mostly(st.integers(0, 100), _INT64),
+    "v_mode": _mostly(st.sampled_from(["ideal", "compiled"]), st.just("exact")),
+}
+_INDEX = _mostly(st.integers(0, 6), st.integers(-2 ** 70, 2 ** 70))
+_LAMBDAS = _mostly(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(sorted).map(
+    lambda lams: ",".join(map(repr, lams))),
+    st.lists(st.one_of(_FINITE.map(repr), st.sampled_from(["nan", "-inf", "x", ""])),
+             max_size=4).map(",".join))
+
+
+@st.composite
+def _cli_runs(draw):
+    """A config with most run fields, and one subcommand with its arguments."""
+    d = draw(st.integers(2, 8))
+    cfg = {"dims": {"dx": d, "dz": d}, "state": draw(_RUN_STATES)}
+    for key, values in _RUN_FIELDS.items():
+        if draw(st.integers(0, 5)) < 5:
+            cfg[key] = draw(values)
+    command = draw(st.sampled_from(["reconstruct", "coherence", "monitor", "validate"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--compat-rminus-final")
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "reconstruct" and draw(st.booleans()):
+        argv.append("--use-hermitian-symmetry")
+    if command == "coherence":
+        for flag in ("--m", "--n"):
+            if draw(st.integers(0, 9)) < 9:
+                argv += [flag, str(draw(_INDEX))]
+    if command == "monitor" and draw(st.integers(0, 9)) < 9:
+        argv += ["--lambdas", draw(_LAMBDAS)]
+    return cfg, argv
+
+
+def _numbers(node):
+    """Every number in a parsed JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(run=_cli_runs())
+def test_fuzzed_runs_end_in_numbers_or_structured_errors(run):
+    cfg, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(path)])
+    text = out.getvalue()
+    assert err.getvalue() == ""
+    if text.startswith("{\"error\""):
+        error = json.loads(text)["error"]
+        assert code != 0
+        assert error["type"] != "internal-error", error
+        assert "non-finite" not in error["message"], error
+    elif argv[0] == "validate":
+        # the PASS/FAIL table: finite deviations, exit 0 exactly when every check passes
+        lines = text.splitlines()
+        assert len(lines) == 6 and all(line.split()[0] in ("PASS", "FAIL") for line in lines)
+        assert all(math.isfinite(float(line.split()[3].rstrip(","))) for line in lines)
+        assert code == (1 if "FAIL" in text else 0)
+    else:
+        assert code == 0
+        if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            values = [float(v) for row in text.splitlines()[1:] for v in row.split(",")]
+        else:
+            values = _numbers(json.loads(text))
+        assert values and all(math.isfinite(v) for v in values)

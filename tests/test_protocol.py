@@ -16,7 +16,6 @@ from iontomo import cli, hilbert, protocol, pulses, states, tomography
 from iontomo.errors import TruncationLeakageError
 from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
 from iontomo.protocol import (
-    CoherenceEstimate,
     ProtocolSettings,
     _sample_reduced,
     _shift_compiled,
@@ -495,8 +494,12 @@ class TestSampling:
             assert abs(samples.mean() - part(exact)) <= 3 * sem
 
     def test_shots_validation(self):
-        with pytest.raises(ValueError):
-            _sample_reduced(self._red_00_vacuum(), 0, 0, shots=0, seed=1)
+        # the shot count reaches the sampler only through ProtocolSettings, which owns its check
+        for shots in (0, -5):
+            with pytest.raises(ValueError):
+                ProtocolSettings(DIMS, shots=shots)
+        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(DIMS, shots=1, seed=1))
+        assert est.shots_used == 1 and est.stderr == 0.0
 
     @staticmethod
     def _reduced_with_p_plus(p_plus):
@@ -548,10 +551,14 @@ class TestSettingsValidation:
             ProtocolSettings(DIMS, shots=0)
 
     def test_estimate_invariants(self):
-        with pytest.raises(ValueError):
-            CoherenceEstimate(1.0 + 0j, -0.1, 100, 0, 0)
-        with pytest.raises(ValueError):
-            CoherenceEstimate(1.0 + 0j, 0.2, 0, 0, 0)
+        # the engine builds every estimate: exact ones carry no shots and no error,
+        # sampled ones the settings' shots and a nonnegative error
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        exact = measure_element(phi, 1, 0, SETTINGS)
+        assert (exact.shots_used, exact.stderr) == (0, 0.0)
+        for m, n in ((0, 0), (1, 0), (2, 2)):
+            est = measure_element(phi, m, n, ProtocolSettings(DIMS, shots=50, seed=3))
+            assert est.shots_used == 50 and est.stderr >= 0.0
 
 
 class TestHotPathInvariants:

@@ -1,6 +1,7 @@
 """Tests for the vibrational state constructors and the dephasing channel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,8 +271,67 @@ class TestFarTail:
         assert abs(st.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
         assert st.tail_mass < 1e-12
 
+    @pytest.mark.parametrize("build", [lambda: coherent(25, 12), lambda: thermal(1e300, 12)],
+                             ids=["coherent25", "thermal1e300"])
+    def test_lower_bound_wording(self, build):
+        # coherent(25) needs about 800 levels for a 1e-12 tail; its extended range ends at
+        # 12 + 512, and the thermal cutoff is capped at 2**63
+        with pytest.raises(TruncationLeakageError) as err:
+            build()
+        assert err.value.lower_bound
+        assert str(err.value).endswith(
+            f"need dim >= {err.value.required_dim} (a lower bound: no cutoff in the range "
+            "the constructor examines meets the tolerance)")
+
+    @pytest.mark.parametrize("build", [lambda: coherent(2.0, 4), lambda: thermal(1e17, 12)],
+                             ids=["coherent2", "thermal1e17"])
+    def test_in_range_wording(self, build):
+        with pytest.raises(TruncationLeakageError) as err:
+            build()
+        assert not err.value.lower_bound
+        assert str(err.value).endswith(f"need dim >= {err.value.required_dim}")
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
     def test_tail_tol_must_be_positive(self, tol):
         for build in (lambda: coherent(0.5, 8, tail_tol=tol), lambda: thermal(0.5, 8, tail_tol=tol)):
             with pytest.raises(ValueError, match="tail_tol"):
                 build()
+
+
+class TestNoRuntimeWarnings:
+    """Extreme but finite inputs reach the same outcome as before, without a numpy warning."""
+
+    @staticmethod
+    def quiet(build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return build()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 745.0, 800.0, 1e308])
+    def test_dephase_kernel_unchanged(self, lam):
+        st = coherent(0.5, 6, tail_tol=1e-3)
+        n = np.arange(6)
+        with np.errstate(over="ignore"):
+            kernel = np.exp(-lam * (n[:, None] - n[None, :]) ** 2)
+        out = self.quiet(lambda: dephase(st, lam))
+        assert np.array_equal(out.matrix, st.density_matrix() * kernel)
+
+    def test_raw_norm_near_float_max(self):
+        with pytest.raises(ValueError, match="deviates from 1") as err:
+            self.quiet(lambda: from_amplitudes([1e154, 1e154]))
+        assert type(err.value) is ValueError
+
+    def test_raw_norm_keeps_bits(self):
+        v = np.array([0.6, 0.8 * (1 + 5e-7), 1e-3j, -2e-4])
+        assert np.array_equal(from_amplitudes(v).amplitudes, v / np.linalg.norm(v))
+
+    def test_coherent_with_nothing_kept(self):
+        # tail_tol = 2 lets the whole mass leak; the kept amplitudes underflow to a zero norm
+        with pytest.raises(ValueError, match="no representable amplitude") as err:
+            self.quiet(lambda: coherent(30, 4, tail_tol=2.0))
+        assert type(err.value) is ValueError
+
+    def test_thermal_with_nothing_kept(self):
+        with pytest.raises(ValueError, match="no representable population") as err:
+            self.quiet(lambda: thermal(1e300, 4, tail_tol=2.0))
+        assert type(err.value) is ValueError

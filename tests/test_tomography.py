@@ -1,10 +1,12 @@
 """Tests for the reconstruction sweep, physical projection, metrics, and monitor."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from iontomo import cli
 from iontomo.errors import DegenerateInputError
 from iontomo.hilbert import DensityOperator, HilbertDims
 from iontomo.protocol import ProtocolSettings, measure_element
@@ -52,11 +54,18 @@ class TestReconstruct:
         shortcut = reconstruct(phi, 3, SETTINGS, use_hermitian_symmetry=True)
         assert np.max(np.abs(full.estimates - shortcut.estimates)) <= 1e-9
 
-    def test_settings_echo(self):
-        report = reconstruct(fock(0, 8), 1, SETTINGS)
-        assert report.settings["nmax"] == 1
-        assert report.settings["v_mode"] == "ideal"
-        assert report.settings["dx"] == 8
+    def test_settings_echo(self, tmp_path, capsys):
+        # the run record is the CLI's; the report carries only the reconstruction
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dims": {"dx": 8, "dz": 8}, "state": {"kind": "fock", "n": 0},
+                                      "nmax": 1}))
+        assert cli.main(["reconstruct", "--config", str(config)]) == 0
+        echo = json.loads(capsys.readouterr().out)["settings"]
+        assert echo["nmax"] == 1
+        assert echo["v_mode"] == "ideal"
+        assert echo["dims"] == {"dx": 8, "dz": 8}
+        assert echo["state"] == {"kind": "fock", "n": 0}
+        assert not hasattr(reconstruct(fock(0, 8), 1, SETTINGS), "settings")
 
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError):
