@@ -6,7 +6,7 @@ transverse pseudospin expectations, one element per protocol run.
 """
 
 from .errors import DegenerateInputError, TruncationLeakageError
-from .hilbert import MINUS, PLUS, XI, DensityOperator, HilbertDims
+from .hilbert import MINUS, PLUS, XI, HilbertDims
 from .protocol import (
     CoherenceEstimate,
     ProtocolSettings,

@@ -213,10 +213,10 @@ def build_settings(cfg: dict, dims: HilbertDims, compat: bool) -> protocol.Proto
         raise ConfigError(str(exc)) from exc
 
 
-def _settings_echo(cfg: dict, settings: protocol.ProtocolSettings, **extra) -> dict:
+def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
+    """The run record: the settings, plus what else the subcommand read (its state, say)."""
     echo = {
         "dims": {"dx": settings.dims.dx, "dz": settings.dims.dz},
-        "state": _field(cfg, "state", {}),
         "v_mode": settings.v_mode,
         "shots": settings.shots,
         "seed": settings.seed,
@@ -227,9 +227,11 @@ def _settings_echo(cfg: dict, settings: protocol.ProtocolSettings, **extra) -> d
 
 
 def _resolve_output(cfg: dict, args) -> None:
-    """Settle args.out and args.format: the flag, else the config's out and format fields."""
-    args.out = args.out or _field(cfg, "out", None)
-    args.format = args.format or _field(cfg, "format", "json")
+    """Settle args.out and args.format: the flag if given, else the config's out and format fields."""
+    if args.out is None:
+        args.out = _field(cfg, "out", None)
+    if args.format is None:
+        args.format = _field(cfg, "format", "json")
     if args.out is not None and not isinstance(args.out, str):
         raise ConfigError(f"field 'out' must be a path string, got {args.out!r}")
     if args.format not in ("json", "csv"):
@@ -279,7 +281,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
             "projected": [[complex_record(v) for v in row] for row in report.projected],
             "metrics": report.metrics,
         },
-        "settings": _settings_echo(cfg, settings, nmax=report.nmax,
+        "settings": _settings_echo(settings, state=cfg["state"], nmax=report.nmax,
                                    use_hermitian_symmetry=args.use_hermitian_symmetry),
     }
     rows = [[m, n, report.estimates[m, n].real, report.estimates[m, n].imag, report.stderrs[m, n]]
@@ -300,7 +302,7 @@ def cmd_coherence(cfg: dict, args) -> int:
         "value": complex_record(est.value),
         "stderr": est.stderr,
         "shots": est.shots_used,
-        "settings": _settings_echo(cfg, settings),
+        "settings": _settings_echo(settings, state=cfg["state"]),
     }
     rows = [[est.m, est.n, est.value.real, est.value.imag, est.stderr, est.shots_used]]
     return _emit(args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
@@ -325,7 +327,7 @@ def cmd_monitor(cfg: dict, args) -> int:
     payload = {
         "series": [{"lambda": p.lam, "rho20_abs": p.rho20_abs, "bound": p.bound}
                    for p in points],
-        "settings": _settings_echo(cfg, settings),
+        "settings": _settings_echo(settings, state=cfg["state"]),
     }
     rows = [[p.lam, p.rho20_abs, p.bound] for p in points]
     return _emit(args, payload, ["lambda", "rho20_abs", "bound"], rows)
@@ -409,7 +411,7 @@ def cmd_validate(cfg: dict, args) -> int:
                         for k in _ladder_targets(dims)},
         }
         payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
-                   "settings": _settings_echo(cfg, settings)}
+                   "settings": _settings_echo(settings)}
         _write_output(stable_json(payload) + "\n", args.out)
     return 0 if all_passed else 1
 

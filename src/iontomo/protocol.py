@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationLeakageError
 from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI, HilbertDims
 from .pulses import PulseSpec, act_pulse
 from .states import VibrationalState
@@ -101,25 +100,15 @@ class CoherenceEstimate:
     n: int
 
 
-def _check_input(phi: VibrationalState, dims: HilbertDims) -> None:
-    """Reject an input of the wrong dimension or with too much truncation leakage.
+def prepare_vibrational(phi: VibrationalState, dims: HilbertDims) -> np.ndarray:
+    """The write-locked dx x dx rho_vibr that measure_prepared reads.
 
-    The leakage is the tail mass the state recorded, against the tolerance it
-    was built under.
+    phi was checked as a state, its truncation leakage included, when it was
+    built; here only its dimension is checked against dx, once per input
+    however many cells read it.
     """
     if phi.dim != dims.dx:
         raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
-    if phi.tail_mass > phi.tail_tol:
-        raise TruncationLeakageError("input", phi.dim, phi.tail_mass, phi.tail_tol, phi.dim)
-
-
-def prepare_vibrational(phi: VibrationalState, dims: HilbertDims) -> np.ndarray:
-    """The checked, write-locked dx x dx rho_vibr that measure_prepared reads.
-
-    phi was verified as a state when it was built; here it is checked against
-    the protocol (see _check_input), once per input however many cells read it.
-    """
-    _check_input(phi, dims)
     rho = phi.density_matrix()
     rho.setflags(write=False)
     return rho

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, TruncationLeakageError
-from .hilbert import DensityOperator
 
 STATE_NORM_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-12
@@ -29,11 +28,13 @@ _EXP_UNDERFLOW = 746.0
 class VibrationalState:
     """Pure or mixed state of one vibrational mode on a truncated Fock space.
 
-    tail_mass records the analytic population the truncation discarded
-    (zero for states defined directly on the truncated space), tail_tol the
-    tolerance it was constructed under. A density matrix passes the
-    DensityOperator checks (hermitian to 1e-12, trace 1 to 1e-10, no
-    eigenvalue below -1e-10).
+    This is the one place a caller's state is checked. Amplitudes must be
+    finite and normalized to 1e-10; a density matrix must be dim x dim, finite,
+    hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue below
+    -1e-10. Either is kept as a write-locked copy. tail_mass records the
+    analytic population the truncation discarded (zero for states defined
+    directly on the truncated space), tail_tol the tolerance it was
+    constructed under; construction fails unless tail_mass <= tail_tol.
     """
 
     dim: int
@@ -56,7 +57,24 @@ class VibrationalState:
             v.setflags(write=False)
             object.__setattr__(self, "amplitudes", v)
         else:
-            object.__setattr__(self, "matrix", DensityOperator(self.matrix, self.dim).matrix)
+            m = np.array(self.matrix, dtype=complex)
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"density matrix shape {m.shape} != ({self.dim}, {self.dim})")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("density matrix has non-finite entries")
+            if np.max(np.abs(m - m.conj().T)) > 1e-12:
+                raise ValueError("density matrix is not hermitian within 1e-12")
+            tr = np.trace(m)
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"density matrix trace {tr} deviates from 1 by more than 1e-10")
+            lo = np.linalg.eigvalsh(m)[0]
+            if lo < -1e-10:
+                raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-10")
+            m.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
+        # "not <=" also rejects a NaN tail mass or tolerance.
+        if not self.tail_mass <= self.tail_tol:
+            raise TruncationLeakageError("input", self.dim, self.tail_mass, self.tail_tol, self.dim)
 
     @property
     def is_pure(self) -> bool:

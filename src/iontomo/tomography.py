@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
-from .hilbert import DensityOperator
 from .protocol import ProtocolSettings, measure_prepared, prepare_vibrational, shifter_reach
 from .states import VibrationalState, dephase
 
@@ -27,7 +26,7 @@ class ReconstructionReport:
     estimates[m, n] is the measured <m| rho_vibr |n>; stderrs is zero in exact
     mode. truth is the same block of the known input (always available here,
     optional in the schema), projected the Hilbert-Schmidt-nearest density
-    matrix to the estimates (see project_physical).
+    matrix to the estimates (see project_physical). All four are plain arrays.
     """
 
     nmax: int
@@ -38,13 +37,9 @@ class ReconstructionReport:
     metrics: dict = field(default_factory=dict)
 
 
-def _as_matrix(obj) -> np.ndarray:
-    return np.asarray(obj.matrix if isinstance(obj, DensityOperator) else obj, dtype=complex)
-
-
 def trace_distance(a, b) -> float:
-    """(1/2) sum |eigenvalues of A - B| for hermitian A, B (density operators or blocks)."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    """(1/2) sum |eigenvalues of A - B| for hermitian A, B (density matrices or blocks)."""
+    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     diff = ma - mb
@@ -54,22 +49,23 @@ def trace_distance(a, b) -> float:
 
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt (Frobenius) distance between two matrices."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     return float(np.linalg.norm(ma - mb))
 
 
-def project_physical(matrix) -> DensityOperator:
+def project_physical(matrix) -> np.ndarray:
     """Hilbert-Schmidt-nearest density matrix to the hermitian part of a square matrix.
 
     Keeps the eigenvectors of the hermitian part and projects its eigenvalues
     onto the probability simplex, lambda_i -> max(lambda_i - t, 0) with the
     shift t that makes them sum to one (Smolin, Gambetta & Smith, PRL 108,
-    070502 (2012)). A matrix with no positive eigenvalue carries no state
-    information and is rejected.
+    070502 (2012)). The result is a hermitian array of unit trace with no
+    negative eigenvalue, to rounding, and is not checked again. A matrix with
+    no positive eigenvalue carries no state information and is rejected.
     """
-    m = _as_matrix(matrix)
+    m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = (m + m.conj().T) / 2.0
@@ -81,8 +77,7 @@ def project_physical(matrix) -> DensityOperator:
     shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(w) + 1)
     t = shifts[np.nonzero(desc > shifts)[0][-1]]
     rho = (v * np.clip(w - t, 0.0, None)) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityOperator(rho, m.shape[0])
+    return (rho + rho.conj().T) / 2.0
 
 
 def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
@@ -117,7 +112,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
         "trace_distance": trace_distance(estimates, truth),
         "hs_distance": hs_distance(estimates, truth),
     }
-    projected = project_physical(estimates).matrix
+    projected = project_physical(estimates)
     return ReconstructionReport(nmax, estimates, stderrs, truth=truth,
                                 projected=projected, metrics=metrics)
 

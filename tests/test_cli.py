@@ -216,6 +216,18 @@ class TestValidateCommand:
         assert "FAIL pulse-unitarity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])
+def test_run_record_carries_the_state_it_read(write_config, tmp_path, command):
+    # validate reads no state, so its record must not vouch for one
+    state = {"kind": "wigner", "typo": 1} if command == "validate" else {"kind": "fock", "n": 1}
+    cfg = write_config(state=state)
+    out = tmp_path / "out.json"
+    args = {"coherence": ["--m", "1", "--n", "0"], "monitor": ["--lambdas", "0"]}.get(command, [])
+    assert run([command, "--config", cfg, "--out", str(out), *args]) == 0
+    record = json.loads(out.read_text())["settings"]
+    assert record.get("state") == (None if command == "validate" else state)
+
+
 class TestConfigAndErrors:
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -439,7 +451,8 @@ def test_unknown_config_field_is_config_error(write_config, capsys, command, lev
     ({"format": "xml"}, [], "config-error"),
     ({"out": ""}, [], "invalid-arguments"),
     ({}, ["--out", "missing-dir/out.json"], "invalid-arguments"),
-], ids=["out-int", "out-bool", "format-xml", "out-empty", "out-missing-dir"])
+    ({}, ["--out", ""], "invalid-arguments"),
+], ids=["out-int", "out-bool", "format-xml", "out-empty", "out-missing-dir", "flag-out-empty"])
 def test_bad_output_target_is_structured_error(write_config, capsys, monkeypatch, tmp_path,
                                                overrides, argv, kind):
     # an integer out once opened (and closed) that file descriptor
@@ -512,6 +525,13 @@ _RUN_FIELDS = {
     "seed": _mostly(st.integers(0, 100), _INT64),
     "v_mode": _mostly(st.sampled_from(["ideal", "compiled"]), st.just("exact")),
 }
+# Output targets by name; the test places them in each example's temp dir (see _placed).
+_OUT_TARGETS = st.sampled_from(["file", "", "missing-dir", "temp-dir"])
+_CONFIG_OUTS = _mostly(_OUT_TARGETS, st.one_of(st.none(), st.booleans(), _INT64, _FINITE,
+                                               st.lists(_OUT_TARGETS, max_size=2),
+                                               st.fixed_dictionaries({"path": _OUT_TARGETS})))
+_FORMATS = _mostly(st.sampled_from(["json", "csv"]),
+                   st.one_of(st.none(), st.sampled_from(["xml", "JSON", ""]), _INT64))
 _INDEX = _mostly(st.integers(0, 6), st.integers(-2 ** 70, 2 ** 70))
 _LAMBDAS = _mostly(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(sorted).map(
     lambda lams: ",".join(map(repr, lams))),
@@ -527,12 +547,17 @@ def _cli_runs(draw):
     for key, values in _RUN_FIELDS.items():
         if draw(st.integers(0, 5)) < 5:
             cfg[key] = draw(values)
+    for key, values in (("out", _CONFIG_OUTS), ("format", _FORMATS)):
+        if draw(st.integers(0, 3)) == 0:
+            cfg[key] = draw(values)
     command = draw(st.sampled_from(["reconstruct", "coherence", "monitor", "validate"]))
     argv = [command]
     if draw(st.booleans()):
         argv.append("--compat-rminus-final")
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out", draw(_OUT_TARGETS)]
     if command == "reconstruct" and draw(st.booleans()):
         argv.append("--use-hermitian-symmetry")
     if command == "coherence":
@@ -553,33 +578,60 @@ def _numbers(node):
     return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
+def _placed(target, tmp: Path):
+    """A drawn output target in tmp: named targets become paths, anything else stays as drawn."""
+    paths = {"file": tmp / "out.txt", "missing-dir": tmp / "missing" / "out.txt", "temp-dir": tmp}
+    return str(paths[target]) if isinstance(target, str) and target in paths else target
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(run=_cli_runs())
 def test_fuzzed_runs_end_in_numbers_or_structured_errors(run):
     cfg, argv = run
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
+        tmp = Path(tmp)
+        if "out" in cfg:
+            cfg = {**cfg, "out": _placed(cfg["out"], tmp)}
+        argv = [_placed(arg, tmp) if i and argv[i - 1] == "--out" else arg
+                for i, arg in enumerate(argv)]
+        path = tmp / "config.json"
         path.write_text(json.dumps(cfg))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--config", str(path)])
-    text = out.getvalue()
+        # every write stays in the temp dir, and only the file target can be written
+        assert {p.name for p in tmp.iterdir()} <= {"config.json", "out.txt"}
+        written = (tmp / "out.txt").read_text() if (tmp / "out.txt").exists() else None
+    lines = out.getvalue().splitlines()
     assert err.getvalue() == ""
-    if text.startswith("{\"error\""):
-        error = json.loads(text)["error"]
+    if argv[0] == "validate" and lines and not lines[0].startswith("{"):
+        # the PASS/FAIL table with finite deviations, printed before any --out file is written
+        table, lines = lines[:6], lines[6:]
+        assert len(table) == 6 and all(line.split()[0] in ("PASS", "FAIL") for line in table)
+        assert all(math.isfinite(float(line.split()[3].rstrip(","))) for line in table)
+        if not lines:
+            assert code == (1 if any(line.startswith("FAIL") for line in table) else 0)
+    if lines and lines[0].startswith("{\"error\""):
+        assert len(lines) == 1 and written is None
+        error = json.loads(lines[0])["error"]
         assert code != 0
         assert error["type"] != "internal-error", error
         assert "non-finite" not in error["message"], error
-    elif argv[0] == "validate":
-        # the PASS/FAIL table: finite deviations, exit 0 exactly when every check passes
-        lines = text.splitlines()
-        assert len(lines) == 6 and all(line.split()[0] in ("PASS", "FAIL") for line in lines)
-        assert all(math.isfinite(float(line.split()[3].rstrip(","))) for line in lines)
-        assert code == (1 if "FAIL" in text else 0)
+        return
+    # the numbers went where the run was told to put them: the --out flag, else the config's out
+    target = argv[argv.index("--out") + 1] if "--out" in argv else cfg.get("out")
+    assert (written is not None) == (target is not None)
+    if argv[0] == "validate":
+        if written is None:
+            return
+        fmt = "json"
     else:
         assert code == 0
-        if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
-            values = [float(v) for row in text.splitlines()[1:] for v in row.split(",")]
-        else:
-            values = _numbers(json.loads(text))
-        assert values and all(math.isfinite(v) for v in values)
+        assert written is None or not lines
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else cfg.get("format", "json")
+    text = "\n".join(lines) if written is None else written
+    if fmt == "csv":
+        values = [float(v) for row in text.splitlines()[1:] for v in row.split(",")]
+    else:
+        values = _numbers(json.loads(text))
+    assert values and all(math.isfinite(v) for v in values)

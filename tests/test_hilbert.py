@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from iontomo.hilbert import MINUS, PLUS, XI, DensityOperator, HilbertDims
+from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
 from iontomo.pulses import PulseSpec, act_pulse
 from iontomo.states import VibrationalState
 from util import expm_taylor, random_density, random_hermitian
@@ -258,11 +258,17 @@ class TestTypeInvariants:
             VibrationalState(2, amplitudes=np.array([1.0, 1.0]))
 
     def test_density_operator_checks(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.2, -0.2]), 2)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            VibrationalState(2, matrix=np.diag([1.2, -0.2]))
+        with pytest.raises(ValueError, match="shape"):
+            VibrationalState(3, matrix=np.eye(2) / 2)
+        with pytest.raises(ValueError, match="hermitian"):
+            VibrationalState(2, matrix=np.array([[0.5, 1e-11], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="trace"):
+            VibrationalState(2, matrix=np.diag([0.5, 0.5 + 1e-9]))
 
     def test_matrices_are_frozen(self):
-        rho = DensityOperator(np.eye(3) / 3, 3)
+        rho = VibrationalState(3, matrix=np.eye(3) / 3)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
         pure = VibrationalState(2, amplitudes=np.array([0.6, 0.8]))
@@ -273,7 +279,7 @@ class TestTypeInvariants:
     def test_non_finite_entries_rejected(self, bad):
         # NaN passes every "> tol" comparison, so it needs its own check
         with pytest.raises(ValueError, match="non-finite"):
-            DensityOperator(np.array([[1.0, bad], [bad, 0.0]]), 2)
+            VibrationalState(2, matrix=np.array([[1.0, bad], [bad, 0.0]]))
         with pytest.raises(ValueError, match="non-finite"):
             VibrationalState(2, matrix=np.array([[1.0, 0.0], [0.0, bad]]))
         with pytest.raises(ValueError, match="non-finite"):

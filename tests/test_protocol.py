@@ -96,13 +96,14 @@ class TestPrepareInitial:
         with pytest.raises(ValueError):
             prepare(fock(0, 6), DIMS)
 
-    @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
-    def test_rejects_leaky_state(self, prepare):
+    @pytest.mark.parametrize("tail_mass", [1e-3, math.nan, math.inf],
+                             ids=["leaky", "nan-tail", "inf-tail"])
+    def test_rejects_leaky_state(self, tail_mass):
+        # construction is the leakage check, so no preparer ever sees such a state
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0
-        leaky = VibrationalState(8, amplitudes=vec, tail_mass=1e-3, tail_tol=1e-12)
-        with pytest.raises(TruncationLeakageError):
-            prepare(leaky, DIMS)
+        with pytest.raises(TruncationLeakageError, match="input state leaks"):
+            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass, tail_tol=1e-12)
 
     def test_vibrational_input_is_locked_density_matrix(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)

@@ -8,7 +8,7 @@ import pytest
 
 from iontomo import cli
 from iontomo.errors import DegenerateInputError
-from iontomo.hilbert import DensityOperator, HilbertDims
+from iontomo.hilbert import HilbertDims
 from iontomo.protocol import ProtocolSettings, measure_element
 from iontomo.states import coherent, dephase, fock, thermal
 from iontomo.tomography import (
@@ -109,11 +109,11 @@ class TestProjectPhysical:
         rng = np.random.default_rng(3)
         rho = random_density(6, rng)
         out = project_physical(rho)
-        assert np.max(np.abs(out.matrix - rho)) <= 1e-12
+        assert np.max(np.abs(out - rho)) <= 1e-12
 
     def test_clip_and_renormalize(self):
         out = project_physical(np.diag([1.1, -0.1]))
-        assert np.allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
@@ -121,7 +121,7 @@ class TestProjectPhysical:
                                                 + 1j * rng.normal(size=(5, 5)))
         once = project_physical(noisy)
         twice = project_physical(once)
-        assert np.max(np.abs(once.matrix - twice.matrix)) <= 1e-12
+        assert np.max(np.abs(once - twice)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_output_always_valid(self, seed):
@@ -129,12 +129,15 @@ class TestProjectPhysical:
         noisy = random_density(6, rng) + 0.5 * (rng.normal(size=(6, 6))
                                                 + 1j * rng.normal(size=(6, 6)))
         out = project_physical(noisy)
-        assert isinstance(out, DensityOperator)
+        assert out.shape == (6, 6)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        assert abs(np.trace(out) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
     def test_simplex_projection_pinned(self):
         # clip-and-renormalize would give (7/12, 5/12, 0), which is farther away
         out = project_physical(np.diag([0.7, 0.5, -0.2]))
-        assert np.max(np.abs(out.matrix - np.diag([0.6, 0.4, 0.0]))) <= 1e-12
+        assert np.max(np.abs(out - np.diag([0.6, 0.4, 0.0]))) <= 1e-12
         clipped = np.diag([0.7, 0.5, 0.0]) / 1.2
         target = np.diag([0.7, 0.5, -0.2])
         assert hs_distance(out, target) < hs_distance(clipped, target) - 1e-3
@@ -142,7 +145,7 @@ class TestProjectPhysical:
     def test_excess_trace_shifts_every_kept_eigenvalue(self):
         # sum 1.6: the two largest drop by 0.25 each, the smallest would go negative and is cut
         out = project_physical(np.diag([0.9, 0.6, 0.1]))
-        assert np.max(np.abs(out.matrix - np.diag([0.65, 0.35, 0.0]))) <= 1e-12
+        assert np.max(np.abs(out - np.diag([0.65, 0.35, 0.0]))) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_qubit_matches_brute_force_grid(self, seed):
@@ -165,7 +168,7 @@ class TestProjectPhysical:
         rng = np.random.default_rng(300 + seed)
         dim = 3 + seed % 3
         target = random_density(dim, rng) + 0.3 * random_hermitian(dim, rng)
-        proj = project_physical(target).matrix
+        proj = project_physical(target)
         best = hs_distance(proj, target)
         for t in np.geomspace(1e-4, 1.0, 12):
             for _ in range(40):
