@@ -7,13 +7,7 @@ transverse pseudospin expectations, one element per protocol run.
 
 from .errors import DegenerateInputError, TruncationLeakageError
 from .hilbert import MINUS, PLUS, XI, HilbertDims
-from .protocol import (
-    CoherenceEstimate,
-    ProtocolSettings,
-    measure_element,
-    measure_prepared,
-    prepare_vibrational,
-)
+from .protocol import CoherenceEstimate, ProtocolSettings, measure_element
 from .pulses import PulseSpec, act_pulse
 from .states import VibrationalState, cat, coherent, dephase, fock, from_amplitudes, squeezed, thermal
 from .tomography import (

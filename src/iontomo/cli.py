@@ -78,6 +78,8 @@ def complex_record(z: complex) -> dict:
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return stable_json(v)
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
     return str(v)
@@ -412,7 +414,8 @@ def cmd_validate(cfg: dict, args) -> int:
         }
         payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
                    "settings": _settings_echo(settings)}
-        _write_output(stable_json(payload) + "\n", args.out)
+        rows = [[c["name"], c["passed"], c["deviation"], c["tolerance"]] for c in checks]
+        _emit(args, payload, ["name", "passed", "deviation", "tolerance"], rows)
     return 0 if all_passed else 1
 
 
@@ -455,10 +458,32 @@ _ERROR_TYPES = (
 )
 
 
+def _join_lambdas(argv: list[str]) -> list[str]:
+    """argv with each '--lambdas X' whose X is a list of numbers joined into '--lambdas=X'.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    negative number, such as '-0.5,1', as an option; joined, it reaches the
+    same dephasing-strength check as '--lambdas=-0.5,1'.
+    """
+    def is_lambda_list(token):
+        try:
+            return bool(_parse_lambdas(token))
+        except UsageError:
+            return False
+
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--lambdas" and is_lambda_list(token):
+            joined[-1] = f"--lambdas={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_lambdas(sys.argv[1:] if argv is None else list(argv)))
         cfg = load_config(args.config)
         _resolve_output(cfg, args)
         return args.func(cfg, args)

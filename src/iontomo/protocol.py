@@ -15,7 +15,7 @@ V-_m then lifts the z mode of the |-> branch from |0> to |m>, and V+_n lifts
 the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
 
-A run (measure_prepared, measure_element) only follows the dx input states
+A run (measure_element, the one cell entry) only follows the dx input states
 |->|k>_x|0>_z that the initial state lives on: it applies the cell's pulse
 schedule in closed form (pulses.act_pulse) to a (3, dx, dz, dx) tensor and
 reads the element out of its |-> and |+> blocks, with no operator on the
@@ -98,20 +98,6 @@ class CoherenceEstimate:
     shots_used: int
     m: int
     n: int
-
-
-def prepare_vibrational(phi: VibrationalState, dims: HilbertDims) -> np.ndarray:
-    """The write-locked dx x dx rho_vibr that measure_prepared reads.
-
-    phi was checked as a state, its truncation leakage included, when it was
-    built; here only its dimension is checked against dx, once per input
-    however many cells read it.
-    """
-    if phi.dim != dims.dx:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
-    rho = phi.density_matrix()
-    rho.setflags(write=False)
-    return rho
 
 
 def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
@@ -282,33 +268,29 @@ def _slice_reduced(w: np.ndarray, rho_vibr: np.ndarray) -> np.ndarray:
     return np.einsum("avk,bvk->ab", w @ rho_vibr, w.conj())
 
 
-def measure_prepared(rho_vibr: np.ndarray, m: int, n: int,
-                     settings: ProtocolSettings) -> CoherenceEstimate:
-    """One protocol run on a prepare_vibrational input: read out <m| rho_vibr |n>.
+def measure_element(phi: VibrationalState, m: int, n: int,
+                    settings: ProtocolSettings) -> CoherenceEstimate:
+    """One protocol run on the input phi: read out <m| rho_vibr |n>.
 
-    The initial state rho_vibr (x) |0><0|_z (x) |-><-| lives on the dx
-    input states, so the run needs only W = U_mn restricted to them
-    (_slice_images), with row blocks W_a = <a|W on each electronic level a.
-    The transformed state's electronic block <a|rho|b> is W_a rho_vibr W_b^dag;
-    exact mode returns <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ rho_vibr W_-^dag),
-    sampled mode samples from the reduced state Tr_v(W_a rho_vibr W_b^dag)
-    (see _sample_reduced). Sweeps prepare their input once; each cell still
-    runs its own full schedule.
+    phi was checked as a state, its truncation leakage included, when it was
+    built; here only its dimension is checked against dx. The initial state
+    rho_vibr (x) |0><0|_z (x) |-><-| lives on the dx input states, so the run
+    needs only W = U_mn restricted to them (_slice_images), with row blocks
+    W_a = <a|W on each electronic level a. The transformed state's electronic
+    block <a|rho|b> is W_a rho_vibr W_b^dag; exact mode returns
+    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ rho_vibr W_-^dag), sampled mode
+    samples from the reduced state Tr_v(W_a rho_vibr W_b^dag) (see
+    _sample_reduced). Every cell runs its own full schedule.
     """
     dims = settings.dims
-    if np.shape(rho_vibr) != (dims.dx, dims.dx):
-        raise ValueError(f"rho_vibr shape {np.shape(rho_vibr)} != ({dims.dx}, {dims.dx})")
+    if phi.dim != dims.dx:
+        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+    rho_vibr = phi.density_matrix()
     w = _slice_images(m, n, settings).reshape(ELECTRONIC_DIM, dims.vib_dim, dims.dx)
     if settings.shots is None:
         value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ rho_vibr)
         return CoherenceEstimate(complex(value), 0.0, 0, m, n)
     return _sample_reduced(_slice_reduced(w, rho_vibr), m, n, settings.shots, settings.seed)
-
-
-def measure_element(phi: VibrationalState, m: int, n: int,
-                    settings: ProtocolSettings) -> CoherenceEstimate:
-    """One full protocol run: prepare, transform with U_mn, read out <m| rho_vibr |n>."""
-    return measure_prepared(prepare_vibrational(phi, settings.dims), m, n, settings)
 
 
 # ---------------------------------------------------------------------------

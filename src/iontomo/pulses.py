@@ -151,7 +151,9 @@ def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     """Apply the pulse's unitary in place to a (3, dx, dz, r) complex tensor of r states; return it.
 
     Axis 0 is the electronic level, axes 1 and 2 the Fock indices of modes x
-    and z, axis 3 runs over the states. The work is O(3 dx dz r) per pulse.
+    and z, axis 3 runs over the states. A doublet rotation (erot, carrier, jc,
+    ajc) costs O(dx dz r); the vibrational rotation multiplies one block per
+    total phonon number, O(min(dx, dz) dx dz r).
     """
     if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
         raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "

@@ -74,7 +74,7 @@ class VibrationalState:
             object.__setattr__(self, "matrix", m)
         # "not <=" also rejects a NaN tail mass or tolerance.
         if not self.tail_mass <= self.tail_tol:
-            raise TruncationLeakageError("input", self.dim, self.tail_mass, self.tail_tol, self.dim)
+            raise TruncationLeakageError("input", self.dim, self.tail_mass, self.tail_tol)
 
     @property
     def is_pure(self) -> bool:

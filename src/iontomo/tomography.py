@@ -1,9 +1,9 @@
 """Element-by-element reconstruction, physical projection, and quality metrics.
 
 reconstruct() sweeps a square block of matrix elements, one independent
-protocol run per cell; by default no hermiticity shortcut is taken, so the
-(n, m) cell really is measured through its own composed unitary rather than
-copied from the conjugate of (m, n). decoherence_monitor() is the three-element
+protocol run (protocol.measure_element) per cell; by default no hermiticity
+shortcut is taken, so the (n, m) cell really is measured through its own
+composed unitary rather than copied from the conjugate of (m, n). decoherence_monitor() is the three-element
 use case: it tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling
 the full block.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
-from .protocol import ProtocolSettings, measure_prepared, prepare_vibrational, shifter_reach
+from .protocol import ProtocolSettings, measure_element, shifter_reach
 from .states import VibrationalState, dephase
 
 
@@ -94,7 +94,6 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     if not 0 <= nmax <= reach:
         raise ValueError(f"nmax {nmax} out of the {settings.v_mode} shifter reach 0..{reach} at dx={dims.dx}")
     size = nmax + 1
-    rho_vibr = prepare_vibrational(phi, dims)
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
     for m in range(size):
@@ -103,7 +102,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
                 estimates[m, n] = np.conj(estimates[n, m])
                 stderrs[m, n] = stderrs[n, m]
                 continue
-            est = measure_prepared(rho_vibr, m, n, settings)
+            est = measure_element(phi, m, n, settings)
             estimates[m, n] = est.value
             stderrs[m, n] = est.stderr
     truth = phi.density_matrix()[:size, :size]
@@ -130,10 +129,10 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
                         settings: ProtocolSettings) -> list[MonitorPoint]:
     """Track the 2-0 coherence against its positivity bound under growing dephasing.
 
-    For each lambda the input is dephased and prepared once, and exactly three
-    elements are measured: (2, 0), (0, 0) and (2, 2). For any valid density
-    operator |rho_20| <= sqrt(rho_00 rho_22), with equality on rank-one
-    states. In sampled mode every lambda reuses the (seed, m, n) streams of
+    For each lambda the input is dephased once, and exactly three elements
+    are measured, each by its own protocol run: (2, 0), (0, 0) and (2, 2).
+    For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
+    equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
     the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
@@ -150,8 +149,8 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
                          f"shifter reach 0..{reach} at dx={settings.dims.dx}")
     points = []
     for lam in lambdas:
-        rho_vibr = prepare_vibrational(dephase(phi, lam), settings.dims)
-        r20, r00, r22 = (measure_prepared(rho_vibr, m, n, settings)
+        dephased = dephase(phi, lam)
+        r20, r00, r22 = (measure_element(dephased, m, n, settings)
                          for m, n in ((2, 0), (0, 0), (2, 2)))
         bound = float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0)))
         points.append(MonitorPoint(lam, abs(r20.value), bound))

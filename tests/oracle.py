@@ -11,7 +11,7 @@ once themselves (see schedule).
 import numpy as np
 
 from iontomo.hilbert import MINUS, PLUS, XI, level_index
-from iontomo.protocol import prepare_vibrational, u00_schedule, v_minus_schedule, v_plus_schedule
+from iontomo.protocol import u00_schedule, v_minus_schedule, v_plus_schedule
 
 
 def index(dims, e, nx, nz) -> int:
@@ -138,20 +138,27 @@ def u_mn(m, n, settings, completion="cycle") -> np.ndarray:
             @ u00(settings.dims, settings.compat_rminus_final))
 
 
+def _check_dim(phi, dims) -> None:
+    """The engine's one input check: the state lives on mode x's dx levels."""
+    if phi.dim != dims.dx:
+        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+
+
 def prepare_initial(phi, dims) -> np.ndarray:
-    """rho_vibr (x) |0><0|_z (x) |-><-|, for an input the engine accepts (prepare_vibrational)."""
+    """rho_vibr (x) |0><0|_z (x) |-><-|, for an input the engine accepts."""
+    _check_dim(phi, dims)
     e_minus = np.zeros((3, 3))
     e_minus[MINUS, MINUS] = 1.0
     z_vac = np.zeros((dims.dz, dims.dz))
     z_vac[0, 0] = 1.0
-    return np.kron(e_minus, np.kron(prepare_vibrational(phi, dims), z_vac))
+    return np.kron(e_minus, np.kron(phi.density_matrix(), z_vac))
 
 
 def prepare_initial_pure(phi, dims) -> np.ndarray:
-    """|phi>_x |0>_z |-> for a pure input the engine accepts (prepare_vibrational)."""
+    """|phi>_x |0>_z |-> for a pure input the engine accepts."""
     if not phi.is_pure:
         raise ValueError("prepare_initial_pure requires a pure vibrational state")
-    prepare_vibrational(phi, dims)  # the engine's input check
+    _check_dim(phi, dims)
     z_vac = np.zeros(dims.dz)
     z_vac[0] = 1.0
     return np.kron(np.eye(3)[MINUS], np.kron(phi.amplitudes, z_vac)).astype(complex)

@@ -7,8 +7,7 @@ import iontomo
 PUBLIC = {
     "DegenerateInputError", "TruncationLeakageError",
     "MINUS", "PLUS", "XI", "HilbertDims",
-    "CoherenceEstimate", "ProtocolSettings", "measure_element", "measure_prepared",
-    "prepare_vibrational",
+    "CoherenceEstimate", "ProtocolSettings", "measure_element",
     "PulseSpec", "act_pulse",
     "VibrationalState", "cat", "coherent", "dephase", "fock", "from_amplitudes", "squeezed", "thermal",
     "MonitorPoint", "ReconstructionReport", "decoherence_monitor", "hs_distance", "project_physical",

@@ -186,6 +186,20 @@ class TestValidateCommand:
         assert len(doc["schedules"]["u00"]) == 4
         assert doc["schedules"]["v_plus"]["2"][0]["kind"] == "ajc"
 
+    def test_csv_report(self, write_config, tmp_path, capsys):
+        # --format csv writes one row per check; the table on stdout does not change
+        cfg = write_config()
+        assert run(["validate", "--config", cfg]) == 0
+        table = capsys.readouterr().out
+        out = tmp_path / "validate.csv"
+        assert run(["validate", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == table
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header == ["name", "passed", "deviation", "tolerance"]
+        assert [row[0] for row in rows] == [line.split()[1] for line in table.splitlines()]
+        for name, passed, deviation, tolerance in rows:
+            assert passed == "true"
+            assert 0.0 <= float(deviation) <= float(tolerance)
 
     def test_d40_checks_stay_small(self, write_config, capsys):
         # one dense operator at d = 40 (N = 4800) would be 369 MB
@@ -357,13 +371,23 @@ def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
     assert ".".join(path) in record["error"]["message"]
 
 
-@pytest.mark.parametrize("lambdas", ["nan", "0,inf"])
+@pytest.mark.parametrize("lambdas", ["nan", "0,inf", "-0.5,1"])
 def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, lambdas):
     cfg = write_config()
     assert run(["monitor", "--config", cfg, "--lambdas", lambdas]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"]["type"] == "invalid-arguments"
     assert "finite" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("lambdas", [["--lambdas", "-x"], ["--lambdas", "-0.5,x"], ["--lambdas"]],
+                         ids=["option-like", "bad-token", "no-value"])
+def test_lambdas_without_a_value_usage_error(write_config, capsys, lambdas):
+    cfg = write_config()
+    assert run(["monitor", "--config", cfg, *lambdas]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "usage-error",
+                               "message": "argument --lambdas: expected one argument"}
 
 
 def test_lambdas_of_only_separators_usage_error(write_config, capsys):
@@ -624,14 +648,16 @@ def test_fuzzed_runs_end_in_numbers_or_structured_errors(run):
     if argv[0] == "validate":
         if written is None:
             return
-        fmt = "json"
     else:
         assert code == 0
         assert written is None or not lines
-        fmt = argv[argv.index("--format") + 1] if "--format" in argv else cfg.get("format", "json")
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else cfg.get("format", "json")
     text = "\n".join(lines) if written is None else written
     if fmt == "csv":
-        values = [float(v) for row in text.splitlines()[1:] for v in row.split(",")]
+        # every column is numeric but validate's check name and verdict
+        header, *rows = [row.split(",") for row in text.splitlines()]
+        numeric = [i for i, name in enumerate(header) if name not in ("name", "passed")]
+        values = [float(row[i]) for row in rows for i in numeric]
     else:
         values = _numbers(json.loads(text))
     assert values and all(math.isfinite(v) for v in values)

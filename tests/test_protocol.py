@@ -24,8 +24,6 @@ from iontomo.protocol import (
     _slice_reduced,
     entangled_target_deviation,
     measure_element,
-    measure_prepared,
-    prepare_vibrational,
     reduced_probabilities,
     u00_schedule,
     v_minus_schedule,
@@ -38,7 +36,7 @@ from util import expm_taylor
 
 DIMS = HilbertDims(8, 8)
 SETTINGS = ProtocolSettings(DIMS)
-PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure, prepare_vibrational)
+PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure)
 
 RHO00_COH08 = 0.5272924240430485   # exp(-0.64)
 RHO10_COH08 = 0.42183393923443885  # exp(-0.64) * 0.8
@@ -69,7 +67,7 @@ def engine_reduced(phi, m, n, settings):
     """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
     dims = settings.dims
     w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, dims.dx)
-    return _slice_reduced(w, prepare_vibrational(phi, dims))
+    return _slice_reduced(w, phi.density_matrix())
 
 
 class TestPrepareInitial:
@@ -104,12 +102,6 @@ class TestPrepareInitial:
         vec[0] = 1.0
         with pytest.raises(TruncationLeakageError, match="input state leaks"):
             VibrationalState(8, amplitudes=vec, tail_mass=tail_mass, tail_tol=1e-12)
-
-    def test_vibrational_input_is_locked_density_matrix(self):
-        phi = coherent(0.8, 8, tail_tol=1e-5)
-        rho = prepare_vibrational(phi, DIMS)
-        assert np.array_equal(rho, phi.density_matrix())
-        assert not rho.flags.writeable
 
 
 def _test_rotation_matrix(level, theta, dims):
@@ -570,7 +562,7 @@ class TestHotPathInvariants:
         # every slice image set is an isometry, and the transformed state
         # W rho_vibr W^dag is a density matrix to the protocol's tolerances
         settings = ProtocolSettings(DIMS, v_mode=v_mode)
-        rho_vibr = prepare_vibrational(dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3), DIMS)
+        rho_vibr = dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3).density_matrix()
         for m in range(5):
             for n in range(5):
                 w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
@@ -580,13 +572,6 @@ class TestHotPathInvariants:
                 assert abs(np.trace(rho) - 1.0) <= 1e-10
                 assert np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] >= -1e-10
 
-    def test_measure_prepared_matches_measure_element(self):
-        phi = coherent(0.8, 8, tail_tol=1e-5)
-        st = ProtocolSettings(DIMS, shots=1000, seed=4)
-        a = measure_prepared(prepare_vibrational(phi, DIMS), 2, 1, st)
-        b = measure_element(phi, 2, 1, st)
-        assert (a.value, a.stderr, a.shots_used) == (b.value, b.stderr, b.shots_used)
-
 
 MIXED_INPUTS = {
     "thermal": lambda d: thermal(0.4, d, tail_tol=1e-1),
@@ -595,7 +580,7 @@ MIXED_INPUTS = {
 
 
 class TestSliceEngine:
-    """measure_prepared against the oracle's dense U_mn rho_0 U_mn^dag."""
+    """measure_element against the oracle's dense U_mn rho_0 U_mn^dag."""
 
     @pytest.mark.parametrize("d", [5, 8])
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
@@ -605,7 +590,7 @@ class TestSliceEngine:
         dims = HilbertDims(d, d)
         phi = MIXED_INPUTS[input_name](d)
         settings = ProtocolSettings(dims, v_mode=v_mode, compat_rminus_final=compat)
-        rho_vibr = prepare_vibrational(phi, dims)
+        rho_vibr = phi.density_matrix()
         # the oracle's factors, each built once for the sweep
         built = {}
         entangled = oracle.evolve(oracle.schedule(u00_schedule(compat), dims, built),
@@ -615,7 +600,7 @@ class TestSliceEngine:
         for m in range(d - 1):
             for n in range(d - 1):
                 dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
-                value = measure_prepared(rho_vibr, m, n, settings).value
+                value = measure_element(phi, m, n, settings).value
                 assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
                 w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, d)
                 red = _slice_reduced(w, rho_vibr)
@@ -674,5 +659,7 @@ class TestSliceEngine:
             measure_element(fock(0, 8), m, n, ProtocolSettings(DIMS, v_mode=v_mode))
 
     def test_rejects_wrong_input_shape(self):
-        with pytest.raises(ValueError):
-            measure_prepared(oracle.prepare_initial(fock(0, 8), DIMS), 0, 0, SETTINGS)
+        # the dimension is checked first, before the targets' reach
+        for m, n in ((0, 0), (9, 0)):
+            with pytest.raises(ValueError, match=r"^vibrational state dim 6 != dx 8$"):
+                measure_element(fock(0, 6), m, n, SETTINGS)

@@ -291,6 +291,17 @@ class TestFarTail:
         assert not err.value.lower_bound
         assert str(err.value).endswith(f"need dim >= {err.value.required_dim}")
 
+    def test_recorded_tail_wording(self):
+        # a state built with a recorded tail mass names no cutoff that would meet the tolerance
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = 1.0
+        with pytest.raises(TruncationLeakageError) as err:
+            VibrationalState(8, amplitudes=vec, tail_mass=1e-3, tail_tol=1e-12)
+        assert err.value.required_dim is None
+        assert str(err.value) == (
+            "input state leaks past the cutoff: tail mass 1.000e-03 exceeds tolerance 1.000e-12 "
+            "at dim=8; the tail mass was recorded, so no cutoff that meets the tolerance is known")
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
     def test_tail_tol_must_be_positive(self, tol):
         for build in (lambda: coherent(0.5, 8, tail_tol=tol), lambda: thermal(0.5, 8, tail_tol=tol)):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from iontomo import cli
+from iontomo import cli, tomography
 from iontomo.errors import DegenerateInputError
 from iontomo.hilbert import HilbertDims
 from iontomo.protocol import ProtocolSettings, measure_element
@@ -88,7 +88,7 @@ class TestReconstruct:
         ProtocolSettings(DIMS, shots=3000, seed=6),
     ], ids=["exact-compiled", "sampled-ideal"])
     def test_cells_equal_per_cell_runs(self, settings):
-        # the input is prepared once per sweep; each cell still equals its own full run
+        # each cell of the sweep is its own full run
         phi = dephase(coherent(0.7 - 0.4j, 8, tail_tol=1e-5), 0.2)
         report = reconstruct(phi, 3, settings)
         for m in range(4):
@@ -259,3 +259,38 @@ class TestDecoherenceMonitor:
         points = decoherence_monitor(phi, lams, st)
         assert points[0].bound == points[1].bound == points[2].bound
         assert len({p.rho20_abs for p in points}) == 3
+
+
+class TestOneCellEntry:
+    """Every cell a sweep measures goes through protocol.measure_element, one call per cell."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(phi, m, n, settings):
+            seen.append((phi, m, n))
+            return measure_element(phi, m, n, settings)
+
+        monkeypatch.setattr(tomography, "measure_element", counted)
+        return seen
+
+    @pytest.mark.parametrize("nmax", [0, 3])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["full", "hermitian"])
+    def test_reconstruct_measures_each_cell_once(self, calls, nmax, symmetric):
+        phi = thermal(0.5, 8, tail_tol=1e-3)
+        reconstruct(phi, nmax, SETTINGS, use_hermitian_symmetry=symmetric)
+        size = nmax + 1
+        expected = [(m, n) for m in range(size) for n in range(size) if not symmetric or n >= m]
+        assert len(calls) == (size * (size + 1) // 2 if symmetric else size ** 2)
+        assert [(m, n) for _, m, n in calls] == expected
+        assert all(state is phi for state, _, _ in calls)
+
+    def test_monitor_measures_three_cells_per_lambda(self, calls):
+        lams = [0.0, 0.3, 0.6, 1.0]
+        decoherence_monitor(coherent(0.8, 8, tail_tol=1e-5), lams, SETTINGS)
+        assert len(calls) == 3 * len(lams)
+        assert [(m, n) for _, m, n in calls] == [(2, 0), (0, 0), (2, 2)] * len(lams)
+        # the three cells of one lambda read the same dephased state
+        states = [state for state, _, _ in calls]
+        assert all(states[3 * i] is states[3 * i + 1] is states[3 * i + 2] for i in range(len(lams)))
