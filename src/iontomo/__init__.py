@@ -5,11 +5,21 @@ unitary, and reads single density-matrix elements <m| rho_vibr |n> out of
 transverse pseudospin expectations, one element per protocol run.
 """
 
-from .errors import DegenerateInputError, TruncationLeakageError
 from .hilbert import MINUS, PLUS, XI, HilbertDims
 from .protocol import CoherenceEstimate, ProtocolSettings, measure_element
 from .pulses import PulseSpec, act_pulse
-from .states import VibrationalState, cat, coherent, dephase, fock, from_amplitudes, squeezed, thermal
+from .states import (
+    DegenerateInputError,
+    TruncationLeakageError,
+    VibrationalState,
+    cat,
+    coherent,
+    dephase,
+    fock,
+    from_amplitudes,
+    squeezed,
+    thermal,
+)
 from .tomography import (
     MonitorPoint,
     ReconstructionReport,

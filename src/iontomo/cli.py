@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from . import protocol, tomography
-from .errors import DegenerateInputError, TruncationLeakageError
 from .hilbert import MINUS, PLUS, HilbertDims
 from .states import (
     DEFAULT_TAIL_TOL,
+    DegenerateInputError,
+    TruncationLeakageError,
     VibrationalState,
     cat,
     coherent,
@@ -55,21 +56,17 @@ def stable_json(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return stable_json(complex_record(complex(obj)))
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {stable_json(v)}" for k, v in sorted(obj.items()))
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(stable_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return stable_json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -80,8 +77,8 @@ def complex_record(z: complex) -> dict:
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return stable_json(v)
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+    if isinstance(v, float):
+        return _fmt_float(v)
     return str(v)
 
 
@@ -96,9 +93,11 @@ def to_csv(header: list[str], rows: list[list]) -> str:
 
 # One config serves every subcommand, so each accepts all top-level fields.
 _TOP_FIELDS = ("dims", "state", "nmax", "v_mode", "shots", "seed", "out", "format")
-_STATE_COMMON = ("kind", "tail_tol", "dephase")
-_STATE_FIELDS = {"fock": ("n",), "coherent": ("alpha",), "squeezed": ("r", "phi"),
-                 "cat": ("alpha", "parity"), "thermal": ("nbar",), "raw": ("amplitudes",)}
+_STATE_COMMON = ("kind", "dephase")
+# tail_tol belongs to the families a cutoff truncates; fock and raw live on the cutoff.
+_STATE_FIELDS = {"fock": ("n",), "raw": ("amplitudes",),
+                 "coherent": ("alpha", "tail_tol"), "squeezed": ("r", "phi", "tail_tol"),
+                 "cat": ("alpha", "parity", "tail_tol"), "thermal": ("nbar", "tail_tol")}
 
 
 def _reject_unknown(obj: dict, allowed, prefix: str = "") -> None:
@@ -263,10 +262,8 @@ def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_reconstruct(cfg: dict, args) -> int:
-    dims = build_dims(cfg)
-    settings = build_settings(cfg, dims, args.compat_rminus_final)
-    phi = build_state(cfg, dims)
+def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
+    phi = build_state(cfg, settings.dims)
     nmax = _as_int(_field(cfg, "nmax", required=True), "nmax")
     report = tomography.reconstruct(phi, nmax, settings,
                                     use_hermitian_symmetry=args.use_hermitian_symmetry)
@@ -291,12 +288,10 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     return _emit(args, payload, ["m", "n", "re", "im", "stderr"], rows)
 
 
-def cmd_coherence(cfg: dict, args) -> int:
+def cmd_coherence(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     if args.m is None or args.n is None:
         raise UsageError("coherence requires --m and --n")
-    dims = build_dims(cfg)
-    settings = build_settings(cfg, dims, args.compat_rminus_final)
-    phi = build_state(cfg, dims)
+    phi = build_state(cfg, settings.dims)
     est = protocol.measure_element(phi, args.m, args.n, settings)
     payload = {
         "m": est.m,
@@ -320,11 +315,9 @@ def _parse_lambdas(raw: str | None) -> list[float]:
     return lambdas
 
 
-def cmd_monitor(cfg: dict, args) -> int:
+def cmd_monitor(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    dims = build_dims(cfg)
-    settings = build_settings(cfg, dims, args.compat_rminus_final)
-    phi = build_state(cfg, dims)
+    phi = build_state(cfg, settings.dims)
     points = tomography.decoherence_monitor(phi, lambdas, settings)
     payload = {
         "series": [{"lambda": p.lam, "rho20_abs": p.rho20_abs, "bound": p.bound}
@@ -335,16 +328,20 @@ def cmd_monitor(cfg: dict, args) -> int:
     return _emit(args, payload, ["lambda", "rho20_abs", "bound"], rows)
 
 
-def _ladder_targets(dims: HilbertDims) -> range:
-    """Shifter targets validate exercises: k <= 4 within the compiled ladders' reach."""
-    return range(min(4, protocol.shifter_reach(dims.dx, "compiled")) + 1)
+def _schedules(settings: protocol.ProtocolSettings) -> dict:
+    """The pulses validate checks and records: U_00, and V+_k, V-_k for k <= 4 within the compiled reach."""
+    targets = range(min(4, protocol.shifter_reach(settings.dims.dx, "compiled")) + 1)
+    return {"u00": protocol.u00_schedule(settings.compat_rminus_final),
+            "v_plus": {k: protocol.v_plus_schedule(k) for k in targets},
+            "v_minus": {k: protocol.v_minus_schedule(k) for k in targets}}
 
 
-def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> list[dict]:
+def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> list[dict]:
     """The invariant suite behind the validate subcommand, run on the measurement path's actions.
 
     No check forms an N x N array: each acts on at most a few dx-column slices.
     """
+    dims = settings.dims
     checks = []
 
     def record(name, deviation, tol):
@@ -381,13 +378,11 @@ def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> 
     slices[PLUS, 0, j, dims.dx + j] = 1.0
     slices = slices.reshape(dims.total_dim, -1)
     record("compiled-vs-ideal",
-           max(protocol.shifter_deviation(dims, k, slices) for k in _ladder_targets(dims)), 1e-8)
+           max(protocol.shifter_deviation(dims, k, slices) for k in schedules["v_plus"]), 1e-8)
 
     # Unitarity of every scheduled pulse, on a seeded random orthonormal (N, dx) probe.
-    specs = list(protocol.u00_schedule(settings.compat_rminus_final))
-    for k in _ladder_targets(dims):
-        specs.extend(protocol.v_plus_schedule(k))
-        specs.extend(protocol.v_minus_schedule(k))
+    specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])
+                                  for ladder in ladders.values() for spec in ladder)]
     rng = np.random.default_rng(0)
     probe = np.linalg.qr(rng.normal(size=(dims.total_dim, dims.dx))
                          + 1j * rng.normal(size=(dims.total_dim, dims.dx)))[0]
@@ -396,23 +391,19 @@ def _validate_checks(dims: HilbertDims, settings: protocol.ProtocolSettings) -> 
     return checks
 
 
-def cmd_validate(cfg: dict, args) -> int:
-    dims = build_dims(cfg)
-    settings = build_settings(cfg, dims, args.compat_rminus_final)
-    checks = _validate_checks(dims, settings)
+def cmd_validate(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
+    schedules = _schedules(settings)
+    checks = _validate_checks(settings, schedules)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']} (deviation {c['deviation']:.3e}, tolerance {c['tolerance']:.1e})")
     all_passed = all(c["passed"] for c in checks)
     if args.out is not None:
-        schedules = {
-            "u00": [s.to_record() for s in protocol.u00_schedule(settings.compat_rminus_final)],
-            "v_plus": {str(k): [s.to_record() for s in protocol.v_plus_schedule(k)]
-                       for k in _ladder_targets(dims)},
-            "v_minus": {str(k): [s.to_record() for s in protocol.v_minus_schedule(k)]
-                        for k in _ladder_targets(dims)},
-        }
-        payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
+        records = {"u00": [s.to_record() for s in schedules["u00"]]}
+        for name in ("v_plus", "v_minus"):
+            records[name] = {str(k): [s.to_record() for s in ladder]
+                             for k, ladder in schedules[name].items()}
+        payload = {"checks": checks, "passed": all_passed, "schedules": records,
                    "settings": _settings_echo(settings)}
         rows = [[c["name"], c["passed"], c["deviation"], c["tolerance"]] for c in checks]
         _emit(args, payload, ["name", "passed", "deviation", "tolerance"], rows)
@@ -486,7 +477,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_lambdas(sys.argv[1:] if argv is None else list(argv)))
         cfg = load_config(args.config)
         _resolve_output(cfg, args)
-        return args.func(cfg, args)
+        settings = build_settings(cfg, build_dims(cfg), args.compat_rminus_final)
+        return args.func(cfg, settings, args)
     except Exception as exc:  # every failure becomes a structured record
         for klass, label, code in _ERROR_TYPES:
             if isinstance(exc, klass):

@@ -10,11 +10,10 @@ the full block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
 from .protocol import ProtocolSettings, measure_element, shifter_reach
 from .states import VibrationalState, dephase
 
@@ -24,17 +23,17 @@ class ReconstructionReport:
     """Reconstructed block plus everything needed to judge it.
 
     estimates[m, n] is the measured <m| rho_vibr |n>; stderrs is zero in exact
-    mode. truth is the same block of the known input (always available here,
-    optional in the schema), projected the Hilbert-Schmidt-nearest density
-    matrix to the estimates (see project_physical). All four are plain arrays.
+    mode. truth is the same block of the known input, projected the
+    Hilbert-Schmidt-nearest density matrix to the estimates (see
+    project_physical), all plain arrays; metrics compares estimates to truth.
     """
 
     nmax: int
     estimates: np.ndarray
     stderrs: np.ndarray
-    truth: np.ndarray | None = None
-    projected: np.ndarray | None = None
-    metrics: dict = field(default_factory=dict)
+    truth: np.ndarray
+    projected: np.ndarray
+    metrics: dict
 
 
 def trace_distance(a, b) -> float:
@@ -62,16 +61,16 @@ def project_physical(matrix) -> np.ndarray:
     onto the probability simplex, lambda_i -> max(lambda_i - t, 0) with the
     shift t that makes them sum to one (Smolin, Gambetta & Smith, PRL 108,
     070502 (2012)). The result is a hermitian array of unit trace with no
-    negative eigenvalue, to rounding, and is not checked again. A matrix with
-    no positive eigenvalue carries no state information and is rejected.
+    negative eigenvalue, to rounding, and is not checked again. The map is
+    total: t may be negative, so a block with no positive eigenvalue (shot
+    noise on a small block) still has a nearest density matrix, and the zero
+    matrix goes to I/d.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(herm)
-    if np.clip(w, 0.0, None).sum() < 1e-30:
-        raise DegenerateInputError("matrix has no positive part; cannot renormalize")
     # Largest k whose top-k eigenvalues all stay positive after the shift.
     desc = w[::-1]
     shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(w) + 1)
@@ -112,8 +111,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
         "hs_distance": hs_distance(estimates, truth),
     }
     projected = project_physical(estimates)
-    return ReconstructionReport(nmax, estimates, stderrs, truth=truth,
-                                projected=projected, metrics=metrics)
+    return ReconstructionReport(nmax, estimates, stderrs, truth, projected, metrics)
 
 
 @dataclass(frozen=True)

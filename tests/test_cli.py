@@ -85,6 +85,20 @@ class TestReconstructCommand:
         assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_block_without_positive_eigenvalue_is_projected(write_config, tmp_path, seed):
+    # one shot leaves the 1x1 block of |1> at -1 + 1j: still a measurement, and still projectable
+    cfg = write_config(dims={"dx": 4, "dz": 4}, state={"kind": "fock", "n": 1}, nmax=0,
+                       shots=1, seed=seed)
+    block, cell = tmp_path / "block.json", tmp_path / "cell.json"
+    assert run(["reconstruct", "--config", cfg, "--out", str(block)]) == 0
+    assert run(["coherence", "--config", cfg, "--m", "0", "--n", "0", "--out", str(cell)]) == 0
+    report = json.loads(block.read_text())["report"]
+    assert report["projected"] == [[{"im": 0, "re": 1}]]
+    value = json.loads(cell.read_text())
+    assert report["estimates"][0][0] == {**value["value"], "stderr": value["stderr"]}
+
+
 class TestCoherenceCommand:
     def test_coherent_value(self, write_config, tmp_path):
         cfg = write_config(dims={"dx": 12, "dz": 12},
@@ -356,8 +370,10 @@ BAD_NUMBERS = [
 @pytest.mark.parametrize("state,path,literal", BAD_NUMBERS,
                          ids=[f"{'.'.join(p)}={lit}" for _, p, lit in BAD_NUMBERS])
 def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
+    state = state or {"kind": "coherent", "alpha": 0.8}
+    # fock states take no tail_tol: the cutoff truncates nothing
     cfg = {"dims": {"dx": 8, "dz": 8},
-           "state": {"tail_tol": 1e-5, **(state or {"kind": "coherent", "alpha": 0.8})},
+           "state": state if state["kind"] == "fock" else {"tail_tol": 1e-5, **state},
            "nmax": 2, "v_mode": "ideal", "seed": 0}
     node = cfg
     for key in path[:-1]:
@@ -452,6 +468,10 @@ UNKNOWN_FIELDS = [
     ("state", {"state": {"kind": "coherent", "alpha": 0.8, "tail_tol": 1e-5, "dephse": 0.4}},
      "'state.dephse'"),
     ("state-kind", {"state": {"kind": "fock", "n": 0, "alpha": 0.8}}, "'state.alpha'"),
+    # a state on the cutoff truncates nothing, so a tail tolerance would be silently ignored
+    ("state-fock-tail_tol", {"state": {"kind": "fock", "n": 1, "tail_tol": -5}}, "'state.tail_tol'"),
+    ("state-raw-tail_tol", {"state": {"kind": "raw", "amplitudes": [1.0], "tail_tol": 1e-5}},
+     "'state.tail_tol'"),
 ]
 # validate reads no state, so only the top level and dims reach it.
 UNKNOWN_FIELD_RUNS = [(command, *case) for case in UNKNOWN_FIELDS

@@ -13,7 +13,6 @@ import pytest
 
 import oracle
 from iontomo import cli, hilbert, protocol, pulses, states, tomography
-from iontomo.errors import TruncationLeakageError
 from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
 from iontomo.protocol import (
     ProtocolSettings,
@@ -30,7 +29,7 @@ from iontomo.protocol import (
     v_plus_schedule,
 )
 from iontomo.pulses import act_pulse
-from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
+from iontomo.states import TruncationLeakageError, VibrationalState, cat, coherent, dephase, fock, thermal
 from iontomo.tomography import reconstruct
 from util import expm_taylor
 

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from iontomo.errors import DegenerateInputError, TruncationLeakageError
 from iontomo.states import (
+    DegenerateInputError,
+    TruncationLeakageError,
     VibrationalState,
     cat,
     coherent,

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from iontomo import cli, tomography
-from iontomo.errors import DegenerateInputError
 from iontomo.hilbert import HilbertDims
-from iontomo.protocol import ProtocolSettings, measure_element
+from iontomo.protocol import ProtocolSettings, measure_element, shifter_reach
 from iontomo.states import coherent, dephase, fock, thermal
 from iontomo.tomography import (
     decoherence_monitor,
@@ -104,6 +105,21 @@ class TestReconstruct:
         assert np.median(big.stderrs) < np.median(small.stderrs) / 5
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(2, 5), n=st.integers(0, 4), nmax=st.integers(0, 4),
+       v_mode=st.sampled_from(["ideal", "compiled"]), shots=st.integers(1, 3), seed=st.integers(0, 50))
+# a single shot can leave the 1x1 block of |1> at -1 + 1j, with no positive eigenvalue
+@example(d=4, n=1, nmax=0, v_mode="ideal", shots=1, seed=2)
+@example(d=4, n=1, nmax=0, v_mode="ideal", shots=1, seed=3)
+def test_few_shot_reconstruct_always_projects(d, n, nmax, v_mode, shots, seed):
+    assume(n < d and nmax <= shifter_reach(d, v_mode))
+    run = ProtocolSettings(HilbertDims(d, d), v_mode=v_mode, shots=shots, seed=seed)
+    proj = reconstruct(fock(n, d), nmax, run).projected
+    assert np.max(np.abs(proj - proj.conj().T)) <= 1e-12
+    assert abs(np.trace(proj) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(proj)[0] >= -1e-10
+
+
 class TestProjectPhysical:
     def test_valid_input_unchanged(self):
         rng = np.random.default_rng(3)
@@ -123,11 +139,16 @@ class TestProjectPhysical:
         twice = project_physical(once)
         assert np.max(np.abs(once - twice)) <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_output_always_valid(self, seed):
+    @pytest.mark.parametrize("seed,negative", [(s, False) for s in range(5)] + [(5, True)],
+                             ids=["0", "1", "2", "3", "4", "negative-definite"])
+    def test_output_always_valid(self, seed, negative):
         rng = np.random.default_rng(100 + seed)
-        noisy = random_density(6, rng) + 0.5 * (rng.normal(size=(6, 6))
-                                                + 1j * rng.normal(size=(6, 6)))
+        if negative:
+            # no positive eigenvalue at all: the shift t is negative
+            noisy = -random_density(6, rng) - 0.1 * np.eye(6)
+        else:
+            noisy = random_density(6, rng) + 0.5 * (rng.normal(size=(6, 6))
+                                                    + 1j * rng.normal(size=(6, 6)))
         out = project_physical(noisy)
         assert out.shape == (6, 6)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
@@ -162,12 +183,16 @@ class TestProjectPhysical:
         assert best <= dists.min() + 1e-12
         assert dists.min() <= best + 0.025
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_no_density_matrix_is_closer(self, seed):
+    @pytest.mark.parametrize("seed,negative", [(s, False) for s in range(4)] + [(4, True)],
+                             ids=["0", "1", "2", "3", "negative-definite"])
+    def test_no_density_matrix_is_closer(self, seed, negative):
         # the density matrices are convex, so beating every nearby mixture certifies the optimum
         rng = np.random.default_rng(300 + seed)
         dim = 3 + seed % 3
-        target = random_density(dim, rng) + 0.3 * random_hermitian(dim, rng)
+        if negative:
+            target = -random_density(dim, rng) - 0.05 * np.eye(dim)
+        else:
+            target = random_density(dim, rng) + 0.3 * random_hermitian(dim, rng)
         proj = project_physical(target)
         best = hs_distance(proj, target)
         for t in np.geomspace(1e-4, 1.0, 12):
@@ -178,9 +203,9 @@ class TestProjectPhysical:
                     other = np.outer(v, v.conj()) / np.vdot(v, v).real
                 assert hs_distance((1 - t) * proj + t * other, target) >= best - 1e-12
 
-    def test_zero_matrix_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            project_physical(np.zeros((4, 4)))
+    def test_zero_matrix_is_maximally_mixed(self):
+        # a block with no positive eigenvalue is still measured data: the projection is total
+        assert np.max(np.abs(project_physical(np.zeros((4, 4))) - np.eye(4) / 4)) <= 1e-12
 
 
 class TestDistances:
