@@ -9,7 +9,6 @@ from .hilbert import MINUS, PLUS, XI, HilbertDims
 from .protocol import CoherenceEstimate, ProtocolSettings, measure_element
 from .pulses import PulseSpec, act_pulse
 from .states import (
-    DegenerateInputError,
     TruncationLeakageError,
     VibrationalState,
     cat,

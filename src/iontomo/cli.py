@@ -17,10 +17,9 @@ import sys
 import numpy as np
 
 from . import protocol, tomography
-from .hilbert import MINUS, PLUS, HilbertDims
+from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, HilbertDims
 from .states import (
     DEFAULT_TAIL_TOL,
-    DegenerateInputError,
     TruncationLeakageError,
     VibrationalState,
     cat,
@@ -91,8 +90,9 @@ def to_csv(header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------------------
 # config handling
 
-# One config serves every subcommand, so each accepts all top-level fields.
-_TOP_FIELDS = ("dims", "state", "nmax", "v_mode", "shots", "seed", "out", "format")
+# One config describes the run and serves every subcommand, so each accepts all top-level
+# fields; where the output goes and in which format is for the flags to say.
+_TOP_FIELDS = ("dims", "state", "nmax", "v_mode", "shots", "seed")
 _STATE_COMMON = ("kind", "dephase")
 # tail_tol belongs to the families a cutoff truncates; fock and raw live on the cutoff.
 _STATE_FIELDS = {"fock": ("n",), "raw": ("amplitudes",),
@@ -225,18 +225,6 @@ def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
     }
     echo.update(extra)
     return echo
-
-
-def _resolve_output(cfg: dict, args) -> None:
-    """Settle args.out and args.format: the flag if given, else the config's out and format fields."""
-    if args.out is None:
-        args.out = _field(cfg, "out", None)
-    if args.format is None:
-        args.format = _field(cfg, "format", "json")
-    if args.out is not None and not isinstance(args.out, str):
-        raise ConfigError(f"field 'out' must be a path string, got {args.out!r}")
-    if args.format not in ("json", "csv"):
-        raise ConfigError(f"field 'format' must be 'json' or 'csv', got {args.format!r}")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -373,20 +361,20 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     # Compiled vs ideal shifters on the branch slices |->|j>_x|0>_z and |+>|0>_x|j>_z,
     # each the other shifter's spectator.
     j = np.arange(dims.dx)
-    slices = np.zeros((3, dims.dx, dims.dz, 2 * dims.dx))
+    slices = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, 2 * dims.dx), dtype=complex)
     slices[MINUS, j, 0, j] = 1.0
     slices[PLUS, 0, j, dims.dx + j] = 1.0
-    slices = slices.reshape(dims.total_dim, -1)
     record("compiled-vs-ideal",
-           max(protocol.shifter_deviation(dims, k, slices) for k in schedules["v_plus"]), 1e-8)
+           max(protocol.shifter_deviation(k, slices) for k in schedules["v_plus"]), 1e-8)
 
-    # Unitarity of every scheduled pulse, on a seeded random orthonormal (N, dx) probe.
+    # Unitarity of every scheduled pulse, on dx seeded random orthonormal states.
     specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])
                                   for ladder in ladders.values() for spec in ladder)]
     rng = np.random.default_rng(0)
     probe = np.linalg.qr(rng.normal(size=(dims.total_dim, dims.dx))
                          + 1j * rng.normal(size=(dims.total_dim, dims.dx)))[0]
-    record("pulse-unitarity", protocol.pulse_unitarity_defect(dims, specs, probe), 1e-10)
+    probe = probe.reshape(ELECTRONIC_DIM, dims.dx, dims.dz, dims.dx)
+    record("pulse-unitarity", protocol.pulse_unitarity_defect(specs, probe), 1e-10)
 
     return checks
 
@@ -427,7 +415,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
+        p.add_argument("--format", default="json", choices=["json", "csv"])
         p.add_argument("--compat-rminus-final", action="store_true",
                        help="use the comparison entangler whose final pulse addresses the {-, xi} pair")
         p.set_defaults(func=fn)
@@ -444,7 +432,6 @@ _ERROR_TYPES = (
     (UsageError, "usage-error", 2),
     (ConfigError, "config-error", 1),
     (TruncationLeakageError, "truncation-leakage", 1),
-    (DegenerateInputError, "degenerate-input", 1),
     (ValueError, "invalid-arguments", 1),
 )
 
@@ -476,7 +463,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_lambdas(sys.argv[1:] if argv is None else list(argv)))
         cfg = load_config(args.config)
-        _resolve_output(cfg, args)
         settings = build_settings(cfg, build_dims(cfg), args.compat_rminus_final)
         return args.func(cfg, settings, args)
     except Exception as exc:  # every failure becomes a structured record

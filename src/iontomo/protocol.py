@@ -294,16 +294,11 @@ def measure_element(phi: VibrationalState, m: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Identity checks. Each runs the engine's own actions on the input columns it
-# is given and returns the largest deviation from the identity it tests; the
-# validate subcommand and the acceptance tests record them against their
-# tolerances. Columns of the composite space are (N, r) matrices, N = 3 dx dz,
-# in the row-major order of the (3, dx, dz) tensors.
-
-def _column_tensor(dims: HilbertDims, columns) -> np.ndarray:
-    """A complex (3, dx, dz, r) copy of r composite-space columns."""
-    return np.array(columns, dtype=complex).reshape(ELECTRONIC_DIM, dims.dx, dims.dz, -1)
-
+# Identity checks. Each runs the engine's own actions on the states it is given
+# and returns the largest deviation from the identity it tests; the validate
+# subcommand and the acceptance tests record them against their tolerances.
+# States are the complex (3, dx, dz, r) tensors act_pulse takes, r states side
+# by side.
 
 def _max_column_norm(w: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(w.reshape(-1, w.shape[-1]), axis=0)))
@@ -339,39 +334,38 @@ def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, ampli
     return _max_column_norm(got - target)
 
 
-def shifter_deviation(dims: HilbertDims, k: int, columns) -> float:
-    """Largest column norm of compiled minus ideal V+_k and V-_k on the given columns.
+def shifter_deviation(k: int, states: np.ndarray) -> float:
+    """Largest norm of compiled minus ideal V+_k and V-_k over a (3, dx, dz, r) tensor of states.
 
-    Each shifter is compared on the part of every column the protocol feeds
+    Each shifter is compared on the part of every state the protocol feeds
     it: the shifted branch's vacuum slice (|+>|0>_x|.>_z for V+_k,
     |->|.>_x|0>_z for V-_k) and the whole spectator sector (|-> for V+_k,
-    |+> for V-_k). The rest of each column is masked out.
+    |+> for V-_k). The rest of each state is masked out.
     """
-    full = _column_tensor(dims, columns)
     dev = 0.0
     for branch, m, n in ((PLUS, 0, k), (MINUS, k, 0)):
         spectator = MINUS if branch == PLUS else PLUS
-        w = np.zeros_like(full)
-        w[spectator] = full[spectator]
+        w = np.zeros_like(states)
+        w[spectator] = states[spectator]
         if branch == PLUS:
-            w[PLUS, 0] = full[PLUS, 0]
+            w[PLUS, 0] = states[PLUS, 0]
         else:
-            w[MINUS, :, 0] = full[MINUS, :, 0]
+            w[MINUS, :, 0] = states[MINUS, :, 0]
         dev = max(dev, _max_column_norm(_shift_compiled(w.copy(), m, n) - _shift_ideal(w, m, n)))
     return dev
 
 
-def pulse_unitarity_defect(dims: HilbertDims, specs, columns) -> float:
-    """Largest Gram defect max |(U P)^dag (U P) - P^dag P| of the pulses over the columns P.
+def pulse_unitarity_defect(specs, states: np.ndarray) -> float:
+    """Largest Gram defect max |(U P)^dag (U P) - P^dag P| of the pulses over the states P.
 
-    For the full basis P = 1 this is max |U^dag U - 1|; an orthonormal probe
-    of fewer columns checks that U keeps the probe orthonormal.
+    P is a (3, dx, dz, r) tensor of r states. For the full basis (r = N) this
+    is max |U^dag U - 1|; an orthonormal probe of fewer states checks that U
+    keeps the probe orthonormal.
     """
-    probe = _column_tensor(dims, columns)
-    flat = probe.reshape(dims.total_dim, -1)
+    flat = states.reshape(-1, states.shape[-1])
     gram = flat.conj().T @ flat
     dev = 0.0
     for spec in dict.fromkeys(specs):
-        image = act_pulse(spec, probe.copy()).reshape(dims.total_dim, -1)
+        image = act_pulse(spec, states.copy()).reshape(flat.shape)
         dev = max(dev, float(np.max(np.abs(image.conj().T @ image - gram))))
     return dev

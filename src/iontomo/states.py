@@ -53,10 +53,6 @@ class TruncationLeakageError(ValueError):
         )
 
 
-class DegenerateInputError(ValueError):
-    """Input collapses to the zero vector / zero matrix and cannot be normalized."""
-
-
 @dataclass(frozen=True, eq=False)
 class VibrationalState:
     """Pure or mixed state of one vibrational mode on a truncated Fock space.
@@ -220,7 +216,7 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     # as alpha -> 0.
     norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
     if norm_sq < 1e-30:
-        raise DegenerateInputError("odd cat with alpha = 0 is the zero vector")
+        raise ValueError("odd cat with alpha = 0 is the zero vector")
     nbig = dim + _TAIL_EXTEND
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)
     amps = _displaced_vacuum(alpha, nbig) * (1.0 + sign * parities) / math.sqrt(norm_sq)
@@ -279,8 +275,6 @@ def from_amplitudes(values, dim: int | None = None) -> VibrationalState:
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"raw amplitude list has length {v.shape[0]}, expected {dim}")
     norm = _norm(v)
-    if norm < 1e-30:
-        raise DegenerateInputError("raw amplitude list is the zero vector")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"raw amplitude list norm {norm} deviates from 1 by more than 1e-6")
     return VibrationalState(v.shape[0], amplitudes=v / norm)

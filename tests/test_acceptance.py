@@ -117,11 +117,12 @@ def test_criterion_5_independence_hermiticity():
 
 
 def test_criterion_6_compiled_vs_ideal_shifters():
-    # the full basis: every branch and spectator column, and full unitarity of each pulse
-    basis = np.eye(DIMS12.total_dim)
-    worst_agree = max(shifter_deviation(DIMS12, k, basis) for k in range(5))
+    # the full basis: every branch and spectator state, and full unitarity of each pulse
+    n = DIMS12.total_dim
+    basis = np.eye(n, dtype=complex).reshape(3, DIMS12.dx, DIMS12.dz, n)
+    worst_agree = max(shifter_deviation(k, basis) for k in range(5))
     specs = [spec for k in range(5) for spec in v_plus_schedule(k) + v_minus_schedule(k)]
-    worst_unitary = pulse_unitarity_defect(DIMS12, specs, basis)
+    worst_unitary = pulse_unitarity_defect(specs, basis)
     _report(6, "compiled shifters agree with ideal on the protocol subspace",
             worst_agree <= 1e-8 and worst_unitary <= 1e-10,
             f"agreement {worst_agree:.2e}, unitarity defect {worst_unitary:.2e}")

@@ -5,7 +5,7 @@ import inspect
 import iontomo
 
 PUBLIC = {
-    "DegenerateInputError", "TruncationLeakageError",
+    "TruncationLeakageError",
     "MINUS", "PLUS", "XI", "HilbertDims",
     "CoherenceEstimate", "ProtocolSettings", "measure_element",
     "PulseSpec", "act_pulse",

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
 from iontomo.protocol import pulse_unitarity_defect
-from iontomo.pulses import PulseSpec, act_pulse
+from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
 from util import expm_taylor
 
@@ -67,6 +70,16 @@ class TestPulseSpec:
     def test_angle_finite(self):
         with pytest.raises(ValueError):
             PulseSpec("carrier", ("+", "xi"), "x", math.inf)
+
+    @pytest.mark.parametrize("kind,levels,message", [
+        ("rsb", ("+", "xi"), "unknown pulse kind 'rsb'"),
+        ("carrier", ("+", "zeta"), "unknown electronic level 'zeta'"),
+        ("carrier", (3, "xi"), "electronic level index 3 not in 0..2"),
+        ("carrier", ("xi", 2), "pulse level pair must be distinct"),
+    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair"])
+    def test_rejects_bad_kind_or_levels(self, kind, levels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSpec(kind, levels, "x", 0.5)
 
     @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
     def test_coupled_pair_contains_xi(self, kind):
@@ -251,7 +264,8 @@ class TestCompilePulse:
         PulseSpec("vrot", ("+", "xi"), None, math.pi / 2),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_all_compiled_pulses_unitary(self, spec):
-        assert pulse_unitarity_defect(DIMS, [spec], np.eye(DIMS.total_dim)) <= 1e-10
+        basis = np.eye(DIMS.total_dim, dtype=complex).reshape(3, DIMS.dx, DIMS.dz, -1)
+        assert pulse_unitarity_defect([spec], basis) <= 1e-10
 
     @pytest.mark.parametrize("spec,excluded", [
         (PulseSpec("carrier", ("+", "xi"), "x", 0.7, 1.0), MINUS),
@@ -316,3 +330,36 @@ class TestPulseActions:
     def test_rejects_bad_tensor(self, shape, dtype):
         with pytest.raises(ValueError):
             act_pulse(PulseSpec("vrot", ("+", "xi"), None, 0.3), np.zeros(shape, dtype=dtype))
+
+
+@st.composite
+def _pulses(draw):
+    """Any pulse: every kind, level pair (both orders), mode, angle and laser phase."""
+    kind = draw(st.sampled_from(PULSE_KINDS))
+    level = draw(st.sampled_from(["-", "+"]))
+    angle = draw(st.floats(-4.0, 4.0))
+    if kind in ("erot", "vrot"):
+        return PulseSpec(kind, (level, "xi") if kind == "erot" else ("+", "xi"), None, angle)
+    levels = draw(st.sampled_from([(level, "xi"), ("xi", level)]))
+    phase = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    return PulseSpec(kind, levels, draw(st.sampled_from(["x", "z"])), angle, phase)
+
+
+@st.composite
+def _unequal_cutoffs(draw):
+    dx = draw(st.integers(2, 5))
+    return HilbertDims(dx, draw(st.integers(2, 5).filter(lambda dz: dz != dx)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(specs=st.lists(_pulses(), min_size=1, max_size=8), dims=_unequal_cutoffs(),
+       r=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_schedule_matches_oracle(specs, dims, r, seed):
+    # the pulses applied in place one after another act as the oracle's product of dense unitaries
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=(3, dims.dx, dims.dz, r)) + 1j * rng.normal(size=(3, dims.dx, dims.dz, r))
+    expected = oracle.schedule(specs, dims) @ state.reshape(dims.total_dim, r)
+    got = state.copy()
+    for spec in specs:
+        act_pulse(spec, got)
+    assert np.max(np.abs(got.reshape(dims.total_dim, r) - expected)) <= 1e-12

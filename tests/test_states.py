@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from iontomo.states import (
-    DegenerateInputError,
     TruncationLeakageError,
     VibrationalState,
     cat,
@@ -138,7 +137,7 @@ class TestCat:
         assert st.density_matrix()[0, 0] == 0.0
 
     def test_odd_cat_at_zero_alpha_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValueError, match=r"^odd cat with alpha = 0 is the zero vector$"):
             cat(0.0, "odd", 8)
 
     def test_bad_parity(self):
@@ -215,7 +214,9 @@ class TestRawAndInvariants:
             from_amplitudes([1.0, 1.0], 2)
 
     def test_from_amplitudes_rejects_zero(self):
-        with pytest.raises(DegenerateInputError):
+        # the zero vector fails the normalization check like any other bad norm
+        message = r"^raw amplitude list norm 0\.0 deviates from 1 by more than 1e-6$"
+        with pytest.raises(ValueError, match=message):
             from_amplitudes([0.0, 0.0], 2)
 
     @pytest.mark.parametrize("state", [
@@ -235,6 +236,10 @@ class TestRawAndInvariants:
     def test_requires_exactly_one_representation(self):
         with pytest.raises(ValueError):
             VibrationalState(4)
+
+    def test_amplitude_length_must_match_dim(self):
+        with pytest.raises(ValueError, match=r"^amplitude vector length 2 != dim 3$"):
+            VibrationalState(3, amplitudes=[1, 0])
 
 
 class TestFarTail:

@@ -203,6 +203,10 @@ class TestProjectPhysical:
                     other = np.outer(v, v.conj()) / np.vdot(v, v).real
                 assert hs_distance((1 - t) * proj + t * other, target) >= best - 1e-12
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            project_physical(np.zeros((2, 3)))
+
     def test_zero_matrix_is_maximally_mixed(self):
         # a block with no positive eigenvalue is still measured data: the projection is total
         assert np.max(np.abs(project_physical(np.zeros((4, 4))) - np.eye(4) / 4)) <= 1e-12
@@ -237,6 +241,8 @@ class TestDistances:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(3) / 3, np.eye(4) / 4)
+        with pytest.raises(ValueError, match=r"^shape mismatch \(3, 3\) vs \(4, 4\)$"):
+            hs_distance(np.eye(3) / 3, np.eye(4) / 4)
 
 
 class TestDecoherenceMonitor:
