@@ -149,9 +149,11 @@ def _as_float(value, where: str) -> float:
 
 
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(_as_float(value.get("re", 0.0), where), _as_float(value.get("im", 0.0), where))
-    return complex(_as_float(value, where))
+    if not isinstance(value, dict):
+        return complex(_as_float(value, where))
+    if set(value) != {"re", "im"}:
+        raise ConfigError(f"field '{where}' must be a finite number or an {{re, im}} pair, got {value!r}")
+    return complex(_as_float(value["re"], where), _as_float(value["im"], where))
 
 
 def build_dims(cfg: dict) -> HilbertDims:

@@ -15,14 +15,13 @@ V-_m then lifts the z mode of the |-> branch from |0> to |m>, and V+_n lifts
 the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
 
-A run (measure_element, the one cell entry) only follows the dx input states
-|->|k>_x|0>_z that the initial state lives on: it applies the cell's pulse
-schedule in closed form (pulses.act_pulse) to a (3, dx, dz, dx) tensor and
-reads the element out of its |-> and |+> blocks, with no operator on the
-composite space (dimension N = 3 dx dz). The identity checks at the end of
-this module (mode swap, entangled target, compiled vs ideal shifters, pulse
-unitarity) run on the same actions; the validate subcommand and the
-acceptance tests share them.
+A run (measure_element, the one cell entry) applies the cell's pulse schedule
+in closed form (pulses.act_pulse) to a (3, dx, dz, r) tensor of the input's
+own columns (r = 1 for a pure input, dx for a mixed one) and reads the element
+out of its |-> and |+> blocks, with no operator on the composite space
+(dimension N = 3 dx dz). The identity checks at the end of this module (mode
+swap, entangled target, compiled vs ideal shifters, pulse unitarity) run on
+the same actions; the validate subcommand and the acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -204,8 +203,9 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     are reproducible bit-for-bit and independent of evaluation order. The
     stream does not depend on the state: two runs of the same cell on
     different inputs (such as the points of a decoherence monitor) share
-    their random numbers. stderr combines the two sample means:
-    sqrt(var_x + var_y) / sqrt(shots).
+    their random numbers, but share outcomes only where the probabilities
+    agree to the last bit (numpy's multinomial draws n - B(n, 1-p) for p > 1/2,
+    so p = 1/2 moved by one ulp mirrors its draw). stderr = sqrt(var_x + var_y) / sqrt(shots).
     """
     stats = {}
     for observable, tag in _OBSERVABLE_TAGS.items():
@@ -246,26 +246,24 @@ def _shift_compiled(w: np.ndarray, m: int, n: int) -> np.ndarray:
     return w
 
 
-def _slice_images(m: int, n: int, settings: ProtocolSettings) -> np.ndarray:
-    """U_mn on the input slice: a (3, dx, dz, dx) tensor whose column k is U_mn |->|k>_x|0>_z.
+def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarray) -> np.ndarray:
+    """U_mn on mode-x inputs: a (3, dx, dz, r) tensor whose column j is U_mn |->|c_j>_x|0>_z.
 
-    Runs the cell's own schedule from the bare slice: the entangler pulses,
-    then the ideal or the compiled shifters.
+    Runs the cell's entangler, then its shifters, on the complex (dx, r) columns c_j.
     """
     dims = settings.dims
     _check_target(m, dims.dz, "z", settings.v_mode)
     _check_target(n, dims.dx, "x", settings.v_mode)
-    k = np.arange(dims.dx)
-    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, dims.dx), dtype=complex)
-    w[MINUS, k, 0, k] = 1.0
+    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, columns.shape[1]), dtype=complex)
+    w[MINUS, :, 0] = columns
     for spec in u00_schedule(settings.compat_rminus_final):
         act_pulse(spec, w)
     return (_shift_ideal if settings.v_mode == "ideal" else _shift_compiled)(w, m, n)
 
 
-def _slice_reduced(w: np.ndarray, rho_vibr: np.ndarray) -> np.ndarray:
-    """3 x 3 electronic state Tr_v(W_a rho_vibr W_b^dag) from the (3, vib_dim, dx) slice images."""
-    return np.einsum("avk,bvk->ab", w @ rho_vibr, w.conj())
+def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """3 x 3 electronic state Tr_v(W_a G W_b^dag) from the (3, vib_dim, r) images W of C."""
+    return np.einsum("avk,bvk->ab", w @ gram, w.conj())
 
 
 def measure_element(phi: VibrationalState, m: int, n: int,
@@ -273,24 +271,24 @@ def measure_element(phi: VibrationalState, m: int, n: int,
     """One protocol run on the input phi: read out <m| rho_vibr |n>.
 
     phi was checked as a state, its truncation leakage included, when it was
-    built; here only its dimension is checked against dx. The initial state
-    rho_vibr (x) |0><0|_z (x) |-><-| lives on the dx input states, so the run
-    needs only W = U_mn restricted to them (_slice_images), with row blocks
-    W_a = <a|W on each electronic level a. The transformed state's electronic
-    block <a|rho|b> is W_a rho_vibr W_b^dag; exact mode returns
-    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ rho_vibr W_-^dag), sampled mode
-    samples from the reduced state Tr_v(W_a rho_vibr W_b^dag) (see
-    _sample_reduced). Every cell runs its own full schedule.
+    built; here only its dimension is checked against dx. With rho_vibr =
+    C G C^dag (a pure phi: its amplitude column and G = [[1]]; a mixed phi:
+    the dx basis columns and G = rho_vibr) the run needs only the images
+    W = U_mn |->C|0>_z (_slice_images), with row blocks W_a = <a|W, and the
+    transformed state's block <a|rho|b> is W_a G W_b^dag. Exact mode returns
+    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag), sampled mode samples from
+    Tr_v(W_a G W_b^dag) (_sample_reduced). Each cell runs its full schedule.
     """
     dims = settings.dims
     if phi.dim != dims.dx:
         raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
-    rho_vibr = phi.density_matrix()
-    w = _slice_images(m, n, settings).reshape(ELECTRONIC_DIM, dims.vib_dim, dims.dx)
+    columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
+                     else (np.eye(dims.dx), phi.matrix))
+    w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, dims.vib_dim, -1)
     if settings.shots is None:
-        value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ rho_vibr)
+        value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)
         return CoherenceEstimate(complex(value), 0.0, 0, m, n)
-    return _sample_reduced(_slice_reduced(w, rho_vibr), m, n, settings.shots, settings.seed)
+    return _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, ampli
     """
     dims = settings.dims
     phi = np.asarray(amplitudes, dtype=complex).reshape(dims.dx, -1)
-    got = _slice_images(m, n, settings) @ phi
+    got = _slice_images(m, n, settings, phi)
     target = np.zeros_like(got)
     target[MINUS, :, m] = phi / _SQRT2
     target[PLUS, n, :] = phi / _SQRT2

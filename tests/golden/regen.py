@@ -80,7 +80,8 @@ ERRORS = (
     "error-dims-not-integer", "error-dims-too-small", "error-dims-unequal", "error-v-mode",
     "error-shots-not-integer", "error-missing-state", "error-state-not-object",
     "error-state-kind", "error-state-unknown-field", "error-state-missing-field",
-    "error-state-not-number", "error-amplitudes-not-list", "error-missing-nmax",
+    "error-state-not-number", "error-alpha-empty-pair", "error-amplitude-one-part",
+    "error-amplitudes-not-list", "error-missing-nmax",
     "zero-raw", "zero-cat", "config-out", "config-format", "config-out-not-string",
 )
 

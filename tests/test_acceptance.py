@@ -178,7 +178,7 @@ def test_criterion_9_final_pulse_regression():
     settings = ProtocolSettings(DIMS12, compat_rminus_final=True)
     family = _phi_family(12)
     amplitudes = _amplitudes(family)
-    out = _slice_images(0, 0, settings) @ amplitudes
+    out = _slice_images(0, 0, settings, amplitudes)
     min_xi = float(np.min(np.sum(np.abs(out[XI]) ** 2, axis=(0, 1))))
     max_resid = entangled_target_deviation(settings, 0, 0, amplitudes)
     ok = min_xi > 0.05 and max_resid > 1e-7

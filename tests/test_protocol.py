@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import oracle
 from iontomo import cli, hilbert, protocol, pulses, states, tomography
@@ -24,6 +26,7 @@ from iontomo.protocol import (
     entangled_target_deviation,
     measure_element,
     reduced_probabilities,
+    shifter_reach,
     u00_schedule,
     v_minus_schedule,
     v_plus_schedule,
@@ -54,7 +57,7 @@ def entangled_target(phi, dims, m=0, n=0):
 def run_pure(phi, m, n, settings):
     """U_mn |phi>_x|0>_z|-> from the engine's slice images, as a flat vector."""
     dims = settings.dims
-    return (_slice_images(m, n, settings) @ phi.amplitudes).reshape(dims.total_dim)
+    return _slice_images(m, n, settings, phi.amplitudes[:, None]).reshape(dims.total_dim)
 
 
 def tensor(vector, dims=DIMS):
@@ -65,7 +68,7 @@ def tensor(vector, dims=DIMS):
 def engine_reduced(phi, m, n, settings):
     """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
     dims = settings.dims
-    w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, dims.dx)
+    w = _slice_images(m, n, settings, np.eye(dims.dx)).reshape(3, dims.vib_dim, dims.dx)
     return _slice_reduced(w, phi.density_matrix())
 
 
@@ -145,7 +148,8 @@ class TestEntangler:
                      @ _test_rotation_matrix(MINUS, math.pi / 4, dims))
         assert np.max(np.abs(oracle.u00(dims) - reference)) < 1e-11
         columns = [oracle.index(dims, MINUS, k, 0) for k in range(dims.dx)]
-        images = _slice_images(0, 0, ProtocolSettings(dims)).reshape(dims.total_dim, dims.dx)
+        images = _slice_images(0, 0, ProtocolSettings(dims), np.eye(dims.dx))
+        images = images.reshape(dims.total_dim, dims.dx)
         assert np.max(np.abs(images - reference[:, columns])) < 1e-11
 
     def test_intermediate_bright_state(self):
@@ -194,7 +198,7 @@ class TestIdealShifters:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            _slice_images(0, 8, SETTINGS)
+            _slice_images(0, 8, SETTINGS, np.eye(DIMS.dx))
 
     @pytest.mark.parametrize("completion", ["cycle", "swap"])
     def test_matches_loop_reference(self, completion):
@@ -275,9 +279,9 @@ class TestCompiledShifters:
     def test_near_cutoff_rejected(self):
         compiled = ProtocolSettings(DIMS, v_mode="compiled")
         with pytest.raises(ValueError):
-            _slice_images(0, 7, compiled)
+            _slice_images(0, 7, compiled, np.eye(DIMS.dx))
         with pytest.raises(ValueError):
-            _slice_images(7, 0, compiled)
+            _slice_images(7, 0, compiled, np.eye(DIMS.dx))
 
     def test_minus_schedule_addresses_z_and_minus(self):
         for spec in v_minus_schedule(3):
@@ -294,7 +298,8 @@ class TestComposedUnitary:
         for spec in u00_schedule():
             act_pulse(spec, w)
         for v_mode in ("ideal", "compiled"):
-            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(DIMS, v_mode=v_mode)), w)
+            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(DIMS, v_mode=v_mode),
+                                                np.eye(DIMS.dx)), w)
 
     def test_example_final_state(self):
         # (m, n) = (1, 2) on phi = |1>: (|1,1,-> + |2,1,+>)/sqrt(2)
@@ -564,7 +569,7 @@ class TestHotPathInvariants:
         rho_vibr = dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3).density_matrix()
         for m in range(5):
             for n in range(5):
-                w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
+                w = _slice_images(m, n, settings, np.eye(DIMS.dx)).reshape(DIMS.total_dim, -1)
                 assert np.max(np.abs(w.conj().T @ w - np.eye(DIMS.dx))) <= 1e-10
                 rho = w @ rho_vibr @ w.conj().T
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
@@ -601,7 +606,7 @@ class TestSliceEngine:
                 dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
                 value = measure_element(phi, m, n, settings).value
                 assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
-                w = _slice_images(m, n, settings).reshape(3, dims.vib_dim, d)
+                w = _slice_images(m, n, settings, np.eye(d)).reshape(3, dims.vib_dim, d)
                 red = _slice_reduced(w, rho_vibr)
                 assert np.max(np.abs(red - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
@@ -610,7 +615,7 @@ class TestSliceEngine:
         settings = ProtocolSettings(DIMS, v_mode=v_mode)
         columns = [oracle.index(DIMS, MINUS, k, 0) for k in range(DIMS.dx)]
         for m, n in ((0, 0), (3, 1), (6, 5)):
-            w = _slice_images(m, n, settings).reshape(DIMS.total_dim, DIMS.dx)
+            w = _slice_images(m, n, settings, np.eye(DIMS.dx)).reshape(DIMS.total_dim, DIMS.dx)
             assert np.max(np.abs(w - oracle.u_mn(m, n, settings)[:, columns])) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
@@ -628,6 +633,20 @@ class TestSliceEngine:
                   / math.sqrt(math.factorial(m) * math.factorial(n)))
         assert abs(value - closed) <= 1e-9
         assert peak < 100 * 2 ** 20
+
+    def test_d60_pure_block_stays_below_one_slice_tensor(self):
+        # a pure input runs each schedule on its one amplitude column, so a compiled
+        # block at d = 60 peaks below one (N, dx) complex tensor of basis images (10.4 MB)
+        dims = HilbertDims(60, 60)
+        phi = coherent(1.5 + 0.5j, 60)
+        tracemalloc.start()
+        try:
+            report = reconstruct(phi, 8, ProtocolSettings(dims, v_mode="compiled"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.metrics["max_abs_error"] <= 1e-9
+        assert peak < 16 * dims.total_dim * dims.dx
 
     def test_builds_no_dense_operator(self):
         # the only cache in the package is the bounded beam-splitter block cache, and a
@@ -662,3 +681,60 @@ class TestSliceEngine:
         for m, n in ((0, 0), (9, 0)):
             with pytest.raises(ValueError, match=r"^vibrational state dim 6 != dx 8$"):
                 measure_element(fock(0, 6), m, n, SETTINGS)
+
+
+def _columns_and_gram(phi):
+    """The columns C and Gram matrix G with rho_vibr = C G C^dag that measure_element runs on."""
+    if phi.is_pure:
+        return phi.amplitudes[:, None], np.ones((1, 1))
+    return np.eye(phi.dim), phi.matrix
+
+
+@st.composite
+def _random_cells(draw):
+    """A cell (m, n) within reach on d in 3..6, either shifter mode and either entangler,
+    with a random pure input or a random mixed input of rank 1..d."""
+    d = draw(st.integers(3, 6))
+    v_mode = draw(st.sampled_from(["ideal", "compiled"]))
+    reach = shifter_reach(d, v_mode)
+    m, n = draw(st.integers(0, reach)), draw(st.integers(0, reach))
+    settings = ProtocolSettings(HilbertDims(d, d), v_mode=v_mode, compat_rminus_final=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.one_of(st.none(), st.integers(1, d)))
+    if rank is None:
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = VibrationalState(d, amplitudes=vec / np.linalg.norm(vec))
+    else:
+        factor = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = factor @ factor.conj().T
+        phi = VibrationalState(d, matrix=(rho + rho.conj().T) / (2 * np.trace(rho).real))
+    return phi, m, n, settings
+
+
+@hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+@given(cell=_random_cells())
+def test_random_cell_matches_oracle(cell):
+    # the exact value and the sampler's reduced state of any cell, on pure and mixed
+    # inputs, equal those of the oracle's dense U_mn rho_0 U_mn^dag
+    phi, m, n, settings = cell
+    dims = settings.dims
+    dense = oracle.evolve(oracle.u_mn(m, n, settings), oracle.prepare_initial(phi, dims))
+    assert abs(measure_element(phi, m, n, settings).value - oracle.coherence(dense, dims)) <= 1e-12
+    columns, gram = _columns_and_gram(phi)
+    w = _slice_images(m, n, settings, columns).reshape(3, dims.vib_dim, -1)
+    assert np.max(np.abs(_slice_reduced(w, gram) - oracle.electronic_reduced(dense, dims))) <= 1e-12
+
+
+@pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+@pytest.mark.parametrize("compat", [False, True], ids=["final-plus", "compat"])
+def test_pure_input_matches_its_density_matrix(v_mode, compat):
+    # the one-column route of a pure input and the dx-column route of the same state
+    # given as a density matrix read the same element in every cell
+    phi = coherent(0.6 + 0.4j, 8, tail_tol=1e-3)
+    as_matrix = VibrationalState(8, matrix=phi.density_matrix())
+    settings = ProtocolSettings(DIMS, v_mode=v_mode, compat_rminus_final=compat)
+    reach = shifter_reach(8, v_mode)
+    for m in range(reach + 1):
+        for n in range(reach + 1):
+            pure = measure_element(phi, m, n, settings).value
+            assert abs(pure - measure_element(as_matrix, m, n, settings).value) <= 1e-14
