@@ -5,7 +5,7 @@ unitary, and reads single density-matrix elements <m| rho_vibr |n> out of
 transverse pseudospin expectations, one element per protocol run.
 """
 
-from .hilbert import MINUS, PLUS, XI, HilbertDims
+from .hilbert import MINUS, PLUS, XI
 from .protocol import CoherenceEstimate, ProtocolSettings, measure_element
 from .pulses import PulseSpec, act_pulse
 from .states import (

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import protocol, tomography
-from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, HilbertDims
+from .hilbert import ELECTRONIC_DIM, MINUS, PLUS
 from .states import (
     DEFAULT_TAIL_TOL,
     TruncationLeakageError,
@@ -156,18 +156,24 @@ def _as_complex(value, where: str) -> complex:
     return complex(_as_float(value["re"], where), _as_float(value["im"], where))
 
 
-def build_dims(cfg: dict) -> HilbertDims:
-    d = _field(cfg, "dims", required=True)
-    if not isinstance(d, dict) or "dx" not in d or "dz" not in d:
+def build_dims(cfg: dict) -> int:
+    """The one Fock cutoff d of the run, from the config's per-mode cutoffs dims: {dx, dz}."""
+    dims = _field(cfg, "dims", required=True)
+    if not isinstance(dims, dict) or "dx" not in dims or "dz" not in dims:
         raise ConfigError("config field 'dims' must be an object with dx and dz")
-    _reject_unknown(d, ("dx", "dz"), "dims.")
+    _reject_unknown(dims, ("dx", "dz"), "dims.")
     try:
-        return HilbertDims(_as_int(d["dx"], "dims.dx"), _as_int(d["dz"], "dims.dz"))
+        dx, dz = (_as_int(dims[key], f"dims.{key}") for key in ("dx", "dz"))
+        if dx < 2 or dz < 2:
+            raise ValueError(f"Fock cutoffs must be >= 2, got dx={dx}, dz={dz}")
     except ValueError as exc:
         raise ConfigError(f"bad dims: {exc}") from exc
+    if dx != dz:
+        raise ConfigError("protocol requires equal mode cutoffs (the rotation maps x-support onto z)")
+    return dx
 
 
-def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
+def build_state(cfg: dict, d: int) -> VibrationalState:
     spec = _field(cfg, "state", required=True)
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
@@ -176,37 +182,36 @@ def build_state(cfg: dict, dims: HilbertDims) -> VibrationalState:
         raise ConfigError(f"unknown state kind {kind!r}")
     _reject_unknown(spec, _STATE_COMMON + _STATE_FIELDS[kind], "state.")
     tail_tol = _as_float(_field(spec, "tail_tol", DEFAULT_TAIL_TOL), "state.tail_tol")
-    dim = dims.dx
     if kind == "fock":
-        state = fock(_as_int(_field(spec, "n", required=True), "state.n"), dim)
+        state = fock(_as_int(_field(spec, "n", required=True), "state.n"), d)
     elif kind == "coherent":
         alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
-        state = coherent(alpha, dim, tail_tol)
+        state = coherent(alpha, d, tail_tol)
     elif kind == "squeezed":
         state = squeezed(_as_float(_field(spec, "r", required=True), "state.r"),
-                         _as_float(_field(spec, "phi", 0.0), "state.phi"), dim, tail_tol)
+                         _as_float(_field(spec, "phi", 0.0), "state.phi"), d, tail_tol)
     elif kind == "cat":
         alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
-        state = cat(alpha, _field(spec, "parity", required=True), dim, tail_tol)
+        state = cat(alpha, _field(spec, "parity", required=True), d, tail_tol)
     elif kind == "thermal":
-        state = thermal(_as_float(_field(spec, "nbar", required=True), "state.nbar"), dim, tail_tol)
+        state = thermal(_as_float(_field(spec, "nbar", required=True), "state.nbar"), d, tail_tol)
     else:
         values = _field(spec, "amplitudes", required=True)
         if not isinstance(values, list):
             raise ConfigError("state.amplitudes must be a list")
         amps = [_as_complex(v, "state.amplitudes") for v in values]
-        state = from_amplitudes(amps, dim)
+        state = from_amplitudes(amps, d)
     lam = _field(spec, "dephase", None)
     if lam is not None:
         state = dephase(state, _as_float(lam, "state.dephase"))
     return state
 
 
-def build_settings(cfg: dict, dims: HilbertDims, compat: bool) -> protocol.ProtocolSettings:
+def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings:
     shots = _field(cfg, "shots", None)
     try:
         return protocol.ProtocolSettings(
-            dims=dims,
+            d=d,
             v_mode=_field(cfg, "v_mode", "ideal"),
             shots=None if shots is None else _as_int(shots, "shots"),
             seed=_as_int(_field(cfg, "seed", 0), "seed"),
@@ -219,7 +224,7 @@ def build_settings(cfg: dict, dims: HilbertDims, compat: bool) -> protocol.Proto
 def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
     """The run record: the settings, plus what else the subcommand read (its state, say)."""
     echo = {
-        "dims": {"dx": settings.dims.dx, "dz": settings.dims.dz},
+        "dims": {"dx": settings.d, "dz": settings.d},
         "v_mode": settings.v_mode,
         "shots": settings.shots,
         "seed": settings.seed,
@@ -253,7 +258,7 @@ def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
 # subcommands
 
 def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
-    phi = build_state(cfg, settings.dims)
+    phi = build_state(cfg, settings.d)
     nmax = _as_int(_field(cfg, "nmax", required=True), "nmax")
     report = tomography.reconstruct(phi, nmax, settings,
                                     use_hermitian_symmetry=args.use_hermitian_symmetry)
@@ -281,7 +286,7 @@ def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int
 def cmd_coherence(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     if args.m is None or args.n is None:
         raise UsageError("coherence requires --m and --n")
-    phi = build_state(cfg, settings.dims)
+    phi = build_state(cfg, settings.d)
     est = protocol.measure_element(phi, args.m, args.n, settings)
     payload = {
         "m": est.m,
@@ -307,7 +312,7 @@ def _parse_lambdas(raw: str | None) -> list[float]:
 
 def cmd_monitor(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    phi = build_state(cfg, settings.dims)
+    phi = build_state(cfg, settings.d)
     points = tomography.decoherence_monitor(phi, lambdas, settings)
     payload = {
         "series": [{"lambda": p.lam, "rho20_abs": p.rho20_abs, "bound": p.bound}
@@ -320,7 +325,7 @@ def cmd_monitor(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
 
 def _schedules(settings: protocol.ProtocolSettings) -> dict:
     """The pulses validate checks and records: U_00, and V+_k, V-_k for k <= 4 within the compiled reach."""
-    targets = range(min(4, protocol.shifter_reach(settings.dims.dx, "compiled")) + 1)
+    targets = range(min(4, protocol.shifter_reach(settings.d, "compiled")) + 1)
     return {"u00": protocol.u00_schedule(settings.compat_rminus_final),
             "v_plus": {k: protocol.v_plus_schedule(k) for k in targets},
             "v_minus": {k: protocol.v_minus_schedule(k) for k in targets}}
@@ -329,32 +334,31 @@ def _schedules(settings: protocol.ProtocolSettings) -> dict:
 def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> list[dict]:
     """The invariant suite behind the validate subcommand, run on the measurement path's actions.
 
-    No check forms an N x N array: each acts on at most a few dx-column slices.
+    No check forms an N x N array: each acts on at most a few d-column slices.
     """
-    dims = settings.dims
+    d = settings.d
     checks = []
 
     def record(name, deviation, tol):
         checks.append({"name": name, "passed": bool(deviation <= tol),
                        "deviation": float(deviation), "tolerance": float(tol)})
 
-    record("mode-swap-identity", protocol.mode_swap_deviation(dims, range(dims.dx)), 1e-10)
+    record("mode-swap-identity", protocol.mode_swap_deviation(d, range(d)), 1e-10)
 
     # Entangler: U_00 |phi,0,-> = (|phi,0,-> + |0,phi,+>)/sqrt(2).
     try:
-        family = [fock(0, dims.dx), fock(min(2, dims.dx - 1), dims.dx),
-                  coherent(0.5, dims.dx, tail_tol=1e-6)]
+        family = [fock(0, d), fock(min(2, d - 1), d), coherent(0.5, d, tail_tol=1e-6)]
     except TruncationLeakageError:
-        family = [fock(0, dims.dx)]
+        family = [fock(0, d)]
     amplitudes = np.stack([phi.amplitudes for phi in family], axis=1)
     record("entangler-identity", protocol.entangled_target_deviation(settings, 0, 0, amplitudes), 1e-9)
 
     # Element identity, ideal and compiled branch shifters.
     phi = family[-1]
     truth = phi.density_matrix()
-    kmax = min(2, protocol.shifter_reach(dims.dx, "compiled"))
+    kmax = min(2, protocol.shifter_reach(d, "compiled"))
     for v_mode, tol in (("ideal", 1e-9), ("compiled", 1e-7)):
-        st = protocol.ProtocolSettings(dims, v_mode=v_mode,
+        st = protocol.ProtocolSettings(d, v_mode=v_mode,
                                        compat_rminus_final=settings.compat_rminus_final)
         dev = max(abs(protocol.measure_element(phi, m, n, st).value - truth[m, n])
                   for m in range(kmax + 1) for n in range(kmax + 1))
@@ -362,20 +366,20 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
 
     # Compiled vs ideal shifters on the branch slices |->|j>_x|0>_z and |+>|0>_x|j>_z,
     # each the other shifter's spectator.
-    j = np.arange(dims.dx)
-    slices = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, 2 * dims.dx), dtype=complex)
+    j = np.arange(d)
+    slices = np.zeros((ELECTRONIC_DIM, d, d, 2 * d), dtype=complex)
     slices[MINUS, j, 0, j] = 1.0
-    slices[PLUS, 0, j, dims.dx + j] = 1.0
+    slices[PLUS, 0, j, d + j] = 1.0
     record("compiled-vs-ideal",
            max(protocol.shifter_deviation(k, slices) for k in schedules["v_plus"]), 1e-8)
 
-    # Unitarity of every scheduled pulse, on dx seeded random orthonormal states.
+    # Unitarity of every scheduled pulse, on d seeded random orthonormal states.
     specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])
                                   for ladder in ladders.values() for spec in ladder)]
     rng = np.random.default_rng(0)
-    probe = np.linalg.qr(rng.normal(size=(dims.total_dim, dims.dx))
-                         + 1j * rng.normal(size=(dims.total_dim, dims.dx)))[0]
-    probe = probe.reshape(ELECTRONIC_DIM, dims.dx, dims.dz, dims.dx)
+    shape = (ELECTRONIC_DIM * d * d, d)
+    probe = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    probe = probe.reshape(ELECTRONIC_DIM, d, d, d)
     record("pulse-unitarity", protocol.pulse_unitarity_defect(specs, probe), 1e-10)
 
     return checks

@@ -15,11 +15,12 @@ V-_m then lifts the z mode of the |-> branch from |0> to |m>, and V+_n lifts
 the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
 
+Both modes keep the same Fock cutoff d, since U_00 maps the x-support onto z.
 A run (measure_element, the one cell entry) applies the cell's pulse schedule
-in closed form (pulses.act_pulse) to a (3, dx, dz, r) tensor of the input's
-own columns (r = 1 for a pure input, dx for a mixed one) and reads the element
-out of its |-> and |+> blocks, with no operator on the composite space
-(dimension N = 3 dx dz). The identity checks at the end of this module (mode
+in closed form (pulses.act_pulse) to a (3, d, d, r) tensor of the input's own
+columns (r = 1 for a pure input, d for a mixed one) and reads the element out
+of its |-> and |+> blocks, with no operator on the composite space
+(dimension N = 3 d^2). The identity checks at the end of this module (mode
 swap, entangled target, compiled vs ideal shifters, pulse unitarity) run on
 the same actions; the validate subcommand and the acceptance tests share them.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI, HilbertDims
+from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI
 from .pulses import PulseSpec, act_pulse
 from .states import VibrationalState
 
@@ -59,29 +60,30 @@ CLIP_TOL = 1e-10
 class ProtocolSettings:
     """How a protocol run is evaluated.
 
-    v_mode 'ideal' uses exact branch shifters (completed to permutations);
-    'compiled' builds them from carrier/sideband pi-pulse ladders. shots=None
-    means exact expectation values; otherwise each transverse observable is
-    sampled that many times. compat_rminus_final reproduces the historical
-    four-pulse ordering whose final pulse addresses the {-, xi} pair; it fails
-    the entangler identity and exists only for comparison.
+    d is the Fock cutoff of each mode: both keep |0>..|d-1>. v_mode 'ideal'
+    uses exact branch shifters (completed to permutations); 'compiled' builds
+    them from carrier/sideband pi-pulse ladders. shots=None means exact
+    expectation values; otherwise each transverse observable is sampled that
+    many times. compat_rminus_final reproduces the historical four-pulse
+    ordering whose final pulse addresses the {-, xi} pair; it fails the
+    entangler identity and exists only for comparison.
     """
 
-    dims: HilbertDims
+    d: int
     v_mode: str = "ideal"
     shots: int | None = None
     seed: int = 0
     compat_rminus_final: bool = False
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"Fock cutoff must be >= 2, got d={self.d}")
         if self.v_mode not in ("ideal", "compiled"):
             raise ValueError(f"v_mode must be 'ideal' or 'compiled', got {self.v_mode!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 (or None for exact mode)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.dims.dx != self.dims.dz:
-            raise ValueError("protocol requires equal mode cutoffs (the rotation maps x-support onto z)")
 
 
 @dataclass(frozen=True)
@@ -247,14 +249,14 @@ def _shift_compiled(w: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarray) -> np.ndarray:
-    """U_mn on mode-x inputs: a (3, dx, dz, r) tensor whose column j is U_mn |->|c_j>_x|0>_z.
+    """U_mn on mode-x inputs: a (3, d, d, r) tensor whose column j is U_mn |->|c_j>_x|0>_z.
 
-    Runs the cell's entangler, then its shifters, on the complex (dx, r) columns c_j.
+    Runs the cell's entangler, then its shifters, on the complex (d, r) columns c_j.
     """
-    dims = settings.dims
-    _check_target(m, dims.dz, "z", settings.v_mode)
-    _check_target(n, dims.dx, "x", settings.v_mode)
-    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, columns.shape[1]), dtype=complex)
+    d = settings.d
+    _check_target(m, d, "z", settings.v_mode)
+    _check_target(n, d, "x", settings.v_mode)
+    w = np.zeros((ELECTRONIC_DIM, d, d, columns.shape[1]), dtype=complex)
     w[MINUS, :, 0] = columns
     for spec in u00_schedule(settings.compat_rminus_final):
         act_pulse(spec, w)
@@ -262,7 +264,7 @@ def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarra
 
 
 def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """3 x 3 electronic state Tr_v(W_a G W_b^dag) from the (3, vib_dim, r) images W of C."""
+    """3 x 3 electronic state Tr_v(W_a G W_b^dag) from the (3, d^2, r) images W of C."""
     return np.einsum("avk,bvk->ab", w @ gram, w.conj())
 
 
@@ -271,20 +273,20 @@ def measure_element(phi: VibrationalState, m: int, n: int,
     """One protocol run on the input phi: read out <m| rho_vibr |n>.
 
     phi was checked as a state, its truncation leakage included, when it was
-    built; here only its dimension is checked against dx. With rho_vibr =
+    built; here only its dimension is checked against d. With rho_vibr =
     C G C^dag (a pure phi: its amplitude column and G = [[1]]; a mixed phi:
-    the dx basis columns and G = rho_vibr) the run needs only the images
+    the d basis columns and G = rho_vibr) the run needs only the images
     W = U_mn |->C|0>_z (_slice_images), with row blocks W_a = <a|W, and the
     transformed state's block <a|rho|b> is W_a G W_b^dag. Exact mode returns
     <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag), sampled mode samples from
     Tr_v(W_a G W_b^dag) (_sample_reduced). Each cell runs its full schedule.
     """
-    dims = settings.dims
-    if phi.dim != dims.dx:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+    d = settings.d
+    if phi.dim != d:
+        raise ValueError(f"vibrational state dim {phi.dim} != dx {d}")
     columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
-                     else (np.eye(dims.dx), phi.matrix))
-    w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, dims.vib_dim, -1)
+                     else (np.eye(d), phi.matrix))
+    w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, d * d, -1)
     if settings.shots is None:
         value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)
         return CoherenceEstimate(complex(value), 0.0, 0, m, n)
@@ -302,7 +304,7 @@ def _max_column_norm(w: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(w.reshape(-1, w.shape[-1]), axis=0)))
 
 
-def mode_swap_deviation(dims: HilbertDims, fock_numbers) -> float:
+def mode_swap_deviation(d: int, fock_numbers) -> float:
     """Largest |amplitude - 1| of the mode swap |n>_x|0>_z -> |0>_x|n>_z over the given n.
 
     The vibrational pulse at pi/2 acts as exp(i (pi/2) L_y) on the bright
@@ -311,7 +313,7 @@ def mode_swap_deviation(dims: HilbertDims, fock_numbers) -> float:
     """
     ns = np.asarray(fock_numbers)
     cols = np.arange(len(ns))
-    w = np.zeros((ELECTRONIC_DIM, dims.dx, dims.dz, len(ns)), dtype=complex)
+    w = np.zeros((ELECTRONIC_DIM, d, d, len(ns)), dtype=complex)
     w[PLUS, ns, 0, cols] = w[XI, ns, 0, cols] = 1.0 / _SQRT2
     act_pulse(PulseSpec("vrot", ("+", "xi"), None, HALF_PI), w)
     amplitude = (w[PLUS, 0, ns, cols] + w[XI, 0, ns, cols]) / _SQRT2
@@ -321,10 +323,9 @@ def mode_swap_deviation(dims: HilbertDims, fock_numbers) -> float:
 def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, amplitudes) -> float:
     """Largest norm of U_mn|phi,0,-> - (|phi,m,-> + |n,phi,+>)/sqrt(2) over the given inputs.
 
-    amplitudes is a (dx, r) matrix whose columns are the input states phi.
+    amplitudes is a (d, r) matrix whose columns are the input states phi.
     """
-    dims = settings.dims
-    phi = np.asarray(amplitudes, dtype=complex).reshape(dims.dx, -1)
+    phi = np.asarray(amplitudes, dtype=complex).reshape(settings.d, -1)
     got = _slice_images(m, n, settings, phi)
     target = np.zeros_like(got)
     target[MINUS, :, m] = phi / _SQRT2

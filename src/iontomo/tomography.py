@@ -3,9 +3,9 @@
 reconstruct() sweeps a square block of matrix elements, one independent
 protocol run (protocol.measure_element) per cell; by default no hermiticity
 shortcut is taken, so the (n, m) cell really is measured through its own
-composed unitary rather than copied from the conjugate of (m, n). decoherence_monitor() is the three-element
-use case: it tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling
-the full block.
+composed unitary rather than copied from the conjugate of (m, n).
+decoherence_monitor() is the three-element use case: it tracks |rho_20|
+against sqrt(rho_00 rho_22) without ever filling the full block.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ class ReconstructionReport:
     """Reconstructed block plus everything needed to judge it.
 
     estimates[m, n] is the measured <m| rho_vibr |n>; stderrs is zero in exact
-    mode. truth is the same block of the known input, projected the
+    mode. truth is the same block of the known input, and projected is the
     Hilbert-Schmidt-nearest density matrix to the estimates (see
-    project_physical), all plain arrays; metrics compares estimates to truth.
+    project_physical); all four are plain arrays. metrics compares estimates
+    with truth.
     """
 
     nmax: int
@@ -88,10 +89,9 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     measured, halving the work at the cost of no longer exercising the
     element-independence property.
     """
-    dims = settings.dims
-    reach = shifter_reach(dims.dx, settings.v_mode)
+    reach = shifter_reach(settings.d, settings.v_mode)
     if not 0 <= nmax <= reach:
-        raise ValueError(f"nmax {nmax} out of the {settings.v_mode} shifter reach 0..{reach} at dx={dims.dx}")
+        raise ValueError(f"nmax {nmax} out of the {settings.v_mode} shifter reach 0..{reach} at dx={settings.d}")
     size = nmax + 1
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
@@ -141,10 +141,10 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
         raise ValueError("lambda list must not be empty")
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
-    reach = shifter_reach(settings.dims.dx, settings.v_mode)
+    reach = shifter_reach(settings.d, settings.v_mode)
     if reach < 2:
         raise ValueError(f"monitor addresses the (2, 0) element, beyond the {settings.v_mode} "
-                         f"shifter reach 0..{reach} at dx={settings.dims.dx}")
+                         f"shifter reach 0..{reach} at dx={settings.d}")
     points = []
     for lam in lambdas:
         dephased = dephase(phi, lam)

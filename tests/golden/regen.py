@@ -73,11 +73,13 @@ INVOCATIONS = {
 
 # Configs whose run ends in an error record, each run through reconstruct: one per
 # config-error path, the two zero states, and the config fields that named an
-# output. error-unreadable has no file, so reading it fails.
+# output. error-dims-unequal-v-mode pins that the unequal cutoffs, not the bad
+# v_mode, are reported. error-unreadable has no file, so reading it fails.
 ERRORS = (
     "error-unreadable", "error-not-json", "error-root-not-object", "error-unknown-field",
     "error-missing-dims", "error-dims-not-object", "error-dims-unknown-field",
-    "error-dims-not-integer", "error-dims-too-small", "error-dims-unequal", "error-v-mode",
+    "error-dims-not-integer", "error-dims-too-small", "error-dims-unequal",
+    "error-dims-unequal-v-mode", "error-v-mode",
     "error-shots-not-integer", "error-missing-state", "error-state-not-object",
     "error-state-kind", "error-state-unknown-field", "error-state-missing-field",
     "error-state-not-number", "error-alpha-empty-pair", "error-amplitude-one-part",

@@ -1,7 +1,9 @@
 """Dense reference for the slice engine: the protocol as explicit N x N matrices, N = 3 dx dz.
 
-Plain numpy, for small cutoffs only. The flat index of |e>|nx>_x|nz>_z is
-e dx dz + nx dz + nz, the row-major order of the engine's (3, dx, dz) tensors.
+Plain numpy, for small cutoffs only. dims is the (dx, dz) pair of Fock cutoffs,
+which may differ: the engine's pulse actions take any (3, dx, dz, r) tensor. The
+flat index of |e>|nx>_x|nz>_z is e dx dz + nx dz + nz, the row-major order of
+those tensors.
 Each pulse is exp(i angle H) from an eigendecomposition of its dense
 generator H, cross-checked against the series exponential of tests/util.py.
 Nothing here is cached; tests that sweep many cells build the shared factors
@@ -14,13 +16,20 @@ from iontomo.hilbert import MINUS, PLUS, XI, level_index
 from iontomo.protocol import u00_schedule, v_minus_schedule, v_plus_schedule
 
 
+def size(dims) -> int:
+    """N = 3 dx dz, the dimension of the composite space."""
+    dx, dz = dims
+    return 3 * dx * dz
+
+
 def index(dims, e, nx, nz) -> int:
     """Flat index of |e>|nx>_x|nz>_z."""
-    return level_index(e) * dims.vib_dim + nx * dims.dz + nz
+    dx, dz = dims
+    return level_index(e) * dx * dz + nx * dz + nz
 
 
 def basis(dims, e, nx, nz) -> np.ndarray:
-    v = np.zeros(dims.total_dim, dtype=complex)
+    v = np.zeros(size(dims), dtype=complex)
     v[index(dims, e, nx, nz)] = 1.0
     return v
 
@@ -29,16 +38,16 @@ def electronic(l, j, dims) -> np.ndarray:
     """|l><j| on the electronic factor, identity on both modes."""
     e = np.zeros((3, 3), dtype=complex)
     e[level_index(l), level_index(j)] = 1.0
-    return np.kron(e, np.eye(dims.vib_dim))
+    return np.kron(e, np.eye(dims[0] * dims[1]))
 
 
 def annihilator(mode, dims) -> np.ndarray:
     """Truncated a of mode 'x' or 'z', identity on the other mode and the electronic factor."""
     if mode not in ("x", "z"):
         raise ValueError(f"mode must be 'x' or 'z', got {mode!r}")
-    d = dims.dx if mode == "x" else dims.dz
-    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    factors = (a, np.eye(dims.dz)) if mode == "x" else (np.eye(dims.dx), a)
+    dx, dz = dims
+    a = np.diag(np.sqrt(np.arange(1.0, dx if mode == "x" else dz)), 1)
+    factors = (a, np.eye(dz)) if mode == "x" else (np.eye(dx), a)
     return np.kron(np.eye(3), np.kron(*factors)).astype(complex)
 
 
@@ -74,7 +83,7 @@ def hamiltonian(spec, dims) -> np.ndarray:
         return pauli(l, XI, "y", dims)
     if spec.kind == "vrot":
         return pauli(PLUS, XI, "x", dims) @ l_y(dims)
-    vib = np.eye(dims.total_dim)
+    vib = np.eye(size(dims))
     if spec.kind != "carrier":
         a = annihilator(spec.mode, dims)
         vib = a.conj().T if spec.kind == "jc" else a
@@ -89,7 +98,7 @@ def pulse(spec, dims) -> np.ndarray:
 def schedule(specs, dims, built=None) -> np.ndarray:
     """Product of the pulses in application order; a caller's dict `built` shares pulses across calls."""
     built = {} if built is None else built
-    u = np.eye(dims.total_dim, dtype=complex)
+    u = np.eye(size(dims), dtype=complex)
     for spec in specs:
         if spec not in built:
             built[spec] = pulse(spec, dims)
@@ -102,16 +111,17 @@ def shift(dims, sector, axis, k, completion="cycle") -> np.ndarray:
 
     'cycle' completes it as j -> j + k mod d, 'swap' as the transposition 0 <-> k.
     """
-    d = dims.dx if axis == "x" else dims.dz
+    dx, dz = dims
+    d = dx if axis == "x" else dz
     perm = np.arange(d)
     if completion == "cycle":
         perm = (perm + k) % d
     else:
         perm[0], perm[k] = k, 0
-    source = np.arange(dims.total_dim).reshape(3, dims.dx, dims.dz)
+    source = np.arange(size(dims)).reshape(3, dx, dz)
     target = source.copy()
     target[sector] = source[sector][perm, :] if axis == "x" else source[sector][:, perm]
-    u = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
+    u = np.zeros((size(dims), size(dims)), dtype=complex)
     u[target, source] = 1.0
     return u
 
@@ -120,28 +130,33 @@ def u00(dims, compat=False) -> np.ndarray:
     return schedule(u00_schedule(compat), dims)
 
 
+def protocol_dims(settings) -> tuple[int, int]:
+    """The (dx, dz) of a protocol run: both modes at the settings' one cutoff d."""
+    return settings.d, settings.d
+
+
 def v_minus(m, settings, completion="cycle", built=None) -> np.ndarray:
     if settings.v_mode == "compiled":
-        return schedule(v_minus_schedule(m), settings.dims, built)
-    return shift(settings.dims, MINUS, "z", m, completion)
+        return schedule(v_minus_schedule(m), protocol_dims(settings), built)
+    return shift(protocol_dims(settings), MINUS, "z", m, completion)
 
 
 def v_plus(n, settings, completion="cycle", built=None) -> np.ndarray:
     if settings.v_mode == "compiled":
-        return schedule(v_plus_schedule(n), settings.dims, built)
-    return shift(settings.dims, PLUS, "x", n, completion)
+        return schedule(v_plus_schedule(n), protocol_dims(settings), built)
+    return shift(protocol_dims(settings), PLUS, "x", n, completion)
 
 
 def u_mn(m, n, settings, completion="cycle") -> np.ndarray:
     """V+_n V-_m U_00."""
     return (v_plus(n, settings, completion) @ v_minus(m, settings, completion)
-            @ u00(settings.dims, settings.compat_rminus_final))
+            @ u00(protocol_dims(settings), settings.compat_rminus_final))
 
 
 def _check_dim(phi, dims) -> None:
     """The engine's one input check: the state lives on mode x's dx levels."""
-    if phi.dim != dims.dx:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims.dx}")
+    if phi.dim != dims[0]:
+        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims[0]}")
 
 
 def prepare_initial(phi, dims) -> np.ndarray:
@@ -149,7 +164,7 @@ def prepare_initial(phi, dims) -> np.ndarray:
     _check_dim(phi, dims)
     e_minus = np.zeros((3, 3))
     e_minus[MINUS, MINUS] = 1.0
-    z_vac = np.zeros((dims.dz, dims.dz))
+    z_vac = np.zeros((dims[1], dims[1]))
     z_vac[0, 0] = 1.0
     return np.kron(e_minus, np.kron(phi.density_matrix(), z_vac))
 
@@ -159,7 +174,7 @@ def prepare_initial_pure(phi, dims) -> np.ndarray:
     if not phi.is_pure:
         raise ValueError("prepare_initial_pure requires a pure vibrational state")
     _check_dim(phi, dims)
-    z_vac = np.zeros(dims.dz)
+    z_vac = np.zeros(dims[1])
     z_vac[0] = 1.0
     return np.kron(np.eye(3)[MINUS], np.kron(phi.amplitudes, z_vac)).astype(complex)
 
@@ -175,12 +190,13 @@ def expectation(rho, op) -> complex:
 
 def electronic_reduced(rho, dims) -> np.ndarray:
     """3 x 3 electronic state, both modes traced out."""
-    return np.einsum("avbv->ab", rho.reshape(3, dims.vib_dim, 3, dims.vib_dim))
+    vib = dims[0] * dims[1]
+    return np.einsum("avbv->ab", rho.reshape(3, vib, 3, vib))
 
 
 def reduced_x(rho, dims) -> np.ndarray:
     """dx x dx state of mode x, mode z and the electronic factor traced out."""
-    return np.einsum("eacebc->ab", rho.reshape(3, dims.dx, dims.dz, 3, dims.dx, dims.dz))
+    return np.einsum("eacebc->ab", rho.reshape(3, *dims, 3, *dims))
 
 
 def coherence(rho, dims) -> complex:

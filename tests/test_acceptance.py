@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from iontomo.hilbert import XI, HilbertDims
+from iontomo.hilbert import XI
 from iontomo.protocol import (
     ProtocolSettings,
     _slice_images,
@@ -24,7 +24,7 @@ from iontomo.protocol import (
 from iontomo.states import cat, coherent, dephase, fock, thermal
 from iontomo.tomography import decoherence_monitor, reconstruct
 
-DIMS12 = HilbertDims(12, 12)
+D12 = 12
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -44,13 +44,13 @@ def _phi_family(dim: int):
 
 
 def _amplitudes(family):
-    """The inputs' amplitude vectors as the columns of a (dx, r) matrix."""
+    """The inputs' amplitude vectors as the columns of a (d, r) matrix."""
     return np.stack([phi.amplitudes for _, phi in family], axis=1)
 
 
 def test_criterion_1_mode_swap_convention():
     start = time.perf_counter()
-    worst = mode_swap_deviation(HilbertDims(10, 10), range(9))
+    worst = mode_swap_deviation(10, range(9))
     elapsed = time.perf_counter() - start
     _report(1, "mode swap sends |n,0> to |0,n> with amplitude +1",
             worst <= 1e-10 and elapsed < 1.0,
@@ -62,7 +62,7 @@ def test_criterion_2_end_to_end_entangled_state():
     worst = {"ideal": 0.0, "compiled": 0.0}
     amplitudes = _amplitudes(_phi_family(12))
     for v_mode in ("ideal", "compiled"):
-        settings = ProtocolSettings(DIMS12, v_mode=v_mode)
+        settings = ProtocolSettings(D12, v_mode=v_mode)
         for m in range(3):
             for n in range(3):
                 worst[v_mode] = max(worst[v_mode],
@@ -76,7 +76,7 @@ def test_criterion_2_end_to_end_entangled_state():
 def test_criterion_3_pure_state_identity():
     alpha = 0.8
     phi = coherent(alpha, 12, tail_tol=1e-9)
-    settings = ProtocolSettings(DIMS12)
+    settings = ProtocolSettings(D12)
     worst = 0.0
     values = {}
     for m in range(6):
@@ -94,8 +94,7 @@ def test_criterion_3_pure_state_identity():
 
 
 def test_criterion_4_mixed_state_identity():
-    dims = HilbertDims(8, 8)
-    settings = ProtocolSettings(dims)
+    settings = ProtocolSettings(8)
     worst = 0.0
     for phi in (thermal(0.5, 8, tail_tol=1e-3),
                 dephase(coherent(0.8, 8, tail_tol=1e-5), 0.3)):
@@ -106,8 +105,7 @@ def test_criterion_4_mixed_state_identity():
 
 
 def test_criterion_5_independence_hermiticity():
-    dims = HilbertDims(8, 8)
-    settings = ProtocolSettings(dims)
+    settings = ProtocolSettings(8)
     phi = dephase(coherent(0.7 + 0.2j, 8, tail_tol=1e-4), 0.1)
     report = reconstruct(phi, 4, settings, use_hermitian_symmetry=False)
     worst = max(abs(report.estimates[m, n] - np.conj(report.estimates[n, m]))
@@ -118,8 +116,8 @@ def test_criterion_5_independence_hermiticity():
 
 def test_criterion_6_compiled_vs_ideal_shifters():
     # the full basis: every branch and spectator state, and full unitarity of each pulse
-    n = DIMS12.total_dim
-    basis = np.eye(n, dtype=complex).reshape(3, DIMS12.dx, DIMS12.dz, n)
+    n = 3 * D12 * D12
+    basis = np.eye(n, dtype=complex).reshape(3, D12, D12, n)
     worst_agree = max(shifter_deviation(k, basis) for k in range(5))
     specs = [spec for k in range(5) for spec in v_plus_schedule(k) + v_minus_schedule(k)]
     worst_unitary = pulse_unitarity_defect(specs, basis)
@@ -129,10 +127,9 @@ def test_criterion_6_compiled_vs_ideal_shifters():
 
 
 def test_criterion_7_finite_shot_statistics():
-    dims = HilbertDims(8, 8)
     phi = coherent(0.8, 8, tail_tol=1e-5)
     cells = [(m, n) for m in range(4) for n in range(4)]
-    exact = {(m, n): measure_element(phi, m, n, ProtocolSettings(dims)).value
+    exact = {(m, n): measure_element(phi, m, n, ProtocolSettings(8)).value
              for m, n in cells}
 
     def run_errors(shots):
@@ -140,7 +137,7 @@ def test_criterion_7_finite_shot_statistics():
         total = 0
         errors = []
         for seed in range(32):
-            settings = ProtocolSettings(dims, shots=shots, seed=seed)
+            settings = ProtocolSettings(8, shots=shots, seed=seed)
             for m, n in cells:
                 est = measure_element(phi, m, n, settings)
                 err = abs(est.value - exact[(m, n)])
@@ -159,8 +156,7 @@ def test_criterion_7_finite_shot_statistics():
 
 
 def test_criterion_8_decoherence_monitor():
-    dims = HilbertDims(8, 8)
-    settings = ProtocolSettings(dims)
+    settings = ProtocolSettings(8)
     lams = [0.0, 0.1, 0.3, 0.6, 1.0]
     points = decoherence_monitor(coherent(0.8, 8, tail_tol=1e-5), lams, settings)
     bound_ok = all(p.rho20_abs <= p.bound + 1e-9 for p in points)
@@ -175,7 +171,7 @@ def test_criterion_8_decoherence_monitor():
 
 
 def test_criterion_9_final_pulse_regression():
-    settings = ProtocolSettings(DIMS12, compat_rminus_final=True)
+    settings = ProtocolSettings(D12, compat_rminus_final=True)
     family = _phi_family(12)
     amplitudes = _amplitudes(family)
     out = _slice_images(0, 0, settings, amplitudes)

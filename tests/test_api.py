@@ -6,7 +6,7 @@ import iontomo
 
 PUBLIC = {
     "TruncationLeakageError",
-    "MINUS", "PLUS", "XI", "HilbertDims",
+    "MINUS", "PLUS", "XI",
     "CoherenceEstimate", "ProtocolSettings", "measure_element",
     "PulseSpec", "act_pulse",
     "VibrationalState", "cat", "coherent", "dephase", "fock", "from_amplitudes", "squeezed", "thermal",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iontomo import pulses, tomography
-from iontomo.cli import main, stable_json
+from iontomo.cli import ConfigError, build_dims, main, stable_json
 
 RHO10_COH08 = 0.42183393923443885
 
@@ -364,6 +364,21 @@ class TestConfigAndErrors:
                     "--out", str(out)]) == 0
         text = out.read_text()
         assert "0.5272924240" in text
+
+
+@pytest.mark.parametrize("dx,dz", [(1, 4), (4, 1), (0, 0)])
+def test_build_dims_rejects_tiny_cutoffs(dx, dz):
+    message = f"bad dims: Fock cutoffs must be >= 2, got dx={dx}, dz={dz}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build_dims({"dims": {"dx": dx, "dz": dz}})
+
+
+def test_build_dims_rejects_unequal_cutoffs():
+    # the config's two cutoffs end here: the protocol runs both modes at one cutoff d
+    assert build_dims({"dims": {"dx": 5, "dz": 5}}) == 5
+    message = r"^protocol requires equal mode cutoffs \(the rotation maps x-support onto z\)$"
+    with pytest.raises(ConfigError, match=message):
+        build_dims({"dims": {"dx": 8, "dz": 6}})
 
 
 # One case per numeric config input: (state overrides, field path, raw JSON literal).

@@ -1,65 +1,44 @@
-"""Tests for the composite-space types and for the dense oracle's building blocks.
+"""Tests of the dense oracle's building blocks (tests/oracle.py).
 
-The oracle (tests/oracle.py) is what the slice engine is checked against, so
-its ladder operators, Pauli matrices, exponential and expectation are pinned
-here against independent constructions; the pulse actions' own algebra
-(identity, inverse, trace and purity) is checked on the engine.
+The engine's tests compare it with the oracle, so the oracle's flat index,
+ladder operators, Pauli matrices, exponential, expectation and reduced state
+are pinned here against independent constructions. Its pulse generators sit
+with the pulse tests, and its initial state, entangler, shifters and composed
+unitary with the protocol tests. The oracle takes any (dx, dz) pair; DIMS has
+unequal cutoffs, so that a swapped index shows.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 import oracle
-from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
-from iontomo.pulses import PulseSpec, act_pulse
-from iontomo.states import VibrationalState
+from iontomo.hilbert import MINUS, PLUS, XI
 from util import expm_taylor, random_density, random_hermitian
 
-DIMS = HilbertDims(3, 4)
+DIMS = (3, 4)
+N = oracle.size(DIMS)
 
 
-def _every_kind(angle):
-    """One pulse of each kind at the given area, with a generic laser phase."""
-    return [PulseSpec("erot", ("-", "xi"), None, angle),
-            PulseSpec("vrot", ("+", "xi"), None, angle),
-            PulseSpec("carrier", ("+", "xi"), "x", angle, 0.4),
-            PulseSpec("jc", ("xi", "-"), "z", angle, 1.3),
-            PulseSpec("ajc", ("+", "xi"), "x", angle, 5.1)]
-
-
-def _random_columns(rng, r):
-    """A random (3, 3, 4, r) tensor of r unnormalized states on DIMS."""
-    shape = (3, DIMS.dx, DIMS.dz, r)
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-class TestHilbertDims:
+class TestIndex:
     def test_index_is_bijective(self):
         # the oracle's flat index is the row-major order of the engine's (3, dx, dz) tensors
-        dims = HilbertDims(3, 4)
-        layout = np.arange(dims.total_dim).reshape(3, dims.dx, dims.dz)
+        dims = (3, 4)
+        layout = np.arange(oracle.size(dims)).reshape(3, *dims)
         seen = set()
         for e in range(3):
-            for nx in range(dims.dx):
-                for nz in range(dims.dz):
+            for nx in range(dims[0]):
+                for nz in range(dims[1]):
                     idx = oracle.index(dims, e, nx, nz)
                     assert idx == layout[e, nx, nz]
                     seen.add(idx)
-        assert len(seen) == dims.total_dim
+        assert len(seen) == oracle.size(dims)
 
     def test_canonical_formula(self):
-        dims = HilbertDims(5, 7)
+        dims = (5, 7)
         assert oracle.index(dims, 2, 3, 4) == 2 * 35 + 3 * 7 + 4
 
-    @pytest.mark.parametrize("dx,dz", [(1, 4), (4, 1), (0, 0)])
-    def test_rejects_tiny_cutoffs(self, dx, dz):
-        with pytest.raises(ValueError):
-            HilbertDims(dx, dz)
-
     def test_level_names_accepted(self):
-        dims = HilbertDims(2, 2)
+        dims = (2, 2)
         assert oracle.index(dims, "-", 0, 0) == oracle.index(dims, MINUS, 0, 0)
         assert oracle.index(dims, "xi", 1, 1) == oracle.index(dims, XI, 1, 1)
 
@@ -78,7 +57,7 @@ class TestAnnihilator:
 
     def test_commutator_on_truncation(self):
         # <n|[a, a-dag]|n> = 1 for n < dz-1; the single violation sits at the boundary.
-        dims = HilbertDims(2, 4)
+        dims = (2, 4)
         a = oracle.annihilator("z", dims)
         comm = a @ a.conj().T - a.conj().T @ a
         # independent reference: the same commutator from a hand-built 4x4 ladder
@@ -103,7 +82,7 @@ class TestAnnihilator:
 class TestElectronicOp:
     def test_projector_trace(self):
         p = oracle.electronic(MINUS, MINUS, DIMS)
-        assert abs(np.trace(p) - DIMS.dx * DIMS.dz) < 1e-12
+        assert abs(np.trace(p) - DIMS[0] * DIMS[1]) < 1e-12
 
     def test_transition_action(self):
         out = oracle.electronic(PLUS, XI, DIMS) @ oracle.basis(DIMS, XI, 0, 0)
@@ -127,7 +106,7 @@ class TestPauli:
         assert np.allclose(sy @ sy + sx @ sx, 2 * proj, atol=1e-13)
 
     def test_spectrum(self):
-        dims = HilbertDims(2, 2)
+        dims = (2, 2)
         w = np.linalg.eigvalsh(oracle.pauli(MINUS, PLUS, "x", dims))
         vals, counts = np.unique(np.round(w, 12), return_counts=True)
         assert list(vals) == [-1.0, 0.0, 1.0]
@@ -187,12 +166,12 @@ class TestExpectation:
         assert oracle.expectation(rho, oracle.electronic(MINUS, MINUS, DIMS)) == pytest.approx(1.0)
 
     def test_traceless_on_maximally_mixed(self):
-        rho = np.eye(DIMS.total_dim) / DIMS.total_dim
+        rho = np.eye(N) / N
         assert abs(oracle.expectation(rho, oracle.pauli(MINUS, PLUS, "x", DIMS))) < 1e-14
 
     def test_real_for_hermitian(self):
         rng = np.random.default_rng(7)
-        rho = random_density(DIMS.total_dim, rng)
+        rho = random_density(N, rng)
         val = oracle.expectation(rho, oracle.pauli(MINUS, XI, "y", DIMS))
         assert abs(val.imag) <= 1e-15
 
@@ -203,7 +182,7 @@ class TestExpectation:
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_matches_trace_of_product(self, hermitian):
         rng = np.random.default_rng(11)
-        n = DIMS.total_dim
+        n = N
         rho = random_density(n, rng)
         if hermitian:
             op = random_hermitian(n, rng)
@@ -212,85 +191,12 @@ class TestExpectation:
         assert abs(oracle.expectation(rho, op) - np.trace(rho @ op)) <= 1e-12
 
 
-class TestApply:
-    """The pulse actions act as unitaries on every state: identity at zero area, trace and purity kept."""
-
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        state = _random_columns(rng, 4)
-        for spec in _every_kind(0.0):
-            assert np.allclose(act_pulse(spec, state.copy()), state, rtol=0, atol=1e-14)
-
-    def test_trace_preserved(self):
-        # rho = A A^dag with A the columns; U rho U^dag = (UA)(UA)^dag
-        rng = np.random.default_rng(11)
-        cols = _random_columns(rng, DIMS.total_dim)
-        cols /= np.linalg.norm(cols)
-        for spec in _every_kind(0.6):
-            out = act_pulse(spec, cols.copy()).reshape(DIMS.total_dim, -1)
-            assert abs(np.trace(out @ out.conj().T) - 1) <= 1e-10
-
-    def test_purity_preserved(self):
-        rng = np.random.default_rng(13)
-        cols = _random_columns(rng, 5)
-        cols /= np.linalg.norm(cols)
-        flat = cols.reshape(DIMS.total_dim, -1)
-        before = np.trace(np.linalg.matrix_power(flat @ flat.conj().T, 2)).real
-        for spec in _every_kind(1.3):
-            out = act_pulse(spec, cols.copy()).reshape(DIMS.total_dim, -1)
-            after = np.trace(np.linalg.matrix_power(out @ out.conj().T, 2)).real
-            assert abs(before - after) <= 1e-10
-
-
-class TestOperatorAlgebra:
-    def test_dagger_is_inverse_of_unitary(self):
-        # exp(i angle H)^dag = exp(-i angle H): the pulse at minus its area undoes it
-        rng = np.random.default_rng(17)
-        state = _random_columns(rng, 3)
-        for spec, back in zip(_every_kind(0.8), _every_kind(-0.8)):
-            out = act_pulse(back, act_pulse(spec, state.copy()))
-            assert np.max(np.abs(out - state)) <= 1e-12
-
-
-class TestTypeInvariants:
-    def test_pure_state_norm_enforced(self):
-        with pytest.raises(ValueError):
-            VibrationalState(2, amplitudes=np.array([1.0, 1.0]))
-
-    def test_density_operator_checks(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            VibrationalState(2, matrix=np.diag([1.2, -0.2]))
-        with pytest.raises(ValueError, match="shape"):
-            VibrationalState(3, matrix=np.eye(2) / 2)
-        with pytest.raises(ValueError, match="hermitian"):
-            VibrationalState(2, matrix=np.array([[0.5, 1e-11], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="trace"):
-            VibrationalState(2, matrix=np.diag([0.5, 0.5 + 1e-9]))
-
-    def test_matrices_are_frozen(self):
-        rho = VibrationalState(3, matrix=np.eye(3) / 3)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 5.0
-        pure = VibrationalState(2, amplitudes=np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            pure.amplitudes[0] = 1.0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        # NaN passes every "> tol" comparison, so it needs its own check
-        with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, matrix=np.array([[1.0, bad], [bad, 0.0]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, matrix=np.array([[1.0, 0.0], [0.0, bad]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, amplitudes=np.array([1.0, bad]))
-
-    def test_reduced_density_recovers_mode_x(self):
-        amp = np.array([0.6, 0.0, 0.8], dtype=complex)
-        rho_x = np.outer(amp, amp.conj())
-        z0 = np.zeros((4, 4), dtype=complex)
-        z0[0, 0] = 1.0
-        elec = np.zeros((3, 3), dtype=complex)
-        elec[MINUS, MINUS] = 1.0
-        full = np.kron(np.kron(elec, rho_x), z0)
-        assert np.allclose(oracle.reduced_x(full, DIMS), rho_x, atol=1e-14)
+def test_reduced_density_recovers_mode_x():
+    amp = np.array([0.6, 0.0, 0.8], dtype=complex)
+    rho_x = np.outer(amp, amp.conj())
+    z0 = np.zeros((4, 4), dtype=complex)
+    z0[0, 0] = 1.0
+    elec = np.zeros((3, 3), dtype=complex)
+    elec[MINUS, MINUS] = 1.0
+    full = np.kron(np.kron(elec, rho_x), z0)
+    assert np.allclose(oracle.reduced_x(full, DIMS), rho_x, atol=1e-14)

@@ -1,6 +1,6 @@
 """Tests for the measurement protocol: preparation, entangler, branch shifters, readout.
 
-The protocol runs on the slice engine (pulses.act_pulse on (3, dx, dz, r)
+The protocol runs on the slice engine (pulses.act_pulse on (3, d, d, r)
 tensors); tests/oracle.py builds the same unitaries as dense N x N matrices,
 and the engine is compared with it cell by cell.
 """
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracle
 from iontomo import cli, hilbert, protocol, pulses, states, tomography
-from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
+from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
     ProtocolSettings,
     _sample_reduced,
@@ -34,10 +34,12 @@ from iontomo.protocol import (
 from iontomo.pulses import act_pulse
 from iontomo.states import TruncationLeakageError, VibrationalState, cat, coherent, dephase, fock, thermal
 from iontomo.tomography import reconstruct
-from util import expm_taylor
+from util import expm_taylor, tensor
 
-DIMS = HilbertDims(8, 8)
-SETTINGS = ProtocolSettings(DIMS)
+D = 8
+DIMS = (D, D)
+N = oracle.size(DIMS)
+SETTINGS = ProtocolSettings(D)
 PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure)
 
 RHO00_COH08 = 0.5272924240430485   # exp(-0.64)
@@ -47,8 +49,8 @@ RHO20_COH08 = 0.23862531117384456  # exp(-0.64) * 0.64 / sqrt(2)
 
 def entangled_target(phi, dims, m=0, n=0):
     """(|phi>_x|m>_z|-> + |n>_x|phi>_z|+>)/sqrt(2) as a raw vector."""
-    target = np.zeros(dims.total_dim, dtype=complex)
-    for k in range(dims.dx):
+    target = np.zeros(oracle.size(dims), dtype=complex)
+    for k in range(dims[0]):
         target[oracle.index(dims, MINUS, k, m)] += phi.amplitudes[k] / math.sqrt(2)
         target[oracle.index(dims, PLUS, n, k)] += phi.amplitudes[k] / math.sqrt(2)
     return target
@@ -56,19 +58,13 @@ def entangled_target(phi, dims, m=0, n=0):
 
 def run_pure(phi, m, n, settings):
     """U_mn |phi>_x|0>_z|-> from the engine's slice images, as a flat vector."""
-    dims = settings.dims
-    return _slice_images(m, n, settings, phi.amplitudes[:, None]).reshape(dims.total_dim)
-
-
-def tensor(vector, dims=DIMS):
-    """A composite-space vector as a (3, dx, dz, 1) tensor for act_pulse and the shifters."""
-    return np.array(vector, dtype=complex).reshape(3, dims.dx, dims.dz, 1)
+    return _slice_images(m, n, settings, phi.amplitudes[:, None]).reshape(-1)
 
 
 def engine_reduced(phi, m, n, settings):
     """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
-    dims = settings.dims
-    w = _slice_images(m, n, settings, np.eye(dims.dx)).reshape(3, dims.vib_dim, dims.dx)
+    d = settings.d
+    w = _slice_images(m, n, settings, np.eye(d)).reshape(3, d * d, d)
     return _slice_reduced(w, phi.density_matrix())
 
 
@@ -113,12 +109,12 @@ def _test_rotation_matrix(level, theta, dims):
     r3[XI, XI] = math.cos(theta)
     r3[XI, level] = math.sin(theta)
     r3[level, XI] = -math.sin(theta)
-    return np.kron(r3, np.eye(dims.vib_dim))
+    return np.kron(r3, np.eye(dims[0] * dims[1]))
 
 
 def _test_vrot_matrix(theta, dims):
     """Hand-built vibrational rotation via the series exponential."""
-    a = np.diag(np.sqrt(np.arange(1, dims.dx)), 1).astype(complex)
+    a = np.diag(np.sqrt(np.arange(1, dims[0])), 1).astype(complex)
     l2 = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
     sig = np.zeros((3, 3), dtype=complex)
     sig[PLUS, XI] = sig[XI, PLUS] = 1.0
@@ -128,46 +124,46 @@ def _test_vrot_matrix(theta, dims):
 class TestEntangler:
     def test_vacuum_input(self):
         # phi = |0> makes both branches identical: |0,0> (x) (|-> + |+>)/sqrt(2)
-        dims = HilbertDims(4, 4)
-        out = run_pure(fock(0, 4), 0, 0, ProtocolSettings(dims))
+        dims = (4, 4)
+        out = run_pure(fock(0, 4), 0, 0, ProtocolSettings(4))
         expected = (oracle.basis(dims, MINUS, 0, 0) + oracle.basis(dims, PLUS, 0, 0)) / math.sqrt(2)
         assert np.linalg.norm(out - expected) < 1e-12
 
     def test_single_phonon_input(self):
-        dims = HilbertDims(4, 4)
-        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(dims))
+        dims = (4, 4)
+        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(4))
         assert np.linalg.norm(out - entangled_target(fock(1, 4), dims)) < 1e-12
 
     def test_matches_independent_pulse_product(self):
         # brute-force product of the four hand-built pulse matrices, against the
         # oracle's entangler and the engine's slice images (its |->|k>_x|0>_z columns)
-        dims = HilbertDims(4, 4)
+        dims = (4, 4)
         reference = (_test_rotation_matrix(PLUS, -math.pi / 4, dims)
                      @ _test_vrot_matrix(math.pi / 2, dims)
                      @ _test_rotation_matrix(PLUS, -math.pi / 4, dims)
                      @ _test_rotation_matrix(MINUS, math.pi / 4, dims))
         assert np.max(np.abs(oracle.u00(dims) - reference)) < 1e-11
-        columns = [oracle.index(dims, MINUS, k, 0) for k in range(dims.dx)]
-        images = _slice_images(0, 0, ProtocolSettings(dims), np.eye(dims.dx))
-        images = images.reshape(dims.total_dim, dims.dx)
+        columns = [oracle.index(dims, MINUS, k, 0) for k in range(dims[0])]
+        images = _slice_images(0, 0, ProtocolSettings(4), np.eye(dims[0]))
+        images = images.reshape(oracle.size(dims), dims[0])
         assert np.max(np.abs(images - reference[:, columns])) < 1e-11
 
     def test_intermediate_bright_state(self):
         # after the first two pulses the electronic factor is (|-> + |alpha>)/sqrt(2)
-        dims = HilbertDims(4, 4)
+        dims = (4, 4)
         state = tensor(oracle.prepare_initial_pure(fock(1, 4), dims), dims)
         for spec in u00_schedule()[:2]:
             act_pulse(spec, state)
-        alpha_part = np.zeros(dims.total_dim, dtype=complex)
+        alpha_part = np.zeros(oracle.size(dims), dtype=complex)
         alpha_part[oracle.index(dims, MINUS, 1, 0)] = 1 / math.sqrt(2)
         alpha_part[oracle.index(dims, PLUS, 1, 0)] = 0.5
         alpha_part[oracle.index(dims, XI, 1, 0)] = 0.5
         assert np.linalg.norm(state.reshape(-1) - alpha_part) < 1e-12
 
     def test_compat_variant_leaves_xi_population(self):
-        dims = HilbertDims(4, 4)
-        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(dims, compat_rminus_final=True))
-        xi_slice = out[2 * dims.vib_dim:]
+        dims = (4, 4)
+        out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(4, compat_rminus_final=True))
+        xi_slice = out[2 * dims[0] * dims[1]:]
         assert np.sum(np.abs(xi_slice) ** 2) > 0.05
 
 
@@ -175,11 +171,11 @@ class TestIdealShifters:
     """The engine's ideal shifters: Fock-index rolls inside one electronic sector."""
 
     def test_zero_shift_identity_slice(self):
-        src = tensor(oracle.basis(DIMS, PLUS, 0, 3))
+        src = tensor(oracle.basis(DIMS, PLUS, 0, 3), DIMS)
         assert np.array_equal(_shift_ideal(src.copy(), 0, 0), src)
 
     def test_plus_shifts_x_vacuum(self):
-        out = _shift_ideal(tensor(oracle.basis(DIMS, PLUS, 0, 1)), 0, 2)  # chi = fock(1)
+        out = _shift_ideal(tensor(oracle.basis(DIMS, PLUS, 0, 1), DIMS), 0, 2)  # chi = fock(1)
         assert np.linalg.norm(out.reshape(-1) - oracle.basis(DIMS, PLUS, 2, 1)) < 1e-14
 
     def test_minus_commutes_with_plus_projector(self):
@@ -193,18 +189,18 @@ class TestIdealShifters:
         assert np.max(np.abs(_shift_ideal(only_minus, 3, 0)[PLUS])) == 0.0
 
     def test_minus_identity_on_plus_sector(self):
-        src = tensor(oracle.basis(DIMS, PLUS, 3, 1))
+        src = tensor(oracle.basis(DIMS, PLUS, 3, 1), DIMS)
         assert np.array_equal(_shift_ideal(src.copy(), 2, 0), src)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            _slice_images(0, 8, SETTINGS, np.eye(DIMS.dx))
+            _slice_images(0, 8, SETTINGS, np.eye(D))
 
     @pytest.mark.parametrize("completion", ["cycle", "swap"])
     def test_matches_loop_reference(self, completion):
         # element-by-element construction of the sector-restricted Fock shift,
         # against the oracle's permutations and (for 'cycle') the engine's rolls
-        dims = HilbertDims(5, 5)
+        dims = (5, 5)
 
         def shift(j, k):
             if completion == "cycle":
@@ -213,7 +209,7 @@ class TestIdealShifters:
 
         for k in range(5):
             for sector, axis in ((PLUS, "x"), (MINUS, "z")):
-                ref = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
+                ref = np.zeros((oracle.size(dims), oracle.size(dims)), dtype=complex)
                 for e in range(3):
                     for nx in range(5):
                         for nz in range(5):
@@ -223,8 +219,8 @@ class TestIdealShifters:
                 assert np.array_equal(oracle.shift(dims, sector, axis, k, completion), ref)
                 if completion == "cycle":
                     m, n = (0, k) if sector == PLUS else (k, 0)
-                    eye = np.eye(dims.total_dim, dtype=complex).reshape(3, 5, 5, -1)
-                    rolled = _shift_ideal(eye, m, n).reshape(dims.total_dim, -1)
+                    eye = np.eye(oracle.size(dims), dtype=complex).reshape(3, 5, 5, -1)
+                    rolled = _shift_ideal(eye, m, n).reshape(oracle.size(dims), -1)
                     assert np.array_equal(rolled, ref)
 
 
@@ -245,17 +241,17 @@ class TestCompiledShifters:
 
     def test_single_step_matches_ideal_on_branch(self):
         chi = coherent(0.5, 8, tail_tol=1e-6)
-        src = np.zeros(DIMS.total_dim, dtype=complex)
+        src = np.zeros(N, dtype=complex)
         for k in range(8):
             src[oracle.index(DIMS, PLUS, 0, k)] = chi.amplitudes[k]
-        compiled = _shift_compiled(tensor(src), 0, 1)
-        ideal = _shift_ideal(tensor(src), 0, 1)
+        compiled = _shift_compiled(tensor(src, DIMS), 0, 1)
+        ideal = _shift_ideal(tensor(src, DIMS), 0, 1)
         assert np.linalg.norm(compiled - ideal) < 1e-12
 
     def test_minus_sector_invariance(self):
         # V+_2 leaves every |-> state in place and sends nothing into the |-> sector
-        eye = np.eye(DIMS.total_dim, dtype=complex).reshape(3, 8, 8, -1)
-        v = _shift_compiled(eye, 0, 2).reshape(DIMS.total_dim, -1)
+        eye = np.eye(N, dtype=complex).reshape(3, 8, 8, -1)
+        v = _shift_compiled(eye, 0, 2).reshape(N, -1)
         proj = oracle.electronic(MINUS, MINUS, DIMS)
         assert np.max(np.abs(v @ proj - proj @ v)) <= 1e-10
 
@@ -263,25 +259,25 @@ class TestCompiledShifters:
     def test_branch_action_both_shifters(self, k):
         # V+_k : |0, chi, +> -> |k, chi, +>; V-_k : |chi, 0, -> -> |chi, k, ->
         chi_vec = coherent(0.5, 8, tail_tol=1e-6).amplitudes
-        src = np.zeros(DIMS.total_dim, dtype=complex)
-        tgt = np.zeros(DIMS.total_dim, dtype=complex)
+        src = np.zeros(N, dtype=complex)
+        tgt = np.zeros(N, dtype=complex)
         for j in range(8):
             src[oracle.index(DIMS, PLUS, 0, j)] = chi_vec[j]
             tgt[oracle.index(DIMS, PLUS, k, j)] = chi_vec[j]
-        assert np.linalg.norm(_shift_compiled(tensor(src), 0, k).reshape(-1) - tgt) < 1e-10
-        src = np.zeros(DIMS.total_dim, dtype=complex)
-        tgt = np.zeros(DIMS.total_dim, dtype=complex)
+        assert np.linalg.norm(_shift_compiled(tensor(src, DIMS), 0, k).reshape(-1) - tgt) < 1e-10
+        src = np.zeros(N, dtype=complex)
+        tgt = np.zeros(N, dtype=complex)
         for j in range(8):
             src[oracle.index(DIMS, MINUS, j, 0)] = chi_vec[j]
             tgt[oracle.index(DIMS, MINUS, j, k)] = chi_vec[j]
-        assert np.linalg.norm(_shift_compiled(tensor(src), k, 0).reshape(-1) - tgt) < 1e-10
+        assert np.linalg.norm(_shift_compiled(tensor(src, DIMS), k, 0).reshape(-1) - tgt) < 1e-10
 
     def test_near_cutoff_rejected(self):
-        compiled = ProtocolSettings(DIMS, v_mode="compiled")
+        compiled = ProtocolSettings(D, v_mode="compiled")
         with pytest.raises(ValueError):
-            _slice_images(0, 7, compiled, np.eye(DIMS.dx))
+            _slice_images(0, 7, compiled, np.eye(D))
         with pytest.raises(ValueError):
-            _slice_images(7, 0, compiled, np.eye(DIMS.dx))
+            _slice_images(7, 0, compiled, np.eye(D))
 
     def test_minus_schedule_addresses_z_and_minus(self):
         for spec in v_minus_schedule(3):
@@ -292,28 +288,28 @@ class TestCompiledShifters:
 class TestComposedUnitary:
     def test_zero_indices_equal_entangler(self):
         # with m = n = 0 neither shifter acts: the slice images are the entangler's alone
-        k = np.arange(DIMS.dx)
+        k = np.arange(D)
         w = np.zeros((3, 8, 8, 8), dtype=complex)
         w[MINUS, k, 0, k] = 1.0
         for spec in u00_schedule():
             act_pulse(spec, w)
         for v_mode in ("ideal", "compiled"):
-            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(DIMS, v_mode=v_mode),
-                                                np.eye(DIMS.dx)), w)
+            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(D, v_mode=v_mode),
+                                                np.eye(D)), w)
 
     def test_example_final_state(self):
         # (m, n) = (1, 2) on phi = |1>: (|1,1,-> + |2,1,+>)/sqrt(2)
-        dims = HilbertDims(5, 5)
-        out = run_pure(fock(1, 5), 1, 2, ProtocolSettings(dims))
-        target = np.zeros(dims.total_dim, dtype=complex)
+        dims = (5, 5)
+        out = run_pure(fock(1, 5), 1, 2, ProtocolSettings(5))
+        target = np.zeros(oracle.size(dims), dtype=complex)
         target[oracle.index(dims, MINUS, 1, 1)] = 1 / math.sqrt(2)
         target[oracle.index(dims, PLUS, 2, 1)] = 1 / math.sqrt(2)
         assert np.linalg.norm(out - target) < 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_unitarity(self, v_mode):
-        u = oracle.u_mn(2, 3, ProtocolSettings(DIMS, v_mode=v_mode))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(DIMS.total_dim))) <= 1e-10
+        u = oracle.u_mn(2, 3, ProtocolSettings(D, v_mode=v_mode))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(N))) <= 1e-10
 
     @pytest.mark.parametrize("phi_name,phi", [
         ("fock0", fock(0, 8)),
@@ -323,7 +319,7 @@ class TestComposedUnitary:
     ])
     @pytest.mark.parametrize("v_mode,tol", [("ideal", 1e-9), ("compiled", 1e-7)])
     def test_produces_entangled_target(self, phi_name, phi, v_mode, tol):
-        st = ProtocolSettings(DIMS, v_mode=v_mode)
+        st = ProtocolSettings(D, v_mode=v_mode)
         for m in range(3):
             for n in range(3):
                 resid = entangled_target_deviation(st, m, n, phi.amplitudes)
@@ -345,16 +341,15 @@ class TestCoherenceExpectation:
 
     def test_coherent_20_element(self):
         phi = coherent(0.8, 12, tail_tol=1e-9)
-        dims = HilbertDims(12, 12)
-        rho = oracle.evolve(oracle.u_mn(2, 0, ProtocolSettings(dims)), oracle.prepare_initial(phi, dims))
+        dims = (12, 12)
+        rho = oracle.evolve(oracle.u_mn(2, 0, ProtocolSettings(12)), oracle.prepare_initial(phi, dims))
         assert oracle.coherence(rho, dims).real == pytest.approx(RHO20_COH08, abs=1e-6)
 
 
 class TestMeasureElement:
     def test_coherent_10(self):
         phi = coherent(0.8, 12, tail_tol=1e-9)
-        dims = HilbertDims(12, 12)
-        est = measure_element(phi, 1, 0, ProtocolSettings(dims))
+        est = measure_element(phi, 1, 0, ProtocolSettings(12))
         assert est.value.real == pytest.approx(RHO10_COH08, abs=1e-6)
         assert est.stderr == 0.0
         assert est.shots_used == 0
@@ -365,8 +360,7 @@ class TestMeasureElement:
 
     def test_dephased_coherent(self):
         phi = dephase(coherent(0.8, 12, tail_tol=1e-9), 0.3)
-        dims = HilbertDims(12, 12)
-        est = measure_element(phi, 2, 0, ProtocolSettings(dims))
+        est = measure_element(phi, 2, 0, ProtocolSettings(12))
         assert est.value.real == pytest.approx(RHO20_COH08 * math.exp(-1.2), abs=1e-6)
 
     def test_complex_alpha_pins_sign_convention(self):
@@ -425,13 +419,13 @@ class TestBranchIsolation:
     def test_plus_shifter_ignores_minus_branch_content(self):
         # two superpositions differing only in the minus branch's z content
         def make_state(zq):
-            v = np.zeros(DIMS.total_dim, dtype=complex)
+            v = np.zeros(N, dtype=complex)
             v[oracle.index(DIMS, MINUS, 1, zq)] = 1 / math.sqrt(2)
             v[oracle.index(DIMS, PLUS, 0, 2)] = 1 / math.sqrt(2)
-            return tensor(v)
+            return tensor(v, DIMS)
 
         outs = [_shift_compiled(make_state(zq), 0, 2).reshape(-1) for zq in (0, 1)]
-        plus_and_xi = slice(DIMS.vib_dim, 3 * DIMS.vib_dim)
+        plus_and_xi = slice(D * D, 3 * D * D)
         assert np.linalg.norm(outs[0][plus_and_xi] - outs[1][plus_and_xi]) < 1e-12
         # and the minus branch itself is untouched
         for zq, out in zip((0, 1), outs):
@@ -439,13 +433,13 @@ class TestBranchIsolation:
 
     def test_minus_shifter_ignores_plus_branch_content(self):
         def make_state(xq):
-            v = np.zeros(DIMS.total_dim, dtype=complex)
+            v = np.zeros(N, dtype=complex)
             v[oracle.index(DIMS, MINUS, 1, 0)] = 1 / math.sqrt(2)
             v[oracle.index(DIMS, PLUS, xq, 2)] = 1 / math.sqrt(2)
-            return tensor(v)
+            return tensor(v, DIMS)
 
         outs = [_shift_compiled(make_state(xq), 2, 0).reshape(-1) for xq in (0, 3)]
-        minus_slice = slice(0, DIMS.vib_dim)
+        minus_slice = slice(0, D * D)
         assert np.linalg.norm(outs[0][minus_slice] - outs[1][minus_slice]) < 1e-12
 
 
@@ -457,12 +451,12 @@ class TestSampling:
         # the transformed state is a +1 eigenstate of the x pseudospin
         probs = reduced_probabilities(self._red_00_vacuum(), "x")
         assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
-        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(DIMS, shots=500, seed=3))
+        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(D, shots=500, seed=3))
         assert est.value.real == 1.0
 
     def test_deterministic_given_seed(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
-        st = ProtocolSettings(DIMS, shots=4096, seed=17)
+        st = ProtocolSettings(D, shots=4096, seed=17)
         a = measure_element(phi, 1, 0, st)
         b = measure_element(phi, 1, 0, st)
         assert a.value == b.value and a.stderr == b.stderr
@@ -476,7 +470,7 @@ class TestSampling:
     def test_converges_to_exact(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         exact = measure_element(phi, 1, 0, SETTINGS).value
-        est = measure_element(phi, 1, 0, ProtocolSettings(DIMS, shots=100_000, seed=42))
+        est = measure_element(phi, 1, 0, ProtocolSettings(D, shots=100_000, seed=42))
         assert abs(est.value - exact) <= 5 * est.stderr
 
     def test_seed_ensemble_consistency(self):
@@ -494,8 +488,8 @@ class TestSampling:
         # the shot count reaches the sampler only through ProtocolSettings, which owns its check
         for shots in (0, -5):
             with pytest.raises(ValueError):
-                ProtocolSettings(DIMS, shots=shots)
-        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(DIMS, shots=1, seed=1))
+                ProtocolSettings(D, shots=shots)
+        est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(D, shots=1, seed=1))
         assert est.shots_used == 1 and est.stderr == 0.0
 
     @staticmethod
@@ -528,24 +522,25 @@ class TestSampling:
             reduced_probabilities(red, "z")
 
     def test_measure_element_sampled_mode(self):
-        st = ProtocolSettings(DIMS, shots=5000, seed=9)
+        st = ProtocolSettings(D, shots=5000, seed=9)
         est = measure_element(coherent(0.8, 8, tail_tol=1e-5), 1, 0, st)
         assert est.shots_used == 5000
         assert est.stderr > 0
 
 
 class TestSettingsValidation:
-    def test_unequal_cutoffs_rejected(self):
-        with pytest.raises(ValueError):
-            ProtocolSettings(HilbertDims(8, 6))
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_tiny_cutoff_rejected(self, d):
+        with pytest.raises(ValueError, match=f"^Fock cutoff must be >= 2, got d={d}$"):
+            ProtocolSettings(d)
 
     def test_bad_v_mode(self):
         with pytest.raises(ValueError):
-            ProtocolSettings(DIMS, v_mode="magic")
+            ProtocolSettings(D, v_mode="magic")
 
     def test_zero_shots(self):
         with pytest.raises(ValueError):
-            ProtocolSettings(DIMS, shots=0)
+            ProtocolSettings(D, shots=0)
 
     def test_estimate_invariants(self):
         # the engine builds every estimate: exact ones carry no shots and no error,
@@ -554,7 +549,7 @@ class TestSettingsValidation:
         exact = measure_element(phi, 1, 0, SETTINGS)
         assert (exact.shots_used, exact.stderr) == (0, 0.0)
         for m, n in ((0, 0), (1, 0), (2, 2)):
-            est = measure_element(phi, m, n, ProtocolSettings(DIMS, shots=50, seed=3))
+            est = measure_element(phi, m, n, ProtocolSettings(D, shots=50, seed=3))
             assert est.shots_used == 50 and est.stderr >= 0.0
 
 
@@ -565,12 +560,12 @@ class TestHotPathInvariants:
     def test_composed_unitaries_and_output_states(self, v_mode):
         # every slice image set is an isometry, and the transformed state
         # W rho_vibr W^dag is a density matrix to the protocol's tolerances
-        settings = ProtocolSettings(DIMS, v_mode=v_mode)
+        settings = ProtocolSettings(D, v_mode=v_mode)
         rho_vibr = dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3).density_matrix()
         for m in range(5):
             for n in range(5):
-                w = _slice_images(m, n, settings, np.eye(DIMS.dx)).reshape(DIMS.total_dim, -1)
-                assert np.max(np.abs(w.conj().T @ w - np.eye(DIMS.dx))) <= 1e-10
+                w = _slice_images(m, n, settings, np.eye(D)).reshape(N, -1)
+                assert np.max(np.abs(w.conj().T @ w - np.eye(D))) <= 1e-10
                 rho = w @ rho_vibr @ w.conj().T
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
                 assert abs(np.trace(rho) - 1.0) <= 1e-10
@@ -591,9 +586,9 @@ class TestSliceEngine:
     @pytest.mark.parametrize("compat", [False, True], ids=["final-plus", "compat"])
     @pytest.mark.parametrize("input_name", sorted(MIXED_INPUTS))
     def test_every_cell_matches_dense(self, d, v_mode, compat, input_name):
-        dims = HilbertDims(d, d)
+        dims = (d, d)
         phi = MIXED_INPUTS[input_name](d)
-        settings = ProtocolSettings(dims, v_mode=v_mode, compat_rminus_final=compat)
+        settings = ProtocolSettings(d, v_mode=v_mode, compat_rminus_final=compat)
         rho_vibr = phi.density_matrix()
         # the oracle's factors, each built once for the sweep
         built = {}
@@ -606,22 +601,22 @@ class TestSliceEngine:
                 dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
                 value = measure_element(phi, m, n, settings).value
                 assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
-                w = _slice_images(m, n, settings, np.eye(d)).reshape(3, dims.vib_dim, d)
+                w = _slice_images(m, n, settings, np.eye(d)).reshape(3, d * d, d)
                 red = _slice_reduced(w, rho_vibr)
                 assert np.max(np.abs(red - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_slice_images_are_dense_columns(self, v_mode):
-        settings = ProtocolSettings(DIMS, v_mode=v_mode)
-        columns = [oracle.index(DIMS, MINUS, k, 0) for k in range(DIMS.dx)]
+        settings = ProtocolSettings(D, v_mode=v_mode)
+        columns = [oracle.index(DIMS, MINUS, k, 0) for k in range(D)]
         for m, n in ((0, 0), (3, 1), (6, 5)):
-            w = _slice_images(m, n, settings, np.eye(DIMS.dx)).reshape(DIMS.total_dim, DIMS.dx)
+            w = _slice_images(m, n, settings, np.eye(D)).reshape(N, D)
             assert np.max(np.abs(w - oracle.u_mn(m, n, settings)[:, columns])) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_d60_coherent_cell(self, v_mode):
         alpha, m, n = 1.5 + 0.5j, 7, 3
-        settings = ProtocolSettings(HilbertDims(60, 60), v_mode=v_mode)
+        settings = ProtocolSettings(60, v_mode=v_mode)
         phi = coherent(alpha, 60)
         tracemalloc.start()
         try:
@@ -637,16 +632,16 @@ class TestSliceEngine:
     def test_d60_pure_block_stays_below_one_slice_tensor(self):
         # a pure input runs each schedule on its one amplitude column, so a compiled
         # block at d = 60 peaks below one (N, dx) complex tensor of basis images (10.4 MB)
-        dims = HilbertDims(60, 60)
-        phi = coherent(1.5 + 0.5j, 60)
+        d = 60
+        phi = coherent(1.5 + 0.5j, d)
         tracemalloc.start()
         try:
-            report = reconstruct(phi, 8, ProtocolSettings(dims, v_mode="compiled"))
+            report = reconstruct(phi, 8, ProtocolSettings(d, v_mode="compiled"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.metrics["max_abs_error"] <= 1e-9
-        assert peak < 16 * dims.total_dim * dims.dx
+        assert peak < 16 * (3 * d * d) * d
 
     def test_builds_no_dense_operator(self):
         # the only cache in the package is the bounded beam-splitter block cache, and a
@@ -658,23 +653,23 @@ class TestSliceEngine:
                   if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
         assert caches == ["iontomo.pulses._ly_blocks"]
         assert pulses._ly_blocks.cache_info().maxsize is not None
-        dims = HilbertDims(24, 24)
-        phi = dephase(coherent(0.5, 24), 0.1)
+        d = 24
+        phi = dephase(coherent(0.5, d), 0.1)
         tracemalloc.start()
         try:
             for v_mode in ("ideal", "compiled"):
-                reconstruct(phi, 3, ProtocolSettings(dims, v_mode=v_mode))
-            measure_element(phi, 2, 1, ProtocolSettings(dims, shots=100, seed=1))
+                reconstruct(phi, 3, ProtocolSettings(d, v_mode=v_mode))
+            measure_element(phi, 2, 1, ProtocolSettings(d, shots=100, seed=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * dims.total_dim ** 2 / 10
+        assert peak < 16 * (3 * d * d) ** 2 / 10
 
     @pytest.mark.parametrize("v_mode,m,n", [("ideal", 8, 0), ("ideal", 0, -1),
                                             ("compiled", 7, 0), ("compiled", 0, 7)])
     def test_target_out_of_reach(self, v_mode, m, n):
         with pytest.raises(ValueError):
-            measure_element(fock(0, 8), m, n, ProtocolSettings(DIMS, v_mode=v_mode))
+            measure_element(fock(0, 8), m, n, ProtocolSettings(D, v_mode=v_mode))
 
     def test_rejects_wrong_input_shape(self):
         # the dimension is checked first, before the targets' reach
@@ -698,7 +693,7 @@ def _random_cells(draw):
     v_mode = draw(st.sampled_from(["ideal", "compiled"]))
     reach = shifter_reach(d, v_mode)
     m, n = draw(st.integers(0, reach)), draw(st.integers(0, reach))
-    settings = ProtocolSettings(HilbertDims(d, d), v_mode=v_mode, compat_rminus_final=draw(st.booleans()))
+    settings = ProtocolSettings(d, v_mode=v_mode, compat_rminus_final=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rank = draw(st.one_of(st.none(), st.integers(1, d)))
     if rank is None:
@@ -717,11 +712,11 @@ def test_random_cell_matches_oracle(cell):
     # the exact value and the sampler's reduced state of any cell, on pure and mixed
     # inputs, equal those of the oracle's dense U_mn rho_0 U_mn^dag
     phi, m, n, settings = cell
-    dims = settings.dims
+    dims = oracle.protocol_dims(settings)
     dense = oracle.evolve(oracle.u_mn(m, n, settings), oracle.prepare_initial(phi, dims))
     assert abs(measure_element(phi, m, n, settings).value - oracle.coherence(dense, dims)) <= 1e-12
     columns, gram = _columns_and_gram(phi)
-    w = _slice_images(m, n, settings, columns).reshape(3, dims.vib_dim, -1)
+    w = _slice_images(m, n, settings, columns).reshape(3, settings.d ** 2, -1)
     assert np.max(np.abs(_slice_reduced(w, gram) - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
 
@@ -732,7 +727,7 @@ def test_pure_input_matches_its_density_matrix(v_mode, compat):
     # given as a density matrix read the same element in every cell
     phi = coherent(0.6 + 0.4j, 8, tail_tol=1e-3)
     as_matrix = VibrationalState(8, matrix=phi.density_matrix())
-    settings = ProtocolSettings(DIMS, v_mode=v_mode, compat_rminus_final=compat)
+    settings = ProtocolSettings(D, v_mode=v_mode, compat_rminus_final=compat)
     reach = shifter_reach(8, v_mode)
     for m in range(reach + 1):
         for n in range(reach + 1):

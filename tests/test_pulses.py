@@ -10,37 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from iontomo.hilbert import MINUS, PLUS, XI, HilbertDims
+from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
-from util import expm_taylor
+from util import act, expm_taylor, full_action
 
-DIMS = HilbertDims(4, 4)
-
-
-def h_carrier(levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("carrier", levels, "x", 0.0, phase), dims)
-
-
-def h_jc(mode, levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("jc", levels, mode, 0.0, phase), dims)
-
-
-def h_ajc(mode, levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
-
-
-def act(spec, vector, dims=DIMS):
-    """act_pulse on one composite-space vector, returned flat."""
-    state = np.array(vector, dtype=complex).reshape(3, dims.dx, dims.dz, 1)
-    return act_pulse(spec, state).reshape(-1)
-
-
-def full_action(spec, dims=DIMS):
-    """The N x N matrix of act_pulse, one basis column at a time."""
-    eye = np.eye(dims.total_dim, dtype=complex).reshape(3, dims.dx, dims.dz, -1)
-    return act_pulse(spec, eye).reshape(dims.total_dim, -1)
+DIMS = (4, 4)
+# The pulse actions take any (3, dx, dz, r) tensor; the unitarity checks run at unequal cutoffs.
+UNEQUAL = (3, 4)
 
 
 class TestPulseSpec:
@@ -86,6 +64,18 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec(kind, ("-", "+"), "x", 1.0)
         assert PulseSpec(kind, ("xi", "-"), "x", 1.0).levels == ("xi", "-")
+
+
+def h_carrier(levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("carrier", levels, "x", 0.0, phase), dims)
+
+
+def h_jc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("jc", levels, mode, 0.0, phase), dims)
+
+
+def h_ajc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
 
 
 class TestHamiltonians:
@@ -153,7 +143,7 @@ def _erot(level, theta):
 
 class TestElectronicRotation:
     def test_splits_ground_level(self):
-        out = act(_erot("-", math.pi / 4), oracle.basis(DIMS, MINUS, 0, 0))
+        out = act(_erot("-", math.pi / 4), oracle.basis(DIMS, MINUS, 0, 0), DIMS)
         expected = (oracle.basis(DIMS, MINUS, 0, 0)
                     + oracle.basis(DIMS, XI, 0, 0)) / math.sqrt(2)
         assert np.linalg.norm(out - expected) < 1e-12
@@ -161,12 +151,12 @@ class TestElectronicRotation:
     @pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.9])
     def test_unaddressed_level_untouched(self, theta):
         src = oracle.basis(DIMS, MINUS, 1, 2)
-        assert np.linalg.norm(act(_erot("+", theta), src) - src) < 1e-13
+        assert np.linalg.norm(act(_erot("+", theta), src, DIMS) - src) < 1e-13
 
     def test_inverse(self):
-        u = full_action(_erot("-", math.pi / 4))
-        v = full_action(_erot("-", -math.pi / 4))
-        assert np.max(np.abs(u @ v - np.eye(DIMS.total_dim))) < 1e-12
+        u = full_action(_erot("-", math.pi / 4), DIMS)
+        v = full_action(_erot("-", -math.pi / 4), DIMS)
+        assert np.max(np.abs(u @ v - np.eye(oracle.size(DIMS)))) < 1e-12
 
 
 class TestModeRotation:
@@ -193,7 +183,7 @@ class TestModeRotation:
 
     def test_zero_angle_is_identity(self):
         u = oracle.unitary(oracle.l_y(DIMS), 0.0)
-        assert np.allclose(u, np.eye(DIMS.total_dim), atol=1e-14)
+        assert np.allclose(u, np.eye(oracle.size(DIMS)), atol=1e-14)
 
 
 def _vrot(theta):
@@ -203,7 +193,7 @@ def _vrot(theta):
 class TestVibrationalRotation:
     def test_swaps_bright_branch(self):
         # |phi>_x|0>_z|alpha> -> |0>_x|phi>_z|alpha> with |alpha> = (|+> + |xi>)/sqrt(2)
-        dims = HilbertDims(8, 8)
+        dims = (8, 8)
         phi = coherent(0.8, 8, tail_tol=1e-5)
         alpha_e = np.zeros(3, dtype=complex)
         alpha_e[PLUS] = alpha_e[XI] = 1 / math.sqrt(2)
@@ -221,13 +211,13 @@ class TestVibrationalRotation:
         e_minus = np.zeros(3, dtype=complex)
         e_minus[MINUS] = 1.0
         src = np.kron(e_minus, np.kron(phi.amplitudes, z))
-        assert np.linalg.norm(act(_vrot(1.3), src) - src) < 1e-13
+        assert np.linalg.norm(act(_vrot(1.3), src, DIMS) - src) < 1e-13
 
     def test_conserves_total_phonon_number(self):
         n_tot = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4))) \
             + np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
         src = oracle.basis(DIMS, PLUS, 2, 1)
-        out = act(_vrot(0.9), src)
+        out = act(_vrot(0.9), src, DIMS)
         before = np.vdot(src, n_tot @ src)
         after = np.vdot(out, n_tot @ out)
         assert abs(before - after) < 1e-12
@@ -236,7 +226,7 @@ class TestVibrationalRotation:
 class TestCompilePulse:
     def test_carrier_pi_pulse_transfers_population(self):
         spec = PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 0.0)
-        out = act(spec, oracle.basis(DIMS, PLUS, 1, 1))
+        out = act(spec, oracle.basis(DIMS, PLUS, 1, 1), DIMS)
         amp = out[oracle.index(DIMS, XI, 1, 1)]
         assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-12)
         # phase of the transferred amplitude is set by the laser phase
@@ -249,12 +239,12 @@ class TestCompilePulse:
         r3[MINUS, MINUS] = r3[XI, XI] = math.cos(theta)
         r3[XI, MINUS] = math.sin(theta)
         r3[MINUS, XI] = -math.sin(theta)
-        closed = np.kron(r3, np.eye(DIMS.vib_dim))
+        closed = np.kron(r3, np.eye(DIMS[0] * DIMS[1]))
         assert np.max(np.abs(oracle.pulse(_erot("-", theta), DIMS) - closed)) <= 1e-14
 
     def test_zero_angle_jc_is_identity(self):
-        assert np.allclose(full_action(PulseSpec("jc", ("+", "xi"), "x", 0.0, 0.3)),
-                           np.eye(DIMS.total_dim), atol=1e-14)
+        assert np.allclose(full_action(PulseSpec("jc", ("+", "xi"), "x", 0.0, 0.3), DIMS),
+                           np.eye(oracle.size(DIMS)), atol=1e-14)
 
     @pytest.mark.parametrize("spec", [
         PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 4.71238898038469),
@@ -264,7 +254,7 @@ class TestCompilePulse:
         PulseSpec("vrot", ("+", "xi"), None, math.pi / 2),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_all_compiled_pulses_unitary(self, spec):
-        basis = np.eye(DIMS.total_dim, dtype=complex).reshape(3, DIMS.dx, DIMS.dz, -1)
+        basis = np.eye(oracle.size(DIMS), dtype=complex).reshape(3, *DIMS, -1)
         assert pulse_unitarity_defect([spec], basis) <= 1e-10
 
     @pytest.mark.parametrize("spec,excluded", [
@@ -276,7 +266,7 @@ class TestCompilePulse:
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_sector_confinement(self, spec, excluded):
         # a pulse whose levels exclude a sector commutes with that sector's projector
-        u = full_action(spec)
+        u = full_action(spec, DIMS)
         proj = oracle.electronic(excluded, excluded, DIMS)
         assert np.max(np.abs(u @ proj - proj @ u)) <= 1e-12
 
@@ -301,22 +291,22 @@ class TestPulseActions:
     @pytest.mark.parametrize("spec", _action_specs(),
                              ids=lambda s: f"{s.kind}-{''.join(s.levels)}-{s.mode}")
     def test_matches_compiled_matrix(self, spec):
-        dims = HilbertDims(6, 6)
+        dims = (6, 6)
         rng = np.random.default_rng(7)
         state = rng.normal(size=(3, 6, 6, 5)) + 1j * rng.normal(size=(3, 6, 6, 5))
-        expected = oracle.pulse(spec, dims) @ state.reshape(dims.total_dim, 5)
+        expected = oracle.pulse(spec, dims) @ state.reshape(oracle.size(dims), 5)
         got = act_pulse(spec, state.copy())
-        assert np.max(np.abs(got.reshape(dims.total_dim, 5) - expected)) <= 1e-12
+        assert np.max(np.abs(got.reshape(oracle.size(dims), 5) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["vrot", "jc"])
     def test_unequal_cutoffs(self, kind):
-        dims = HilbertDims(4, 6)
+        dims = (4, 6)
         spec = PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4)
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 4, 6, 3)) + 1j * rng.normal(size=(3, 4, 6, 3))
-        expected = oracle.pulse(spec, dims) @ state.reshape(dims.total_dim, 3)
+        expected = oracle.pulse(spec, dims) @ state.reshape(oracle.size(dims), 3)
         got = act_pulse(spec, state.copy())
-        assert np.max(np.abs(got.reshape(dims.total_dim, 3) - expected)) <= 1e-12
+        assert np.max(np.abs(got.reshape(oracle.size(dims), 3) - expected)) <= 1e-12
 
     def test_acts_in_place(self):
         state = np.zeros((3, 4, 4, 1), dtype=complex)
@@ -330,6 +320,61 @@ class TestPulseActions:
     def test_rejects_bad_tensor(self, shape, dtype):
         with pytest.raises(ValueError):
             act_pulse(PulseSpec("vrot", ("+", "xi"), None, 0.3), np.zeros(shape, dtype=dtype))
+
+
+def _every_kind(angle):
+    """One pulse of each kind at the given area, with a generic laser phase."""
+    return [PulseSpec("erot", ("-", "xi"), None, angle),
+            PulseSpec("vrot", ("+", "xi"), None, angle),
+            PulseSpec("carrier", ("+", "xi"), "x", angle, 0.4),
+            PulseSpec("jc", ("xi", "-"), "z", angle, 1.3),
+            PulseSpec("ajc", ("+", "xi"), "x", angle, 5.1)]
+
+
+def _random_columns(rng, r):
+    """A random (3, 3, 4, r) tensor of r unnormalized states on UNEQUAL."""
+    shape = (3, *UNEQUAL, r)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestApply:
+    """The pulse actions act as unitaries on every state: identity at zero area, trace and purity kept."""
+
+    def test_identity(self):
+        rng = np.random.default_rng(3)
+        state = _random_columns(rng, 4)
+        for spec in _every_kind(0.0):
+            assert np.allclose(act_pulse(spec, state.copy()), state, rtol=0, atol=1e-14)
+
+    def test_trace_preserved(self):
+        # rho = A A^dag with A the columns; U rho U^dag = (UA)(UA)^dag
+        rng = np.random.default_rng(11)
+        cols = _random_columns(rng, oracle.size(UNEQUAL))
+        cols /= np.linalg.norm(cols)
+        for spec in _every_kind(0.6):
+            out = act_pulse(spec, cols.copy()).reshape(oracle.size(UNEQUAL), -1)
+            assert abs(np.trace(out @ out.conj().T) - 1) <= 1e-10
+
+    def test_purity_preserved(self):
+        rng = np.random.default_rng(13)
+        cols = _random_columns(rng, 5)
+        cols /= np.linalg.norm(cols)
+        flat = cols.reshape(oracle.size(UNEQUAL), -1)
+        before = np.trace(np.linalg.matrix_power(flat @ flat.conj().T, 2)).real
+        for spec in _every_kind(1.3):
+            out = act_pulse(spec, cols.copy()).reshape(oracle.size(UNEQUAL), -1)
+            after = np.trace(np.linalg.matrix_power(out @ out.conj().T, 2)).real
+            assert abs(before - after) <= 1e-10
+
+
+class TestOperatorAlgebra:
+    def test_dagger_is_inverse_of_unitary(self):
+        # exp(i angle H)^dag = exp(-i angle H): the pulse at minus its area undoes it
+        rng = np.random.default_rng(17)
+        state = _random_columns(rng, 3)
+        for spec, back in zip(_every_kind(0.8), _every_kind(-0.8)):
+            out = act_pulse(back, act_pulse(spec, state.copy()))
+            assert np.max(np.abs(out - state)) <= 1e-12
 
 
 @st.composite
@@ -348,7 +393,7 @@ def _pulses(draw):
 @st.composite
 def _unequal_cutoffs(draw):
     dx = draw(st.integers(2, 5))
-    return HilbertDims(dx, draw(st.integers(2, 5).filter(lambda dz: dz != dx)))
+    return dx, draw(st.integers(2, 5).filter(lambda dz: dz != dx))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -357,9 +402,9 @@ def _unequal_cutoffs(draw):
 def test_random_schedule_matches_oracle(specs, dims, r, seed):
     # the pulses applied in place one after another act as the oracle's product of dense unitaries
     rng = np.random.default_rng(seed)
-    state = rng.normal(size=(3, dims.dx, dims.dz, r)) + 1j * rng.normal(size=(3, dims.dx, dims.dz, r))
-    expected = oracle.schedule(specs, dims) @ state.reshape(dims.total_dim, r)
+    state = rng.normal(size=(3, *dims, r)) + 1j * rng.normal(size=(3, *dims, r))
+    expected = oracle.schedule(specs, dims) @ state.reshape(oracle.size(dims), r)
     got = state.copy()
     for spec in specs:
         act_pulse(spec, got)
-    assert np.max(np.abs(got.reshape(dims.total_dim, r) - expected)) <= 1e-12
+    assert np.max(np.abs(got.reshape(oracle.size(dims), r) - expected)) <= 1e-12

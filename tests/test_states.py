@@ -242,6 +242,42 @@ class TestRawAndInvariants:
             VibrationalState(3, amplitudes=[1, 0])
 
 
+class TestTypeInvariants:
+    """VibrationalState checks its representation once, when it is built, and freezes it."""
+
+    def test_pure_state_norm_enforced(self):
+        with pytest.raises(ValueError):
+            VibrationalState(2, amplitudes=np.array([1.0, 1.0]))
+
+    def test_density_operator_checks(self):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            VibrationalState(2, matrix=np.diag([1.2, -0.2]))
+        with pytest.raises(ValueError, match="shape"):
+            VibrationalState(3, matrix=np.eye(2) / 2)
+        with pytest.raises(ValueError, match="hermitian"):
+            VibrationalState(2, matrix=np.array([[0.5, 1e-11], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="trace"):
+            VibrationalState(2, matrix=np.diag([0.5, 0.5 + 1e-9]))
+
+    def test_matrices_are_frozen(self):
+        rho = VibrationalState(3, matrix=np.eye(3) / 3)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 5.0
+        pure = VibrationalState(2, amplitudes=np.array([0.6, 0.8]))
+        with pytest.raises(ValueError):
+            pure.amplitudes[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes every "> tol" comparison, so it needs its own check
+        with pytest.raises(ValueError, match="non-finite"):
+            VibrationalState(2, matrix=np.array([[1.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            VibrationalState(2, matrix=np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            VibrationalState(2, amplitudes=np.array([1.0, bad]))
+
+
 class TestFarTail:
     """Mass beyond the constructors' extended Fock range still counts as leakage."""
 

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import cli, tomography
-from iontomo.hilbert import HilbertDims
 from iontomo.protocol import ProtocolSettings, measure_element, shifter_reach
 from iontomo.states import coherent, dephase, fock, thermal
 from iontomo.tomography import (
@@ -21,8 +20,8 @@ from iontomo.tomography import (
 )
 from util import random_density, random_hermitian
 
-DIMS = HilbertDims(8, 8)
-SETTINGS = ProtocolSettings(DIMS)
+D = 8
+SETTINGS = ProtocolSettings(D)
 
 
 class TestReconstruct:
@@ -36,7 +35,7 @@ class TestReconstruct:
         assert report.metrics["max_abs_error"] <= 1e-9
 
     def test_coherent_exact_compiled(self):
-        st = ProtocolSettings(DIMS, v_mode="compiled")
+        st = ProtocolSettings(D, v_mode="compiled")
         report = reconstruct(coherent(0.8, 8, tail_tol=1e-5), 3, st)
         assert report.metrics["max_abs_error"] <= 1e-7
 
@@ -73,20 +72,20 @@ class TestReconstruct:
             reconstruct(fock(0, 8), 8, SETTINGS)
 
     def test_compiled_cutoff_margin(self):
-        st = ProtocolSettings(DIMS, v_mode="compiled")
+        st = ProtocolSettings(D, v_mode="compiled")
         with pytest.raises(ValueError):
             reconstruct(fock(0, 8), 7, st)
 
     def test_projected_is_physical(self):
-        st = ProtocolSettings(DIMS, shots=200, seed=5)
+        st = ProtocolSettings(D, shots=200, seed=5)
         report = reconstruct(coherent(0.8, 8, tail_tol=1e-5), 3, st)
         proj = report.projected
         assert abs(np.trace(proj) - 1) <= 1e-10
         assert np.linalg.eigvalsh(proj)[0] >= -1e-10
 
     @pytest.mark.parametrize("settings", [
-        ProtocolSettings(DIMS, v_mode="compiled"),
-        ProtocolSettings(DIMS, shots=3000, seed=6),
+        ProtocolSettings(D, v_mode="compiled"),
+        ProtocolSettings(D, shots=3000, seed=6),
     ], ids=["exact-compiled", "sampled-ideal"])
     def test_cells_equal_per_cell_runs(self, settings):
         # each cell of the sweep is its own full run
@@ -100,8 +99,8 @@ class TestReconstruct:
 
     def test_sampled_stderr_shrinks_with_shots(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
-        small = reconstruct(phi, 2, ProtocolSettings(DIMS, shots=400, seed=1))
-        big = reconstruct(phi, 2, ProtocolSettings(DIMS, shots=40000, seed=1))
+        small = reconstruct(phi, 2, ProtocolSettings(D, shots=400, seed=1))
+        big = reconstruct(phi, 2, ProtocolSettings(D, shots=40000, seed=1))
         assert np.median(big.stderrs) < np.median(small.stderrs) / 5
 
 
@@ -113,7 +112,7 @@ class TestReconstruct:
 @example(d=4, n=1, nmax=0, v_mode="ideal", shots=1, seed=3)
 def test_few_shot_reconstruct_always_projects(d, n, nmax, v_mode, shots, seed):
     assume(n < d and nmax <= shifter_reach(d, v_mode))
-    run = ProtocolSettings(HilbertDims(d, d), v_mode=v_mode, shots=shots, seed=seed)
+    run = ProtocolSettings(d, v_mode=v_mode, shots=shots, seed=seed)
     proj = reconstruct(fock(n, d), nmax, run).projected
     assert np.max(np.abs(proj - proj.conj().T)) <= 1e-12
     assert abs(np.trace(proj) - 1.0) <= 1e-10
@@ -281,7 +280,7 @@ class TestDecoherenceMonitor:
 
     def test_sampled_points_share_random_numbers(self):
         # every lambda reuses the (seed, m, n) streams, so the unchanged populations repeat exactly
-        st = ProtocolSettings(DIMS, shots=2000, seed=11)
+        st = ProtocolSettings(D, shots=2000, seed=11)
         phi = coherent(0.8, 8, tail_tol=1e-5)
         lams = [0.0, 0.4, 1.0]
         for m, n in ((0, 0), (2, 2)):

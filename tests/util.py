@@ -1,6 +1,13 @@
-"""Shared test helpers, kept independent of the package's own linear algebra paths."""
+"""Shared test helpers.
+
+expm_taylor and the random matrices are kept independent of the package's own
+linear algebra paths; tensor, act and full_action run the engine's pulse actions
+on flat composite-space vectors, for comparison with the dense oracle.
+"""
 
 import numpy as np
+
+from iontomo.pulses import act_pulse
 
 
 def expm_taylor(m: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -33,3 +40,19 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def tensor(vector, dims) -> np.ndarray:
+    """A flat vector on the (dx, dz) composite space as the (3, dx, dz, 1) tensor the engine acts on."""
+    return np.array(vector, dtype=complex).reshape(3, *dims, 1)
+
+
+def act(spec, vector, dims) -> np.ndarray:
+    """act_pulse on one flat composite-space vector, returned flat."""
+    return act_pulse(spec, tensor(vector, dims)).reshape(-1)
+
+
+def full_action(spec, dims) -> np.ndarray:
+    """The N x N matrix of act_pulse, one basis column at a time."""
+    n = 3 * dims[0] * dims[1]
+    return act_pulse(spec, np.eye(n, dtype=complex).reshape(3, *dims, n)).reshape(n, n)
