@@ -10,6 +10,7 @@ emits a structured error record and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -222,15 +223,10 @@ def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings
 
 
 def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
-    """The run record: the settings, plus what else the subcommand read (its state, say)."""
-    echo = {
-        "dims": {"dx": settings.d, "dz": settings.d},
-        "v_mode": settings.v_mode,
-        "shots": settings.shots,
-        "seed": settings.seed,
-        "compat_rminus_final": settings.compat_rminus_final,
-    }
-    echo.update(extra)
+    """The run record: every settings field (d as the config's dims), plus what else the subcommand read."""
+    echo = dataclasses.asdict(settings)
+    d = echo.pop("d")
+    echo.update(dims={"dx": d, "dz": d}, **extra)
     return echo
 
 
@@ -354,15 +350,12 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     record("entangler-identity", protocol.entangled_target_deviation(settings, 0, 0, amplitudes), 1e-9)
 
     # Element identity, ideal and compiled branch shifters.
-    phi = family[-1]
-    truth = phi.density_matrix()
     kmax = min(2, protocol.shifter_reach(d, "compiled"))
     for v_mode, tol in (("ideal", 1e-9), ("compiled", 1e-7)):
         st = protocol.ProtocolSettings(d, v_mode=v_mode,
                                        compat_rminus_final=settings.compat_rminus_final)
-        dev = max(abs(protocol.measure_element(phi, m, n, st).value - truth[m, n])
-                  for m in range(kmax + 1) for n in range(kmax + 1))
-        record(f"element-identity-{v_mode}", dev, tol)
+        record(f"element-identity-{v_mode}",
+               tomography.reconstruct(family[-1], kmax, st).metrics["max_abs_error"], tol)
 
     # Compiled vs ideal shifters on the branch slices |->|j>_x|0>_z and |+>|0>_x|j>_z,
     # each the other shifter's spectator.

@@ -56,6 +56,11 @@ _OBSERVABLE_TAGS = {"x": 0, "y": 1}
 CLIP_TOL = 1e-10
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolSettings:
     """How a protocol run is evaluated.
@@ -67,6 +72,10 @@ class ProtocolSettings:
     many times. compat_rminus_final reproduces the historical four-pulse
     ordering whose final pulse addresses the {-, xi} pair; it fails the
     entangler identity and exists only for comparison.
+
+    d, seed and a non-None shots must be integers (Python or numpy, not bool)
+    and compat_rminus_final a bool; any other value raises ValueError naming
+    its field, before the range checks.
     """
 
     d: int
@@ -76,6 +85,12 @@ class ProtocolSettings:
     compat_rminus_final: bool = False
 
     def __post_init__(self):
+        for name in ("d", "shots", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) or name == "shots" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.compat_rminus_final, bool):
+            raise ValueError(f"compat_rminus_final must be a bool, got {self.compat_rminus_final!r}")
         if self.d < 2:
             raise ValueError(f"Fock cutoff must be >= 2, got d={self.d}")
         if self.v_mode not in ("ideal", "compiled"):
@@ -133,11 +148,18 @@ def shifter_reach(cutoff: int, v_mode: str) -> int:
     return cutoff - 1 if v_mode == "ideal" else cutoff - 2
 
 
-def _check_target(k: int, cutoff: int, mode: str, v_mode: str) -> None:
-    """Reject a branch-shift target outside 0..shifter_reach."""
-    reach = shifter_reach(cutoff, v_mode)
+def check_reach(k: int, settings: ProtocolSettings, what: str) -> None:
+    """Reject a shifter target k, named `what` in the message, outside 0..shifter_reach of the run.
+
+    Every cell target and reconstruct's nmax enter here, so here a k that is
+    not an integer (Python or numpy, not bool) is rejected too.
+    """
+    if not _is_int(k):
+        raise ValueError(f"{what} must be an integer, got {k!r}")
+    reach = shifter_reach(settings.d, settings.v_mode)
     if not 0 <= k <= reach:
-        raise ValueError(f"{v_mode} shifter target k = {k} out of reach 0..{reach} for d{mode}={cutoff}")
+        raise ValueError(f"{what} = {k} out of the {settings.v_mode} shifter reach 0..{reach} "
+                         f"at d={settings.d}")
 
 
 def _ladder_schedule(k: int, levels: tuple[str, str], mode: str) -> list[PulseSpec]:
@@ -254,8 +276,8 @@ def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarra
     Runs the cell's entangler, then its shifters, on the complex (d, r) columns c_j.
     """
     d = settings.d
-    _check_target(m, d, "z", settings.v_mode)
-    _check_target(n, d, "x", settings.v_mode)
+    check_reach(m, settings, "target m")
+    check_reach(n, settings, "target n")
     w = np.zeros((ELECTRONIC_DIM, d, d, columns.shape[1]), dtype=complex)
     w[MINUS, :, 0] = columns
     for spec in u00_schedule(settings.compat_rminus_final):
@@ -283,7 +305,7 @@ def measure_element(phi: VibrationalState, m: int, n: int,
     """
     d = settings.d
     if phi.dim != d:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {d}")
+        raise ValueError(f"vibrational state dim {phi.dim} != d {d}")
     columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
                      else (np.eye(d), phi.matrix))
     w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, d * d, -1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolSettings, measure_element, shifter_reach
+from .protocol import ProtocolSettings, check_reach, measure_element
 from .states import VibrationalState, dephase
 
 
@@ -89,9 +89,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     measured, halving the work at the cost of no longer exercising the
     element-independence property.
     """
-    reach = shifter_reach(settings.d, settings.v_mode)
-    if not 0 <= nmax <= reach:
-        raise ValueError(f"nmax {nmax} out of the {settings.v_mode} shifter reach 0..{reach} at dx={settings.d}")
+    check_reach(nmax, settings, "nmax")
     size = nmax + 1
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
@@ -141,10 +139,7 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
         raise ValueError("lambda list must not be empty")
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
-    reach = shifter_reach(settings.d, settings.v_mode)
-    if reach < 2:
-        raise ValueError(f"monitor addresses the (2, 0) element, beyond the {settings.v_mode} "
-                         f"shifter reach 0..{reach} at dx={settings.d}")
+    check_reach(2, settings, "monitor target m")
     points = []
     for lam in lambdas:
         dephased = dephase(phi, lam)

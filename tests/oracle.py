@@ -156,7 +156,7 @@ def u_mn(m, n, settings, completion="cycle") -> np.ndarray:
 def _check_dim(phi, dims) -> None:
     """The engine's one input check: the state lives on mode x's dx levels."""
     if phi.dim != dims[0]:
-        raise ValueError(f"vibrational state dim {phi.dim} != dx {dims[0]}")
+        raise ValueError(f"vibrational state dim {phi.dim} != d {dims[0]}")
 
 
 def prepare_initial(phi, dims) -> np.ndarray:

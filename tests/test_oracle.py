@@ -1,22 +1,33 @@
-"""Tests of the dense oracle's building blocks (tests/oracle.py).
+"""Tests of the dense oracle (tests/oracle.py) that run none of the engine.
 
 The engine's tests compare it with the oracle, so the oracle's flat index,
-ladder operators, Pauli matrices, exponential, expectation and reduced state
-are pinned here against independent constructions. Its pulse generators sit
-with the pulse tests, and its initial state, entangler, shifters and composed
-unitary with the protocol tests. The oracle takes any (dx, dz) pair; DIMS has
+ladder operators, Pauli matrices, exponential, expectation, reduced state,
+pulse generators, mode-rotation generator, initial state and readout are
+pinned here against independent constructions. The tests that set the
+oracle's entangler, shifters and composed unitary beside the engine's stay
+with the protocol tests. The oracle takes any (dx, dz) pair; DIMS has
 unequal cutoffs, so that a swapped index shows.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import oracle
 from iontomo.hilbert import MINUS, PLUS, XI
-from util import expm_taylor, random_density, random_hermitian
+from iontomo.protocol import ProtocolSettings
+from iontomo.pulses import PulseSpec
+from iontomo.states import coherent, fock, thermal
+from util import RHO20_COH08, expm_taylor, random_density, random_hermitian
 
 DIMS = (3, 4)
 N = oracle.size(DIMS)
+# the equal cutoffs of the generator, preparation and readout classes below
+DIMS4 = (4, 4)
+DIMS8 = (8, 8)
+SETTINGS8 = ProtocolSettings(8)
+PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure)
 
 
 class TestIndex:
@@ -200,3 +211,144 @@ def test_reduced_density_recovers_mode_x():
     elec[MINUS, MINUS] = 1.0
     full = np.kron(np.kron(elec, rho_x), z0)
     assert np.allclose(oracle.reduced_x(full, DIMS), rho_x, atol=1e-14)
+
+
+def h_carrier(levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("carrier", levels, "x", 0.0, phase), dims)
+
+
+def h_jc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("jc", levels, mode, 0.0, phase), dims)
+
+
+def h_ajc(mode, levels, phase, dims):
+    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
+
+
+class TestHamiltonians:
+    """The oracle's dense generators, pinned against their defining matrix elements."""
+
+    def test_carrier_zero_phase_is_sigma_x(self):
+        h = h_carrier(("+", "xi"), 0.0, DIMS4)
+        assert np.array_equal(h, oracle.pauli(PLUS, XI, "x", DIMS4))
+
+    def test_carrier_quarter_phase_is_sigma_y(self):
+        h = h_carrier(("+", "xi"), math.pi / 2, DIMS4)
+        assert np.max(np.abs(h - oracle.pauli(PLUS, XI, "y", DIMS4))) < 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hermitian_for_random_phase(self, seed):
+        rng = np.random.default_rng(seed)
+        phase = rng.uniform(0, 2 * math.pi)
+        for h in (h_carrier(("+", "xi"), phase, DIMS4),
+                  h_jc("x", ("+", "xi"), phase, DIMS4),
+                  h_ajc("z", ("-", "xi"), phase, DIMS4)):
+            assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+    def test_jc_ladder_coupling(self):
+        # on |k-1>_x|xi> the coupling reaches only |k>_x|+> with element sqrt(k)
+        h = h_jc("x", ("+", "xi"), 0.0, DIMS4)
+        for k in (1, 2, 3):
+            out = h @ oracle.basis(DIMS4, XI, k - 1, 2)
+            expected = math.sqrt(k) * oracle.basis(DIMS4, PLUS, k, 2)
+            assert np.allclose(out, expected, atol=1e-14)
+
+    def test_jc_conserves_excitation_counter(self):
+        h = h_jc("x", ("+", "xi"), 0.0, DIMS4)
+        n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
+        counter = n_x + oracle.electronic(XI, XI, DIMS4)
+        assert np.max(np.abs(h @ counter - counter @ h)) <= 1e-12
+
+    def test_jc_vanishes_on_minus_sector(self):
+        h = h_jc("x", ("+", "xi"), 0.3, DIMS4)
+        for nx in range(4):
+            assert np.max(np.abs(h @ oracle.basis(DIMS4, MINUS, nx, 1))) == 0.0
+
+    def test_ajc_ladder_coupling(self):
+        # on |k>_x|+> the coupling reaches |k+1>_x|xi> with element sqrt(k+1)
+        h = h_ajc("x", ("+", "xi"), 0.0, DIMS4)
+        for k in (0, 1, 2):
+            out = h @ oracle.basis(DIMS4, PLUS, k, 0)
+            expected = math.sqrt(k + 1) * oracle.basis(DIMS4, XI, k + 1, 0)
+            assert np.allclose(out, expected, atol=1e-14)
+
+    def test_ajc_row_structure_at_vacuum(self):
+        # the <0,+| row couples only through the lowering term: reached from |1, xi> alone
+        h = h_ajc("x", ("+", "xi"), 0.0, DIMS4)
+        row = h[oracle.index(DIMS4, PLUS, 0, 0), :]
+        nonzero = np.nonzero(np.abs(row) > 1e-15)[0]
+        assert list(nonzero) == [oracle.index(DIMS4, XI, 1, 0)]
+
+    def test_ajc_vanishes_on_minus_sector(self):
+        h = h_ajc("x", ("+", "xi"), 0.0, DIMS4)
+        assert np.max(np.abs(h @ oracle.basis(DIMS4, MINUS, 2, 2))) == 0.0
+
+
+class TestModeRotation:
+    """The oracle's two-mode generator L_y and its exponential."""
+
+    def test_swap_is_phase_free(self):
+        # exp(i pi/2 L_y)|n, 0> = |0, n> with coefficient +1, for every n and level
+        u = oracle.unitary(oracle.l_y(DIMS4), math.pi / 2)
+        for e in range(3):
+            for n in range(4):
+                out = u @ oracle.basis(DIMS4, e, n, 0)
+                assert np.linalg.norm(out - oracle.basis(DIMS4, e, 0, n)) < 1e-12
+
+    def test_matches_series_exponential(self):
+        g = oracle.l_y(DIMS4)
+        u = oracle.unitary(g, math.pi / 2)
+        assert np.max(np.abs(u - expm_taylor(1j * (math.pi / 2) * g))) < 1e-11
+
+    def test_commutes_with_total_phonon_number(self):
+        n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
+        n_z = np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
+        g = oracle.l_y(DIMS4)
+        assert np.max(np.abs(g @ (n_x + n_z) - (n_x + n_z) @ g)) <= 1e-12
+
+    def test_zero_angle_is_identity(self):
+        u = oracle.unitary(oracle.l_y(DIMS4), 0.0)
+        assert np.allclose(u, np.eye(oracle.size(DIMS4)), atol=1e-14)
+
+
+class TestPrepareInitial:
+    def test_vacuum_input(self):
+        rho = oracle.prepare_initial(fock(0, 8), DIMS8)
+        expected = np.outer(oracle.basis(DIMS8, MINUS, 0, 0), oracle.basis(DIMS8, MINUS, 0, 0))
+        assert np.max(np.abs(rho - expected)) < 1e-15
+
+    def test_trace_one(self):
+        rho = oracle.prepare_initial(thermal(0.5, 8, tail_tol=1e-3), DIMS8)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_partial_trace_recovers_input(self):
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        rho = oracle.prepare_initial(phi, DIMS8)
+        assert np.max(np.abs(oracle.reduced_x(rho, DIMS8) - phi.density_matrix())) < 1e-13
+
+    def test_pure_input_gives_pure_output(self):
+        rho = oracle.prepare_initial(coherent(0.5, 8, tail_tol=1e-6), DIMS8)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
+    def test_dim_mismatch(self, prepare):
+        with pytest.raises(ValueError):
+            prepare(fock(0, 6), DIMS8)
+
+
+class TestCoherenceExpectation:
+    """The oracle's readout <sigma_x> - i <sigma_y> on its dense transformed state."""
+
+    def test_vacuum_diagonal(self):
+        rho = oracle.evolve(oracle.u_mn(0, 0, SETTINGS8), oracle.prepare_initial(fock(0, 8), DIMS8))
+        assert oracle.coherence(rho, DIMS8) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fock_offdiagonal_vanishes(self):
+        rho = oracle.evolve(oracle.u_mn(0, 1, SETTINGS8), oracle.prepare_initial(fock(1, 8), DIMS8))
+        assert abs(oracle.coherence(rho, DIMS8)) < 1e-12
+
+    def test_coherent_20_element(self):
+        phi = coherent(0.8, 12, tail_tol=1e-9)
+        dims = (12, 12)
+        rho = oracle.evolve(oracle.u_mn(2, 0, ProtocolSettings(12)), oracle.prepare_initial(phi, dims))
+        assert oracle.coherence(rho, dims).real == pytest.approx(RHO20_COH08, abs=1e-6)

@@ -1,4 +1,4 @@
-"""Tests for the measurement protocol: preparation, entangler, branch shifters, readout.
+"""Tests for the measurement protocol: entangler, branch shifters, readout, sampling and the slice engine.
 
 The protocol runs on the slice engine (pulses.act_pulse on (3, d, d, r)
 tensors); tests/oracle.py builds the same unitaries as dense N x N matrices,
@@ -6,6 +6,7 @@ and the engine is compared with it cell by cell.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,19 +33,16 @@ from iontomo.protocol import (
     v_plus_schedule,
 )
 from iontomo.pulses import act_pulse
-from iontomo.states import TruncationLeakageError, VibrationalState, cat, coherent, dephase, fock, thermal
+from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
 from iontomo.tomography import reconstruct
-from util import expm_taylor, tensor
+from util import RHO20_COH08, expm_taylor, tensor
 
 D = 8
 DIMS = (D, D)
 N = oracle.size(DIMS)
 SETTINGS = ProtocolSettings(D)
-PREPARERS = (oracle.prepare_initial, oracle.prepare_initial_pure)
 
-RHO00_COH08 = 0.5272924240430485   # exp(-0.64)
 RHO10_COH08 = 0.42183393923443885  # exp(-0.64) * 0.8
-RHO20_COH08 = 0.23862531117384456  # exp(-0.64) * 0.64 / sqrt(2)
 
 
 def entangled_target(phi, dims, m=0, n=0):
@@ -66,40 +64,6 @@ def engine_reduced(phi, m, n, settings):
     d = settings.d
     w = _slice_images(m, n, settings, np.eye(d)).reshape(3, d * d, d)
     return _slice_reduced(w, phi.density_matrix())
-
-
-class TestPrepareInitial:
-    def test_vacuum_input(self):
-        rho = oracle.prepare_initial(fock(0, 8), DIMS)
-        expected = np.outer(oracle.basis(DIMS, MINUS, 0, 0), oracle.basis(DIMS, MINUS, 0, 0))
-        assert np.max(np.abs(rho - expected)) < 1e-15
-
-    def test_trace_one(self):
-        rho = oracle.prepare_initial(thermal(0.5, 8, tail_tol=1e-3), DIMS)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_partial_trace_recovers_input(self):
-        phi = coherent(0.8, 8, tail_tol=1e-5)
-        rho = oracle.prepare_initial(phi, DIMS)
-        assert np.max(np.abs(oracle.reduced_x(rho, DIMS) - phi.density_matrix())) < 1e-13
-
-    def test_pure_input_gives_pure_output(self):
-        rho = oracle.prepare_initial(coherent(0.5, 8, tail_tol=1e-6), DIMS)
-        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("prepare", PREPARERS, ids=lambda f: f.__name__)
-    def test_dim_mismatch(self, prepare):
-        with pytest.raises(ValueError):
-            prepare(fock(0, 6), DIMS)
-
-    @pytest.mark.parametrize("tail_mass", [1e-3, math.nan, math.inf],
-                             ids=["leaky", "nan-tail", "inf-tail"])
-    def test_rejects_leaky_state(self, tail_mass):
-        # construction is the leakage check, so no preparer ever sees such a state
-        vec = np.zeros(8, dtype=complex)
-        vec[0] = 1.0
-        with pytest.raises(TruncationLeakageError, match="input state leaks"):
-            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass, tail_tol=1e-12)
 
 
 def _test_rotation_matrix(level, theta, dims):
@@ -328,24 +292,6 @@ class TestComposedUnitary:
                                       - entangled_target(phi, DIMS, m, n)) == pytest.approx(resid)
 
 
-class TestCoherenceExpectation:
-    """The oracle's readout <sigma_x> - i <sigma_y> on its dense transformed state."""
-
-    def test_vacuum_diagonal(self):
-        rho = oracle.evolve(oracle.u_mn(0, 0, SETTINGS), oracle.prepare_initial(fock(0, 8), DIMS))
-        assert oracle.coherence(rho, DIMS) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fock_offdiagonal_vanishes(self):
-        rho = oracle.evolve(oracle.u_mn(0, 1, SETTINGS), oracle.prepare_initial(fock(1, 8), DIMS))
-        assert abs(oracle.coherence(rho, DIMS)) < 1e-12
-
-    def test_coherent_20_element(self):
-        phi = coherent(0.8, 12, tail_tol=1e-9)
-        dims = (12, 12)
-        rho = oracle.evolve(oracle.u_mn(2, 0, ProtocolSettings(12)), oracle.prepare_initial(phi, dims))
-        assert oracle.coherence(rho, dims).real == pytest.approx(RHO20_COH08, abs=1e-6)
-
-
 class TestMeasureElement:
     def test_coherent_10(self):
         phi = coherent(0.8, 12, tail_tol=1e-9)
@@ -534,6 +480,23 @@ class TestSettingsValidation:
         with pytest.raises(ValueError, match=f"^Fock cutoff must be >= 2, got d={d}$"):
             ProtocolSettings(d)
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", 8.0), ("d", True), ("shots", 2.5), ("shots", True), ("seed", 1.5), ("seed", False),
+        ("compat_rminus_final", 1), ("compat_rminus_final", None),
+    ])
+    def test_field_type_rejected(self, field, value):
+        kind = "a bool" if field == "compat_rminus_final" else "an integer"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
+            ProtocolSettings(**{"d": D, field: value})
+
+    def test_numpy_integers_accepted(self):
+        # numpy integers pass as settings fields and as cell targets
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        for v_mode in ("ideal", "compiled"):
+            st = ProtocolSettings(np.int64(D), v_mode=v_mode, shots=np.int32(50), seed=np.uint8(3))
+            est = measure_element(phi, np.int64(1), np.int32(0), st)
+            assert est == measure_element(phi, 1, 0, ProtocolSettings(D, v_mode=v_mode, shots=50, seed=3))
+
     def test_bad_v_mode(self):
         with pytest.raises(ValueError):
             ProtocolSettings(D, v_mode="magic")
@@ -665,16 +628,27 @@ class TestSliceEngine:
             tracemalloc.stop()
         assert peak < 16 * (3 * d * d) ** 2 / 10
 
-    @pytest.mark.parametrize("v_mode,m,n", [("ideal", 8, 0), ("ideal", 0, -1),
-                                            ("compiled", 7, 0), ("compiled", 0, 7)])
-    def test_target_out_of_reach(self, v_mode, m, n):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("v_mode,m,n,message", [
+        pytest.param("ideal", 8, 0, "target m = 8 out of the ideal shifter reach 0..7 at d=8",
+                     id="ideal-8-0"),
+        pytest.param("ideal", 0, -1, "target n = -1 out of the ideal shifter reach 0..7 at d=8",
+                     id="ideal-0--1"),
+        pytest.param("compiled", 7, 0, "target m = 7 out of the compiled shifter reach 0..6 at d=8",
+                     id="compiled-7-0"),
+        pytest.param("compiled", 0, 7, "target n = 7 out of the compiled shifter reach 0..6 at d=8",
+                     id="compiled-0-7"),
+        pytest.param("ideal", 1.0, 0, "target m must be an integer, got 1.0", id="ideal-float-m"),
+        pytest.param("compiled", 0, 1.0, "target n must be an integer, got 1.0", id="compiled-float-n"),
+        pytest.param("ideal", True, 0, "target m must be an integer, got True", id="ideal-bool-m"),
+    ])
+    def test_target_out_of_reach(self, v_mode, m, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             measure_element(fock(0, 8), m, n, ProtocolSettings(D, v_mode=v_mode))
 
     def test_rejects_wrong_input_shape(self):
         # the dimension is checked first, before the targets' reach
         for m, n in ((0, 0), (9, 0)):
-            with pytest.raises(ValueError, match=r"^vibrational state dim 6 != dx 8$"):
+            with pytest.raises(ValueError, match=r"^vibrational state dim 6 != d 8$"):
                 measure_element(fock(0, 6), m, n, SETTINGS)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the primitive pulses: their specs, their closed-form actions, and the dense oracle's generators."""
+"""Tests for the primitive pulses: their specs and their closed-form actions."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
-from util import act, expm_taylor, full_action
+from util import act, full_action
 
 DIMS = (4, 4)
 # The pulse actions take any (3, dx, dz, r) tensor; the unitarity checks run at unequal cutoffs.
@@ -66,77 +66,6 @@ class TestPulseSpec:
         assert PulseSpec(kind, ("xi", "-"), "x", 1.0).levels == ("xi", "-")
 
 
-def h_carrier(levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("carrier", levels, "x", 0.0, phase), dims)
-
-
-def h_jc(mode, levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("jc", levels, mode, 0.0, phase), dims)
-
-
-def h_ajc(mode, levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
-
-
-class TestHamiltonians:
-    """The oracle's dense generators, pinned against their defining matrix elements."""
-
-    def test_carrier_zero_phase_is_sigma_x(self):
-        h = h_carrier(("+", "xi"), 0.0, DIMS)
-        assert np.array_equal(h, oracle.pauli(PLUS, XI, "x", DIMS))
-
-    def test_carrier_quarter_phase_is_sigma_y(self):
-        h = h_carrier(("+", "xi"), math.pi / 2, DIMS)
-        assert np.max(np.abs(h - oracle.pauli(PLUS, XI, "y", DIMS))) < 1e-15
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_hermitian_for_random_phase(self, seed):
-        rng = np.random.default_rng(seed)
-        phase = rng.uniform(0, 2 * math.pi)
-        for h in (h_carrier(("+", "xi"), phase, DIMS),
-                  h_jc("x", ("+", "xi"), phase, DIMS),
-                  h_ajc("z", ("-", "xi"), phase, DIMS)):
-            assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-
-    def test_jc_ladder_coupling(self):
-        # on |k-1>_x|xi> the coupling reaches only |k>_x|+> with element sqrt(k)
-        h = h_jc("x", ("+", "xi"), 0.0, DIMS)
-        for k in (1, 2, 3):
-            out = h @ oracle.basis(DIMS, XI, k - 1, 2)
-            expected = math.sqrt(k) * oracle.basis(DIMS, PLUS, k, 2)
-            assert np.allclose(out, expected, atol=1e-14)
-
-    def test_jc_conserves_excitation_counter(self):
-        h = h_jc("x", ("+", "xi"), 0.0, DIMS)
-        n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
-        counter = n_x + oracle.electronic(XI, XI, DIMS)
-        assert np.max(np.abs(h @ counter - counter @ h)) <= 1e-12
-
-    def test_jc_vanishes_on_minus_sector(self):
-        h = h_jc("x", ("+", "xi"), 0.3, DIMS)
-        for nx in range(4):
-            assert np.max(np.abs(h @ oracle.basis(DIMS, MINUS, nx, 1))) == 0.0
-
-    def test_ajc_ladder_coupling(self):
-        # on |k>_x|+> the coupling reaches |k+1>_x|xi> with element sqrt(k+1)
-        h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
-        for k in (0, 1, 2):
-            out = h @ oracle.basis(DIMS, PLUS, k, 0)
-            expected = math.sqrt(k + 1) * oracle.basis(DIMS, XI, k + 1, 0)
-            assert np.allclose(out, expected, atol=1e-14)
-
-    def test_ajc_row_structure_at_vacuum(self):
-        # the <0,+| row couples only through the lowering term: reached from |1, xi> alone
-        h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
-        row = h[oracle.index(DIMS, PLUS, 0, 0), :]
-        nonzero = np.nonzero(np.abs(row) > 1e-15)[0]
-        assert list(nonzero) == [oracle.index(DIMS, XI, 1, 0)]
-
-    def test_ajc_vanishes_on_minus_sector(self):
-        h = h_ajc("x", ("+", "xi"), 0.0, DIMS)
-        assert np.max(np.abs(h @ oracle.basis(DIMS, MINUS, 2, 2))) == 0.0
-
-
 def _erot(level, theta):
     return PulseSpec("erot", (level, "xi"), None, theta)
 
@@ -157,33 +86,6 @@ class TestElectronicRotation:
         u = full_action(_erot("-", math.pi / 4), DIMS)
         v = full_action(_erot("-", -math.pi / 4), DIMS)
         assert np.max(np.abs(u @ v - np.eye(oracle.size(DIMS)))) < 1e-12
-
-
-class TestModeRotation:
-    """The oracle's two-mode generator L_y and its exponential."""
-
-    def test_swap_is_phase_free(self):
-        # exp(i pi/2 L_y)|n, 0> = |0, n> with coefficient +1, for every n and level
-        u = oracle.unitary(oracle.l_y(DIMS), math.pi / 2)
-        for e in range(3):
-            for n in range(4):
-                out = u @ oracle.basis(DIMS, e, n, 0)
-                assert np.linalg.norm(out - oracle.basis(DIMS, e, 0, n)) < 1e-12
-
-    def test_matches_series_exponential(self):
-        g = oracle.l_y(DIMS)
-        u = oracle.unitary(g, math.pi / 2)
-        assert np.max(np.abs(u - expm_taylor(1j * (math.pi / 2) * g))) < 1e-11
-
-    def test_commutes_with_total_phonon_number(self):
-        n_x = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4)))
-        n_z = np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
-        g = oracle.l_y(DIMS)
-        assert np.max(np.abs(g @ (n_x + n_z) - (n_x + n_z) @ g)) <= 1e-12
-
-    def test_zero_angle_is_identity(self):
-        u = oracle.unitary(oracle.l_y(DIMS), 0.0)
-        assert np.allclose(u, np.eye(oracle.size(DIMS)), atol=1e-14)
 
 
 def _vrot(theta):

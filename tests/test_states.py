@@ -277,6 +277,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             VibrationalState(2, amplitudes=np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("tail_mass", [1e-3, math.nan, math.inf],
+                             ids=["leaky", "nan-tail", "inf-tail"])
+    def test_rejects_leaky_state(self, tail_mass):
+        # construction is the leakage check, so no protocol run ever sees such a state
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = 1.0
+        with pytest.raises(TruncationLeakageError, match="input state leaks"):
+            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass, tail_tol=1e-12)
+
 
 class TestFarTail:
     """Mass beyond the constructors' extended Fock range still counts as leakage."""

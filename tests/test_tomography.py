@@ -1,7 +1,9 @@
 """Tests for the reconstruction sweep, physical projection, metrics, and monitor."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,16 +67,29 @@ class TestReconstruct:
         assert echo["v_mode"] == "ideal"
         assert echo["dims"] == {"dx": 8, "dz": 8}
         assert echo["state"] == {"kind": "fock", "n": 0}
+        # the record is the ProtocolSettings fields, d shown as the config's dims, plus the extras
+        fields = {f.name for f in dataclasses.fields(ProtocolSettings)}
+        assert set(echo) == (fields - {"d"}) | {"dims", "state", "nmax", "use_hermitian_symmetry"}
         assert not hasattr(reconstruct(fock(0, 8), 1, SETTINGS), "settings")
 
     def test_cutoff_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^nmax = 8 out of the ideal shifter reach 0\.\.7 at d=8$"):
             reconstruct(fock(0, 8), 8, SETTINGS)
 
     def test_compiled_cutoff_margin(self):
         st = ProtocolSettings(D, v_mode="compiled")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^nmax = 7 out of the compiled shifter reach 0\.\.6 at d=8$"):
             reconstruct(fock(0, 8), 7, st)
+
+    @pytest.mark.parametrize("nmax", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_nmax_must_be_integer(self, nmax):
+        with pytest.raises(ValueError, match=f"^nmax must be an integer, got {re.escape(repr(nmax))}$"):
+            reconstruct(fock(0, 8), nmax, SETTINGS)
+
+    def test_numpy_integer_nmax_accepted(self):
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        report = reconstruct(phi, np.int64(2), SETTINGS)
+        assert np.array_equal(report.estimates, reconstruct(phi, 2, SETTINGS).estimates)
 
     def test_projected_is_physical(self):
         st = ProtocolSettings(D, shots=200, seed=5)
@@ -265,6 +280,12 @@ class TestDecoherenceMonitor:
         points = decoherence_monitor(phi, [0.0, 0.1, 0.5], SETTINGS)
         for p in points:
             assert p.rho20_abs <= p.bound + 1e-9
+
+    @pytest.mark.parametrize("d,v_mode,reach", [(2, "ideal", 1), (2, "compiled", 0), (3, "compiled", 1)])
+    def test_rejects_out_of_reach(self, d, v_mode, reach):
+        message = f"monitor target m = 2 out of the {v_mode} shifter reach 0..{reach} at d={d}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decoherence_monitor(fock(0, d), [0.0], ProtocolSettings(d, v_mode=v_mode))
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

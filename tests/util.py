@@ -9,6 +9,9 @@ import numpy as np
 
 from iontomo.pulses import act_pulse
 
+# <2| rho |0> of the coherent state alpha = 0.8: exp(-0.64) * 0.64 / sqrt(2)
+RHO20_COH08 = 0.23862531117384456
+
 
 def expm_taylor(m: np.ndarray, terms: int = 30) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a plain Taylor series.
