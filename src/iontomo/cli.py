@@ -51,7 +51,7 @@ def _fmt_float(x: float) -> str:
 
 
 def stable_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats, a dataclass instance as its fields."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -67,6 +67,8 @@ def stable_json(obj) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(stable_json(v) for v in obj) + "]"
+    if dataclasses.is_dataclass(obj):
+        return stable_json(dataclasses.asdict(obj))
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -108,10 +110,20 @@ def _reject_unknown(obj: dict, allowed, prefix: str = "") -> None:
         raise ConfigError(f"unknown config field '{prefix}{unknown[0]}'")
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object from its key-value pairs; a key given twice is a config error, at any level."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config field '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_fields)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -386,11 +398,7 @@ def cmd_validate(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
         print(f"{status} {c['name']} (deviation {c['deviation']:.3e}, tolerance {c['tolerance']:.1e})")
     all_passed = all(c["passed"] for c in checks)
     if args.out is not None:
-        records = {"u00": [s.to_record() for s in schedules["u00"]]}
-        for name in ("v_plus", "v_minus"):
-            records[name] = {str(k): [s.to_record() for s in ladder]
-                             for k, ladder in schedules[name].items()}
-        payload = {"checks": checks, "passed": all_passed, "schedules": records,
+        payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
                    "settings": _settings_echo(settings)}
         rows = [[c["name"], c["passed"], c["deviation"], c["tolerance"]] for c in checks]
         _emit(args, payload, ["name", "passed", "deviation", "tolerance"], rows)

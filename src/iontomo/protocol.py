@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI
-from .pulses import PulseSpec, act_pulse
+from .pulses import PulseSpec, act_pulse, sideband_coupling
 from .states import VibrationalState
 
 HALF_PI = math.pi / 2.0
@@ -41,16 +41,15 @@ QUARTER_PI = math.pi / 4.0
 
 _SQRT2 = math.sqrt(2.0)
 
-# Transverse eigenvectors of the {-, +} pseudospin, electronic basis (-, +, xi).
-_EIGVEC_PLUS = {
-    "x": np.array([1.0, 1.0, 0.0]) / _SQRT2,
-    "y": np.array([1.0, -1.0j, 0.0]) / _SQRT2,
+# The transverse readout of the {-, +} pseudospin: per observable, the tag of its sampler
+# stream and its +1 and -1 eigenvectors in the electronic basis (-, +, xi).
+_OBSERVABLES = {
+    "x": (0, np.array([1.0, 1.0, 0.0]) / _SQRT2, np.array([1.0, -1.0, 0.0]) / _SQRT2),
+    "y": (1, np.array([1.0, -1.0j, 0.0]) / _SQRT2, np.array([1.0, 1.0j, 0.0]) / _SQRT2),
 }
-_EIGVEC_MINUS = {
-    "x": np.array([1.0, -1.0, 0.0]) / _SQRT2,
-    "y": np.array([1.0, 1.0j, 0.0]) / _SQRT2,
-}
-_OBSERVABLE_TAGS = {"x": 0, "y": 1}
+
+# The pi/2 vibrational rotation: on the bright branch it swaps the contents of modes x and z.
+MODE_SWAP = PulseSpec("vrot", ("+", "xi"), None, HALF_PI)
 
 # Largest probability mass the sampler may clip away as rounding.
 CLIP_TOL = 1e-10
@@ -130,7 +129,7 @@ def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
     schedule = [
         PulseSpec("erot", ("-", "xi"), None, QUARTER_PI),
         PulseSpec("erot", ("+", "xi"), None, -QUARTER_PI),
-        PulseSpec("vrot", ("+", "xi"), None, HALF_PI),
+        MODE_SWAP,
     ]
     if compat_rminus_final:
         schedule.append(PulseSpec("erot", ("-", "xi"), None, QUARTER_PI))
@@ -165,14 +164,14 @@ def check_reach(k: int, settings: ProtocolSettings, what: str) -> None:
 def _ladder_schedule(k: int, levels: tuple[str, str], mode: str) -> list[PulseSpec]:
     """Alternating blue/red sideband pi-pulses climbing |0> -> |k> on one branch.
 
-    Step j has pair coupling sqrt(j+1), so the area is (pi/2)/sqrt(j+1). The
+    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j). The
     laser phases (pi/2 on the blue steps, 3*pi/2 on the red steps and the odd
     closing carrier) cancel the factor i that each resonant pi-pulse would
     otherwise contribute, leaving every step with coefficient exactly +1.
     """
     schedule = []
     for j in range(k):
-        area = HALF_PI / math.sqrt(j + 1)
+        area = HALF_PI / sideband_coupling(j)
         if j % 2 == 0:
             schedule.append(PulseSpec("ajc", levels, mode, area, HALF_PI))
         else:
@@ -201,10 +200,9 @@ def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
     clipped and the three renormalized, but clipping more than 1e-10 of
     probability mass in all means red is no state, and raises ValueError.
     """
-    if observable not in _OBSERVABLE_TAGS:
+    if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be 'x' or 'y', got {observable!r}")
-    s_plus = _EIGVEC_PLUS[observable]
-    s_minus = _EIGVEC_MINUS[observable]
+    _, s_plus, s_minus = _OBSERVABLES[observable]
     p = np.array([
         (s_plus.conj() @ red @ s_plus).real,
         (s_minus.conj() @ red @ s_minus).real,
@@ -232,7 +230,7 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     so p = 1/2 moved by one ulp mirrors its draw). stderr = sqrt(var_x + var_y) / sqrt(shots).
     """
     stats = {}
-    for observable, tag in _OBSERVABLE_TAGS.items():
+    for observable, (tag, _, _) in _OBSERVABLES.items():
         probs = reduced_probabilities(red, observable)
         rng = np.random.default_rng([int(seed), int(m), int(n), tag])
         c_plus, c_minus, _ = rng.multinomial(shots, probs)
@@ -337,7 +335,7 @@ def mode_swap_deviation(d: int, fock_numbers) -> float:
     cols = np.arange(len(ns))
     w = np.zeros((ELECTRONIC_DIM, d, d, len(ns)), dtype=complex)
     w[PLUS, ns, 0, cols] = w[XI, ns, 0, cols] = 1.0 / _SQRT2
-    act_pulse(PulseSpec("vrot", ("+", "xi"), None, HALF_PI), w)
+    act_pulse(MODE_SWAP, w)
     amplitude = (w[PLUS, 0, ns, cols] + w[XI, 0, ns, cols]) / _SQRT2
     return float(np.max(np.abs(amplitude - 1.0)))
 

@@ -42,9 +42,12 @@ TWO_PI = 2.0 * math.pi
 class PulseSpec:
     """One primitive laser pulse: kind, addressed level pair, mode, area, laser phase.
 
-    erot uses the level pair only (no mode); vrot acts on both modes and its
-    level pair is intrinsically (+, xi). Sideband and carrier pulses name one
-    mode and one level pair containing xi.
+    Carrier and sideband pulses name mode 'x' or 'z' and a level pair that
+    contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
+    ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
+    mode None and phase 0. A level is a name or an integer index, and angle
+    and phase are numbers; none of them is a bool. Any other value raises
+    ValueError; the only field rewritten is levels, whose indices become names.
     """
 
     kind: str
@@ -65,26 +68,25 @@ class PulseSpec:
                 raise ValueError(f"{self.kind} pulse must name mode 'x' or 'z'")
             if "xi" not in (l, j):
                 raise ValueError(f"{self.kind} pulse level pair must contain 'xi'")
-        else:
-            object.__setattr__(self, "mode", None)
+        elif self.mode is not None or self.phase != 0.0:
+            raise ValueError(f"{self.kind} pulse takes mode None and phase 0, "
+                             f"got mode {self.mode!r} and phase {self.phase!r}")
         if self.kind == "erot" and (l not in ("-", "+") or j != "xi"):
             raise ValueError("erot addresses level '-' or '+' paired with 'xi'")
-        if self.kind == "vrot":
-            object.__setattr__(self, "levels", ("+", "xi"))
+        if self.kind == "vrot" and (l, j) != ("+", "xi"):
+            raise ValueError("vrot addresses the level pair ('+', 'xi')")
+        for name in ("angle", "phase"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"pulse {name} must be a number, got {getattr(self, name)!r}")
         if not math.isfinite(self.angle):
             raise ValueError("pulse angle must be finite")
         if not 0.0 <= self.phase < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
 
-    def to_record(self) -> dict:
-        """Flat record with the stable field names used in schedule dumps."""
-        return {
-            "kind": self.kind,
-            "levels": list(self.levels),
-            "mode": self.mode,
-            "angle": float(self.angle),
-            "phase": float(self.phase),
-        }
+
+def sideband_coupling(k):
+    """Strength sqrt(k+1) of a sideband on the Fock doublet |k>, |k+1> (Lamb-Dicke regime); k may be an array."""
+    return np.sqrt(k + 1.0)
 
 
 def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
@@ -94,7 +96,7 @@ def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
     With axis None, K is the identity (a carrier) and every |down, v> pairs
     with |up, v>. With axis 0 (mode x) or 1 (mode z) of a sector, K is the
     truncated a-dag of that mode: |down, k> pairs with |up, k+1> at coupling
-    sqrt(k+1), and the two unpaired edge states |up, 0> and |down, d-1> keep
+    sideband_coupling(k), and the two unpaired edge states |up, 0> and |down, d-1> keep
     their amplitude. On each pair H is coupling * g times a Pauli matrix, so
     the pulse is the 2x2 rotation cos(g angle) + i sin(g angle) H / g.
     """
@@ -103,7 +105,7 @@ def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
     if axis is not None:
         hi = np.moveaxis(hi, axis, 0)[1:]
         lo = np.moveaxis(lo, axis, 0)[:-1]
-        g = np.sqrt(np.arange(1, hi.shape[0] + 1)).reshape(-1, *(1,) * (hi.ndim - 1))
+        g = sideband_coupling(np.arange(hi.shape[0])).reshape(-1, *(1,) * (hi.ndim - 1))
     cos = np.cos(g * angle)
     isin = 1j * np.sin(g * angle)
     new_hi = cos * hi + (isin * coupling) * lo

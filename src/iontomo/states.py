@@ -116,6 +116,11 @@ class VibrationalState:
         return np.array(self.matrix)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_tail_tol(tail_tol: float) -> None:
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be a positive number, got {tail_tol}")
@@ -249,8 +254,11 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     """Fock dephasing channel: rho_mn -> rho_mn * exp(-lam (m-n)^2), populations untouched.
 
     The kernel is a positive-semidefinite Gaussian Gram matrix, so the output
-    is a valid density operator and the map preserves the trace exactly.
+    is a valid density operator and the map preserves the trace exactly. lam
+    must be a real number (Python or numpy, not bool).
     """
+    if not is_real(lam):
+        raise ValueError(f"dephasing strength lam must be a real number, got {lam!r}")
     if not 0 <= lam < math.inf:
         raise ValueError(f"dephasing strength must be finite and >= 0, got {lam}")
     n = np.arange(state.dim)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolSettings, check_reach, measure_element
-from .states import VibrationalState, dephase
+from .states import VibrationalState, dephase, is_real
 
 
 @dataclass
@@ -87,8 +87,10 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
     Each cell is one full protocol run. With use_hermitian_symmetry the lower
     triangle is filled from the conjugate upper triangle instead of being
     measured, halving the work at the cost of no longer exercising the
-    element-independence property.
+    element-independence property. The flag must be a bool.
     """
+    if not isinstance(use_hermitian_symmetry, bool):
+        raise ValueError(f"use_hermitian_symmetry must be a bool, got {use_hermitian_symmetry!r}")
     check_reach(nmax, settings, "nmax")
     size = nmax + 1
     estimates = np.zeros((size, size), dtype=complex)
@@ -132,8 +134,15 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
-    the state.
+    the state. lambdas is a sequence of real numbers (Python or numpy, not
+    bool); a string is not one.
     """
+    if isinstance(lambdas, (str, bytes)):
+        raise ValueError(f"lambdas must be a sequence of numbers, not the string {lambdas!r}")
+    lambdas = list(lambdas)
+    for lam in lambdas:
+        if not is_real(lam):
+            raise ValueError(f"lambdas must hold real numbers, got {lam!r}")
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("lambda list must not be empty")

@@ -83,7 +83,7 @@ ERRORS = (
     "error-shots-not-integer", "error-missing-state", "error-state-not-object",
     "error-state-kind", "error-state-unknown-field", "error-state-missing-field",
     "error-state-not-number", "error-alpha-empty-pair", "error-amplitude-one-part",
-    "error-amplitudes-not-list", "error-missing-nmax",
+    "error-amplitudes-not-list", "error-missing-nmax", "error-duplicate-field",
     "zero-raw", "zero-cat", "config-out", "config-format", "config-out-not-string",
 )
 

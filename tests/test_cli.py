@@ -529,6 +529,29 @@ def test_unknown_config_field_is_config_error(write_config, capsys, command, lev
     assert record["error"] == {"type": "config-error", "message": f"unknown config field {name}"}
 
 
+# One key given twice per level of the config, and the key the error must name. Plain
+# json.load would keep the last value of each and run without a word.
+DUPLICATE_FIELDS = [
+    ("top", '"nmax": 1, "nmax": 2, "seed": 0, "seed": 3', "nmax"),
+    ("dims", '"dims": {"dx": 4, "dz": 4, "dx": 5}', "dx"),
+    ("state", '"state": {"kind": "fock", "n": 1, "n": 2}', "n"),
+    ("re-im-pair", '"state": {"kind": "coherent", "alpha": {"re": 0.5, "im": 0.1, "im": 0.2}}', "im"),
+]
+
+
+@pytest.mark.parametrize("fields,key", [case[1:] for case in DUPLICATE_FIELDS],
+                         ids=[case[0] for case in DUPLICATE_FIELDS])
+def test_duplicate_config_field_is_config_error(tmp_path, capsys, fields, key):
+    defaults = {"dims": '"dims": {"dx": 4, "dz": 4}', "state": '"state": {"kind": "fock", "n": 1}',
+                "nmax": '"nmax": 1'}
+    parts = [fields, *(text for name, text in defaults.items() if f'"{name}"' not in fields)]
+    path = tmp_path / "config.json"
+    path.write_text("{" + ", ".join(parts) + "}")
+    assert run(["reconstruct", "--config", str(path)]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "config-error", "message": f"duplicate config field '{key}'"}
+
+
 @pytest.mark.parametrize("argv", [["--out", "missing-dir/out.json"], ["--out", ""]],
                          ids=["out-missing-dir", "flag-out-empty"])
 def test_bad_output_target_is_structured_error(write_config, capsys, monkeypatch, tmp_path, argv):

@@ -32,7 +32,7 @@ from iontomo.protocol import (
     v_minus_schedule,
     v_plus_schedule,
 )
-from iontomo.pulses import act_pulse
+from iontomo.pulses import act_pulse, sideband_coupling
 from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
 from iontomo.tomography import reconstruct
 from util import RHO20_COH08, expm_taylor, tensor
@@ -235,6 +235,12 @@ class TestCompiledShifters:
             src[oracle.index(DIMS, MINUS, j, 0)] = chi_vec[j]
             tgt[oracle.index(DIMS, MINUS, j, k)] = chi_vec[j]
         assert np.linalg.norm(_shift_compiled(tensor(src, DIMS), k, 0).reshape(-1) - tgt) < 1e-10
+
+    def test_ladder_areas_are_pi_pulses_at_the_sideband_coupling(self):
+        # step j drives the doublet |j>, |j+1> at sideband_coupling(j) = sqrt(j+1)
+        assert np.array_equal(sideband_coupling(np.arange(6)), np.sqrt(np.arange(1, 7)))
+        for j, spec in enumerate(v_plus_schedule(5)[:5]):
+            assert spec.angle * sideband_coupling(j) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_near_cutoff_rejected(self):
         compiled = ProtocolSettings(D, v_mode="compiled")

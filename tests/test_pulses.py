@@ -1,6 +1,7 @@
 """Tests for the primitive pulses: their specs and their closed-form actions."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from iontomo.cli import stable_json
 from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
@@ -23,9 +25,9 @@ UNEQUAL = (3, 4)
 
 class TestPulseSpec:
     def test_roundtrip_record(self):
-        # to_record carries every field the constructor needs to rebuild the spec
+        # the stable_json record of a spec carries every field the constructor needs to rebuild it
         spec = PulseSpec("ajc", ("+", "xi"), "x", 0.7, 1.2)
-        record = spec.to_record()
+        record = json.loads(stable_json(spec))
         assert set(record) == {f.name for f in dataclasses.fields(PulseSpec)}
         assert PulseSpec(**record) == spec
 
@@ -37,9 +39,18 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec("erot", ("-", "+"), None, 0.5)
 
-    def test_vrot_ignores_mode(self):
-        spec = PulseSpec("vrot", ("+", "xi"), "x", 0.5)
-        assert spec.mode is None
+    # erot and vrot name no mode and read no laser phase, and vrot has one level pair:
+    # a spec that gives them anything else is rejected, never rewritten.
+    @pytest.mark.parametrize("kind,levels,mode,phase,message", [
+        ("vrot", ("+", "xi"), "x", 0.0, "vrot pulse takes mode None and phase 0, got mode 'x' and phase 0.0"),
+        ("vrot", ("-", "xi"), None, 0.0, "vrot addresses the level pair ('+', 'xi')"),
+        ("erot", ("-", "xi"), "z", 0.0, "erot pulse takes mode None and phase 0, got mode 'z' and phase 0.0"),
+        ("erot", ("+", "xi"), None, 0.4, "erot pulse takes mode None and phase 0, got mode None and phase 0.4"),
+        ("vrot", ("+", "xi"), None, 0.4, "vrot pulse takes mode None and phase 0, got mode None and phase 0.4"),
+    ], ids=["vrot-mode", "vrot-minus-pair", "erot-mode", "erot-phase", "vrot-phase"])
+    def test_rejects_what_the_kind_does_not_take(self, kind, levels, mode, phase, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSpec(kind, levels, mode, 0.5, phase)
 
     def test_phase_range(self):
         with pytest.raises(ValueError):
@@ -54,10 +65,25 @@ class TestPulseSpec:
         ("carrier", ("+", "zeta"), "unknown electronic level 'zeta'"),
         ("carrier", (3, "xi"), "electronic level index 3 not in 0..2"),
         ("carrier", ("xi", 2), "pulse level pair must be distinct"),
-    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair"])
+        ("carrier", (1.7, "xi"), "electronic level must be a name or an integer index, got 1.7"),
+        ("carrier", (True, "xi"), "electronic level must be a name or an integer index, got True"),
+    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair", "level-float",
+            "level-bool"])
     def test_rejects_bad_kind_or_levels(self, kind, levels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, "x", 0.5)
+
+    @pytest.mark.parametrize("angle,phase,message", [
+        (True, 0.0, "pulse angle must be a number, got True"),
+        (0.5, True, "pulse phase must be a number, got True"),
+    ], ids=["angle", "phase"])
+    def test_rejects_bool_angle_or_phase(self, angle, phase, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSpec("carrier", ("+", "xi"), "x", angle, phase)
+
+    def test_numpy_levels_and_numbers_accepted(self):
+        spec = PulseSpec("jc", (np.int64(1), np.int32(2)), "z", np.float64(0.5), np.float32(1.0))
+        assert spec == PulseSpec("jc", ("+", "xi"), "z", 0.5, 1.0)
 
     @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
     def test_coupled_pair_contains_xi(self, kind):
@@ -203,7 +229,8 @@ class TestPulseActions:
     @pytest.mark.parametrize("kind", ["vrot", "jc"])
     def test_unequal_cutoffs(self, kind):
         dims = (4, 6)
-        spec = PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4)
+        spec = (PulseSpec(kind, ("+", "xi"), None, 1.3) if kind == "vrot"
+                else PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4))
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 4, 6, 3)) + 1j * rng.normal(size=(3, 4, 6, 3))
         expected = oracle.pulse(spec, dims) @ state.reshape(oracle.size(dims), 3)

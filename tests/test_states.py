@@ -1,6 +1,7 @@
 """Tests for the vibrational state constructors and the dephasing channel."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -201,6 +202,18 @@ class TestDephase:
     def test_nonfinite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="finite and >= 0"):
             dephase(fock(0, 4), lam)
+
+    # a bool is no dephasing strength: True would apply lambda = 1
+    @pytest.mark.parametrize("lam", [True, np.True_, "0.3", 0.3j], ids=["bool", "numpy-bool", "str", "complex"])
+    def test_non_number_lambda_rejected(self, lam):
+        message = f"dephasing strength lam must be a real number, got {lam!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dephase(fock(0, 4), lam)
+
+    @pytest.mark.parametrize("lam", [np.float32(0.25), np.int64(1)], ids=["float32", "int64"])
+    def test_numpy_lambda_accepted(self, lam):
+        base = coherent(0.8, 8, tail_tol=1e-5)
+        assert np.array_equal(dephase(base, lam).matrix, dephase(base, float(lam)).matrix)
 
 
 class TestRawAndInvariants:

@@ -86,6 +86,13 @@ class TestReconstruct:
         with pytest.raises(ValueError, match=f"^nmax must be an integer, got {re.escape(repr(nmax))}$"):
             reconstruct(fock(0, 8), nmax, SETTINGS)
 
+    # a string or number flag would pick the path by its truthiness
+    @pytest.mark.parametrize("flag", ["no", 1, None, np.True_], ids=["str", "int", "none", "numpy-bool"])
+    def test_hermitian_flag_must_be_bool(self, flag):
+        message = f"use_hermitian_symmetry must be a bool, got {flag!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct(fock(0, 8), 2, SETTINGS, use_hermitian_symmetry=flag)
+
     def test_numpy_integer_nmax_accepted(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         report = reconstruct(phi, np.int64(2), SETTINGS)
@@ -298,6 +305,23 @@ class TestDecoherenceMonitor:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             decoherence_monitor(fock(0, 8), [], SETTINGS)
+
+    # a string would be read character by character, a bool as lambda = 1
+    @pytest.mark.parametrize("lambdas,message", [
+        ("12", "lambdas must be a sequence of numbers, not the string '12'"),
+        ([True], "lambdas must hold real numbers, got True"),
+        ([0.0, np.True_], f"lambdas must hold real numbers, got {np.True_!r}"),
+        (["0.3"], "lambdas must hold real numbers, got '0.3'"),
+    ], ids=["str", "bool", "numpy-bool", "str-element"])
+    def test_rejects_non_number_lambdas(self, lambdas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decoherence_monitor(fock(0, 8), lambdas, SETTINGS)
+
+    def test_numpy_lambdas_accepted(self):
+        phi = coherent(0.8, D, tail_tol=1e-5)
+        points = decoherence_monitor(phi, np.array([0.0, 0.3]), SETTINGS)
+        assert points == decoherence_monitor(phi, [0.0, 0.3], SETTINGS)
+        assert decoherence_monitor(phi, [np.int64(0)], SETTINGS) == points[:1]
 
     def test_sampled_points_share_random_numbers(self):
         # every lambda reuses the (seed, m, n) streams, so the unchanged populations repeat exactly
