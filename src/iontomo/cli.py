@@ -76,17 +76,10 @@ def complex_record(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return stable_json(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
 def to_csv(header: list[str], rows: list[list]) -> str:
+    """CSV with a string cell written as it is and every other cell as stable_json writes it."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(v if isinstance(v, str) else stable_json(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -135,12 +128,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _field(cfg: dict, name: str, default=None, required: bool = False):
-    if name not in cfg:
+def _field(obj: dict, path: str, convert=None, default=None, required: bool = False):
+    """obj's value at the last key of the dotted path, through convert(value, path) if given.
+
+    An absent key gives default (not converted), or a config error naming the path if required.
+    """
+    name = path.rpartition(".")[2]
+    if name not in obj:
         if required:
-            raise ConfigError(f"missing config field '{name}'")
+            raise ConfigError(f"missing config field '{path}'")
         return default
-    return cfg[name]
+    return obj[name] if convert is None else convert(obj[name], path)
 
 
 _INT64 = np.iinfo(np.int64)
@@ -170,17 +168,15 @@ def _as_complex(value, where: str) -> complex:
 
 
 def build_dims(cfg: dict) -> int:
-    """The one Fock cutoff d of the run, from the config's per-mode cutoffs dims: {dx, dz}."""
+    """The one Fock cutoff d of the run, from the config's per-mode cutoffs dims: {dx, dz}.
+
+    Only the JSON is checked here; ProtocolSettings, built from d next, checks d >= 2.
+    """
     dims = _field(cfg, "dims", required=True)
     if not isinstance(dims, dict) or "dx" not in dims or "dz" not in dims:
         raise ConfigError("config field 'dims' must be an object with dx and dz")
     _reject_unknown(dims, ("dx", "dz"), "dims.")
-    try:
-        dx, dz = (_as_int(dims[key], f"dims.{key}") for key in ("dx", "dz"))
-        if dx < 2 or dz < 2:
-            raise ValueError(f"Fock cutoffs must be >= 2, got dx={dx}, dz={dz}")
-    except ValueError as exc:
-        raise ConfigError(f"bad dims: {exc}") from exc
+    dx, dz = (_as_int(dims[key], f"dims.{key}") for key in ("dx", "dz"))
     if dx != dz:
         raise ConfigError("protocol requires equal mode cutoffs (the rotation maps x-support onto z)")
     return dx
@@ -190,44 +186,43 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
     spec = _field(cfg, "state", required=True)
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
-    kind = _field(spec, "kind", required=True)
+    kind = _field(spec, "state.kind", required=True)
     if not isinstance(kind, str) or kind not in _STATE_FIELDS:
         raise ConfigError(f"unknown state kind {kind!r}")
     _reject_unknown(spec, _STATE_COMMON + _STATE_FIELDS[kind], "state.")
-    tail_tol = _as_float(_field(spec, "tail_tol", DEFAULT_TAIL_TOL), "state.tail_tol")
+    tail_tol = _field(spec, "state.tail_tol", _as_float, DEFAULT_TAIL_TOL)
     if kind == "fock":
-        state = fock(_as_int(_field(spec, "n", required=True), "state.n"), d)
+        state = fock(_field(spec, "state.n", _as_int, required=True), d)
     elif kind == "coherent":
-        alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
-        state = coherent(alpha, d, tail_tol)
+        state = coherent(_field(spec, "state.alpha", _as_complex, required=True), d, tail_tol)
     elif kind == "squeezed":
-        state = squeezed(_as_float(_field(spec, "r", required=True), "state.r"),
-                         _as_float(_field(spec, "phi", 0.0), "state.phi"), d, tail_tol)
+        state = squeezed(_field(spec, "state.r", _as_float, required=True),
+                         _field(spec, "state.phi", _as_float, 0.0), d, tail_tol)
     elif kind == "cat":
-        alpha = _as_complex(_field(spec, "alpha", required=True), "state.alpha")
-        state = cat(alpha, _field(spec, "parity", required=True), d, tail_tol)
+        state = cat(_field(spec, "state.alpha", _as_complex, required=True),
+                    _field(spec, "state.parity", required=True), d, tail_tol)
     elif kind == "thermal":
-        state = thermal(_as_float(_field(spec, "nbar", required=True), "state.nbar"), d, tail_tol)
+        state = thermal(_field(spec, "state.nbar", _as_float, required=True), d, tail_tol)
     else:
-        values = _field(spec, "amplitudes", required=True)
+        values = _field(spec, "state.amplitudes", required=True)
         if not isinstance(values, list):
             raise ConfigError("state.amplitudes must be a list")
         amps = [_as_complex(v, "state.amplitudes") for v in values]
         state = from_amplitudes(amps, d)
-    lam = _field(spec, "dephase", None)
+    lam = _field(spec, "state.dephase")
     if lam is not None:
         state = dephase(state, _as_float(lam, "state.dephase"))
     return state
 
 
 def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings:
-    shots = _field(cfg, "shots", None)
+    shots = _field(cfg, "shots")
     try:
         return protocol.ProtocolSettings(
             d=d,
-            v_mode=_field(cfg, "v_mode", "ideal"),
+            v_mode=_field(cfg, "v_mode", default="ideal"),
             shots=None if shots is None else _as_int(shots, "shots"),
-            seed=_as_int(_field(cfg, "seed", 0), "seed"),
+            seed=_field(cfg, "seed", _as_int, 0),
             compat_rminus_final=compat,
         )
     except ValueError as exc:
@@ -267,7 +262,7 @@ def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
 
 def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     phi = build_state(cfg, settings.d)
-    nmax = _as_int(_field(cfg, "nmax", required=True), "nmax")
+    nmax = _field(cfg, "nmax", _as_int, required=True)
     report = tomography.reconstruct(phi, nmax, settings,
                                     use_hermitian_symmetry=args.use_hermitian_symmetry)
     size = report.nmax + 1
@@ -292,8 +287,6 @@ def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int
 
 
 def cmd_coherence(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
-    if args.m is None or args.n is None:
-        raise UsageError("coherence requires --m and --n")
     phi = build_state(cfg, settings.d)
     est = protocol.measure_element(phi, args.m, args.n, settings)
     payload = {
@@ -428,8 +421,8 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=fn)
     sub.choices["reconstruct"].add_argument("--use-hermitian-symmetry", action="store_true",
                                             help="fill the lower triangle from conjugates instead of measuring")
-    sub.choices["coherence"].add_argument("--m", type=int, default=None)
-    sub.choices["coherence"].add_argument("--n", type=int, default=None)
+    sub.choices["coherence"].add_argument("--m", type=int, required=True)
+    sub.choices["coherence"].add_argument("--n", type=int, required=True)
     sub.choices["monitor"].add_argument("--lambdas", default=None,
                                         help="comma-separated dephasing strengths")
     return parser

@@ -12,17 +12,3 @@ MINUS, PLUS, XI = 0, 1, 2
 ELECTRONIC_DIM = 3
 LEVEL_NAMES = ("-", "+", "xi")
 
-
-def level_index(level) -> int:
-    """Normalize an electronic level given as an integer (0..2, not bool) or a name ('-', '+', 'xi')."""
-    if isinstance(level, str):
-        if level not in LEVEL_NAMES:
-            raise ValueError(f"unknown electronic level {level!r}")
-        return LEVEL_NAMES.index(level)
-    if isinstance(level, bool) or not hasattr(type(level), "__index__"):
-        raise ValueError(f"electronic level must be a name or an integer index, got {level!r}")
-    level = int(level)
-    if level not in (MINUS, PLUS, XI):
-        raise ValueError(f"electronic level index {level} not in 0..2")
-    return level
-

@@ -34,7 +34,7 @@ import numpy as np
 
 from .hilbert import ELECTRONIC_DIM, MINUS, PLUS, XI
 from .pulses import PulseSpec, act_pulse, sideband_coupling
-from .states import VibrationalState
+from .states import VibrationalState, check_int
 
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
@@ -55,11 +55,6 @@ MODE_SWAP = PulseSpec("vrot", ("+", "xi"), None, HALF_PI)
 CLIP_TOL = 1e-10
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProtocolSettings:
     """How a protocol run is evaluated.
@@ -72,9 +67,9 @@ class ProtocolSettings:
     ordering whose final pulse addresses the {-, xi} pair; it fails the
     entangler identity and exists only for comparison.
 
-    d, seed and a non-None shots must be integers (Python or numpy, not bool)
-    and compat_rminus_final a bool; any other value raises ValueError naming
-    its field, before the range checks.
+    d, seed and a non-None shots must be integers (states.check_int) and
+    compat_rminus_final a bool; any other value raises ValueError naming its
+    field, before the range checks. This is the one place d >= 2 is checked.
     """
 
     d: int
@@ -84,10 +79,8 @@ class ProtocolSettings:
     compat_rminus_final: bool = False
 
     def __post_init__(self):
-        for name in ("d", "shots", "seed"):
-            value = getattr(self, name)
-            if not (_is_int(value) or name == "shots" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("d", "seed") if self.shots is None else ("d", "shots", "seed"):
+            check_int(getattr(self, name), name)
         if not isinstance(self.compat_rminus_final, bool):
             raise ValueError(f"compat_rminus_final must be a bool, got {self.compat_rminus_final!r}")
         if self.d < 2:
@@ -151,10 +144,9 @@ def check_reach(k: int, settings: ProtocolSettings, what: str) -> None:
     """Reject a shifter target k, named `what` in the message, outside 0..shifter_reach of the run.
 
     Every cell target and reconstruct's nmax enter here, so here a k that is
-    not an integer (Python or numpy, not bool) is rejected too.
+    not an integer (states.check_int) is rejected too.
     """
-    if not _is_int(k):
-        raise ValueError(f"{what} must be an integer, got {k!r}")
+    check_int(k, what)
     reach = shifter_reach(settings.d, settings.v_mode)
     if not 0 <= k <= reach:
         raise ValueError(f"{what} = {k} out of the {settings.v_mode} shifter reach 0..{reach} "

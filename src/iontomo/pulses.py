@@ -31,11 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ELECTRONIC_DIM, LEVEL_NAMES, PLUS, XI, level_index
+from .hilbert import ELECTRONIC_DIM, LEVEL_NAMES, PLUS, XI
+from .states import check_int, check_real
 
 PULSE_KINDS = ("carrier", "jc", "ajc", "erot", "vrot")
 
 TWO_PI = 2.0 * math.pi
+
+
+def level_index(level) -> int:
+    """Normalize an electronic level given as a name ('-', '+', 'xi') or an index 0..2 (check_int)."""
+    if isinstance(level, str):
+        if level not in LEVEL_NAMES:
+            raise ValueError(f"unknown electronic level {level!r}")
+        return LEVEL_NAMES.index(level)
+    index = check_int(level, "electronic level")
+    if not 0 <= index < len(LEVEL_NAMES):
+        raise ValueError(f"electronic level index {index} not in 0..2")
+    return index
 
 
 @dataclass(frozen=True)
@@ -45,9 +58,10 @@ class PulseSpec:
     Carrier and sideband pulses name mode 'x' or 'z' and a level pair that
     contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
     ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
-    mode None and phase 0. A level is a name or an integer index, and angle
-    and phase are numbers; none of them is a bool. Any other value raises
-    ValueError; the only field rewritten is levels, whose indices become names.
+    mode None and phase 0. levels is a pair of names or integer indices
+    (level_index), and angle and phase are real numbers (states.check_real).
+    Any other value raises ValueError naming the field; the only field
+    rewritten is levels, whose indices become names.
     """
 
     kind: str
@@ -59,6 +73,8 @@ class PulseSpec:
     def __post_init__(self):
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
+        if not isinstance(self.levels, (tuple, list)) or len(self.levels) != 2:
+            raise ValueError(f"levels must be a pair of levels, got {self.levels!r}")
         l, j = (LEVEL_NAMES[level_index(x)] for x in self.levels)
         if l == j:
             raise ValueError("pulse level pair must be distinct")
@@ -75,12 +91,9 @@ class PulseSpec:
             raise ValueError("erot addresses level '-' or '+' paired with 'xi'")
         if self.kind == "vrot" and (l, j) != ("+", "xi"):
             raise ValueError("vrot addresses the level pair ('+', 'xi')")
-        for name in ("angle", "phase"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"pulse {name} must be a number, got {getattr(self, name)!r}")
-        if not math.isfinite(self.angle):
+        if not math.isfinite(check_real(self.angle, "pulse angle")):
             raise ValueError("pulse angle must be finite")
-        if not 0.0 <= self.phase < TWO_PI:
+        if not 0.0 <= check_real(self.phase, "pulse phase") < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
 
 
@@ -160,7 +173,7 @@ def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
         raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "
                          f"{state.dtype} {state.shape}")
-    l, j = (level_index(x) for x in spec.levels)
+    l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
     axis = 0 if spec.mode == "x" else 1
     if spec.kind == "vrot":
         _beam_split(spec.angle, state)

@@ -22,6 +22,20 @@ _TAIL_EXTEND = 512
 _EXP_UNDERFLOW = 746.0
 
 
+def check_int(value, name: str) -> int:
+    """value as a Python int if it is a Python or numpy integer and not a bool; else a ValueError naming it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(value, name: str):
+    """value if it is a Python or numpy real number and not a bool; else a ValueError naming it."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class TruncationLeakageError(ValueError):
     """A state family puts too much population beyond the Fock cutoff.
 
@@ -63,7 +77,8 @@ class VibrationalState:
     -1e-10. Either is kept as a write-locked copy. tail_mass records the
     analytic population the truncation discarded (zero for states defined
     directly on the truncated space), tail_tol the tolerance it was
-    constructed under; construction fails unless tail_mass <= tail_tol.
+    constructed under; construction fails unless tail_mass <= tail_tol. dim
+    is an integer (check_int), tail_mass and tail_tol real numbers (check_real).
     """
 
     dim: int
@@ -73,6 +88,9 @@ class VibrationalState:
     tail_tol: float = 1.0
 
     def __post_init__(self):
+        check_int(self.dim, "dim")
+        check_real(self.tail_mass, "tail_mass")
+        check_real(self.tail_tol, "tail_tol")
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("exactly one of amplitudes / matrix must be given")
         if self.amplitudes is not None:
@@ -116,13 +134,8 @@ class VibrationalState:
         return np.array(self.matrix)
 
 
-def is_real(value) -> bool:
-    """True for a Python or numpy real number that is not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def _check_tail_tol(tail_tol: float) -> None:
-    if not tail_tol > 0.0:
+    if not check_real(tail_tol, "tail_tol") > 0.0:
         raise ValueError(f"tail_tol must be a positive number, got {tail_tol}")
 
 
@@ -150,7 +163,7 @@ def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -
 
 def fock(n: int, dim: int) -> VibrationalState:
     """Number state |n>."""
-    if not 0 <= n < dim:
+    if not 0 <= check_int(n, "n") < check_int(dim, "dim"):
         raise ValueError(f"Fock index {n} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
@@ -176,6 +189,13 @@ def _abs_sq(z: complex) -> float:
         return math.inf
 
 
+def _check_alpha(alpha) -> complex:
+    """alpha as a complex: a Python or numpy number, real or complex, and not a bool."""
+    if isinstance(alpha, (int, float, complex, np.number)) and not isinstance(alpha, bool):
+        return complex(alpha)
+    raise ValueError(f"alpha must be a number, got {alpha!r}")
+
+
 def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
     """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < nbig, by recurrence."""
     amps = np.zeros(nbig, dtype=complex)
@@ -187,7 +207,7 @@ def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
 
 def coherent(alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Coherent state, <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized on the cutoff."""
-    amps = _displaced_vacuum(complex(alpha), dim + _TAIL_EXTEND)
+    amps = _displaced_vacuum(_check_alpha(alpha), check_int(dim, "dim") + _TAIL_EXTEND)
     return _truncated("coherent", amps, dim, tail_tol)
 
 
@@ -196,15 +216,15 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
 
     c_0 = 1/sqrt(cosh r),  c_{n+2} = -e^{i phi} tanh(r) sqrt((n+1)/(n+2)) c_n.
     """
-    if r < 0:
+    if check_real(r, "r") < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
-    nbig = dim + _TAIL_EXTEND
+    nbig = check_int(dim, "dim") + _TAIL_EXTEND
     amps = np.zeros(nbig, dtype=complex)
     try:
         amps[0] = 1.0 / math.sqrt(math.cosh(r))
     except OverflowError:  # cosh(r) beyond a float: every amplitude in range is below one too
         amps[0] = 0.0
-    factor = -np.exp(1j * phi) * math.tanh(r)
+    factor = -np.exp(1j * check_real(phi, "phi")) * math.tanh(r)
     for n in range(0, nbig - 2, 2):
         amps[n + 2] = amps[n] * factor * math.sqrt((n + 1) / (n + 2))
     return _truncated("squeezed", amps, dim, tail_tol)
@@ -215,14 +235,14 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     sign = 1.0 if parity == "even" else -1.0
-    alpha = complex(alpha)
+    alpha = _check_alpha(alpha)
     x = -2.0 * _abs_sq(alpha)
     # <alpha|-alpha> = exp(x); the odd norm takes 1 - exp(x) by expm1, which keeps its digits
     # as alpha -> 0.
     norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
     if norm_sq < 1e-30:
         raise ValueError("odd cat with alpha = 0 is the zero vector")
-    nbig = dim + _TAIL_EXTEND
+    nbig = check_int(dim, "dim") + _TAIL_EXTEND
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)
     amps = _displaced_vacuum(alpha, nbig) * (1.0 + sign * parities) / math.sqrt(norm_sq)
     return _truncated("cat", amps, dim, tail_tol)
@@ -230,11 +250,11 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
 
 def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Thermal (mixed) state, p_n proportional to (nbar/(1+nbar))^n, renormalized on the cutoff."""
-    if nbar < 0:
+    if check_real(nbar, "nbar") < 0:
         raise ValueError("mean occupation nbar must be >= 0")
     _check_tail_tol(tail_tol)
     q = nbar / (1.0 + nbar)
-    tail = q ** dim  # geometric series remainder
+    tail = q ** check_int(dim, "dim")  # geometric series remainder
     if tail > tail_tol:
         # q**d <= tail_tol from d = log(tail_tol) / log(q); log(q) = -log1p(1/nbar)
         # keeps its digits where q rounds to 1, and no cutoff past 2**63 is buildable.
@@ -255,11 +275,9 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
 
     The kernel is a positive-semidefinite Gaussian Gram matrix, so the output
     is a valid density operator and the map preserves the trace exactly. lam
-    must be a real number (Python or numpy, not bool).
+    must be a real number (check_real), finite and >= 0.
     """
-    if not is_real(lam):
-        raise ValueError(f"dephasing strength lam must be a real number, got {lam!r}")
-    if not 0 <= lam < math.inf:
+    if not 0 <= check_real(lam, "dephasing strength lam") < math.inf:
         raise ValueError(f"dephasing strength must be finite and >= 0, got {lam}")
     n = np.arange(state.dim)
     # Capping lam where exp underflows changes no entry and keeps lam (m-n)^2 finite.
@@ -280,7 +298,7 @@ def _norm(v: np.ndarray) -> float:
 def from_amplitudes(values, dim: int | None = None) -> VibrationalState:
     """Pure state from a raw amplitude list; must be normalized within 1e-6 (then renormalized)."""
     v = np.array(values, dtype=complex).reshape(-1)
-    if dim is not None and v.shape[0] != dim:
+    if dim is not None and v.shape[0] != check_int(dim, "dim"):
         raise ValueError(f"raw amplitude list has length {v.shape[0]}, expected {dim}")
     norm = _norm(v)
     if abs(norm - 1.0) > 1e-6:

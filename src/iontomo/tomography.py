@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolSettings, check_reach, measure_element
-from .states import VibrationalState, dephase, is_real
+from .states import VibrationalState, check_real, dephase
 
 
 @dataclass
@@ -134,16 +134,12 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
-    the state. lambdas is a sequence of real numbers (Python or numpy, not
-    bool); a string is not one.
+    the state. lambdas is a sequence, not a string, of real numbers
+    (states.check_real).
     """
     if isinstance(lambdas, (str, bytes)):
         raise ValueError(f"lambdas must be a sequence of numbers, not the string {lambdas!r}")
-    lambdas = list(lambdas)
-    for lam in lambdas:
-        if not is_real(lam):
-            raise ValueError(f"lambdas must hold real numbers, got {lam!r}")
-    lambdas = [float(l) for l in lambdas]
+    lambdas = [float(check_real(lam, f"lambdas[{i}]")) for i, lam in enumerate(lambdas)]
     if not lambdas:
         raise ValueError("lambda list must not be empty")
     if lambdas != sorted(lambdas):

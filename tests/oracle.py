@@ -12,7 +12,8 @@ once themselves (see schedule).
 
 import numpy as np
 
-from iontomo.hilbert import MINUS, PLUS, XI, level_index
+from iontomo.hilbert import MINUS, PLUS, XI
+from iontomo.pulses import level_index
 from iontomo.protocol import u00_schedule, v_minus_schedule, v_plus_schedule
 
 

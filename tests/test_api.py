@@ -1,8 +1,27 @@
-"""The public API: exactly the names the iontomo package exports."""
+"""The public API: exactly the names the iontomo package exports, and one type rule for their numbers."""
 
 import inspect
+import re
+
+import numpy as np
+import pytest
 
 import iontomo
+from iontomo import (
+    ProtocolSettings,
+    PulseSpec,
+    VibrationalState,
+    cat,
+    coherent,
+    decoherence_monitor,
+    dephase,
+    fock,
+    from_amplitudes,
+    measure_element,
+    reconstruct,
+    squeezed,
+    thermal,
+)
 
 PUBLIC = {
     "TruncationLeakageError",
@@ -20,3 +39,80 @@ def test_public_names_are_pinned():
     exported = {name for name, obj in vars(iontomo).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
+
+
+PHI = fock(0, 4)
+SETTINGS = ProtocolSettings(4)
+
+# Every number argument of a public callable: (id, the call with that argument set to x,
+# the name its error gives it, what it must be, a valid value). CoherenceEstimate,
+# MonitorPoint and ReconstructionReport are the engine's results and take no caller's
+# numbers; the array arguments of act_pulse and the distances are not numbers.
+NUMBER_ARGUMENTS = [
+    ("ProtocolSettings-d", lambda x: ProtocolSettings(x), "d", "int", 4),
+    ("ProtocolSettings-shots", lambda x: ProtocolSettings(4, shots=x), "shots", "int-or-none", 10),
+    ("ProtocolSettings-seed", lambda x: ProtocolSettings(4, seed=x), "seed", "int", 3),
+    ("measure_element-m", lambda x: measure_element(PHI, x, 0, SETTINGS), "target m", "int", 1),
+    ("measure_element-n", lambda x: measure_element(PHI, 0, x, SETTINGS), "target n", "int", 1),
+    ("reconstruct-nmax", lambda x: reconstruct(PHI, x, SETTINGS), "nmax", "int", 1),
+    ("decoherence_monitor-lambdas", lambda x: decoherence_monitor(PHI, [x], SETTINGS),
+     "lambdas[0]", "real", 0.1),
+    ("PulseSpec-levels", lambda x: PulseSpec("carrier", (x, "xi"), "x", 0.5),
+     "electronic level", "level", 1),
+    ("PulseSpec-angle", lambda x: PulseSpec("carrier", ("+", "xi"), "x", x), "pulse angle", "real", 0.5),
+    ("PulseSpec-phase", lambda x: PulseSpec("carrier", ("+", "xi"), "x", 0.5, x),
+     "pulse phase", "real", 1.0),
+    ("VibrationalState-dim", lambda x: VibrationalState(x, amplitudes=[1, 0]), "dim", "int", 2),
+    ("VibrationalState-tail_mass", lambda x: VibrationalState(2, amplitudes=[1, 0], tail_mass=x),
+     "tail_mass", "real", 0.0),
+    ("VibrationalState-tail_tol", lambda x: VibrationalState(2, amplitudes=[1, 0], tail_tol=x),
+     "tail_tol", "real", 1.0),
+    ("fock-n", lambda x: fock(x, 4), "n", "int", 1),
+    ("fock-dim", lambda x: fock(1, x), "dim", "int", 4),
+    ("coherent-alpha", lambda x: coherent(x, 8, 1e-3), "alpha", "number", 0.5),
+    ("coherent-dim", lambda x: coherent(0.5, x, 1e-3), "dim", "int", 8),
+    ("coherent-tail_tol", lambda x: coherent(0.5, 8, x), "tail_tol", "real", 1e-3),
+    ("squeezed-r", lambda x: squeezed(x, 0.2, 8, 1e-3), "r", "real", 0.1),
+    ("squeezed-phi", lambda x: squeezed(0.1, x, 8, 1e-3), "phi", "real", 0.2),
+    ("squeezed-dim", lambda x: squeezed(0.1, 0.2, x, 1e-3), "dim", "int", 8),
+    ("squeezed-tail_tol", lambda x: squeezed(0.1, 0.2, 8, x), "tail_tol", "real", 1e-3),
+    ("cat-alpha", lambda x: cat(x, "even", 8, 1e-3), "alpha", "number", 0.5),
+    ("cat-dim", lambda x: cat(0.5, "even", x, 1e-3), "dim", "int", 8),
+    ("cat-tail_tol", lambda x: cat(0.5, "even", 8, x), "tail_tol", "real", 1e-3),
+    ("thermal-nbar", lambda x: thermal(x, 8, 1e-3), "nbar", "real", 0.1),
+    ("thermal-dim", lambda x: thermal(0.1, x, 1e-3), "dim", "int", 8),
+    ("thermal-tail_tol", lambda x: thermal(0.1, 8, x), "tail_tol", "real", 1e-3),
+    ("dephase-lam", lambda x: dephase(PHI, x), "dephasing strength lam", "real", 0.1),
+    ("from_amplitudes-dim", lambda x: from_amplitudes([1, 0], x), "dim", "int-or-none", 2),
+]
+
+# Values of the wrong type for each kind of argument. None is valid where the argument is
+# optional, and a string is a level's name, so "1" there is an unknown level, not a number.
+WRONG = {
+    "int": (None, True, np.True_, "1", 1.5),
+    "int-or-none": (True, np.True_, "1", 1.5),
+    "level": (None, True, np.True_, 1.5),
+    "real": (None, True, np.True_, "1", 1j),
+    "number": (None, True, np.True_, "1"),
+}
+NUMPY = {
+    "int": (np.int64, np.int32), "int-or-none": (np.int64, np.int32), "level": (np.int64, np.int32),
+    "real": (np.float64, np.float32), "number": (np.float64, np.complex128),
+}
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(call, name, value, id=f"{case}-{value!r}")
+    for case, call, name, kind, _ in NUMBER_ARGUMENTS for value in WRONG[kind]
+])
+def test_wrong_number_type_is_named_value_error(call, name, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("call,value", [
+    pytest.param(call, numpy_type(good), id=f"{case}-{numpy_type.__name__}")
+    for case, call, _, kind, good in NUMBER_ARGUMENTS for numpy_type in NUMPY[kind]
+])
+def test_numpy_numbers_are_accepted(call, value):
+    call(value)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iontomo import pulses, tomography
-from iontomo.cli import ConfigError, build_dims, main, stable_json
+from iontomo.cli import ConfigError, build_dims, build_settings, main, stable_json
 
 RHO10_COH08 = 0.42183393923443885
 
@@ -132,7 +132,8 @@ class TestCoherenceCommand:
         code = run(["coherence", "--config", cfg])
         assert code == 2
         record = json.loads(capsys.readouterr().out)
-        assert record["error"]["type"] == "usage-error"
+        assert record["error"] == {"type": "usage-error",
+                                   "message": "the following arguments are required: --m, --n"}
 
 
 class TestMonitorCommand:
@@ -366,11 +367,18 @@ class TestConfigAndErrors:
         assert "0.5272924240" in text
 
 
-@pytest.mark.parametrize("dx,dz", [(1, 4), (4, 1), (0, 0)])
-def test_build_dims_rejects_tiny_cutoffs(dx, dz):
-    message = f"bad dims: Fock cutoffs must be >= 2, got dx={dx}, dz={dz}"
+_UNEQUAL = r"protocol requires equal mode cutoffs \(the rotation maps x-support onto z\)"
+
+
+# build_dims reads the config's JSON; ProtocolSettings, built from its d next, owns d >= 2
+@pytest.mark.parametrize("dx,dz,message", [
+    (1, 4, _UNEQUAL), (4, 1, _UNEQUAL), (0, 0, "Fock cutoff must be >= 2, got d=0"),
+    (1, 1, "Fock cutoff must be >= 2, got d=1"),
+], ids=["1-4", "4-1", "0-0", "1-1"])
+def test_build_dims_rejects_tiny_cutoffs(dx, dz, message):
+    cfg = {"dims": {"dx": dx, "dz": dz}}
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        build_dims({"dims": {"dx": dx, "dz": dz}})
+        build_settings(cfg, build_dims(cfg), False)
 
 
 def test_build_dims_rejects_unequal_cutoffs():

@@ -65,17 +65,24 @@ class TestPulseSpec:
         ("carrier", ("+", "zeta"), "unknown electronic level 'zeta'"),
         ("carrier", (3, "xi"), "electronic level index 3 not in 0..2"),
         ("carrier", ("xi", 2), "pulse level pair must be distinct"),
-        ("carrier", (1.7, "xi"), "electronic level must be a name or an integer index, got 1.7"),
-        ("carrier", (True, "xi"), "electronic level must be a name or an integer index, got True"),
+        ("carrier", (1.7, "xi"), "electronic level must be an integer, got 1.7"),
+        ("carrier", (True, "xi"), "electronic level must be an integer, got True"),
     ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair", "level-float",
             "level-bool"])
     def test_rejects_bad_kind_or_levels(self, kind, levels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, "x", 0.5)
 
+    @pytest.mark.parametrize("levels", [None, ("-", "xi", "+"), ("xi",), "-x"],
+                             ids=["none", "triple", "single", "string"])
+    def test_levels_must_be_a_pair(self, levels):
+        message = f"levels must be a pair of levels, got {levels!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSpec("erot", levels, None, 0.5)
+
     @pytest.mark.parametrize("angle,phase,message", [
-        (True, 0.0, "pulse angle must be a number, got True"),
-        (0.5, True, "pulse phase must be a number, got True"),
+        (True, 0.0, "pulse angle must be a real number, got True"),
+        (0.5, True, "pulse phase must be a real number, got True"),
     ], ids=["angle", "phase"])
     def test_rejects_bool_angle_or_phase(self, angle, phase, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -255,6 +255,27 @@ class TestRawAndInvariants:
             VibrationalState(3, amplitudes=[1, 0])
 
 
+# Each of these used to run as if given 1, or end in an unrelated error.
+@pytest.mark.parametrize("build,message", [
+    (lambda: fock(True, 4), "n must be an integer, got True"),
+    (lambda: fock(1.0, 4), "n must be an integer, got 1.0"),
+    (lambda: fock(1, 4.0), "dim must be an integer, got 4.0"),
+    (lambda: coherent(True, 8, 1e-3), "alpha must be a number, got True"),
+    (lambda: coherent("0.5", 8), "alpha must be a number, got '0.5'"),
+    (lambda: coherent(0.5, 8, tail_tol=True), "tail_tol must be a real number, got True"),
+    (lambda: thermal(True, 12, 1e-3), "nbar must be a real number, got True"),
+    (lambda: thermal(0.5, "8"), "dim must be an integer, got '8'"),
+    (lambda: cat(0.5, "even", True), "dim must be an integer, got True"),
+    (lambda: VibrationalState(2.0, amplitudes=[1, 0]), "dim must be an integer, got 2.0"),
+    (lambda: VibrationalState(True, amplitudes=[1]), "dim must be an integer, got True"),
+], ids=["fock-bool-n", "fock-float-n", "fock-float-dim", "coherent-bool-alpha", "coherent-str-alpha",
+        "coherent-bool-tail-tol", "thermal-bool-nbar", "thermal-str-dim", "cat-bool-dim",
+        "state-float-dim", "state-bool-dim"])
+def test_constructors_coerce_nothing(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestTypeInvariants:
     """VibrationalState checks its representation once, when it is built, and freezes it."""
 

@@ -309,9 +309,9 @@ class TestDecoherenceMonitor:
     # a string would be read character by character, a bool as lambda = 1
     @pytest.mark.parametrize("lambdas,message", [
         ("12", "lambdas must be a sequence of numbers, not the string '12'"),
-        ([True], "lambdas must hold real numbers, got True"),
-        ([0.0, np.True_], f"lambdas must hold real numbers, got {np.True_!r}"),
-        (["0.3"], "lambdas must hold real numbers, got '0.3'"),
+        ([True], "lambdas[0] must be a real number, got True"),
+        ([0.0, np.True_], f"lambdas[1] must be a real number, got {np.True_!r}"),
+        (["0.3"], "lambdas[0] must be a real number, got '0.3'"),
     ], ids=["str", "bool", "numpy-bool", "str-element"])
     def test_rejects_non_number_lambdas(self, lambdas, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
