@@ -59,7 +59,7 @@ class PulseSpec:
     contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
     ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
     mode None and phase 0. levels is a pair of names or integer indices
-    (level_index), and angle and phase are real numbers (states.check_real).
+    (level_index), and angle and phase are finite real numbers (states.check_real).
     Any other value raises ValueError naming the field; the only field
     rewritten is levels, whose indices become names.
     """
@@ -91,8 +91,7 @@ class PulseSpec:
             raise ValueError("erot addresses level '-' or '+' paired with 'xi'")
         if self.kind == "vrot" and (l, j) != ("+", "xi"):
             raise ValueError("vrot addresses the level pair ('+', 'xi')")
-        if not math.isfinite(check_real(self.angle, "pulse angle")):
-            raise ValueError("pulse angle must be finite")
+        check_real(self.angle, "pulse angle")
         if not 0.0 <= check_real(self.phase, "pulse phase") < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
 

@@ -9,6 +9,7 @@ the truncated state so every downstream invariant holds exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -29,41 +30,44 @@ def check_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_number(value, name: str, types: tuple, what: str):
+    """value if it is one of types, not a bool, and finite (no NaN, +-inf or int past a float's range)."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else cmath.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def check_real(value, name: str):
-    """value if it is a Python or numpy real number and not a bool; else a ValueError naming it."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be a real number, got {value!r}")
+    """value if it is a finite Python or numpy real number and not a bool; else a ValueError naming it."""
+    return _check_number(value, name, (int, float, np.integer, np.floating), "a real number")
 
 
 class TruncationLeakageError(ValueError):
     """A state family puts too much population beyond the Fock cutoff.
 
-    Carries the offending tail mass, the tolerance it violated, and the
-    smallest cutoff that would satisfy it. When no cutoff in the range the
-    constructor examines meets the tolerance, that range's end is only a lower
-    bound on the cutoff: lower_bound is set and the message says so. A state
-    built with a recorded tail mass (kind "input") names no cutoff:
-    required_dim is None and the message says that none is known.
+    Raised by the constructor that truncates the family, the one place
+    leakage is decided. Carries the offending tail mass, the tolerance it
+    violated, and the smallest cutoff required_dim that would satisfy it.
+    When no cutoff in the range the constructor examines meets the tolerance,
+    that range's end is only a lower bound on the cutoff: lower_bound is set
+    and the message says so.
     """
 
     def __init__(self, kind: str, dim: int, tail_mass: float, tail_tol: float,
-                 required_dim: int | None = None, lower_bound: bool = False):
+                 required_dim: int, lower_bound: bool = False):
         self.kind = kind
         self.dim = dim
         self.tail_mass = tail_mass
         self.tail_tol = tail_tol
         self.required_dim = required_dim
         self.lower_bound = lower_bound
-        if required_dim is None:
-            need = "the tail mass was recorded, so no cutoff that meets the tolerance is known"
-        else:
-            bound = (" (a lower bound: no cutoff in the range the constructor examines "
-                     "meets the tolerance)" if lower_bound else "")
-            need = f"need dim >= {required_dim}{bound}"
+        bound = (" (a lower bound: no cutoff in the range the constructor examines "
+                 "meets the tolerance)" if lower_bound else "")
         super().__init__(
             f"{kind} state leaks past the cutoff: tail mass {tail_mass:.3e} "
-            f"exceeds tolerance {tail_tol:.3e} at dim={dim}; {need}"
+            f"exceeds tolerance {tail_tol:.3e} at dim={dim}; need dim >= {required_dim}{bound}"
         )
 
 
@@ -76,21 +80,21 @@ class VibrationalState:
     hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue below
     -1e-10. Either is kept as a write-locked copy. tail_mass records the
     analytic population the truncation discarded (zero for states defined
-    directly on the truncated space), tail_tol the tolerance it was
-    constructed under; construction fails unless tail_mass <= tail_tol. dim
-    is an integer (check_int), tail_mass and tail_tol real numbers (check_real).
+    directly on the truncated space); the constructor that truncated the
+    family decided whether it leaks too much (TruncationLeakageError), so here
+    it is only a population in [0, 1]. dim is an integer (check_int),
+    tail_mass a finite real number (check_real).
     """
 
     dim: int
     amplitudes: np.ndarray | None = None
     matrix: np.ndarray | None = None
     tail_mass: float = 0.0
-    tail_tol: float = 1.0
 
     def __post_init__(self):
         check_int(self.dim, "dim")
-        check_real(self.tail_mass, "tail_mass")
-        check_real(self.tail_tol, "tail_tol")
+        if not 0.0 <= check_real(self.tail_mass, "tail_mass") <= 1.0:
+            raise ValueError(f"tail_mass must be a population in [0, 1], got {self.tail_mass!r}")
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("exactly one of amplitudes / matrix must be given")
         if self.amplitudes is not None:
@@ -119,9 +123,6 @@ class VibrationalState:
                 raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-10")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
-        # "not <=" also rejects a NaN tail mass or tolerance.
-        if not self.tail_mass <= self.tail_tol:
-            raise TruncationLeakageError("input", self.dim, self.tail_mass, self.tail_tol)
 
     @property
     def is_pure(self) -> bool:
@@ -135,7 +136,7 @@ class VibrationalState:
 
 
 def _check_tail_tol(tail_tol: float) -> None:
-    if not check_real(tail_tol, "tail_tol") > 0.0:
+    if check_real(tail_tol, "tail_tol") <= 0.0:
         raise ValueError(f"tail_tol must be a positive number, got {tail_tol}")
 
 
@@ -167,7 +168,7 @@ def fock(n: int, dim: int) -> VibrationalState:
         raise ValueError(f"Fock index {n} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
-    return VibrationalState(dim, amplitudes=v, tail_tol=DEFAULT_TAIL_TOL)
+    return VibrationalState(dim, amplitudes=v)
 
 
 def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> VibrationalState:
@@ -178,7 +179,7 @@ def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> Vibrat
     if norm == 0.0:
         raise ValueError(f"{kind} state keeps no representable amplitude below the cutoff "
                          f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
-    return VibrationalState(dim, amplitudes=v / norm, tail_mass=tail, tail_tol=tail_tol)
+    return VibrationalState(dim, amplitudes=v / norm, tail_mass=tail)
 
 
 def _abs_sq(z: complex) -> float:
@@ -190,10 +191,8 @@ def _abs_sq(z: complex) -> float:
 
 
 def _check_alpha(alpha) -> complex:
-    """alpha as a complex: a Python or numpy number, real or complex, and not a bool."""
-    if isinstance(alpha, (int, float, complex, np.number)) and not isinstance(alpha, bool):
-        return complex(alpha)
-    raise ValueError(f"alpha must be a number, got {alpha!r}")
+    """alpha as a complex: a finite Python or numpy number, real or complex, not a bool (_check_number)."""
+    return complex(_check_number(alpha, "alpha", (int, float, complex, np.number), "a number"))
 
 
 def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
@@ -266,25 +265,23 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
         raise ValueError(f"thermal state keeps no representable population below the cutoff "
                          f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
     p = p / p.sum()
-    return VibrationalState(dim, matrix=np.diag(p).astype(complex),
-                            tail_mass=tail, tail_tol=tail_tol)
+    return VibrationalState(dim, matrix=np.diag(p).astype(complex), tail_mass=tail)
 
 
 def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     """Fock dephasing channel: rho_mn -> rho_mn * exp(-lam (m-n)^2), populations untouched.
 
     The kernel is a positive-semidefinite Gaussian Gram matrix, so the output
-    is a valid density operator and the map preserves the trace exactly. lam
-    must be a real number (check_real), finite and >= 0.
+    is a valid density operator and the map preserves the trace exactly and
+    the input's tail_mass. lam is a finite real number (check_real) and >= 0.
     """
-    if not 0 <= check_real(lam, "dephasing strength lam") < math.inf:
-        raise ValueError(f"dephasing strength must be finite and >= 0, got {lam}")
+    if check_real(lam, "dephasing strength lam") < 0:
+        raise ValueError(f"dephasing strength lam must be >= 0, got {lam}")
     n = np.arange(state.dim)
     # Capping lam where exp underflows changes no entry and keeps lam (m-n)^2 finite.
     kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * (n[:, None] - n[None, :]) ** 2)
     rho = state.density_matrix() * kernel
-    return VibrationalState(state.dim, matrix=rho,
-                            tail_mass=state.tail_mass, tail_tol=state.tail_tol)
+    return VibrationalState(state.dim, matrix=rho, tail_mass=state.tail_mass)
 
 
 def _norm(v: np.ndarray) -> float:

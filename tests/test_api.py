@@ -1,7 +1,9 @@
 """The public API: exactly the names the iontomo package exports, and one type rule for their numbers."""
 
 import inspect
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -65,8 +67,6 @@ NUMBER_ARGUMENTS = [
     ("VibrationalState-dim", lambda x: VibrationalState(x, amplitudes=[1, 0]), "dim", "int", 2),
     ("VibrationalState-tail_mass", lambda x: VibrationalState(2, amplitudes=[1, 0], tail_mass=x),
      "tail_mass", "real", 0.0),
-    ("VibrationalState-tail_tol", lambda x: VibrationalState(2, amplitudes=[1, 0], tail_tol=x),
-     "tail_tol", "real", 1.0),
     ("fock-n", lambda x: fock(x, 4), "n", "int", 1),
     ("fock-dim", lambda x: fock(1, x), "dim", "int", 4),
     ("coherent-alpha", lambda x: coherent(x, 8, 1e-3), "alpha", "number", 0.5),
@@ -116,3 +116,33 @@ def test_wrong_number_type_is_named_value_error(call, name, value):
 ])
 def test_numpy_numbers_are_accepted(call, value):
     call(value)
+
+
+# A number that is no finite float, and so must not reach numpy: NaN, +-inf, and a Python
+# int past the float range (which float() and math functions turn into an OverflowError).
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "int-past-float": 10 ** 400}
+
+
+def raises_named_value_error_without_warning(call, value, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be ") as err:
+            call(value)
+    assert type(err.value) is ValueError
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(call, name, value, id=f"{case}-{label}")
+    for case, call, name, kind, _ in NUMBER_ARGUMENTS if kind in ("real", "number")
+    for label, value in {**NON_FINITE, **({"complex-nan": complex("nan")} if kind == "number" else {})}.items()
+])
+def test_non_finite_number_is_named_value_error(call, name, value):
+    raises_named_value_error_without_warning(call, value, name)
+
+
+# tail_mass is a discarded population, so it lies in [0, 1].
+@pytest.mark.parametrize("value", [-1.0, 1.5])
+def test_tail_mass_outside_unit_interval_is_named_value_error(value):
+    raises_named_value_error_without_warning(
+        lambda x: VibrationalState(2, amplitudes=[1, 0], tail_mass=x), value, "tail_mass")

@@ -432,13 +432,16 @@ def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
     assert ".".join(path) in record["error"]["message"]
 
 
-@pytest.mark.parametrize("lambdas", ["nan", "0,inf", "-0.5,1"])
-def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, lambdas):
+@pytest.mark.parametrize("lambdas,message", [
+    ("nan", "lambdas[0] must be finite, got nan"),
+    ("0,inf", "lambdas[1] must be finite, got inf"),
+    ("-0.5,1", "dephasing strength lam must be >= 0, got -0.5"),
+], ids=["nan", "0,inf", "-0.5,1"])
+def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, lambdas, message):
     cfg = write_config()
     assert run(["monitor", "--config", cfg, "--lambdas", lambdas]) == 1
     record = json.loads(capsys.readouterr().out)
-    assert record["error"]["type"] == "invalid-arguments"
-    assert "finite" in record["error"]["message"]
+    assert record["error"] == {"type": "invalid-arguments", "message": message}
 
 
 @pytest.mark.parametrize("lambdas", [["--lambdas", "-x"], ["--lambdas", "-0.5,x"], ["--lambdas"]],

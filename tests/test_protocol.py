@@ -419,6 +419,32 @@ class TestSampling:
         b = _sample_reduced(red, 0, 1, shots=4096, seed=17)
         assert a.value != b.value
 
+    @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (2, 1)])
+    def test_stream_key_is_seed_m_n_tag(self, m, n):
+        # the documented key: one generator per (seed, m, n, observable tag), tag 0 for x, 1 for y
+        red = engine_reduced(coherent(0.8, 8, tail_tol=1e-5), m, n, SETTINGS)
+        shots, seed = 64, 23
+        means = []
+        for tag, observable in enumerate(("x", "y")):
+            rng = np.random.default_rng([seed, m, n, tag])
+            c_plus, c_minus, _ = rng.multinomial(shots, reduced_probabilities(red, observable))
+            means.append((c_plus - c_minus) / shots)
+        assert _sample_reduced(red, m, n, shots, seed).value == complex(means[0], -means[1])
+
+    @pytest.mark.parametrize("shots", [4, 1000])
+    @pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (1, 1)])
+    def test_stderr_calibrated(self, m, n, shots):
+        # stderr^2 is the unbiased sample variance of the x and y outcomes over shots, so its
+        # mean over seeds times shots is the per-shot variance p+ + p- - (p+ - p-)^2 summed
+        # over both observables
+        phi = coherent(0.7 + 0.3j, 5, tail_tol=1e-3)
+        red = engine_reduced(phi, m, n, ProtocolSettings(5))
+        per_shot = sum(p[0] + p[1] - (p[0] - p[1]) ** 2
+                       for p in (reduced_probabilities(red, o) for o in ("x", "y")))
+        mean_sq = np.mean([_sample_reduced(red, m, n, shots, seed).stderr ** 2 * shots
+                           for seed in range(400)])
+        assert 0.9 <= mean_sq / per_shot <= 1.1
+
     def test_converges_to_exact(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         exact = measure_element(phi, 1, 0, SETTINGS).value

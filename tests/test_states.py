@@ -195,12 +195,13 @@ class TestDephase:
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dephasing strength lam must be >= 0, got -0\.1$"):
             dephase(fock(0, 4), -0.1)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_nonfinite_lambda_rejected(self, lam):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        message = f"dephasing strength lam must be finite, got {lam!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dephase(fock(0, 4), lam)
 
     # a bool is no dephasing strength: True would apply lambda = 1
@@ -311,14 +312,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             VibrationalState(2, amplitudes=np.array([1.0, bad]))
 
-    @pytest.mark.parametrize("tail_mass", [1e-3, math.nan, math.inf],
-                             ids=["leaky", "nan-tail", "inf-tail"])
+    @pytest.mark.parametrize("tail_mass", [math.nan, math.inf], ids=["nan-tail", "inf-tail"])
     def test_rejects_leaky_state(self, tail_mass):
-        # construction is the leakage check, so no protocol run ever sees such a state
+        # leakage is decided by the constructor that truncates; the state checks only that
+        # the recorded tail mass is a population
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0
-        with pytest.raises(TruncationLeakageError, match="input state leaks"):
-            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass, tail_tol=1e-12)
+        message = f"tail_mass must be finite, got {tail_mass!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass)
 
 
 class TestFarTail:
@@ -375,17 +377,6 @@ class TestFarTail:
             build()
         assert not err.value.lower_bound
         assert str(err.value).endswith(f"need dim >= {err.value.required_dim}")
-
-    def test_recorded_tail_wording(self):
-        # a state built with a recorded tail mass names no cutoff that would meet the tolerance
-        vec = np.zeros(8, dtype=complex)
-        vec[0] = 1.0
-        with pytest.raises(TruncationLeakageError) as err:
-            VibrationalState(8, amplitudes=vec, tail_mass=1e-3, tail_tol=1e-12)
-        assert err.value.required_dim is None
-        assert str(err.value) == (
-            "input state leaks past the cutoff: tail mass 1.000e-03 exceeds tolerance 1.000e-12 "
-            "at dim=8; the tail mass was recorded, so no cutoff that meets the tolerance is known")
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
     def test_tail_tol_must_be_positive(self, tol):

@@ -253,6 +253,16 @@ class TestDistances:
         got = trace_distance(np.outer(phi, phi.conj()), np.outer(chi, chi.conj()))
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_diagonal_is_half_l1_distance(self):
+        # the difference has eigenvalues .2, .1, -.15, -.15: half their absolute sum is 0.3,
+        # while the largest |eigenvalue| is 0.2; a common unitary leaves the distance unchanged
+        a = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        b = np.diag([0.2, 0.2, 0.35, 0.25]).astype(complex)
+        assert trace_distance(a, b) == pytest.approx(0.3, abs=1e-15)
+        q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(4, 4)) + 1j)
+        ra, rb = (q @ m @ q.conj().T for m in (a, b))
+        assert trace_distance(ra, rb) == pytest.approx(0.3, abs=1e-14)
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -322,6 +332,18 @@ class TestDecoherenceMonitor:
         points = decoherence_monitor(phi, np.array([0.0, 0.3]), SETTINGS)
         assert points == decoherence_monitor(phi, [0.0, 0.3], SETTINGS)
         assert decoherence_monitor(phi, [np.int64(0)], SETTINGS) == points[:1]
+
+    def test_bound_clips_negative_sampled_population(self):
+        # at a few shots a sampled population can come out negative; it counts as 0 in the
+        # bound sqrt(max(rho_00, 0) max(rho_22, 0)), not by its magnitude
+        negative = 0
+        for seed in range(20):
+            st = ProtocolSettings(4, shots=4, seed=seed)
+            r00, r22 = (measure_element(fock(0, 4), k, k, st).value.real for k in (0, 2))
+            if min(r00, r22) < 0:
+                negative += 1
+                assert decoherence_monitor(fock(0, 4), [0.0], st)[0].bound == 0.0
+        assert negative
 
     def test_sampled_points_share_random_numbers(self):
         # every lambda reuses the (seed, m, n) streams, so the unchanged populations repeat exactly
