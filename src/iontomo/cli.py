@@ -265,20 +265,20 @@ def cmd_reconstruct(cfg: dict, settings: protocol.ProtocolSettings, args) -> int
     nmax = _field(cfg, "nmax", _as_int, required=True)
     report = tomography.reconstruct(phi, nmax, settings,
                                     use_hermitian_symmetry=args.use_hermitian_symmetry)
-    size = report.nmax + 1
+    size = nmax + 1
     cells = [[{"re": report.estimates[m, n].real,
                "im": report.estimates[m, n].imag,
                "stderr": report.stderrs[m, n]}
               for n in range(size)] for m in range(size)]
     payload = {
         "report": {
-            "nmax": report.nmax,
+            "nmax": nmax,
             "estimates": cells,
             "truth": [[complex_record(v) for v in row] for row in report.truth],
             "projected": [[complex_record(v) for v in row] for row in report.projected],
             "metrics": report.metrics,
         },
-        "settings": _settings_echo(settings, state=cfg["state"], nmax=report.nmax,
+        "settings": _settings_echo(settings, state=cfg["state"], nmax=nmax,
                                    use_hermitian_symmetry=args.use_hermitian_symmetry),
     }
     rows = [[m, n, report.estimates[m, n].real, report.estimates[m, n].imag, report.stderrs[m, n]]
@@ -290,25 +290,22 @@ def cmd_coherence(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     phi = build_state(cfg, settings.d)
     est = protocol.measure_element(phi, args.m, args.n, settings)
     payload = {
-        "m": est.m,
-        "n": est.n,
+        "m": args.m,
+        "n": args.n,
         "value": complex_record(est.value),
         "stderr": est.stderr,
-        "shots": est.shots_used,
+        "shots": settings.shots or 0,
         "settings": _settings_echo(settings, state=cfg["state"]),
     }
-    rows = [[est.m, est.n, est.value.real, est.value.imag, est.stderr, est.shots_used]]
+    rows = [[args.m, args.n, est.value.real, est.value.imag, est.stderr, settings.shots or 0]]
     return _emit(args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
 
 
-def _parse_lambdas(raw: str | None) -> list[float]:
+def _parse_lambdas(raw: str) -> list[float]:
     try:
-        lambdas = [float(tok) for tok in (raw or "").split(",") if tok.strip() != ""]
+        return [float(tok) for tok in raw.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --lambdas value: {exc}") from exc
-    if not lambdas:
-        raise UsageError("monitor requires a non-empty --lambdas list")
-    return lambdas
 
 
 def cmd_monitor(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
@@ -423,7 +420,7 @@ def _build_parser() -> _Parser:
                                             help="fill the lower triangle from conjugates instead of measuring")
     sub.choices["coherence"].add_argument("--m", type=int, required=True)
     sub.choices["coherence"].add_argument("--n", type=int, required=True)
-    sub.choices["monitor"].add_argument("--lambdas", default=None,
+    sub.choices["monitor"].add_argument("--lambdas", required=True,
                                         help="comma-separated dephasing strengths")
     return parser
 

@@ -67,9 +67,10 @@ class ProtocolSettings:
     ordering whose final pulse addresses the {-, xi} pair; it fails the
     entangler identity and exists only for comparison.
 
-    d, seed and a non-None shots must be integers (states.check_int) and
-    compat_rminus_final a bool; any other value raises ValueError naming its
-    field, before the range checks. This is the one place d >= 2 is checked.
+    d, seed and a non-None shots must be integers (states.check_int), each
+    stored as the Python int its check returns, and compat_rminus_final a
+    bool; any other value raises ValueError naming its field, before the range
+    checks. This is the one place d >= 2 is checked.
     """
 
     d: int
@@ -80,7 +81,7 @@ class ProtocolSettings:
 
     def __post_init__(self):
         for name in ("d", "seed") if self.shots is None else ("d", "shots", "seed"):
-            check_int(getattr(self, name), name)
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if not isinstance(self.compat_rminus_final, bool):
             raise ValueError(f"compat_rminus_final must be a bool, got {self.compat_rminus_final!r}")
         if self.d < 2:
@@ -95,7 +96,7 @@ class ProtocolSettings:
 
 @dataclass(frozen=True)
 class CoherenceEstimate:
-    """One measured matrix element, with its statistical error.
+    """One measured matrix element and its statistical error; the cell and the shots are the caller's.
 
     stderr is zero in exact mode; in sampled mode it combines the standard
     errors of the two transverse sample means.
@@ -103,9 +104,6 @@ class CoherenceEstimate:
 
     value: complex
     stderr: float
-    shots_used: int
-    m: int
-    n: int
 
 
 def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
@@ -236,7 +234,7 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     mean_y, var_y = stats["y"]
     value = complex(mean_x, -mean_y)
     stderr = math.sqrt((var_x + var_y) / shots)
-    return CoherenceEstimate(value, stderr, shots, m, n)
+    return CoherenceEstimate(value, stderr)
 
 
 def _shift_ideal(w: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -301,7 +299,7 @@ def measure_element(phi: VibrationalState, m: int, n: int,
     w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, d * d, -1)
     if settings.shots is None:
         value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)
-        return CoherenceEstimate(complex(value), 0.0, 0, m, n)
+        return CoherenceEstimate(complex(value), 0.0)
     return _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
 
 

@@ -32,23 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import ELECTRONIC_DIM, LEVEL_NAMES, PLUS, XI
-from .states import check_int, check_real
+from .states import check_real
 
 PULSE_KINDS = ("carrier", "jc", "ajc", "erot", "vrot")
 
 TWO_PI = 2.0 * math.pi
-
-
-def level_index(level) -> int:
-    """Normalize an electronic level given as a name ('-', '+', 'xi') or an index 0..2 (check_int)."""
-    if isinstance(level, str):
-        if level not in LEVEL_NAMES:
-            raise ValueError(f"unknown electronic level {level!r}")
-        return LEVEL_NAMES.index(level)
-    index = check_int(level, "electronic level")
-    if not 0 <= index < len(LEVEL_NAMES):
-        raise ValueError(f"electronic level index {index} not in 0..2")
-    return index
 
 
 @dataclass(frozen=True)
@@ -58,10 +46,10 @@ class PulseSpec:
     Carrier and sideband pulses name mode 'x' or 'z' and a level pair that
     contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
     ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
-    mode None and phase 0. levels is a pair of names or integer indices
-    (level_index), and angle and phase are finite real numbers (states.check_real).
-    Any other value raises ValueError naming the field; the only field
-    rewritten is levels, whose indices become names.
+    mode None and phase 0. levels is a tuple of two names from LEVEL_NAMES,
+    and angle and phase are finite real numbers (states.check_real), stored as
+    the Python floats they equal. Any other value raises ValueError naming the
+    field.
     """
 
     kind: str
@@ -73,12 +61,12 @@ class PulseSpec:
     def __post_init__(self):
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if not isinstance(self.levels, (tuple, list)) or len(self.levels) != 2:
-            raise ValueError(f"levels must be a pair of levels, got {self.levels!r}")
-        l, j = (LEVEL_NAMES[level_index(x)] for x in self.levels)
+        if not (isinstance(self.levels, tuple) and len(self.levels) == 2
+                and all(isinstance(x, str) and x in LEVEL_NAMES for x in self.levels)):
+            raise ValueError(f"levels must be a pair of level names {LEVEL_NAMES}, got {self.levels!r}")
+        l, j = self.levels
         if l == j:
             raise ValueError("pulse level pair must be distinct")
-        object.__setattr__(self, "levels", (l, j))
         if self.kind in ("carrier", "jc", "ajc"):
             if self.mode not in ("x", "z"):
                 raise ValueError(f"{self.kind} pulse must name mode 'x' or 'z'")
@@ -91,8 +79,9 @@ class PulseSpec:
             raise ValueError("erot addresses level '-' or '+' paired with 'xi'")
         if self.kind == "vrot" and (l, j) != ("+", "xi"):
             raise ValueError("vrot addresses the level pair ('+', 'xi')")
-        check_real(self.angle, "pulse angle")
-        if not 0.0 <= check_real(self.phase, "pulse phase") < TWO_PI:
+        for name in ("angle", "phase"):
+            object.__setattr__(self, name, check_real(getattr(self, name), f"pulse {name}"))
+        if not 0.0 <= self.phase < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
 
 

@@ -39,9 +39,9 @@ def _check_number(value, name: str, types: tuple, what: str):
     return value
 
 
-def check_real(value, name: str):
-    """value if it is a finite Python or numpy real number and not a bool; else a ValueError naming it."""
-    return _check_number(value, name, (int, float, np.integer, np.floating), "a real number")
+def check_real(value, name: str) -> float:
+    """float(value) for a finite Python or numpy real number that is no bool; else a ValueError naming it."""
+    return float(_check_number(value, name, (int, float, np.integer, np.floating), "a real number"))
 
 
 class TruncationLeakageError(ValueError):
@@ -82,8 +82,8 @@ class VibrationalState:
     analytic population the truncation discarded (zero for states defined
     directly on the truncated space); the constructor that truncated the
     family decided whether it leaks too much (TruncationLeakageError), so here
-    it is only a population in [0, 1]. dim is an integer (check_int),
-    tail_mass a finite real number (check_real).
+    it is only a population in [0, 1]. dim (check_int) and tail_mass
+    (check_real) are stored as the Python numbers their checks return.
     """
 
     dim: int
@@ -92,8 +92,9 @@ class VibrationalState:
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        check_int(self.dim, "dim")
-        if not 0.0 <= check_real(self.tail_mass, "tail_mass") <= 1.0:
+        object.__setattr__(self, "dim", check_int(self.dim, "dim"))
+        object.__setattr__(self, "tail_mass", check_real(self.tail_mass, "tail_mass"))
+        if not 0.0 <= self.tail_mass <= 1.0:
             raise ValueError(f"tail_mass must be a population in [0, 1], got {self.tail_mass!r}")
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("exactly one of amplitudes / matrix must be given")
@@ -215,7 +216,8 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
 
     c_0 = 1/sqrt(cosh r),  c_{n+2} = -e^{i phi} tanh(r) sqrt((n+1)/(n+2)) c_n.
     """
-    if check_real(r, "r") < 0:
+    r = check_real(r, "r")
+    if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
     nbig = check_int(dim, "dim") + _TAIL_EXTEND
     amps = np.zeros(nbig, dtype=complex)
@@ -249,7 +251,8 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
 
 def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Thermal (mixed) state, p_n proportional to (nbar/(1+nbar))^n, renormalized on the cutoff."""
-    if check_real(nbar, "nbar") < 0:
+    nbar = check_real(nbar, "nbar")
+    if nbar < 0:
         raise ValueError("mean occupation nbar must be >= 0")
     _check_tail_tol(tail_tol)
     q = nbar / (1.0 + nbar)
@@ -275,7 +278,8 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     is a valid density operator and the map preserves the trace exactly and
     the input's tail_mass. lam is a finite real number (check_real) and >= 0.
     """
-    if check_real(lam, "dephasing strength lam") < 0:
+    lam = check_real(lam, "dephasing strength lam")
+    if lam < 0:
         raise ValueError(f"dephasing strength lam must be >= 0, got {lam}")
     n = np.arange(state.dim)
     # Capping lam where exp underflows changes no entry and keeps lam (m-n)^2 finite.

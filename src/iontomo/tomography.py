@@ -25,11 +25,10 @@ class ReconstructionReport:
     estimates[m, n] is the measured <m| rho_vibr |n>; stderrs is zero in exact
     mode. truth is the same block of the known input, and projected is the
     Hilbert-Schmidt-nearest density matrix to the estimates (see
-    project_physical); all four are plain arrays. metrics compares estimates
-    with truth.
+    project_physical); all four are plain (nmax+1)-square arrays, and nmax is
+    the caller's. metrics compares estimates with truth.
     """
 
-    nmax: int
     estimates: np.ndarray
     stderrs: np.ndarray
     truth: np.ndarray
@@ -111,7 +110,7 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
         "hs_distance": hs_distance(estimates, truth),
     }
     projected = project_physical(estimates)
-    return ReconstructionReport(nmax, estimates, stderrs, truth, projected, metrics)
+    return ReconstructionReport(estimates, stderrs, truth, projected, metrics)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     """
     if isinstance(lambdas, (str, bytes)):
         raise ValueError(f"lambdas must be a sequence of numbers, not the string {lambdas!r}")
-    lambdas = [float(check_real(lam, f"lambdas[{i}]")) for i, lam in enumerate(lambdas)]
+    lambdas = [check_real(lam, f"lambdas[{i}]") for i, lam in enumerate(lambdas)]
     if not lambdas:
         raise ValueError("lambda list must not be empty")
     if lambdas != sorted(lambdas):

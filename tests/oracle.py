@@ -3,7 +3,8 @@
 Plain numpy, for small cutoffs only. dims is the (dx, dz) pair of Fock cutoffs,
 which may differ: the engine's pulse actions take any (3, dx, dz, r) tensor. The
 flat index of |e>|nx>_x|nz>_z is e dx dz + nx dz + nz, the row-major order of
-those tensors.
+those tensors. Electronic levels are indices here (hilbert.MINUS, PLUS, XI);
+only hamiltonian reads a PulseSpec's level names.
 Each pulse is exp(i angle H) from an eigendecomposition of its dense
 generator H, cross-checked against the series exponential of tests/util.py.
 Nothing here is cached; tests that sweep many cells build the shared factors
@@ -12,8 +13,7 @@ once themselves (see schedule).
 
 import numpy as np
 
-from iontomo.hilbert import MINUS, PLUS, XI
-from iontomo.pulses import level_index
+from iontomo.hilbert import LEVEL_NAMES, MINUS, PLUS, XI
 from iontomo.protocol import u00_schedule, v_minus_schedule, v_plus_schedule
 
 
@@ -24,9 +24,9 @@ def size(dims) -> int:
 
 
 def index(dims, e, nx, nz) -> int:
-    """Flat index of |e>|nx>_x|nz>_z."""
+    """Flat index of |e>|nx>_x|nz>_z, e the level's index."""
     dx, dz = dims
-    return level_index(e) * dx * dz + nx * dz + nz
+    return e * dx * dz + nx * dz + nz
 
 
 def basis(dims, e, nx, nz) -> np.ndarray:
@@ -36,9 +36,9 @@ def basis(dims, e, nx, nz) -> np.ndarray:
 
 
 def electronic(l, j, dims) -> np.ndarray:
-    """|l><j| on the electronic factor, identity on both modes."""
+    """|l><j| on the electronic factor, identity on both modes; l and j are level indices."""
     e = np.zeros((3, 3), dtype=complex)
-    e[level_index(l), level_index(j)] = 1.0
+    e[l, j] = 1.0
     return np.kron(e, np.eye(dims[0] * dims[1]))
 
 
@@ -54,7 +54,7 @@ def annihilator(mode, dims) -> np.ndarray:
 
 def pauli(l, j, axis, dims) -> np.ndarray:
     """x: |l><j| + |j><l|,  y: i(|l><j| - |j><l|),  z: |j><j| - |l><l| on the {l, j} pair."""
-    if level_index(l) == level_index(j):
+    if l == j:
         raise ValueError("pauli requires two distinct electronic levels")
     lj = electronic(l, j, dims)
     return {"x": lj + lj.conj().T,
@@ -79,7 +79,7 @@ def unitary(generator, theta) -> np.ndarray:
 
 def hamiltonian(spec, dims) -> np.ndarray:
     """The generator H of a pulse, whose unitary is exp(i angle H)."""
-    l, j = spec.levels
+    l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
     if spec.kind == "erot":
         return pauli(l, XI, "y", dims)
     if spec.kind == "vrot":

@@ -1,5 +1,6 @@
 """The public API: exactly the names the iontomo package exports, and one type rule for their numbers."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -49,7 +50,8 @@ SETTINGS = ProtocolSettings(4)
 # Every number argument of a public callable: (id, the call with that argument set to x,
 # the name its error gives it, what it must be, a valid value). CoherenceEstimate,
 # MonitorPoint and ReconstructionReport are the engine's results and take no caller's
-# numbers; the array arguments of act_pulse and the distances are not numbers.
+# numbers; the array arguments of act_pulse and the distances are not numbers, and a
+# PulseSpec's levels are names (tests/test_pulses.py).
 NUMBER_ARGUMENTS = [
     ("ProtocolSettings-d", lambda x: ProtocolSettings(x), "d", "int", 4),
     ("ProtocolSettings-shots", lambda x: ProtocolSettings(4, shots=x), "shots", "int-or-none", 10),
@@ -59,8 +61,6 @@ NUMBER_ARGUMENTS = [
     ("reconstruct-nmax", lambda x: reconstruct(PHI, x, SETTINGS), "nmax", "int", 1),
     ("decoherence_monitor-lambdas", lambda x: decoherence_monitor(PHI, [x], SETTINGS),
      "lambdas[0]", "real", 0.1),
-    ("PulseSpec-levels", lambda x: PulseSpec("carrier", (x, "xi"), "x", 0.5),
-     "electronic level", "level", 1),
     ("PulseSpec-angle", lambda x: PulseSpec("carrier", ("+", "xi"), "x", x), "pulse angle", "real", 0.5),
     ("PulseSpec-phase", lambda x: PulseSpec("carrier", ("+", "xi"), "x", 0.5, x),
      "pulse phase", "real", 1.0),
@@ -87,16 +87,15 @@ NUMBER_ARGUMENTS = [
 ]
 
 # Values of the wrong type for each kind of argument. None is valid where the argument is
-# optional, and a string is a level's name, so "1" there is an unknown level, not a number.
+# optional.
 WRONG = {
     "int": (None, True, np.True_, "1", 1.5),
     "int-or-none": (True, np.True_, "1", 1.5),
-    "level": (None, True, np.True_, 1.5),
     "real": (None, True, np.True_, "1", 1j),
     "number": (None, True, np.True_, "1"),
 }
 NUMPY = {
-    "int": (np.int64, np.int32), "int-or-none": (np.int64, np.int32), "level": (np.int64, np.int32),
+    "int": (np.int64, np.int32), "int-or-none": (np.int64, np.int32),
     "real": (np.float64, np.float32), "number": (np.float64, np.complex128),
 }
 
@@ -110,12 +109,40 @@ def test_wrong_number_type_is_named_value_error(call, name, value):
         call(value)
 
 
+def assert_same_result(got, want):
+    """got == want on every field, item and array, with every number a Python number."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            assert_same_result(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_result(a, b)
+    elif isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert_same_result(got[key], want[key])
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert type(got) in (int, float, complex, bool, str, type(None)), type(got)
+        assert got == want
+
+
+# A numpy number gives, bit for bit and with no warning, what the equal Python number gives.
+# A uint8 strength is the case where numpy arithmetic wraps (-np.uint8(1) is 255).
 @pytest.mark.parametrize("call,value", [
-    pytest.param(call, numpy_type(good), id=f"{case}-{numpy_type.__name__}")
-    for case, call, _, kind, good in NUMBER_ARGUMENTS for numpy_type in NUMPY[kind]
+    *(pytest.param(call, numpy_type(good), id=f"{case}-{numpy_type.__name__}")
+      for case, call, _, kind, good in NUMBER_ARGUMENTS for numpy_type in NUMPY[kind]),
+    pytest.param(lambda x: dephase(PHI, x), np.uint8(1), id="dephase-lam-uint8"),
 ])
 def test_numpy_numbers_are_accepted(call, value):
-    call(value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = call(value)
+    assert not caught, [str(w.message) for w in caught]
+    assert_same_result(got, call(value.item()))
 
 
 # A number that is no finite float, and so must not reach numpy: NaN, +-inf, and a Python

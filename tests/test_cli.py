@@ -162,12 +162,15 @@ class TestMonitorCommand:
         code = run(["monitor", "--config", cfg, "--lambdas", ""])
         assert code == 2
         record = json.loads(capsys.readouterr().out)
-        assert record["error"]["type"] == "usage-error"
+        assert record == {"error": {"type": "usage-error", "message":
+                                    "bad --lambdas value: could not convert string to float: ''"}}
 
     def test_missing_lambdas_usage_error(self, write_config, capsys):
         cfg = write_config()
         assert run(["monitor", "--config", cfg]) == 2
-        capsys.readouterr()
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"error": {"type": "usage-error",
+                                    "message": "the following arguments are required: --lambdas"}}
 
 
 class TestValidateCommand:
@@ -459,7 +462,17 @@ def test_lambdas_of_only_separators_usage_error(write_config, capsys):
     assert run(["monitor", "--config", cfg, "--lambdas", " , ,"]) == 2
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == {"type": "usage-error",
-                               "message": "monitor requires a non-empty --lambdas list"}
+                               "message": "bad --lambdas value: could not convert string to float: ' '"}
+
+
+# Every token of the list is a number: an empty one is an error, never dropped.
+@pytest.mark.parametrize("lambdas", ["0,,0.3", "0.3,", ",0.3"], ids=["inner", "trailing", "leading"])
+def test_empty_lambda_token_usage_error(write_config, capsys, lambdas):
+    cfg = write_config()
+    assert run(["monitor", "--config", cfg, "--lambdas", lambdas]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "usage-error",
+                               "message": "bad --lambdas value: could not convert string to float: ''"}
 
 
 # Configs that the leakage guard used to pass or crash on: every one must end in a

@@ -48,11 +48,6 @@ class TestIndex:
         dims = (5, 7)
         assert oracle.index(dims, 2, 3, 4) == 2 * 35 + 3 * 7 + 4
 
-    def test_level_names_accepted(self):
-        dims = (2, 2)
-        assert oracle.index(dims, "-", 0, 0) == oracle.index(dims, MINUS, 0, 0)
-        assert oracle.index(dims, "xi", 1, 1) == oracle.index(dims, XI, 1, 1)
-
 
 class TestAnnihilator:
     def test_ladder_action(self):

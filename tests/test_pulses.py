@@ -19,6 +19,7 @@ from iontomo.states import coherent
 from util import act, full_action
 
 DIMS = (4, 4)
+NOT_LEVELS = "levels must be a pair of level names ('-', '+', 'xi'), got "
 # The pulse actions take any (3, dx, dz, r) tensor; the unitarity checks run at unequal cutoffs.
 UNEQUAL = (3, 4)
 
@@ -29,7 +30,8 @@ class TestPulseSpec:
         spec = PulseSpec("ajc", ("+", "xi"), "x", 0.7, 1.2)
         record = json.loads(stable_json(spec))
         assert set(record) == {f.name for f in dataclasses.fields(PulseSpec)}
-        assert PulseSpec(**record) == spec
+        # JSON has no tuple, and a spec's levels are one: the reader turns the list back
+        assert PulseSpec(**{**record, "levels": tuple(record["levels"])}) == spec
 
     def test_mode_required_for_sidebands(self):
         with pytest.raises(ValueError):
@@ -62,21 +64,29 @@ class TestPulseSpec:
 
     @pytest.mark.parametrize("kind,levels,message", [
         ("rsb", ("+", "xi"), "unknown pulse kind 'rsb'"),
-        ("carrier", ("+", "zeta"), "unknown electronic level 'zeta'"),
-        ("carrier", (3, "xi"), "electronic level index 3 not in 0..2"),
-        ("carrier", ("xi", 2), "pulse level pair must be distinct"),
-        ("carrier", (1.7, "xi"), "electronic level must be an integer, got 1.7"),
-        ("carrier", (True, "xi"), "electronic level must be an integer, got True"),
-    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair", "level-float",
-            "level-bool"])
+        ("carrier", ("+", "zeta"), f"{NOT_LEVELS}('+', 'zeta')"),
+        ("carrier", (3, "xi"), f"{NOT_LEVELS}(3, 'xi')"),
+        ("carrier", ("xi", 2), f"{NOT_LEVELS}('xi', 2)"),
+        ("carrier", ("xi", "xi"), "pulse level pair must be distinct"),
+        ("carrier", (1.7, "xi"), f"{NOT_LEVELS}(1.7, 'xi')"),
+        ("carrier", (True, "xi"), f"{NOT_LEVELS}(True, 'xi')"),
+    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair", "equal-names",
+            "level-float", "level-bool"])
     def test_rejects_bad_kind_or_levels(self, kind, levels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, "x", 0.5)
 
-    @pytest.mark.parametrize("levels", [None, ("-", "xi", "+"), ("xi",), "-x"],
-                             ids=["none", "triple", "single", "string"])
+    # A level is a name, never an index, and levels a tuple of two names: every other
+    # form gets the one message.
+    @pytest.mark.parametrize("levels", [
+        None, ("-", "xi", "+"), ("xi",), "-x", 1, np.int64(1), True, 1.5, ["+", "xi"],
+        (None, "xi"), (True, "xi"), (np.True_, "xi"), (1.5, "xi"), (np.int64(1), "xi"),
+        (np.int32(1), "xi"), (1, 2),
+    ], ids=["none", "triple", "single", "string", "int", "np-int64", "bool", "float", "list",
+            "pair-none", "pair-bool", "pair-np-bool", "pair-float", "pair-np-int64", "pair-np-int32",
+            "pair-ints"])
     def test_levels_must_be_a_pair(self, levels):
-        message = f"levels must be a pair of levels, got {levels!r}"
+        message = f"{NOT_LEVELS}{levels!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec("erot", levels, None, 0.5)
 
@@ -88,9 +98,17 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec("carrier", ("+", "xi"), "x", angle, phase)
 
-    def test_numpy_levels_and_numbers_accepted(self):
-        spec = PulseSpec("jc", (np.int64(1), np.int32(2)), "z", np.float64(0.5), np.float32(1.0))
-        assert spec == PulseSpec("jc", ("+", "xi"), "z", 0.5, 1.0)
+    @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
+    def test_numpy_numbers_act_as_the_equal_floats(self, kind):
+        # a float32 area is stored as the Python float it equals, so the spec acts bit for
+        # bit as the spec built from that float does
+        numpy_spec = PulseSpec(kind, ("+", "xi"), "x", np.float32(0.3), np.float32(1.0))
+        spec = PulseSpec(kind, ("+", "xi"), "x", float(np.float32(0.3)), 1.0)
+        assert numpy_spec == spec
+        assert type(numpy_spec.angle) is float and type(numpy_spec.phase) is float
+        rng = np.random.default_rng(5)
+        state = rng.normal(size=(3, *DIMS, 2)) + 1j * rng.normal(size=(3, *DIMS, 2))
+        assert np.array_equal(act_pulse(numpy_spec, state.copy()), act_pulse(spec, state.copy()))
 
     @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
     def test_coupled_pair_contains_xi(self, kind):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from iontomo.states import (
+    DEFAULT_TAIL_TOL,
     TruncationLeakageError,
     VibrationalState,
     cat,
@@ -369,6 +370,19 @@ class TestFarTail:
         assert str(err.value).endswith(
             f"need dim >= {err.value.required_dim} (a lower bound: no cutoff in the range "
             "the constructor examines meets the tolerance)")
+
+    @pytest.mark.parametrize("build", [
+        lambda d: coherent(2.0, d), lambda d: squeezed(1.0, 0.3, d), lambda d: cat(1.5, "odd", d),
+        lambda d: thermal(0.5, d),
+    ], ids=["coherent", "squeezed", "odd-cat", "thermal"])
+    def test_required_dim_is_the_smallest_sufficient_cutoff(self, build):
+        # the named cutoff meets the tolerance and the one below it does not
+        with pytest.raises(TruncationLeakageError) as err:
+            build(4)
+        need = err.value.required_dim
+        assert build(need).tail_mass <= DEFAULT_TAIL_TOL
+        with pytest.raises(TruncationLeakageError):
+            build(need - 1)
 
     @pytest.mark.parametrize("build", [lambda: coherent(2.0, 4), lambda: thermal(1e17, 12)],
                              ids=["coherent2", "thermal1e17"])

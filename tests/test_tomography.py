@@ -70,7 +70,9 @@ class TestReconstruct:
         # the record is the ProtocolSettings fields, d shown as the config's dims, plus the extras
         fields = {f.name for f in dataclasses.fields(ProtocolSettings)}
         assert set(echo) == (fields - {"d"}) | {"dims", "state", "nmax", "use_hermitian_symmetry"}
-        assert not hasattr(reconstruct(fock(0, 8), 1, SETTINGS), "settings")
+        report = reconstruct(fock(0, 8), 1, SETTINGS)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "estimates", "stderrs", "truth", "projected", "metrics"]
 
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError, match=r"^nmax = 8 out of the ideal shifter reach 0\.\.7 at d=8$"):
