@@ -209,10 +209,8 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
             raise ConfigError("state.amplitudes must be a list")
         amps = [_as_complex(v, "state.amplitudes") for v in values]
         state = from_amplitudes(amps, d)
-    lam = _field(spec, "state.dephase")
-    if lam is not None:
-        state = dephase(state, _as_float(lam, "state.dephase"))
-    return state
+    lam = _field(spec, "state.dephase", _as_float)
+    return state if lam is None else dephase(state, lam)
 
 
 def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings:
@@ -434,21 +432,16 @@ _ERROR_TYPES = (
 
 
 def _join_lambdas(argv: list[str]) -> list[str]:
-    """argv with each '--lambdas X' whose X is a list of numbers joined into '--lambdas=X'.
+    """argv with each '--lambdas X' whose X does not start with '--' joined into '--lambdas=X'.
 
     argparse reads a separate value that starts with '-' and is not a plain
-    negative number, such as '-0.5,1', as an option; joined, it reaches the
-    same dephasing-strength check as '--lambdas=-0.5,1'.
+    negative number, such as '-0.5,1' or '-0.5,,1', as an option; joined, every
+    such list reaches _parse_lambdas as '--lambdas=X' would, and a bad token is
+    named there. A '--' option after '--lambdas' is never taken for its value.
     """
-    def is_lambda_list(token):
-        try:
-            return bool(_parse_lambdas(token))
-        except UsageError:
-            return False
-
     joined = []
     for token in argv:
-        if joined and joined[-1] == "--lambdas" and is_lambda_list(token):
+        if joined and joined[-1] == "--lambdas" and not token.startswith("--"):
             joined[-1] = f"--lambdas={token}"
         else:
             joined.append(token)

@@ -136,9 +136,12 @@ class VibrationalState:
         return np.array(self.matrix)
 
 
-def _check_tail_tol(tail_tol: float) -> None:
-    if check_real(tail_tol, "tail_tol") <= 0.0:
+def _check_tail_tol(tail_tol: float) -> float:
+    """tail_tol as the positive float check_real returns; else a ValueError naming it."""
+    tol = check_real(tail_tol, "tail_tol")
+    if tol <= 0.0:
         raise ValueError(f"tail_tol must be a positive number, got {tail_tol}")
+    return tol
 
 
 def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -> float:
@@ -150,7 +153,7 @@ def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -
     cutoff within the range suffices, and the range's length is reported as
     the lower bound it is.
     """
-    _check_tail_tol(tail_tol)
+    tail_tol = _check_tail_tol(tail_tol)
     rounding = len(populations) * np.finfo(float).eps
     beyond = max(0.0, 1.0 - float(np.sum(populations)) - rounding)
     suffix = np.cumsum(populations[::-1])[::-1] + beyond
@@ -207,8 +210,9 @@ def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
 
 def coherent(alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Coherent state, <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized on the cutoff."""
-    amps = _displaced_vacuum(_check_alpha(alpha), check_int(dim, "dim") + _TAIL_EXTEND)
-    return _truncated("coherent", amps, dim, tail_tol)
+    alpha = _check_alpha(alpha)
+    dim = check_int(dim, "dim")
+    return _truncated("coherent", _displaced_vacuum(alpha, dim + _TAIL_EXTEND), dim, tail_tol)
 
 
 def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
@@ -219,7 +223,8 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
     r = check_real(r, "r")
     if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
-    nbig = check_int(dim, "dim") + _TAIL_EXTEND
+    dim = check_int(dim, "dim")
+    nbig = dim + _TAIL_EXTEND
     amps = np.zeros(nbig, dtype=complex)
     try:
         amps[0] = 1.0 / math.sqrt(math.cosh(r))
@@ -243,7 +248,8 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
     if norm_sq < 1e-30:
         raise ValueError("odd cat with alpha = 0 is the zero vector")
-    nbig = check_int(dim, "dim") + _TAIL_EXTEND
+    dim = check_int(dim, "dim")
+    nbig = dim + _TAIL_EXTEND
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)
     amps = _displaced_vacuum(alpha, nbig) * (1.0 + sign * parities) / math.sqrt(norm_sq)
     return _truncated("cat", amps, dim, tail_tol)
@@ -254,9 +260,10 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
     nbar = check_real(nbar, "nbar")
     if nbar < 0:
         raise ValueError("mean occupation nbar must be >= 0")
-    _check_tail_tol(tail_tol)
+    tail_tol = _check_tail_tol(tail_tol)
     q = nbar / (1.0 + nbar)
-    tail = q ** check_int(dim, "dim")  # geometric series remainder
+    dim = check_int(dim, "dim")
+    tail = q ** dim  # geometric series remainder
     if tail > tail_tol:
         # q**d <= tail_tol from d = log(tail_tol) / log(q); log(q) = -log1p(1/nbar)
         # keeps its digits where q rounds to 1, and no cutoff past 2**63 is buildable.

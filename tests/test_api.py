@@ -13,6 +13,7 @@ import iontomo
 from iontomo import (
     ProtocolSettings,
     PulseSpec,
+    TruncationLeakageError,
     VibrationalState,
     cat,
     coherent,
@@ -143,6 +144,25 @@ def test_numpy_numbers_are_accepted(call, value):
         got = call(value)
     assert not caught, [str(w.message) for w in caught]
     assert_same_result(got, call(value.item()))
+
+
+# A leakage error holds Python numbers too, and the message of the equal Python numbers.
+@pytest.mark.parametrize("build", [
+    lambda dim, tol: coherent(3.0, dim, tol),
+    lambda dim, tol: squeezed(1.0, 0.0, dim, tol),
+    lambda dim, tol: cat(3.0, "even", dim, tol),
+    lambda dim, tol: thermal(1.0, dim, tol),
+], ids=["coherent", "squeezed", "cat", "thermal"])
+def test_leakage_error_holds_python_numbers(build):
+    with pytest.raises(TruncationLeakageError) as got:
+        build(np.int64(4), np.float32(1e-3))
+    with pytest.raises(TruncationLeakageError) as want:
+        build(4, float(np.float32(1e-3)))
+    assert type(got.value.dim) is int and type(got.value.tail_tol) is float
+    fields = vars(got.value)
+    assert all(type(value) in (int, float, str, bool) for value in fields.values()), fields
+    assert fields == vars(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # A number that is no finite float, and so must not reach numpy: NaN, +-inf, and a Python

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import pulses, tomography
@@ -412,6 +412,7 @@ BAD_NUMBERS = [
     ({}, ("state", "tail_tol"), "NaN"),
     ({}, ("state", "dephase"), "NaN"),
     ({}, ("state", "dephase"), "false"),
+    ({}, ("state", "dephase"), "null"),
 ]
 
 
@@ -447,14 +448,52 @@ def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, l
     assert record["error"] == {"type": "invalid-arguments", "message": message}
 
 
-@pytest.mark.parametrize("lambdas", [["--lambdas", "-x"], ["--lambdas", "-0.5,x"], ["--lambdas"]],
-                         ids=["option-like", "bad-token", "no-value"])
-def test_lambdas_without_a_value_usage_error(write_config, capsys, lambdas):
+# The token after --lambdas is its value unless it is a '--' option, so a list that starts
+# with '-' reaches the lambdas parser, which names its bad token.
+@pytest.mark.parametrize("lambdas,message", [
+    (["--lambdas", "-x"], "bad --lambdas value: could not convert string to float: '-x'"),
+    (["--lambdas", "-0.5,x"], "bad --lambdas value: could not convert string to float: 'x'"),
+    (["--lambdas"], "argument --lambdas: expected one argument"),
+    (["--lambdas", "--out", "x.json"], "argument --lambdas: expected one argument"),
+], ids=["option-like", "bad-token", "no-value", "option-after"])
+def test_lambdas_without_a_value_usage_error(write_config, capsys, lambdas, message):
     cfg = write_config()
     assert run(["monitor", "--config", cfg, *lambdas]) == 2
     record = json.loads(capsys.readouterr().out)
-    assert record["error"] == {"type": "usage-error",
-                               "message": "argument --lambdas: expected one argument"}
+    assert record["error"] == {"type": "usage-error", "message": message}
+
+
+_LAMBDA_TOKENS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr), st.floats().map(repr),
+    st.sampled_from(["-0", "-0.5", "-1", "0", "0.3", "-", "-x", "x", "", " ", "nan", "-inf", "1e"]),
+    st.text(max_size=3))
+_LAMBDA_VALUES = st.one_of(
+    st.lists(_LAMBDA_TOKENS, max_size=4).map(",".join),
+    st.text(alphabet=", -", max_size=4)).filter(lambda value: not value.startswith("--"))
+
+
+@pytest.fixture(scope="module")
+def monitor_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("monitor") / "config.json"
+    path.write_text(json.dumps({"dims": {"dx": 4, "dz": 4},
+                                "state": {"kind": "coherent", "alpha": 0.5, "tail_tol": 1e-2}}))
+    return str(path)
+
+
+def _monitor(config: str, *lambdas: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["monitor", "--config", config, *lambdas])
+    return code, out.getvalue()
+
+
+# A separate value and a joined one are one argument: same exit code, same output.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_LAMBDA_VALUES)
+@example(value="-0.5,,1")
+@example(value="-1,")
+def test_separate_lambdas_value_reads_as_joined(monitor_config, value):
+    assert _monitor(monitor_config, "--lambdas", value) == _monitor(monitor_config, f"--lambdas={value}")
 
 
 def test_lambdas_of_only_separators_usage_error(write_config, capsys):
@@ -597,7 +636,8 @@ def test_every_documented_field_is_accepted(write_config, tmp_path):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _COMPLEX = st.one_of(_FINITE, st.fixed_dictionaries({"re": _FINITE, "im": _FINITE}))
-_OPTIONAL = {"tail_tol": _FINITE, "dephase": _FINITE}
+# An optional field may be null, which is no number either.
+_OPTIONAL = {"tail_tol": st.one_of(_FINITE, st.none()), "dephase": st.one_of(_FINITE, st.none())}
 _STATES = st.one_of(
     st.fixed_dictionaries({"kind": st.just("fock"), "n": st.integers(-2 ** 63, 2 ** 63 - 1)},
                           optional=_OPTIONAL),
@@ -653,7 +693,7 @@ _OUT_TARGETS = st.sampled_from(["file", "", "missing-dir", "temp-dir"])
 _INDEX = _mostly(st.integers(0, 6), st.integers(-2 ** 70, 2 ** 70))
 _LAMBDAS = _mostly(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(sorted).map(
     lambda lams: ",".join(map(repr, lams))),
-    st.lists(st.one_of(_FINITE.map(repr), st.sampled_from(["nan", "-inf", "x", ""])),
+    st.lists(st.one_of(_FINITE.map(repr), st.sampled_from(["nan", "-inf", "x", "", "-x", "-0.5", "-"])),
              max_size=4).map(",".join))
 
 

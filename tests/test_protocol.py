@@ -644,6 +644,22 @@ class TestSliceEngine:
         assert report.metrics["max_abs_error"] <= 1e-9
         assert peak < 16 * (3 * d * d) * d
 
+    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+    def test_full_mixed_block_stays_below_six_slice_tensors(self, v_mode):
+        # a mixed input runs each schedule on its d basis columns, one (3, d, d, d) complex
+        # slice tensor; a full block peaks below six of them, room for a sweep that keeps
+        # the U_00 image, a node per ladder, a cell's copy and a readout temporary live
+        d = 12
+        phi = thermal(0.5, d, tail_tol=1e-3)
+        tracemalloc.start()
+        try:
+            report = reconstruct(phi, shifter_reach(d, v_mode), ProtocolSettings(d, v_mode=v_mode))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.metrics["max_abs_error"] <= 1e-9
+        assert peak < 6 * 16 * 3 * d ** 3
+
     def test_builds_no_dense_operator(self):
         # the only cache in the package is the bounded beam-splitter block cache, and a
         # reconstruct in both modes plus a sampled cell at d = 24 (N = 1728) peaks far

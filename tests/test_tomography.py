@@ -11,7 +11,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import cli, tomography
-from iontomo.protocol import ProtocolSettings, measure_element, shifter_reach
+from iontomo.hilbert import MINUS, PLUS
+from iontomo.protocol import (
+    ProtocolSettings,
+    _sample_reduced,
+    _slice_reduced,
+    measure_element,
+    shifter_reach,
+    u00_schedule,
+    v_minus_schedule,
+    v_plus_schedule,
+)
+from iontomo.pulses import act_pulse
 from iontomo.states import coherent, dephase, fock, thermal
 from iontomo.tomography import (
     decoherence_monitor,
@@ -393,3 +404,52 @@ class TestOneCellEntry:
         # the three cells of one lambda read the same dephased state
         states = [state for state, _, _ in calls]
         assert all(states[3 * i] is states[3 * i + 1] is states[3 * i + 2] for i in range(len(lams)))
+
+
+def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
+    """Cell (m, n) run on its own, built here: U_00 and both shifters on the input's columns."""
+    d = settings.d
+    columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
+                     else (np.eye(d), phi.matrix))
+    w = np.zeros((3, d, d, columns.shape[1]), dtype=complex)
+    w[MINUS, :, 0] = columns
+    for spec in u00_schedule(settings.compat_rminus_final):
+        act_pulse(spec, w)
+    if settings.v_mode == "ideal":
+        w[MINUS] = np.roll(w[MINUS], m, axis=1)
+        w[PLUS] = np.roll(w[PLUS], n, axis=0)
+    else:
+        for spec in v_minus_schedule(m) + v_plus_schedule(n):
+            act_pulse(spec, w)
+    w = w.reshape(3, d * d, -1)
+    if settings.shots is None:
+        return complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0
+    est = _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+    return est.value, est.stderr
+
+
+# Every cell of a block or a monitor is, bit for bit, the run of that cell alone, so a
+# sweep that shares work between cells must keep each cell's operations and their order.
+@pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "sampled"])
+@pytest.mark.parametrize("compat", [False, True], ids=["plain", "compat"])
+@pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
+@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_cells_are_bitwise_per_cell_runs(mixed, d, v_mode, compat, shots):
+    settings = ProtocolSettings(d, v_mode=v_mode, shots=shots, seed=3, compat_rminus_final=compat)
+    phi = coherent(0.7 - 0.4j, d, tail_tol=1e-3)
+    phi = dephase(phi, 0.2) if mixed else phi
+    nmax = shifter_reach(d, v_mode)
+    cells = {(m, n): _per_cell(phi, m, n, settings) for m in range(nmax + 1) for n in range(nmax + 1)}
+    for symmetric in (False, True):
+        report = reconstruct(phi, nmax, settings, use_hermitian_symmetry=symmetric)
+        for (m, n), (value, stderr) in cells.items():
+            if symmetric and n < m:
+                value, stderr = np.conj(cells[n, m][0]), cells[n, m][1]
+            assert report.estimates[m, n] == value and report.stderrs[m, n] == stderr, (m, n)
+    lams = [0.0, 0.5]
+    for lam, point in zip(lams, decoherence_monitor(phi, lams, settings)):
+        r20, r00, r22 = (_per_cell(dephase(phi, lam), m, n, settings)[0]
+                         for m, n in ((2, 0), (0, 0), (2, 2)))
+        assert point.rho20_abs == abs(r20)
+        assert point.bound == float(np.sqrt(max(r00.real, 0.0) * max(r22.real, 0.0)))
