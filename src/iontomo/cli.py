@@ -38,7 +38,7 @@ class UsageError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Bad or missing config field."""
+    """A config of the wrong form; a well-formed value that the library rejects stays its ValueError."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +215,13 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
 
 def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings:
     shots = _field(cfg, "shots")
-    try:
-        return protocol.ProtocolSettings(
-            d=d,
-            v_mode=_field(cfg, "v_mode", default="ideal"),
-            shots=None if shots is None else _as_int(shots, "shots"),
-            seed=_field(cfg, "seed", _as_int, 0),
-            compat_rminus_final=compat,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return protocol.ProtocolSettings(
+        d=d,
+        v_mode=_field(cfg, "v_mode", default="ideal"),
+        shots=None if shots is None else _as_int(shots, "shots"),
+        seed=_field(cfg, "seed", _as_int, 0),
+        compat_rminus_final=compat,
+    )
 
 
 def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
@@ -402,12 +399,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="iontomo",
+    parser = _Parser(prog="iontomo", allow_abbrev=False,
                      description="Vibrational density-matrix tomography, element by element.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("reconstruct", cmd_reconstruct), ("coherence", cmd_coherence),
                      ("monitor", cmd_monitor), ("validate", cmd_validate)):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])

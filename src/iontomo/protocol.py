@@ -48,6 +48,11 @@ _OBSERVABLES = {
     "y": (1, np.array([1.0, -1.0j, 0.0]) / _SQRT2, np.array([1.0, 1.0j, 0.0]) / _SQRT2),
 }
 
+# U_00's two electronic rotations: the {-, xi} pulse that opens it, and the {+, xi} pulse
+# that turns |xi> into the bright state |alpha> and, last, |alpha> back into |+>.
+SPLIT = PulseSpec("erot", ("-", "xi"), None, QUARTER_PI)
+BRIGHT = PulseSpec("erot", ("+", "xi"), None, -QUARTER_PI)
+
 # The pi/2 vibrational rotation: on the bright branch it swaps the contents of modes x and z.
 MODE_SWAP = PulseSpec("vrot", ("+", "xi"), None, HALF_PI)
 
@@ -117,16 +122,7 @@ def u00_schedule(compat_rminus_final: bool = False) -> list[PulseSpec]:
     compat variant instead repeats the opening {-, xi} pulse, leaves bright
     population on |xi>, and is kept only as a regression reference.
     """
-    schedule = [
-        PulseSpec("erot", ("-", "xi"), None, QUARTER_PI),
-        PulseSpec("erot", ("+", "xi"), None, -QUARTER_PI),
-        MODE_SWAP,
-    ]
-    if compat_rminus_final:
-        schedule.append(PulseSpec("erot", ("-", "xi"), None, QUARTER_PI))
-    else:
-        schedule.append(PulseSpec("erot", ("+", "xi"), None, -QUARTER_PI))
-    return schedule
+    return [SPLIT, BRIGHT, MODE_SWAP, SPLIT if compat_rminus_final else BRIGHT]
 
 
 def shifter_reach(cutoff: int, v_mode: str) -> int:

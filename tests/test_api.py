@@ -26,6 +26,7 @@ from iontomo import (
     squeezed,
     thermal,
 )
+from util import subcommand_parsers
 
 PUBLIC = {
     "TruncationLeakageError",
@@ -43,6 +44,22 @@ def test_public_names_are_pinned():
     exported = {name for name, obj in vars(iontomo).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
+
+
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--out", "--format", "--compat-rminus-final"}
+CLI_OPTIONS = {
+    "reconstruct": _COMMON_OPTIONS | {"--use-hermitian-symmetry"},
+    "coherence": _COMMON_OPTIONS | {"--m", "--n"},
+    "monitor": _COMMON_OPTIONS | {"--lambdas"},
+    "validate": _COMMON_OPTIONS,
+}
+
+
+def test_cli_options_are_pinned():
+    # options are spelled in full, so these are each subcommand's only spellings; a new
+    # option is a new knob of the command line, and says so here
+    options = {name: set(parser._option_string_actions) for name, parser in subcommand_parsers().items()}
+    assert options == CLI_OPTIONS
 
 
 PHI = fock(0, 4)

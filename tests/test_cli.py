@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from iontomo import pulses, tomography
 from iontomo.cli import ConfigError, build_dims, build_settings, main, stable_json
+from util import subcommand_parsers
 
 RHO10_COH08 = 0.42183393923443885
 
@@ -373,15 +374,18 @@ class TestConfigAndErrors:
 _UNEQUAL = r"protocol requires equal mode cutoffs \(the rotation maps x-support onto z\)"
 
 
-# build_dims reads the config's JSON; ProtocolSettings, built from its d next, owns d >= 2
-@pytest.mark.parametrize("dx,dz,message", [
-    (1, 4, _UNEQUAL), (4, 1, _UNEQUAL), (0, 0, "Fock cutoff must be >= 2, got d=0"),
-    (1, 1, "Fock cutoff must be >= 2, got d=1"),
+# build_dims reads the config's JSON; ProtocolSettings, built from its d next, owns d >= 2,
+# and its ValueError reaches the caller as it is
+@pytest.mark.parametrize("dx,dz,error,message", [
+    (1, 4, ConfigError, _UNEQUAL), (4, 1, ConfigError, _UNEQUAL),
+    (0, 0, ValueError, "Fock cutoff must be >= 2, got d=0"),
+    (1, 1, ValueError, "Fock cutoff must be >= 2, got d=1"),
 ], ids=["1-4", "4-1", "0-0", "1-1"])
-def test_build_dims_rejects_tiny_cutoffs(dx, dz, message):
+def test_build_dims_rejects_tiny_cutoffs(dx, dz, error, message):
     cfg = {"dims": {"dx": dx, "dz": dz}}
-    with pytest.raises(ConfigError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
         build_settings(cfg, build_dims(cfg), False)
+    assert type(caught.value) is error
 
 
 def test_build_dims_rejects_unequal_cutoffs():
@@ -436,6 +440,36 @@ def test_bad_number_is_config_error(tmp_path, capsys, state, path, literal):
     assert ".".join(path) in record["error"]["message"]
 
 
+# One well-formed but out-of-range value per config field the library checks: (id, config
+# overrides on a d = 6 Fock config, the library's message). The config's form is right, so
+# the library's ValueError is the record: invalid-arguments, never config-error.
+LIBRARY_REJECTS = [
+    ("dims", {"dims": {"dx": 1, "dz": 1}}, "Fock cutoff must be >= 2, got d=1"),
+    ("v_mode", {"v_mode": "x"}, "v_mode must be 'ideal' or 'compiled', got 'x'"),
+    ("shots", {"shots": 0}, "shots must be >= 1 (or None for exact mode)"),
+    ("seed", {"seed": -1}, "seed must be a nonnegative integer"),
+    ("nmax", {"nmax": 9}, "nmax = 9 out of the ideal shifter reach 0..5 at d=6"),
+    ("state.n", {"state": {"kind": "fock", "n": 9}}, "Fock index 9 out of range for dim 6"),
+    ("state.nbar", {"state": {"kind": "thermal", "nbar": -1}}, "mean occupation nbar must be >= 0"),
+    ("state.r", {"state": {"kind": "squeezed", "r": -1}}, "squeezing magnitude r must be >= 0"),
+    ("state.tail_tol", {"state": {"kind": "coherent", "alpha": 0.3, "tail_tol": 0}},
+     "tail_tol must be a positive number, got 0.0"),
+    ("state.dephase", {"state": {"kind": "fock", "n": 0, "dephase": -1}},
+     "dephasing strength lam must be >= 0, got -1.0"),
+    ("state.parity", {"state": {"kind": "cat", "alpha": 0.3, "parity": 3}},
+     "parity must be 'even' or 'odd', got 3"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", [case[1:] for case in LIBRARY_REJECTS],
+                         ids=[case[0] for case in LIBRARY_REJECTS])
+def test_library_rejected_value_is_invalid_arguments(write_config, capsys, overrides, message):
+    cfg = write_config(**{"dims": {"dx": 6, "dz": 6}, "state": {"kind": "fock", "n": 0}, **overrides})
+    assert run(["reconstruct", "--config", cfg]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "invalid-arguments", "message": message}
+
+
 @pytest.mark.parametrize("lambdas,message", [
     ("nan", "lambdas[0] must be finite, got nan"),
     ("0,inf", "lambdas[1] must be finite, got inf"),
@@ -448,19 +482,57 @@ def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, l
     assert record["error"] == {"type": "invalid-arguments", "message": message}
 
 
+_NO_LAMBDAS = "the following arguments are required: --lambdas"
+
+
 # The token after --lambdas is its value unless it is a '--' option, so a list that starts
-# with '-' reaches the lambdas parser, which names its bad token.
+# with '-' reaches the lambdas parser, which names its bad token. A prefix of --lambdas is
+# not --lambdas, joined or separate, whatever its value.
 @pytest.mark.parametrize("lambdas,message", [
     (["--lambdas", "-x"], "bad --lambdas value: could not convert string to float: '-x'"),
     (["--lambdas", "-0.5,x"], "bad --lambdas value: could not convert string to float: 'x'"),
     (["--lambdas"], "argument --lambdas: expected one argument"),
     (["--lambdas", "--out", "x.json"], "argument --lambdas: expected one argument"),
-], ids=["option-like", "bad-token", "no-value", "option-after"])
+    (["--lamb", "-0.5,,1"], _NO_LAMBDAS), (["--lamb", "0.3"], _NO_LAMBDAS), (["--lamb=0.3"], _NO_LAMBDAS),
+], ids=["option-like", "bad-token", "no-value", "option-after", "prefix-bad", "prefix", "prefix-joined"])
 def test_lambdas_without_a_value_usage_error(write_config, capsys, lambdas, message):
     cfg = write_config()
     assert run(["monitor", "--config", cfg, *lambdas]) == 2
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == {"type": "usage-error", "message": message}
+
+
+# Options are spelled in full: every proper prefix (three characters or more) of a long
+# option that is not itself an option is a usage error, given the value its option takes
+# and every other required option, so that only the spelling is under test.
+def _prefix_runs():
+    for command, parser in subcommand_parsers().items():
+        options = parser._option_string_actions
+        for option, action in options.items():
+            for prefix in (option[:end] for end in range(3, len(option))):
+                if option.startswith("--") and prefix not in options:
+                    yield command, option, prefix
+
+
+PREFIX_RUNS = list(_prefix_runs())
+
+
+@pytest.mark.parametrize("command,option,prefix", PREFIX_RUNS,
+                         ids=[f"{command}:{prefix}-of-{option}" for command, option, prefix in PREFIX_RUNS])
+def test_option_prefix_is_usage_error(write_config, tmp_path, capsys, command, option, prefix):
+    values = {"--config": write_config(dims={"dx": 3, "dz": 3}, state={"kind": "fock", "n": 0}, nmax=0),
+              "--out": str(tmp_path / "out.json"), "--format": "json", "--lambdas": "0.3",
+              "--m": "0", "--n": "0"}
+    actions = subcommand_parsers()[command]._option_string_actions
+    argv = [command]
+    for other in values:
+        if other != option and other in actions and actions[other].required:
+            argv += [other, values[other]]
+    argv += [prefix, values[option]] if actions[option].nargs != 0 else [prefix]
+    assert run(argv) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"]["type"] == "usage-error"
+    assert not (tmp_path / "out.json").exists()
 
 
 _LAMBDA_TOKENS = st.one_of(

@@ -445,6 +445,22 @@ class TestSampling:
                            for seed in range(400)])
         assert 0.9 <= mean_sq / per_shot <= 1.1
 
+    @pytest.mark.parametrize("phi", [coherent(0.6 + 0.3j, 5, tail_tol=1e-2), thermal(0.4, 5, tail_tol=1e-1)],
+                             ids=["coherent", "thermal"])
+    def test_errors_match_their_stderrs(self, phi):
+        # each estimate's squared error over its own stderr^2 averages 1 over seeds 0-199 and
+        # every cell m, n <= 2: a biased estimate or a wrong stderr moves the mean (measured
+        # 1.02 coherent and 1.00 thermal, with a standard error of 0.024 each)
+        cells = [(m, n) for m in range(3) for n in range(3)]
+        exact = {cell: measure_element(phi, *cell, ProtocolSettings(5)).value for cell in cells}
+        ratios = []
+        for seed in range(200):
+            settings = ProtocolSettings(5, shots=1000, seed=seed)
+            for cell in cells:
+                est = measure_element(phi, *cell, settings)
+                ratios.append(abs(est.value - exact[cell]) ** 2 / est.stderr ** 2)
+        assert 0.85 <= np.mean(ratios) <= 1.15
+
     def test_converges_to_exact(self):
         phi = coherent(0.8, 8, tail_tol=1e-5)
         exact = measure_element(phi, 1, 0, SETTINGS).value

@@ -2,11 +2,15 @@
 
 expm_taylor and the random matrices are kept independent of the package's own
 linear algebra paths; tensor, act and full_action run the engine's pulse actions
-on flat composite-space vectors, for comparison with the dense oracle.
+on flat composite-space vectors, for comparison with the dense oracle;
+subcommand_parsers reads the CLI's options off its own parser.
 """
+
+import argparse
 
 import numpy as np
 
+from iontomo.cli import _build_parser
 from iontomo.pulses import act_pulse
 
 # <2| rho |0> of the coherent state alpha = 0.8: exp(-0.64) * 0.64 / sqrt(2)
@@ -59,3 +63,10 @@ def full_action(spec, dims) -> np.ndarray:
     """The N x N matrix of act_pulse, one basis column at a time."""
     n = 3 * dims[0] * dims[1]
     return act_pulse(spec, np.eye(n, dtype=complex).reshape(3, *dims, n)).reshape(n, n)
+
+
+def subcommand_parsers() -> dict:
+    """Each CLI subcommand's name and its argparse parser, as the CLI builds them."""
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
