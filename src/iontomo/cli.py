@@ -164,7 +164,17 @@ def _as_complex(value, where: str) -> complex:
         return complex(_as_float(value, where))
     if set(value) != {"re", "im"}:
         raise ConfigError(f"field '{where}' must be a finite number or an {{re, im}} pair, got {value!r}")
-    return complex(_as_float(value["re"], where), _as_float(value["im"], where))
+    return complex(_as_float(value["re"], f"{where}.re"), _as_float(value["im"], f"{where}.im"))
+
+
+def _argv_number(convert, what: str):
+    """An argparse type: the token read as JSON and checked by convert, as the config reads a number."""
+    def read(token: str):
+        try:
+            return convert(json.loads(token), token)
+        except ValueError:  # not JSON, or JSON that convert rejects
+            raise argparse.ArgumentTypeError(f"{token!r} is not {what}") from None
+    return read
 
 
 def build_dims(cfg: dict) -> int:
@@ -207,7 +217,7 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
         values = _field(spec, "state.amplitudes", required=True)
         if not isinstance(values, list):
             raise ConfigError("state.amplitudes must be a list")
-        amps = [_as_complex(v, "state.amplitudes") for v in values]
+        amps = [_as_complex(v, f"state.amplitudes[{i}]") for i, v in enumerate(values)]
         state = from_amplitudes(amps, d)
     lam = _field(spec, "state.dephase", _as_float)
     return state if lam is None else dephase(state, lam)
@@ -296,17 +306,9 @@ def cmd_coherence(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     return _emit(args, payload, ["m", "n", "re", "im", "stderr", "shots"], rows)
 
 
-def _parse_lambdas(raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad --lambdas value: {exc}") from exc
-
-
 def cmd_monitor(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
-    lambdas = _parse_lambdas(args.lambdas)
     phi = build_state(cfg, settings.d)
-    points = tomography.decoherence_monitor(phi, lambdas, settings)
+    points = tomography.decoherence_monitor(phi, args.lambdas, settings)
     payload = {
         "series": [{"lambda": p.lam, "rho20_abs": p.rho20_abs, "bound": p.bound}
                    for p in points],
@@ -378,16 +380,11 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
 def cmd_validate(cfg: dict, settings: protocol.ProtocolSettings, args) -> int:
     schedules = _schedules(settings)
     checks = _validate_checks(settings, schedules)
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"{status} {c['name']} (deviation {c['deviation']:.3e}, tolerance {c['tolerance']:.1e})")
-    all_passed = all(c["passed"] for c in checks)
-    if args.out is not None:
-        payload = {"checks": checks, "passed": all_passed, "schedules": schedules,
-                   "settings": _settings_echo(settings)}
-        rows = [[c["name"], c["passed"], c["deviation"], c["tolerance"]] for c in checks]
-        _emit(args, payload, ["name", "passed", "deviation", "tolerance"], rows)
-    return 0 if all_passed else 1
+    payload = {"checks": checks, "passed": all(c["passed"] for c in checks), "schedules": schedules,
+               "settings": _settings_echo(settings)}
+    rows = [[c["name"], c["passed"], c["deviation"], c["tolerance"]] for c in checks]
+    _emit(args, payload, ["name", "passed", "deviation", "tolerance"], rows)
+    return 0 if payload["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +410,12 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=fn)
     sub.choices["reconstruct"].add_argument("--use-hermitian-symmetry", action="store_true",
                                             help="fill the lower triangle from conjugates instead of measuring")
-    sub.choices["coherence"].add_argument("--m", type=int, required=True)
-    sub.choices["coherence"].add_argument("--n", type=int, required=True)
-    sub.choices["monitor"].add_argument("--lambdas", required=True,
-                                        help="comma-separated dephasing strengths")
+    integer = _argv_number(_as_int, "a JSON integer in the int64 range")
+    real = _argv_number(_as_float, "a finite JSON number")
+    sub.choices["coherence"].add_argument("--m", type=integer, required=True)
+    sub.choices["coherence"].add_argument("--n", type=integer, required=True)
+    sub.choices["monitor"].add_argument("--lambdas", type=lambda text: [real(tok) for tok in text.split(",")],
+                                        required=True, help="comma-separated dephasing strengths")
     return parser
 
 
@@ -433,8 +432,8 @@ def _join_lambdas(argv: list[str]) -> list[str]:
 
     argparse reads a separate value that starts with '-' and is not a plain
     negative number, such as '-0.5,1' or '-0.5,,1', as an option; joined, every
-    such list reaches _parse_lambdas as '--lambdas=X' would, and a bad token is
-    named there. A '--' option after '--lambdas' is never taken for its value.
+    such list reaches the --lambdas reader as '--lambdas=X' would, which names
+    a bad token. A '--' option after '--lambdas' is never taken for its value.
     """
     joined = []
     for token in argv:

@@ -1,4 +1,4 @@
-"""A fault catalogue: plausible one-line engine bugs, each expected to fail a property test.
+"""A fault catalogue: plausible one-line bugs, each expected to fail a property test.
 
 The golden byte comparison (test_golden.py) catches any fault that moves an
 output, but it cannot say which property broke, and every regeneration of the
@@ -108,6 +108,15 @@ CATALOGUE = [
           "shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(w) + 1)",
           "shifts = (np.cumsum(desc) - np.trace(herm).real) / np.arange(1, len(w) + 1)",
           "tests/test_tomography.py::TestProjectPhysical::test_output_always_valid"),
+    Fault("argv-number-float-fallback", "cli.py",
+          "raise argparse.ArgumentTypeError(f\"{token!r} is not {what}\") from None",
+          "return convert(float(token), token)",
+          "tests/test_cli.py::test_argv_number_reads_as_the_config_reads_it"),
+    Fault("validate-emits-only-to-out", "cli.py",
+          "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
+          "if args.out is not None: "
+          "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
+          "tests/test_cli.py::test_output_follows_out_and_format"),
 ]
 
 

@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -136,9 +135,6 @@ def dump(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # the difference report
 
-_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
 def _flat_json(node, path: str, out: dict) -> None:
     """Leaves of a parsed JSON document, by path with list indices collapsed to []."""
     if isinstance(node, dict):
@@ -152,10 +148,7 @@ def _flat_json(node, path: str, out: dict) -> None:
 
 
 def _fields(text: str, where: str) -> dict:
-    """The fields of one output: JSON leaves, CSV columns, or the numbers of each text line.
-
-    A text line's field is the line with its numbers replaced by '#'.
-    """
+    """The fields of one output: JSON leaves or CSV columns; other text has none, so it is shown whole."""
     out: dict = {}
     try:
         _flat_json(json.loads(text), where, out)
@@ -167,9 +160,6 @@ def _fields(text: str, where: str) -> dict:
         for row in csv.DictReader(lines):
             for key, value in row.items():
                 out.setdefault(f"{where}.{key}", []).append(_parsed(value))
-        return out
-    for line in lines:
-        out[f"{where} {_NUMBER.sub('#', line)!r}"] = [float(x) for x in _NUMBER.findall(line)]
     return out
 
 
