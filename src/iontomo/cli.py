@@ -122,6 +122,8 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: "
                           f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests its JSON too deeply to read") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(cfg, _TOP_FIELDS)
@@ -174,6 +176,8 @@ def _argv_number(convert, what: str):
             return convert(json.loads(token), token)
         except ValueError:  # not JSON, or JSON that convert rejects
             raise argparse.ArgumentTypeError(f"{token!r} is not {what}") from None
+        except RecursionError:  # the token itself may be too long to echo
+            raise argparse.ArgumentTypeError(f"a token nests its JSON too deeply to be {what}") from None
     return read
 
 

@@ -16,18 +16,23 @@ the x mode of the |+> branch from |0> to |n>, each acting as the identity on
 the other branch.
 
 Both modes keep the same Fock cutoff d, since U_00 maps the x-support onto z.
-A run (measure_element, the one cell entry) applies the cell's pulse schedule
-in closed form (pulses.act_pulse) to a (3, d, d, r) tensor of the input's own
-columns (r = 1 for a pure input, d for a mixed one) and reads the element out
-of its |-> and |+> blocks, with no operator on the composite space
-(dimension N = 3 d^2). The identity checks at the end of this module (mode
-swap, entangled target, compiled vs ideal shifters, pulse unitarity) run on
-the same actions; the validate subcommand and the acceptance tests share them.
+A run applies its cell's pulse schedule in closed form (pulses.act_pulse) to a
+(3, d, d, r) tensor of the input's own columns (r = 1 for a pure input, d for
+a mixed one) and reads the element out of its |-> and |+> blocks, with no
+operator on the composite space (dimension N = 3 d^2). A set of cells of one
+input is one sweep (_cell_images): U_00 runs once, and the cells share the
+prefixes of their shifter ladders, each cell still running its own run's
+operations in its own run's order; measure_element is its one-cell case. The
+identity checks at the end of this module (mode swap, entangled target,
+compiled vs ideal shifters, pulse unitarity) run on the same actions; the
+validate subcommand and the acceptance tests share them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,34 +152,53 @@ def check_reach(k: int, settings: ProtocolSettings, what: str) -> None:
                          f"at d={settings.d}")
 
 
-def _ladder_schedule(k: int, levels: tuple[str, str], mode: str) -> list[PulseSpec]:
+# The two branch shifters, by the sector each lifts: V-_m moves mode z (axis 1 of a sector) of
+# the |-> branch, V+_n mode x (axis 0) of the |+> branch. Per branch: that axis, and the level
+# pair and mode its compiled ladder drives.
+_SHIFTERS = {MINUS: (1, ("-", "xi"), "z"), PLUS: (0, ("+", "xi"), "x")}
+
+
+def _ladder_step(j: int, branch: int) -> PulseSpec:
+    """Sideband pi-pulse j of the branch's compiled ladder: it takes |j> to |j+1>.
+
+    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j):
+    blue (ajc) at laser phase pi/2 on even j, red (jc) at 3*pi/2 on odd j.
+    """
+    _, levels, mode = _SHIFTERS[branch]
+    area = HALF_PI / sideband_coupling(j)
+    if j % 2 == 0:
+        return PulseSpec("ajc", levels, mode, area, HALF_PI)
+    return PulseSpec("jc", levels, mode, area, 3.0 * HALF_PI)
+
+
+def _closing_carrier(branch: int) -> PulseSpec:
+    """The carrier pi-pulse that ends the branch's ladder to an odd target, at laser phase 3*pi/2."""
+    _, levels, mode = _SHIFTERS[branch]
+    return PulseSpec("carrier", levels, mode, HALF_PI, 3.0 * HALF_PI)
+
+
+def _ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     """Alternating blue/red sideband pi-pulses climbing |0> -> |k> on one branch.
 
-    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j). The
-    laser phases (pi/2 on the blue steps, 3*pi/2 on the red steps and the odd
-    closing carrier) cancel the factor i that each resonant pi-pulse would
-    otherwise contribute, leaving every step with coefficient exactly +1.
+    The k steps (_ladder_step) leave an odd k on the other level of the pair,
+    and the closing carrier (_closing_carrier) brings it back. The laser
+    phases cancel the factor i that each resonant pi-pulse would otherwise
+    contribute, so every step's coefficient is +1 up to rounding: the phases
+    enter through np.exp(1j * phase), whose real part at pi/2 is 6.1e-17, not
+    0, so V+_1 leaves |0> -> |1> with coefficient 1 - 1.2e-16 i.
     """
-    schedule = []
-    for j in range(k):
-        area = HALF_PI / sideband_coupling(j)
-        if j % 2 == 0:
-            schedule.append(PulseSpec("ajc", levels, mode, area, HALF_PI))
-        else:
-            schedule.append(PulseSpec("jc", levels, mode, area, 3.0 * HALF_PI))
-    if k % 2 == 1:
-        schedule.append(PulseSpec("carrier", levels, mode, HALF_PI, 3.0 * HALF_PI))
-    return schedule
+    closing = [_closing_carrier(branch)] if k % 2 == 1 else []
+    return [_ladder_step(j, branch) for j in range(k)] + closing
 
 
 def v_plus_schedule(n: int) -> list[PulseSpec]:
     """Pulse list realizing V+_n on the {+, xi} pair and mode x."""
-    return _ladder_schedule(n, ("+", "xi"), "x")
+    return _ladder_schedule(n, PLUS)
 
 
 def v_minus_schedule(m: int) -> list[PulseSpec]:
     """Pulse list realizing V-_m on the {-, xi} pair and mode z."""
-    return _ladder_schedule(m, ("-", "xi"), "z")
+    return _ladder_schedule(m, MINUS)
 
 
 def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
@@ -233,40 +257,106 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     return CoherenceEstimate(value, stderr)
 
 
-def _shift_ideal(w: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Ideal V+_n V-_m in place on a (3, dx, dz, r) tensor; return it.
+def _lift(w: np.ndarray, branch: int, start: int, stop: int, v_mode: str) -> np.ndarray:
+    """Advance the branch's shifter in place on a (3, dx, dz, r) tensor from target start to stop; return it.
 
-    Moves the Fock index cyclically: z of the |-> sector by m, x of the |+>
-    sector by n. On the protocol's states (z vacuum in the |-> branch, x
-    vacuum in the |+> branch) this is the exact shift; the cycle is one
-    permutation completing it to a unitary, and any completion gives the
-    same observables.
+    The ideal shifter rolls its sector's Fock index by stop - start: the exact
+    shift on the protocol's states (z vacuum in the |-> branch, x vacuum in
+    the |+> branch), completed to a unitary by the cycle; any completion gives
+    the same observables. The compiled one runs ladder steps start..stop-1
+    and leaves an odd target's closing carrier to _close.
     """
-    w[MINUS] = np.roll(w[MINUS], m, axis=1)
-    w[PLUS] = np.roll(w[PLUS], n, axis=0)
+    if v_mode == "compiled":
+        for j in range(start, stop):
+            act_pulse(_ladder_step(j, branch), w)
+    elif stop != start:
+        w[branch] = np.roll(w[branch], stop - start, axis=_SHIFTERS[branch][0])
     return w
 
 
-def _shift_compiled(w: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Compiled V+_n V-_m in place on a (3, dx, dz, r) tensor: the V-_m, then the V+_n ladder."""
-    for spec in v_minus_schedule(m) + v_plus_schedule(n):
-        act_pulse(spec, w)
+def _close(w: np.ndarray, branch: int, k: int, v_mode: str) -> np.ndarray:
+    """End the branch's shifter at target k in place: a compiled ladder to an odd k takes its closing carrier."""
+    if v_mode == "compiled" and k % 2 == 1:
+        act_pulse(_closing_carrier(branch), w)
     return w
+
+
+def _shift(w: np.ndarray, m: int, n: int, v_mode: str) -> np.ndarray:
+    """V+_n V-_m of the given shifter mode in place on a (3, dx, dz, r) tensor; return it."""
+    for branch, k in ((MINUS, m), (PLUS, n)):
+        _close(_lift(w, branch, 0, k, v_mode), branch, k, v_mode)
+    return w
+
+
+def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
+                 columns: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Stream (m, n, W) over a set of cells, W = U_mn |->C|0>_z a (3, d, d, r) tensor.
+
+    C is the complex (d, r) matrix of input columns. Every U_mn = V+_n V-_m U_00
+    opens with U_00, and the ladder to target k+1 is the ladder to k plus one
+    step. So U_00 runs once, and its image, the V- node, takes the V- steps
+    once down the rows; a row copies the node, closes it at its m and takes
+    the V+ steps once across the row; a cell copies the row's node and adds
+    its own closing carrier. Each cell runs its own run's operations in their
+    order, so W is bit for bit its own run's. The cells come once each, in
+    ascending (m, n).
+
+    The rows and the cells reuse one buffer each, and the last cell runs on
+    the U_00 image itself, so one cell copies nothing. Live at once, however
+    many cells: the V- node, the row's node, the cell's and a pulse's or the
+    readout's temporaries, four to five (3, d, d, r) tensors. W is the next
+    cell's buffer too: read it out before drawing the next cell.
+    """
+    for m, n in cells:
+        check_reach(m, settings, "target m")
+        check_reach(n, settings, "target n")
+    cells = sorted(set(cells))
+    d, v_mode = settings.d, settings.v_mode
+    node = np.zeros((ELECTRONIC_DIM, d, d, columns.shape[1]), dtype=complex)
+    node[MINUS, :, 0] = columns
+    for spec in u00_schedule(settings.compat_rminus_final):
+        act_pulse(spec, node)
+    last = cells[-1]
+    row = np.empty_like(node) if cells[0][0] != last[0] else None
+    cell = np.empty_like(node) if len(cells) > 1 else None
+    node_m = 0
+    for m, row_cells in itertools.groupby(cells, key=lambda cell: cell[0]):
+        _lift(node, MINUS, node_m, m, v_mode)
+        node_m = m
+        if m == last[0]:
+            row = node
+        else:
+            np.copyto(row, node)
+        _close(row, MINUS, m, v_mode)
+        row_n = 0
+        for _, n in row_cells:
+            _lift(row, PLUS, row_n, n, v_mode)
+            row_n = n
+            if (m, n) == last:
+                cell = row
+            else:
+                np.copyto(cell, row)
+            yield m, n, _close(cell, PLUS, n, v_mode)
 
 
 def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarray) -> np.ndarray:
-    """U_mn on mode-x inputs: a (3, d, d, r) tensor whose column j is U_mn |->|c_j>_x|0>_z.
+    """U_mn on mode-x inputs, the (3, d, d, r) W of one cell: the one-cell case of _cell_images."""
+    [(_, _, w)] = _cell_images([(m, n)], settings, columns)
+    return w
 
-    Runs the cell's entangler, then its shifters, on the complex (d, r) columns c_j.
+
+def _run_inputs(phi: VibrationalState, settings: ProtocolSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The columns C and Gram matrix G, rho_vibr = C G C^dag, that a run reads phi through.
+
+    A pure phi is its amplitude column with G = [[1]], a mixed phi the d basis
+    columns with G = rho_vibr. phi was checked when it was built; only its
+    dimension is checked here.
     """
-    d = settings.d
-    check_reach(m, settings, "target m")
-    check_reach(n, settings, "target n")
-    w = np.zeros((ELECTRONIC_DIM, d, d, columns.shape[1]), dtype=complex)
-    w[MINUS, :, 0] = columns
-    for spec in u00_schedule(settings.compat_rminus_final):
-        act_pulse(spec, w)
-    return (_shift_ideal if settings.v_mode == "ideal" else _shift_compiled)(w, m, n)
+    if phi.dim != settings.d:
+        raise ValueError(f"vibrational state dim {phi.dim} != d {settings.d}")
+    if phi.is_pure:
+        return phi.amplitudes[:, None], np.ones((1, 1))
+    return np.eye(settings.d), phi.matrix
 
 
 def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -274,29 +364,31 @@ def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("avk,bvk->ab", w @ gram, w.conj())
 
 
+def _read_out(w: np.ndarray, gram: np.ndarray, m: int, n: int,
+              settings: ProtocolSettings) -> CoherenceEstimate:
+    """The estimate of cell (m, n) from its images W = U_mn |->C|0>_z and the input's Gram matrix G.
+
+    With row blocks W_a = <a|W, the transformed state's block <a|rho|b> is
+    W_a G W_b^dag. Exact mode returns <sigma_x> - i <sigma_y> =
+    2 Tr_v(W_+ G W_-^dag); sampled mode samples from Tr_v(W_a G W_b^dag)
+    (_sample_reduced) on the cell's own streams.
+    """
+    w = w.reshape(ELECTRONIC_DIM, settings.d ** 2, -1)
+    if settings.shots is None:
+        return CoherenceEstimate(complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0)
+    return _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+
+
 def measure_element(phi: VibrationalState, m: int, n: int,
                     settings: ProtocolSettings) -> CoherenceEstimate:
     """One protocol run on the input phi: read out <m| rho_vibr |n>.
 
-    phi was checked as a state, its truncation leakage included, when it was
-    built; here only its dimension is checked against d. With rho_vibr =
-    C G C^dag (a pure phi: its amplitude column and G = [[1]]; a mixed phi:
-    the d basis columns and G = rho_vibr) the run needs only the images
-    W = U_mn |->C|0>_z (_slice_images), with row blocks W_a = <a|W, and the
-    transformed state's block <a|rho|b> is W_a G W_b^dag. Exact mode returns
-    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag), sampled mode samples from
-    Tr_v(W_a G W_b^dag) (_sample_reduced). Each cell runs its full schedule.
+    The one-cell case of a sweep: phi's columns C and Gram matrix G
+    (_run_inputs), the cell's images W = U_mn |->C|0>_z (_cell_images), and
+    their readout (_read_out).
     """
-    d = settings.d
-    if phi.dim != d:
-        raise ValueError(f"vibrational state dim {phi.dim} != d {d}")
-    columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
-                     else (np.eye(d), phi.matrix))
-    w = _slice_images(m, n, settings, columns).reshape(ELECTRONIC_DIM, d * d, -1)
-    if settings.shots is None:
-        value = 2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)
-        return CoherenceEstimate(complex(value), 0.0)
-    return _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+    columns, gram = _run_inputs(phi, settings)
+    return _read_out(_slice_images(m, n, settings, columns), gram, m, n, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +448,7 @@ def shifter_deviation(k: int, states: np.ndarray) -> float:
             w[PLUS, 0] = states[PLUS, 0]
         else:
             w[MINUS, :, 0] = states[MINUS, :, 0]
-        dev = max(dev, _max_column_norm(_shift_compiled(w.copy(), m, n) - _shift_ideal(w, m, n)))
+        dev = max(dev, _max_column_norm(_shift(w.copy(), m, n, "compiled") - _shift(w, m, n, "ideal")))
     return dev
 
 

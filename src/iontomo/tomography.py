@@ -1,11 +1,13 @@
 """Element-by-element reconstruction, physical projection, and quality metrics.
 
-reconstruct() sweeps a square block of matrix elements, one independent
-protocol run (protocol.measure_element) per cell; by default no hermiticity
-shortcut is taken, so the (n, m) cell really is measured through its own
-composed unitary rather than copied from the conjugate of (m, n).
-decoherence_monitor() is the three-element use case: it tracks |rho_20|
-against sqrt(rho_00 rho_22) without ever filling the full block.
+reconstruct() measures a square block of matrix elements in one sweep of
+protocol runs (protocol._cell_images), which shares U_00 and the shifter
+ladder prefixes between cells while every cell stays, bit for bit, its own
+run; by default no hermiticity shortcut is taken, so the (n, m) cell really
+is measured through its own composed unitary rather than copied from the
+conjugate of (m, n). decoherence_monitor() is the three-element use case: it
+tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling the full
+block, and builds the images of its three cells once for all its points.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolSettings, check_reach, measure_element
+from .protocol import ProtocolSettings, _cell_images, _read_out, _run_inputs, check_reach
 from .states import VibrationalState, check_real, dephase
 
 
@@ -83,26 +85,29 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
                 use_hermitian_symmetry: bool = False) -> ReconstructionReport:
     """Measure every matrix element of the (nmax+1)-square block of rho_vibr.
 
-    Each cell is one full protocol run. With use_hermitian_symmetry the lower
-    triangle is filled from the conjugate upper triangle instead of being
-    measured, halving the work at the cost of no longer exercising the
-    element-independence property. The flag must be a bool.
+    Each cell is one full protocol run; the block's runs are one sweep
+    (protocol._cell_images) that yields every cell bit for bit as its own run
+    would. With use_hermitian_symmetry only the cells n >= m are measured and
+    the lower triangle is filled from the conjugate upper triangle, halving
+    the work at the cost of no longer exercising the element-independence
+    property. The flag must be a bool.
     """
     if not isinstance(use_hermitian_symmetry, bool):
         raise ValueError(f"use_hermitian_symmetry must be a bool, got {use_hermitian_symmetry!r}")
     check_reach(nmax, settings, "nmax")
     size = nmax + 1
+    columns, gram = _run_inputs(phi, settings)
+    cells = [(m, n) for m in range(size) for n in range(m if use_hermitian_symmetry else 0, size)]
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
-    for m in range(size):
-        for n in range(size):
-            if use_hermitian_symmetry and n < m:
-                estimates[m, n] = np.conj(estimates[n, m])
-                stderrs[m, n] = stderrs[n, m]
-                continue
-            est = measure_element(phi, m, n, settings)
-            estimates[m, n] = est.value
-            stderrs[m, n] = est.stderr
+    for m, n, w in _cell_images(cells, settings, columns):
+        est = _read_out(w, gram, m, n, settings)
+        estimates[m, n] = est.value
+        stderrs[m, n] = est.stderr
+    if use_hermitian_symmetry:
+        lower = np.tril_indices(size, -1)
+        estimates[lower] = estimates.T[lower].conj()
+        stderrs[lower] = stderrs.T[lower]
     truth = phi.density_matrix()[:size, :size]
     metrics = {
         "max_abs_error": float(np.max(np.abs(estimates - truth))),
@@ -128,6 +133,9 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
 
     For each lambda the input is dephased once, and exactly three elements
     are measured, each by its own protocol run: (2, 0), (0, 0) and (2, 2).
+    A dephased input is mixed, read through the d basis columns whatever
+    lambda is, so the three cells' images are built once (protocol._cell_images)
+    and each is read out against every point's dephased matrix.
     For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
     equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
     the sampler (common random numbers), so the populations (0, 0) and
@@ -144,11 +152,13 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
     check_reach(2, settings, "monitor target m")
+    grams = [_run_inputs(dephase(phi, lam), settings)[1] for lam in lambdas]
+    values = [{} for _ in lambdas]
+    for m, n, w in _cell_images([(2, 0), (0, 0), (2, 2)], settings, np.eye(settings.d)):
+        for cells, gram in zip(values, grams):
+            cells[m, n] = _read_out(w, gram, m, n, settings).value
     points = []
-    for lam in lambdas:
-        dephased = dephase(phi, lam)
-        r20, r00, r22 = (measure_element(dephased, m, n, settings)
-                         for m, n in ((2, 0), (0, 0), (2, 2)))
-        bound = float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0)))
-        points.append(MonitorPoint(lam, abs(r20.value), bound))
+    for lam, cells in zip(lambdas, values):
+        bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))
+        points.append(MonitorPoint(lam, abs(cells[2, 0]), bound))
     return points

@@ -51,8 +51,8 @@ class Fault:
 
 CATALOGUE = [
     Fault("closing-carrier-phase", "protocol.py",
-          "schedule.append(PulseSpec(\"carrier\", levels, mode, HALF_PI, 3.0 * HALF_PI))",
-          "schedule.append(PulseSpec(\"carrier\", levels, mode, HALF_PI, HALF_PI))",
+          "return PulseSpec(\"carrier\", levels, mode, HALF_PI, 3.0 * HALF_PI)",
+          "return PulseSpec(\"carrier\", levels, mode, HALF_PI, HALF_PI)",
           "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
     Fault("unclipped-probabilities", "protocol.py",
           "clipped = np.clip(p, 0.0, 1.0)",
@@ -71,8 +71,8 @@ CATALOGUE = [
           "return float(np.max(np.abs(np.linalg.eigvalsh(diff))))",
           "tests/test_tomography.py::TestDistances::test_diagonal_is_half_l1_distance"),
     Fault("monitor-bound-unclipped", "tomography.py",
-          "bound = float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0)))",
-          "bound = float(np.sqrt(abs(r00.value.real) * abs(r22.value.real)))",
+          "bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))",
+          "bound = float(np.sqrt(abs(cells[0, 0].real) * abs(cells[2, 2].real)))",
           "tests/test_tomography.py::TestDecoherenceMonitor::test_bound_clips_negative_sampled_population"),
     Fault("stream-key-n-m", "protocol.py",
           "rng = np.random.default_rng([int(seed), int(m), int(n), tag])",
@@ -89,9 +89,26 @@ CATALOGUE = [
           "state[XI] = (dark - bright) / math.sqrt(2.0)",
           "tests/test_pulses.py::TestVibrationalRotation::test_swaps_bright_branch"),
     Fault("shift-ideal-m-n-swapped", "protocol.py",
-          "def _shift_ideal(w: np.ndarray, m: int, n: int) -> np.ndarray:",
-          "def _shift_ideal(w: np.ndarray, n: int, m: int) -> np.ndarray:",
+          "for branch, k in ((MINUS, m), (PLUS, n)):",
+          "for branch, k in ((MINUS, n), (PLUS, m)):",
           "tests/test_protocol.py::TestIdealShifters::test_matches_loop_reference"),
+    # The sweep (protocol._cell_images): every cell must stay, bit for bit, its own run.
+    Fault("row-node-is-the-v-minus-node", "protocol.py",
+          "np.copyto(row, node)",
+          "row = node",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("closing-carrier-on-the-row-node", "protocol.py",
+          "yield m, n, _close(cell, PLUS, n, v_mode)",
+          "yield m, n, _close(row, PLUS, n, v_mode)",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("v-minus-node-restarts-each-row", "protocol.py",
+          "node_m = m",
+          "node_m = 0",
+          "tests/test_tomography.py::TestReconstruct::test_cells_equal_per_cell_runs"),
+    Fault("monitor-reads-a-cell-on-its-transpose-stream", "tomography.py",
+          "cells[m, n] = _read_out(w, gram, m, n, settings).value",
+          "cells[m, n] = _read_out(w, gram, n, m, settings).value",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("xi-outcome-dropped", "protocol.py",
           "red[XI, XI].real,",
           "0.0,",

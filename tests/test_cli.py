@@ -301,6 +301,17 @@ class TestConfigAndErrors:
         assert record["error"]["type"] == "config-error"
         assert "line" in record["error"]["message"]
 
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        # JSON nested past the interpreter's recursion limit is a form the config reader
+        # cannot take, not an internal error
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"dims": ' + "[" * depth + "]" * depth + ', "state": {"kind": "fock", "n": 0}}')
+        assert run(["reconstruct", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"] == {"type": "config-error",
+                                   "message": f"config {path} nests its JSON too deeply to read"}
+
     def test_missing_field_named(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"state": {"kind": "fock", "n": 0}}))
@@ -490,6 +501,21 @@ def test_nonfinite_lambda_rejected_before_linear_algebra(write_config, capsys, l
     assert run(["monitor", "--config", cfg, "--lambdas", lambdas]) == code
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == {"type": kind, "message": message}
+
+
+@pytest.mark.parametrize("option,token,what", [
+    ("--lambdas", "[" * 100_000, "a finite JSON number"),
+    ("--lambdas", "0.5," + "[" * 100_000 + "]" * 100_000, "a finite JSON number"),
+    ("--m", "[" * 100_000, "a JSON integer in the int64 range"),
+], ids=["lambdas-open", "lambdas-closed", "m-open"])
+def test_deeply_nested_argv_number_is_a_usage_error(write_config, capsys, option, token, what):
+    # an argv number is read as JSON, and JSON nested too deeply to read is malformed argv
+    cfg = write_config()
+    command = ["monitor", "--config", cfg] if option == "--lambdas" else ["coherence", "--config", cfg, "--n", "0"]
+    assert run([*command, option, token]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "usage-error",
+                               "message": f"argument {option}: a token nests its JSON too deeply to be {what}"}
 
 
 _NO_LAMBDAS = "the following arguments are required: --lambdas"

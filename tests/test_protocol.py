@@ -21,8 +21,7 @@ from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
     ProtocolSettings,
     _sample_reduced,
-    _shift_compiled,
-    _shift_ideal,
+    _shift,
     _slice_images,
     _slice_reduced,
     entangled_target_deviation,
@@ -137,25 +136,25 @@ class TestIdealShifters:
 
     def test_zero_shift_identity_slice(self):
         src = tensor(oracle.basis(DIMS, PLUS, 0, 3), DIMS)
-        assert np.array_equal(_shift_ideal(src.copy(), 0, 0), src)
+        assert np.array_equal(_shift(src.copy(), 0, 0, "ideal"), src)
 
     def test_plus_shifts_x_vacuum(self):
-        out = _shift_ideal(tensor(oracle.basis(DIMS, PLUS, 0, 1), DIMS), 0, 2)  # chi = fock(1)
+        out = _shift(tensor(oracle.basis(DIMS, PLUS, 0, 1), DIMS), 0, 2, "ideal")  # chi = fock(1)
         assert np.linalg.norm(out.reshape(-1) - oracle.basis(DIMS, PLUS, 2, 1)) < 1e-14
 
     def test_minus_commutes_with_plus_projector(self):
         # V-_3 neither moves |+> content nor lets |-> content reach the |+> sector
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 8, 8, 4)) + 1j * rng.normal(size=(3, 8, 8, 4))
-        out = _shift_ideal(state.copy(), 3, 0)
+        out = _shift(state.copy(), 3, 0, "ideal")
         assert np.array_equal(out[PLUS], state[PLUS])
         only_minus = state.copy()
         only_minus[PLUS] = only_minus[XI] = 0.0
-        assert np.max(np.abs(_shift_ideal(only_minus, 3, 0)[PLUS])) == 0.0
+        assert np.max(np.abs(_shift(only_minus, 3, 0, "ideal")[PLUS])) == 0.0
 
     def test_minus_identity_on_plus_sector(self):
         src = tensor(oracle.basis(DIMS, PLUS, 3, 1), DIMS)
-        assert np.array_equal(_shift_ideal(src.copy(), 2, 0), src)
+        assert np.array_equal(_shift(src.copy(), 2, 0, "ideal"), src)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -185,7 +184,7 @@ class TestIdealShifters:
                 if completion == "cycle":
                     m, n = (0, k) if sector == PLUS else (k, 0)
                     eye = np.eye(oracle.size(dims), dtype=complex).reshape(3, 5, 5, -1)
-                    rolled = _shift_ideal(eye, m, n).reshape(oracle.size(dims), -1)
+                    rolled = _shift(eye, m, n, "ideal").reshape(oracle.size(dims), -1)
                     assert np.array_equal(rolled, ref)
 
 
@@ -196,7 +195,7 @@ class TestCompiledShifters:
         assert v_plus_schedule(0) == []
         rng = np.random.default_rng(1)
         state = rng.normal(size=(3, 8, 8, 2)) + 1j * rng.normal(size=(3, 8, 8, 2))
-        assert np.array_equal(_shift_compiled(state.copy(), 0, 0), state)
+        assert np.array_equal(_shift(state.copy(), 0, 0, "compiled"), state)
 
     def test_schedule_lengths(self):
         # n sideband pulses, plus a closing carrier when n is odd
@@ -209,14 +208,14 @@ class TestCompiledShifters:
         src = np.zeros(N, dtype=complex)
         for k in range(8):
             src[oracle.index(DIMS, PLUS, 0, k)] = chi.amplitudes[k]
-        compiled = _shift_compiled(tensor(src, DIMS), 0, 1)
-        ideal = _shift_ideal(tensor(src, DIMS), 0, 1)
+        compiled = _shift(tensor(src, DIMS), 0, 1, "compiled")
+        ideal = _shift(tensor(src, DIMS), 0, 1, "ideal")
         assert np.linalg.norm(compiled - ideal) < 1e-12
 
     def test_minus_sector_invariance(self):
         # V+_2 leaves every |-> state in place and sends nothing into the |-> sector
         eye = np.eye(N, dtype=complex).reshape(3, 8, 8, -1)
-        v = _shift_compiled(eye, 0, 2).reshape(N, -1)
+        v = _shift(eye, 0, 2, "compiled").reshape(N, -1)
         proj = oracle.electronic(MINUS, MINUS, DIMS)
         assert np.max(np.abs(v @ proj - proj @ v)) <= 1e-10
 
@@ -229,13 +228,13 @@ class TestCompiledShifters:
         for j in range(8):
             src[oracle.index(DIMS, PLUS, 0, j)] = chi_vec[j]
             tgt[oracle.index(DIMS, PLUS, k, j)] = chi_vec[j]
-        assert np.linalg.norm(_shift_compiled(tensor(src, DIMS), 0, k).reshape(-1) - tgt) < 1e-10
+        assert np.linalg.norm(_shift(tensor(src, DIMS), 0, k, "compiled").reshape(-1) - tgt) < 1e-10
         src = np.zeros(N, dtype=complex)
         tgt = np.zeros(N, dtype=complex)
         for j in range(8):
             src[oracle.index(DIMS, MINUS, j, 0)] = chi_vec[j]
             tgt[oracle.index(DIMS, MINUS, j, k)] = chi_vec[j]
-        assert np.linalg.norm(_shift_compiled(tensor(src, DIMS), k, 0).reshape(-1) - tgt) < 1e-10
+        assert np.linalg.norm(_shift(tensor(src, DIMS), k, 0, "compiled").reshape(-1) - tgt) < 1e-10
 
     def test_ladder_areas_are_pi_pulses_at_the_sideband_coupling(self):
         # step j drives the doublet |j>, |j+1> at sideband_coupling(j) = sqrt(j+1)
@@ -376,7 +375,7 @@ class TestBranchIsolation:
             v[oracle.index(DIMS, PLUS, 0, 2)] = 1 / math.sqrt(2)
             return tensor(v, DIMS)
 
-        outs = [_shift_compiled(make_state(zq), 0, 2).reshape(-1) for zq in (0, 1)]
+        outs = [_shift(make_state(zq), 0, 2, "compiled").reshape(-1) for zq in (0, 1)]
         plus_and_xi = slice(D * D, 3 * D * D)
         assert np.linalg.norm(outs[0][plus_and_xi] - outs[1][plus_and_xi]) < 1e-12
         # and the minus branch itself is untouched
@@ -390,7 +389,7 @@ class TestBranchIsolation:
             v[oracle.index(DIMS, PLUS, xq, 2)] = 1 / math.sqrt(2)
             return tensor(v, DIMS)
 
-        outs = [_shift_compiled(make_state(xq), 2, 0).reshape(-1) for xq in (0, 3)]
+        outs = [_shift(make_state(xq), 2, 0, "compiled").reshape(-1) for xq in (0, 3)]
         minus_slice = slice(0, D * D)
         assert np.linalg.norm(outs[0][minus_slice] - outs[1][minus_slice]) < 1e-12
 
@@ -660,12 +659,12 @@ class TestSliceEngine:
         assert report.metrics["max_abs_error"] <= 1e-9
         assert peak < 16 * (3 * d * d) * d
 
-    @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
-    def test_full_mixed_block_stays_below_six_slice_tensors(self, v_mode):
+    @pytest.mark.parametrize("v_mode,d", [("ideal", 12), ("compiled", 12), ("ideal", 30), ("compiled", 30)],
+                             ids=["ideal", "compiled", "ideal-d30", "compiled-d30"])
+    def test_full_mixed_block_stays_below_six_slice_tensors(self, v_mode, d):
         # a mixed input runs each schedule on its d basis columns, one (3, d, d, d) complex
-        # slice tensor; a full block peaks below six of them, room for a sweep that keeps
-        # the U_00 image, a node per ladder, a cell's copy and a readout temporary live
-        d = 12
+        # slice tensor; a full block peaks below six of them: the sweep keeps the V- node,
+        # a row's node, a cell's copy and a pulse's or the readout's temporaries live
         phi = thermal(0.5, d, tail_tol=1e-3)
         tracemalloc.start()
         try:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iontomo import cli, tomography
+from iontomo import cli, protocol, tomography
 from iontomo.hilbert import MINUS, PLUS
 from iontomo.protocol import (
     ProtocolSettings,
@@ -372,17 +372,25 @@ class TestDecoherenceMonitor:
 
 
 class TestOneCellEntry:
-    """Every cell a sweep measures goes through protocol.measure_element, one call per cell."""
+    """A block or a monitor is one protocol._cell_images sweep, and each of its cells' images
+    is read out (protocol._read_out) once per input."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = []
+        seen = {"sweeps": [], "images": [], "reads": []}
 
-        def counted(phi, m, n, settings):
-            seen.append((phi, m, n))
-            return measure_element(phi, m, n, settings)
+        def sweep(cells, settings, columns):
+            seen["sweeps"].append((list(cells), columns))
+            for m, n, w in protocol._cell_images(cells, settings, columns):
+                seen["images"].append((m, n, w.copy()))
+                yield m, n, w
 
-        monkeypatch.setattr(tomography, "measure_element", counted)
+        def read_out(w, gram, m, n, settings):
+            seen["reads"].append((m, n, w.copy(), gram))
+            return protocol._read_out(w, gram, m, n, settings)
+
+        monkeypatch.setattr(tomography, "_cell_images", sweep)
+        monkeypatch.setattr(tomography, "_read_out", read_out)
         return seen
 
     @pytest.mark.parametrize("nmax", [0, 3])
@@ -392,18 +400,37 @@ class TestOneCellEntry:
         reconstruct(phi, nmax, SETTINGS, use_hermitian_symmetry=symmetric)
         size = nmax + 1
         expected = [(m, n) for m in range(size) for n in range(size) if not symmetric or n >= m]
-        assert len(calls) == (size * (size + 1) // 2 if symmetric else size ** 2)
-        assert [(m, n) for _, m, n in calls] == expected
-        assert all(state is phi for state, _, _ in calls)
+        assert len(expected) == (size * (size + 1) // 2 if symmetric else size ** 2)
+        # one sweep over exactly the expected cells, on the input's basis columns
+        [(cells, columns)] = calls["sweeps"]
+        assert cells == expected
+        assert np.array_equal(columns, np.eye(8))
+        assert [(m, n) for m, n, _ in calls["images"]] == expected
+        # each image read out once, as it came, against the input's density matrix
+        assert len(calls["reads"]) == len(expected)
+        for (m, n, image), (rm, rn, w, gram) in zip(calls["images"], calls["reads"]):
+            assert (rm, rn) == (m, n)
+            assert np.array_equal(w, image)
+            assert gram is phi.matrix
 
     def test_monitor_measures_three_cells_per_lambda(self, calls):
         lams = [0.0, 0.3, 0.6, 1.0]
-        decoherence_monitor(coherent(0.8, 8, tail_tol=1e-5), lams, SETTINGS)
-        assert len(calls) == 3 * len(lams)
-        assert [(m, n) for _, m, n in calls] == [(2, 0), (0, 0), (2, 2)] * len(lams)
-        # the three cells of one lambda read the same dephased state
-        states = [state for state, _, _ in calls]
-        assert all(states[3 * i] is states[3 * i + 1] is states[3 * i + 2] for i in range(len(lams)))
+        phi = coherent(0.8, 8, tail_tol=1e-5)
+        decoherence_monitor(phi, lams, SETTINGS)
+        # one sweep builds the three cells' images once, on the d basis columns
+        [(cells, columns)] = calls["sweeps"]
+        assert sorted(cells) == [(0, 0), (2, 0), (2, 2)]
+        assert np.array_equal(columns, np.eye(8))
+        images = {(m, n): image for m, n, image in calls["images"]}
+        assert len(images) == len(calls["images"]) == 3
+        # every lambda reads the same image of each cell, once, against its own dephased matrix
+        assert len(calls["reads"]) == 3 * len(lams)
+        for cell, image in images.items():
+            reads = [(w, gram) for m, n, w, gram in calls["reads"] if (m, n) == cell]
+            assert len(reads) == len(lams)
+            for (w, gram), lam in zip(reads, lams):
+                assert np.array_equal(w, image)
+                assert np.array_equal(gram, dephase(phi, lam).matrix)
 
 
 def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
