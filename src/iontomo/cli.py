@@ -117,13 +117,15 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, object_pairs_hook=_unique_fields)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: "
                           f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ConfigError(f"config {path} nests its JSON too deeply to read") from None
+    except ConfigError:  # a duplicate field, named by _unique_fields
+        raise
+    except (OSError, ValueError) as exc:  # no such file, bytes that are not UTF-8, an integer too long
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(cfg, _TOP_FIELDS)

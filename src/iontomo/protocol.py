@@ -20,9 +20,11 @@ A run applies its cell's pulse schedule in closed form (pulses.act_pulse) to a
 (3, d, d, r) tensor of the input's own columns (r = 1 for a pure input, d for
 a mixed one) and reads the element out of its |-> and |+> blocks, with no
 operator on the composite space (dimension N = 3 d^2). A set of cells of one
-input is one sweep (_cell_images): U_00 runs once, and the cells share the
-prefixes of their shifter ladders, each cell still running its own run's
-operations in its own run's order; measure_element is its one-cell case. The
+input is one sweep (_cell_images): U_00 runs once, and one walker (_ladder)
+climbs the V- ladder down the rows and each row's V+ ladder across it,
+closing each ladder's last target in place, so a row's last cell and a
+one-cell run copy nothing. Each cell still runs its own run's operations in
+its own run's order; measure_element is the one-cell case. The
 identity checks at the end of this module (mode swap, entangled target,
 compiled vs ideal shifters, pulse unitarity) run on the same actions; the
 validate subcommand and the acceptance tests share them.
@@ -30,7 +32,6 @@ validate subcommand and the acceptance tests share them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -257,34 +258,42 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     return CoherenceEstimate(value, stderr)
 
 
-def _lift(w: np.ndarray, branch: int, start: int, stop: int, v_mode: str) -> np.ndarray:
-    """Advance the branch's shifter in place on a (3, dx, dz, r) tensor from target start to stop; return it.
+def _ladder(w: np.ndarray, branch: int, targets: list[int],
+            v_mode: str) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (k, the branch's shifter to k applied to w) over ascending distinct targets k.
 
-    The ideal shifter rolls its sector's Fock index by stop - start: the exact
-    shift on the protocol's states (z vacuum in the |-> branch, x vacuum in
-    the |+> branch), completed to a unitary by the cycle; any completion gives
-    the same observables. The compiled one runs ladder steps start..stop-1
-    and leaves an odd target's closing carrier to _close.
+    The ideal shifter rolls its sector's Fock index: the exact shift on the
+    protocol's states (z vacuum in the |-> branch, x vacuum in the |+>
+    branch), completed to a unitary by the cycle; any completion gives the
+    same observables. The compiled one runs ladder steps 0..k-1, and an odd
+    target takes its closing carrier. The ladder to k+1 is the ladder to k
+    plus one step, so w climbs once, in place. Each target but the last is
+    closed in one reused copy of w, the next target's copy too, so use it
+    before drawing the next; the last is closed in w itself, so one target
+    copies nothing.
     """
-    if v_mode == "compiled":
-        for j in range(start, stop):
-            act_pulse(_ladder_step(j, branch), w)
-    elif stop != start:
-        w[branch] = np.roll(w[branch], stop - start, axis=_SHIFTERS[branch][0])
-    return w
-
-
-def _close(w: np.ndarray, branch: int, k: int, v_mode: str) -> np.ndarray:
-    """End the branch's shifter at target k in place: a compiled ladder to an odd k takes its closing carrier."""
-    if v_mode == "compiled" and k % 2 == 1:
-        act_pulse(_closing_carrier(branch), w)
-    return w
+    copy = np.empty_like(w) if len(targets) > 1 else None
+    done = 0
+    for k in targets:
+        if v_mode == "compiled":
+            for j in range(done, k):
+                act_pulse(_ladder_step(j, branch), w)
+        elif k != done:
+            w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0])
+        done = k
+        out = w
+        if k != targets[-1]:
+            np.copyto(copy, w)
+            out = copy
+        if v_mode == "compiled" and k % 2 == 1:
+            act_pulse(_closing_carrier(branch), out)
+        yield k, out
 
 
 def _shift(w: np.ndarray, m: int, n: int, v_mode: str) -> np.ndarray:
     """V+_n V-_m of the given shifter mode in place on a (3, dx, dz, r) tensor; return it."""
     for branch, k in ((MINUS, m), (PLUS, n)):
-        _close(_lift(w, branch, 0, k, v_mode), branch, k, v_mode)
+        [(_, w)] = _ladder(w, branch, [k], v_mode)
     return w
 
 
@@ -293,50 +302,31 @@ def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
     """Stream (m, n, W) over a set of cells, W = U_mn |->C|0>_z a (3, d, d, r) tensor.
 
     C is the complex (d, r) matrix of input columns. Every U_mn = V+_n V-_m U_00
-    opens with U_00, and the ladder to target k+1 is the ladder to k plus one
-    step. So U_00 runs once, and its image, the V- node, takes the V- steps
-    once down the rows; a row copies the node, closes it at its m and takes
-    the V+ steps once across the row; a cell copies the row's node and adds
-    its own closing carrier. Each cell runs its own run's operations in their
-    order, so W is bit for bit its own run's. The cells come once each, in
-    ascending (m, n).
+    opens with U_00, so U_00 runs once; its image climbs the V- ladder down
+    the rows (_ladder), and each row's image climbs the V+ ladder across the
+    row. Each ladder closes every target but its last in one reused copy and
+    the last in place, so a row's last cell and a one-cell sweep copy
+    nothing. Each cell runs its own run's operations in their order, so W is
+    bit for bit its own run's. The cells come once each, in ascending (m, n).
 
-    The rows and the cells reuse one buffer each, and the last cell runs on
-    the U_00 image itself, so one cell copies nothing. Live at once, however
-    many cells: the V- node, the row's node, the cell's and a pulse's or the
-    readout's temporaries, four to five (3, d, d, r) tensors. W is the next
-    cell's buffer too: read it out before drawing the next cell.
+    Live at once, however many cells: U_00's image, a row's copy, a cell's
+    copy and a pulse's or the readout's temporaries, four to five
+    (3, d, d, r) tensors. W is the next cell's buffer too: read it out before
+    drawing the next cell.
     """
     for m, n in cells:
         check_reach(m, settings, "target m")
         check_reach(n, settings, "target n")
-    cells = sorted(set(cells))
-    d, v_mode = settings.d, settings.v_mode
-    node = np.zeros((ELECTRONIC_DIM, d, d, columns.shape[1]), dtype=complex)
-    node[MINUS, :, 0] = columns
+    ns: dict[int, list[int]] = {}
+    for m, n in sorted(set(cells)):
+        ns.setdefault(m, []).append(n)
+    w = np.zeros((ELECTRONIC_DIM, settings.d, settings.d, columns.shape[1]), dtype=complex)
+    w[MINUS, :, 0] = columns
     for spec in u00_schedule(settings.compat_rminus_final):
-        act_pulse(spec, node)
-    last = cells[-1]
-    row = np.empty_like(node) if cells[0][0] != last[0] else None
-    cell = np.empty_like(node) if len(cells) > 1 else None
-    node_m = 0
-    for m, row_cells in itertools.groupby(cells, key=lambda cell: cell[0]):
-        _lift(node, MINUS, node_m, m, v_mode)
-        node_m = m
-        if m == last[0]:
-            row = node
-        else:
-            np.copyto(row, node)
-        _close(row, MINUS, m, v_mode)
-        row_n = 0
-        for _, n in row_cells:
-            _lift(row, PLUS, row_n, n, v_mode)
-            row_n = n
-            if (m, n) == last:
-                cell = row
-            else:
-                np.copyto(cell, row)
-            yield m, n, _close(cell, PLUS, n, v_mode)
+        act_pulse(spec, w)
+    for m, row in _ladder(w, MINUS, list(ns), settings.v_mode):
+        for n, cell in _ladder(row, PLUS, ns[m], settings.v_mode):
+            yield m, n, cell
 
 
 def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ On top of these sit the electronic rotations R^l(theta) = exp(i theta sigma_y)
 on the {l, xi} pair and the two-mode vibrational rotation generated by
 L_y = i (a-dag_x a_z - a-dag_z a_x) gated by the {+, xi} sigma_x. The sign
 and scale of L_y are fixed operationally: exp(i (pi/2) L_y) maps |n>_x|0>_z to
-|0>_x|n>_z with coefficient exactly +1 for every n below the cutoff. Pulse
+|0>_x|n>_z with coefficient +1, to rounding, for every n below the cutoff
+(protocol.mode_swap_deviation: 6.7e-16 at d = 6, 1.8e-15 at d = 40). Pulse
 areas are dimensionless: the coupling constant and duration enter only
 through angle = gamma * t, so no physical rates are modeled.
 
@@ -123,6 +124,10 @@ def _ly_blocks(theta: float, dx: int, dz: int) -> tuple:
     min(dx, dz) states. i L_y is real antisymmetric, so each exponential is a
     real orthogonal matrix and exp(-i theta L_y) is its transpose. The blocks
     hold O(d^3) numbers in all.
+
+    The cache serves the mode swaps that repeat one (theta, dx, dz). A
+    reconstruct, monitor or coherence run builds U_00 once, so it misses once
+    and never hits; validate's identity checks hit it 4 times in 5 calls.
     """
     blocks = []
     for k in range(dx + dz - 1):

@@ -3,8 +3,9 @@
 reconstruct() measures a square block of matrix elements in one sweep of
 protocol runs (protocol._cell_images), which shares U_00 and the shifter
 ladder prefixes between cells while every cell stays, bit for bit, its own
-run; by default no hermiticity shortcut is taken, so the (n, m) cell really
-is measured through its own composed unitary rather than copied from the
+run, and copies a row's image only for the cells before its last; by
+default no hermiticity shortcut is taken, so the (n, m) cell really is
+measured through its own composed unitary rather than copied from the
 conjugate of (m, n). decoherence_monitor() is the three-element use case: it
 tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling the full
 block, and builds the images of its three cells once for all its points.

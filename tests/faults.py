@@ -92,19 +92,24 @@ CATALOGUE = [
           "for branch, k in ((MINUS, m), (PLUS, n)):",
           "for branch, k in ((MINUS, n), (PLUS, m)):",
           "tests/test_protocol.py::TestIdealShifters::test_matches_loop_reference"),
-    # The sweep (protocol._cell_images): every cell must stay, bit for bit, its own run.
+    # The sweep (protocol._ladder, walked by _cell_images): every cell must stay, bit for bit,
+    # its own run.
     Fault("row-node-is-the-v-minus-node", "protocol.py",
-          "np.copyto(row, node)",
-          "row = node",
+          "out = copy",
+          "out = w",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("closing-carrier-on-the-row-node", "protocol.py",
-          "yield m, n, _close(cell, PLUS, n, v_mode)",
-          "yield m, n, _close(row, PLUS, n, v_mode)",
+          "act_pulse(_closing_carrier(branch), out)",
+          "act_pulse(_closing_carrier(branch), w)",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("v-minus-node-restarts-each-row", "protocol.py",
-          "node_m = m",
-          "node_m = 0",
+          "done = k",
+          "done = 0",
           "tests/test_tomography.py::TestReconstruct::test_cells_equal_per_cell_runs"),
+    Fault("ladder-copy-never-refreshed", "protocol.py",
+          "np.copyto(copy, w)",
+          "pass",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("monitor-reads-a-cell-on-its-transpose-stream", "tomography.py",
           "cells[m, n] = _read_out(w, gram, m, n, settings).value",
           "cells[m, n] = _read_out(w, gram, n, m, settings).value",

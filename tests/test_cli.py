@@ -312,6 +312,22 @@ class TestConfigAndErrors:
         assert record["error"] == {"type": "config-error",
                                    "message": f"config {path} nests its JSON too deeply to read"}
 
+    # bytes the UTF-8 reader rejects, and an integer past the interpreter's 4,300-digit
+    # conversion limit, are configs the reader cannot take, not arguments the library rejects
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"dims": {"dx": 8, "dz": 8}, "state": {"kind": "fock", "n": 0}, "note": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff"),
+        (b'{"dims": {"dx": 8, "dz": 8}, "state": {"kind": "fock", "n": 0}, "seed": ' + b"1" * 5001 + b"}",
+         "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "5001-digit-integer"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert run(["reconstruct", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config-error"
+        assert record["error"]["message"].startswith(f"cannot read config {path}: {reason}")
+
     def test_missing_field_named(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"state": {"kind": "fock", "n": 0}}))

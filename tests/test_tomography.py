@@ -433,11 +433,9 @@ class TestOneCellEntry:
                 assert np.array_equal(gram, dephase(phi, lam).matrix)
 
 
-def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
-    """Cell (m, n) run on its own, built here: U_00 and both shifters on the input's columns."""
+def _own_image(columns, m, n, settings) -> np.ndarray:
+    """The images W of cell (m, n) run on its own, built here: U_00 and both shifters on the columns."""
     d = settings.d
-    columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
-                     else (np.eye(d), phi.matrix))
     w = np.zeros((3, d, d, columns.shape[1]), dtype=complex)
     w[MINUS, :, 0] = columns
     for spec in u00_schedule(settings.compat_rminus_final):
@@ -448,7 +446,15 @@ def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
     else:
         for spec in v_minus_schedule(m) + v_plus_schedule(n):
             act_pulse(spec, w)
-    w = w.reshape(3, d * d, -1)
+    return w
+
+
+def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
+    """Cell (m, n) run on its own, built here (_own_image), and read out."""
+    d = settings.d
+    columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
+                     else (np.eye(d), phi.matrix))
+    w = _own_image(columns, m, n, settings).reshape(3, d * d, -1)
     if settings.shots is None:
         return complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0
     est = _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
@@ -480,3 +486,25 @@ def test_cells_are_bitwise_per_cell_runs(mixed, d, v_mode, compat, shots):
                          for m, n in ((2, 0), (0, 0), (2, 2)))
         assert point.rho20_abs == abs(r20)
         assert point.bound == float(np.sqrt(max(r00.real, 0.0) * max(r22.real, 0.0)))
+
+
+# Any set of cells, unsorted, repeated, with gaps in m and n and one-cell rows, is one sweep:
+# each distinct cell comes once, in ascending (m, n), with its own run's images bit for bit.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(3, 7), v_mode=st.sampled_from(["ideal", "compiled"]),
+       compat=st.booleans(), mixed=st.booleans())
+def test_any_cell_set_is_its_cells_own_runs(data, d, v_mode, compat, mixed):
+    run = ProtocolSettings(d, v_mode=v_mode, compat_rminus_final=compat)
+    target = st.integers(0, shifter_reach(d, v_mode))
+    cells = data.draw(st.lists(st.tuples(target, target), min_size=1, max_size=12), label="cells")
+    if mixed:
+        columns = np.eye(d)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        columns = rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1))
+        columns /= np.linalg.norm(columns)
+    seen = []
+    for m, n, w in protocol._cell_images(cells, run, columns):
+        seen.append((m, n))
+        assert np.array_equal(w, _own_image(columns, m, n, run)), (m, n)
+    assert seen == sorted(set(cells))
