@@ -17,17 +17,18 @@ the other branch.
 
 Both modes keep the same Fock cutoff d, since U_00 maps the x-support onto z.
 A run applies its cell's pulse schedule in closed form (pulses.act_pulse) to a
-(3, d, d, r) tensor of the input's own columns (r = 1 for a pure input, d for
-a mixed one) and reads the element out of its |-> and |+> blocks, with no
-operator on the composite space (dimension N = 3 d^2). A set of cells of one
-input is one sweep (_cell_images): U_00 runs once, and one walker (_ladder)
-climbs the V- ladder down the rows and each row's V+ ladder across it,
-closing each ladder's last target in place, so a row's last cell and a
+(3, d, d, r) tensor of the input's own columns (_run_inputs: r = 1 for a pure
+input, d for a mixed one) and reads the element out of its |-> and |+> blocks,
+with no operator on the composite space (dimension N = 3 d^2). A set of cells
+of one input is one sweep (_cell_images): U_00 runs once, and one walker
+(_ladder) climbs the V- ladder down the rows and each row's V+ ladder across
+it, closing each ladder's last target in place, so a row's last cell and a
 one-cell run copy nothing. Each cell still runs its own run's operations in
-its own run's order; measure_element is the one-cell case. The
-identity checks at the end of this module (mode swap, entangled target,
-compiled vs ideal shifters, pulse unitarity) run on the same actions; the
-validate subcommand and the acceptance tests share them.
+its own run's order; measure_element is the one-cell case. The identity
+checks at the end of this module (mode swap, entangled target, compiled vs
+ideal shifters, pulse unitarity) run on the same actions: the entangled
+target is a one-cell sweep, and each shifter is the walker with one target.
+The validate subcommand and the acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -290,13 +291,6 @@ def _ladder(w: np.ndarray, branch: int, targets: list[int],
         yield k, out
 
 
-def _shift(w: np.ndarray, m: int, n: int, v_mode: str) -> np.ndarray:
-    """V+_n V-_m of the given shifter mode in place on a (3, dx, dz, r) tensor; return it."""
-    for branch, k in ((MINUS, m), (PLUS, n)):
-        [(_, w)] = _ladder(w, branch, [k], v_mode)
-    return w
-
-
 def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
                  columns: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """Stream (m, n, W) over a set of cells, W = U_mn |->C|0>_z a (3, d, d, r) tensor.
@@ -327,12 +321,6 @@ def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
     for m, row in _ladder(w, MINUS, list(ns), settings.v_mode):
         for n, cell in _ladder(row, PLUS, ns[m], settings.v_mode):
             yield m, n, cell
-
-
-def _slice_images(m: int, n: int, settings: ProtocolSettings, columns: np.ndarray) -> np.ndarray:
-    """U_mn on mode-x inputs, the (3, d, d, r) W of one cell: the one-cell case of _cell_images."""
-    [(_, _, w)] = _cell_images([(m, n)], settings, columns)
-    return w
 
 
 def _run_inputs(phi: VibrationalState, settings: ProtocolSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +366,8 @@ def measure_element(phi: VibrationalState, m: int, n: int,
     their readout (_read_out).
     """
     columns, gram = _run_inputs(phi, settings)
-    return _read_out(_slice_images(m, n, settings, columns), gram, m, n, settings)
+    [(_, _, w)] = _cell_images([(m, n)], settings, columns)
+    return _read_out(w, gram, m, n, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +403,7 @@ def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, ampli
     amplitudes is a (d, r) matrix whose columns are the input states phi.
     """
     phi = np.asarray(amplitudes, dtype=complex).reshape(settings.d, -1)
-    got = _slice_images(m, n, settings, phi)
+    [(_, _, got)] = _cell_images([(m, n)], settings, phi)
     target = np.zeros_like(got)
     target[MINUS, :, m] = phi / _SQRT2
     target[PLUS, n, :] = phi / _SQRT2
@@ -427,18 +416,20 @@ def shifter_deviation(k: int, states: np.ndarray) -> float:
     Each shifter is compared on the part of every state the protocol feeds
     it: the shifted branch's vacuum slice (|+>|0>_x|.>_z for V+_k,
     |->|.>_x|0>_z for V-_k) and the whole spectator sector (|-> for V+_k,
-    |+> for V-_k). The rest of each state is masked out.
+    |+> for V-_k). The rest of each state is masked out. Both images come
+    from the sweep's own walker (_ladder) with the one target k.
     """
     dev = 0.0
-    for branch, m, n in ((PLUS, 0, k), (MINUS, k, 0)):
-        spectator = MINUS if branch == PLUS else PLUS
+    for branch, spectator in ((PLUS, MINUS), (MINUS, PLUS)):
         w = np.zeros_like(states)
         w[spectator] = states[spectator]
         if branch == PLUS:
             w[PLUS, 0] = states[PLUS, 0]
         else:
             w[MINUS, :, 0] = states[MINUS, :, 0]
-        dev = max(dev, _max_column_norm(_shift(w.copy(), m, n, "compiled") - _shift(w, m, n, "ideal")))
+        [(_, compiled)] = _ladder(w.copy(), branch, [k], "compiled")
+        [(_, ideal)] = _ladder(w, branch, [k], "ideal")
+        dev = max(dev, _max_column_norm(compiled - ideal))
     return dev
 
 

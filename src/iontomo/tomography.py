@@ -88,10 +88,13 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
 
     Each cell is one full protocol run; the block's runs are one sweep
     (protocol._cell_images) that yields every cell bit for bit as its own run
-    would. With use_hermitian_symmetry only the cells n >= m are measured and
-    the lower triangle is filled from the conjugate upper triangle, halving
-    the work at the cost of no longer exercising the element-independence
-    property. The flag must be a bool.
+    would. With use_hermitian_symmetry only the cells n >= m, about half, are
+    measured and the lower triangle is filled from the conjugate upper one, at
+    the cost of no longer exercising the element-independence property. Each
+    row's V+ ladder still climbs from |0>, so an ideal block, whose rolls jump
+    to the row's first target, takes about half the time, but a compiled one,
+    whose ladder steps dominate, saves only 15-30% at d = 30. The flag must be
+    a bool.
     """
     if not isinstance(use_hermitian_symmetry, bool):
         raise ValueError(f"use_hermitian_symmetry must be a bool, got {use_hermitian_symmetry!r}")
@@ -134,9 +137,9 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
 
     For each lambda the input is dephased once, and exactly three elements
     are measured, each by its own protocol run: (2, 0), (0, 0) and (2, 2).
-    A dephased input is mixed, read through the d basis columns whatever
-    lambda is, so the three cells' images are built once (protocol._cell_images)
-    and each is read out against every point's dephased matrix.
+    A dephased input is mixed, so every point has the same d basis columns
+    (protocol._run_inputs): the three cells' images are built once on them
+    (protocol._cell_images) and read out against every point's matrix.
     For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
     equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
     the sampler (common random numbers), so the populations (0, 0) and
@@ -153,10 +156,10 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
     check_reach(2, settings, "monitor target m")
-    grams = [_run_inputs(dephase(phi, lam), settings)[1] for lam in lambdas]
+    inputs = [_run_inputs(dephase(phi, lam), settings) for lam in lambdas]
     values = [{} for _ in lambdas]
-    for m, n, w in _cell_images([(2, 0), (0, 0), (2, 2)], settings, np.eye(settings.d)):
-        for cells, gram in zip(values, grams):
+    for m, n, w in _cell_images([(2, 0), (0, 0), (2, 2)], settings, inputs[0][0]):
+        for cells, (_, gram) in zip(values, inputs):
             cells[m, n] = _read_out(w, gram, m, n, settings).value
     points = []
     for lam, cells in zip(lambdas, values):

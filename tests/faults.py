@@ -89,9 +89,14 @@ CATALOGUE = [
           "state[XI] = (dark - bright) / math.sqrt(2.0)",
           "tests/test_pulses.py::TestVibrationalRotation::test_swaps_bright_branch"),
     Fault("shift-ideal-m-n-swapped", "protocol.py",
-          "for branch, k in ((MINUS, m), (PLUS, n)):",
-          "for branch, k in ((MINUS, n), (PLUS, m)):",
-          "tests/test_protocol.py::TestIdealShifters::test_matches_loop_reference"),
+          "for m, row in _ladder(w, MINUS, list(ns), settings.v_mode):",
+          "for m, row in _ladder(w, PLUS, list(ns), settings.v_mode):",
+          "tests/test_protocol.py::TestSliceEngine::test_slice_images_are_dense_columns"),
+    # An identity check that compares a thing with itself passes on any defect.
+    Fault("shifter-check-compares-compiled-with-itself", "protocol.py",
+          "[(_, ideal)] = _ladder(w, branch, [k], \"ideal\")",
+          "[(_, ideal)] = _ladder(w, branch, [k], \"compiled\")",
+          "tests/test_cli.py::TestValidateCommand::test_compiled_vs_ideal_catches_a_ladder_defect"),
     # The sweep (protocol._ladder, walked by _cell_images): every cell must stay, bit for bit,
     # its own run.
     Fault("row-node-is-the-v-minus-node", "protocol.py",

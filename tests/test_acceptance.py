@@ -12,7 +12,7 @@ import numpy as np
 from iontomo.hilbert import XI
 from iontomo.protocol import (
     ProtocolSettings,
-    _slice_images,
+    _cell_images,
     entangled_target_deviation,
     measure_element,
     mode_swap_deviation,
@@ -174,7 +174,7 @@ def test_criterion_9_final_pulse_regression():
     settings = ProtocolSettings(D12, compat_rminus_final=True)
     family = _phi_family(12)
     amplitudes = _amplitudes(family)
-    out = _slice_images(0, 0, settings, amplitudes)
+    out = next(_cell_images([(0, 0)], settings, amplitudes))[2]
     min_xi = float(np.min(np.sum(np.abs(out[XI]) ** 2, axis=(0, 1))))
     max_resid = entangled_target_deviation(settings, 0, 0, amplitudes)
     ok = min_xi > 0.05 and max_resid > 1e-7

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface and its serialized outputs."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iontomo import pulses, tomography
+from iontomo import protocol, pulses, tomography
 from iontomo.cli import (ConfigError, UsageError, _as_float, _as_int, _build_parser, _field, build_dims,
                          build_settings, load_config, main, stable_json)
 from util import subcommand_parsers
@@ -255,6 +259,30 @@ class TestValidateCommand:
         assert run(["validate", "--config", cfg]) == 1
         # the mode swap is a beam splitter too, so its identity check fails with it
         assert failed_checks(json.loads(capsys.readouterr().out)) == ["mode-swap-identity", "pulse-unitarity"]
+
+    def test_compiled_vs_ideal_catches_a_ladder_defect(self, write_config, capsys, monkeypatch):
+        # scale every sideband area of the compiled ladders by 1 + 1e-6
+        exact = protocol._ladder_step
+
+        def defective(j, branch):
+            spec = exact(j, branch)
+            return dataclasses.replace(spec, angle=spec.angle * (1 + 1e-6))
+
+        monkeypatch.setattr(protocol, "_ladder_step", defective)
+        cfg = write_config()
+        assert run(["validate", "--config", cfg]) == 1
+        assert failed_checks(json.loads(capsys.readouterr().out)) == [
+            "element-identity-compiled", "compiled-vs-ideal"]
+
+
+def test_module_entry_point_is_main(write_config, capsys):
+    # python -m iontomo.cli exits with main's code and prints main's output
+    cfg = write_config()
+    code = run(["validate", "--config", cfg])
+    env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "iontomo.cli", "validate", "--config", cfg],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])

@@ -21,8 +21,8 @@ from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
     ProtocolSettings,
     _sample_reduced,
-    _shift,
-    _slice_images,
+    _cell_images,
+    _ladder,
     _slice_reduced,
     entangled_target_deviation,
     measure_element,
@@ -56,13 +56,13 @@ def entangled_target(phi, dims, m=0, n=0):
 
 def run_pure(phi, m, n, settings):
     """U_mn |phi>_x|0>_z|-> from the engine's slice images, as a flat vector."""
-    return _slice_images(m, n, settings, phi.amplitudes[:, None]).reshape(-1)
+    return next(_cell_images([(m, n)], settings, phi.amplitudes[:, None]))[2].reshape(-1)
 
 
 def engine_reduced(phi, m, n, settings):
     """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
     d = settings.d
-    w = _slice_images(m, n, settings, np.eye(d)).reshape(3, d * d, d)
+    w = next(_cell_images([(m, n)], settings, np.eye(d)))[2].reshape(3, d * d, d)
     return _slice_reduced(w, phi.density_matrix())
 
 
@@ -108,7 +108,7 @@ class TestEntangler:
                      @ _test_rotation_matrix(MINUS, math.pi / 4, dims))
         assert np.max(np.abs(oracle.u00(dims) - reference)) < 1e-11
         columns = [oracle.index(dims, MINUS, k, 0) for k in range(dims[0])]
-        images = _slice_images(0, 0, ProtocolSettings(4), np.eye(dims[0]))
+        images = next(_cell_images([(0, 0)], ProtocolSettings(4), np.eye(dims[0])))[2]
         images = images.reshape(oracle.size(dims), dims[0])
         assert np.max(np.abs(images - reference[:, columns])) < 1e-11
 
@@ -136,29 +136,31 @@ class TestIdealShifters:
 
     def test_zero_shift_identity_slice(self):
         src = tensor(oracle.basis(DIMS, PLUS, 0, 3), DIMS)
-        assert np.array_equal(_shift(src.copy(), 0, 0, "ideal"), src)
+        for branch in (MINUS, PLUS):
+            assert np.array_equal(next(_ladder(src.copy(), branch, [0], "ideal"))[1], src)
 
     def test_plus_shifts_x_vacuum(self):
-        out = _shift(tensor(oracle.basis(DIMS, PLUS, 0, 1), DIMS), 0, 2, "ideal")  # chi = fock(1)
+        src = tensor(oracle.basis(DIMS, PLUS, 0, 1), DIMS)  # chi = fock(1)
+        out = next(_ladder(src, PLUS, [2], "ideal"))[1]
         assert np.linalg.norm(out.reshape(-1) - oracle.basis(DIMS, PLUS, 2, 1)) < 1e-14
 
     def test_minus_commutes_with_plus_projector(self):
         # V-_3 neither moves |+> content nor lets |-> content reach the |+> sector
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 8, 8, 4)) + 1j * rng.normal(size=(3, 8, 8, 4))
-        out = _shift(state.copy(), 3, 0, "ideal")
+        out = next(_ladder(state.copy(), MINUS, [3], "ideal"))[1]
         assert np.array_equal(out[PLUS], state[PLUS])
         only_minus = state.copy()
         only_minus[PLUS] = only_minus[XI] = 0.0
-        assert np.max(np.abs(_shift(only_minus, 3, 0, "ideal")[PLUS])) == 0.0
+        assert np.max(np.abs(next(_ladder(only_minus, MINUS, [3], "ideal"))[1][PLUS])) == 0.0
 
     def test_minus_identity_on_plus_sector(self):
         src = tensor(oracle.basis(DIMS, PLUS, 3, 1), DIMS)
-        assert np.array_equal(_shift(src.copy(), 2, 0, "ideal"), src)
+        assert np.array_equal(next(_ladder(src.copy(), MINUS, [2], "ideal"))[1], src)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            _slice_images(0, 8, SETTINGS, np.eye(D))
+            next(_cell_images([(0, 8)], SETTINGS, np.eye(D)))
 
     @pytest.mark.parametrize("completion", ["cycle", "swap"])
     def test_matches_loop_reference(self, completion):
@@ -182,9 +184,8 @@ class TestIdealShifters:
                             ref[oracle.index(dims, e, tx, tz), oracle.index(dims, e, nx, nz)] = 1.0
                 assert np.array_equal(oracle.shift(dims, sector, axis, k, completion), ref)
                 if completion == "cycle":
-                    m, n = (0, k) if sector == PLUS else (k, 0)
                     eye = np.eye(oracle.size(dims), dtype=complex).reshape(3, 5, 5, -1)
-                    rolled = _shift(eye, m, n, "ideal").reshape(oracle.size(dims), -1)
+                    rolled = next(_ladder(eye, sector, [k], "ideal"))[1].reshape(oracle.size(dims), -1)
                     assert np.array_equal(rolled, ref)
 
 
@@ -195,7 +196,8 @@ class TestCompiledShifters:
         assert v_plus_schedule(0) == []
         rng = np.random.default_rng(1)
         state = rng.normal(size=(3, 8, 8, 2)) + 1j * rng.normal(size=(3, 8, 8, 2))
-        assert np.array_equal(_shift(state.copy(), 0, 0, "compiled"), state)
+        for branch in (MINUS, PLUS):
+            assert np.array_equal(next(_ladder(state.copy(), branch, [0], "compiled"))[1], state)
 
     def test_schedule_lengths(self):
         # n sideband pulses, plus a closing carrier when n is odd
@@ -208,14 +210,14 @@ class TestCompiledShifters:
         src = np.zeros(N, dtype=complex)
         for k in range(8):
             src[oracle.index(DIMS, PLUS, 0, k)] = chi.amplitudes[k]
-        compiled = _shift(tensor(src, DIMS), 0, 1, "compiled")
-        ideal = _shift(tensor(src, DIMS), 0, 1, "ideal")
+        compiled = next(_ladder(tensor(src, DIMS), PLUS, [1], "compiled"))[1]
+        ideal = next(_ladder(tensor(src, DIMS), PLUS, [1], "ideal"))[1]
         assert np.linalg.norm(compiled - ideal) < 1e-12
 
     def test_minus_sector_invariance(self):
         # V+_2 leaves every |-> state in place and sends nothing into the |-> sector
         eye = np.eye(N, dtype=complex).reshape(3, 8, 8, -1)
-        v = _shift(eye, 0, 2, "compiled").reshape(N, -1)
+        v = next(_ladder(eye, PLUS, [2], "compiled"))[1].reshape(N, -1)
         proj = oracle.electronic(MINUS, MINUS, DIMS)
         assert np.max(np.abs(v @ proj - proj @ v)) <= 1e-10
 
@@ -228,13 +230,15 @@ class TestCompiledShifters:
         for j in range(8):
             src[oracle.index(DIMS, PLUS, 0, j)] = chi_vec[j]
             tgt[oracle.index(DIMS, PLUS, k, j)] = chi_vec[j]
-        assert np.linalg.norm(_shift(tensor(src, DIMS), 0, k, "compiled").reshape(-1) - tgt) < 1e-10
+        assert np.linalg.norm(next(_ladder(tensor(src, DIMS), PLUS, [k], "compiled"))[1].reshape(-1)
+                              - tgt) < 1e-10
         src = np.zeros(N, dtype=complex)
         tgt = np.zeros(N, dtype=complex)
         for j in range(8):
             src[oracle.index(DIMS, MINUS, j, 0)] = chi_vec[j]
             tgt[oracle.index(DIMS, MINUS, j, k)] = chi_vec[j]
-        assert np.linalg.norm(_shift(tensor(src, DIMS), k, 0, "compiled").reshape(-1) - tgt) < 1e-10
+        assert np.linalg.norm(next(_ladder(tensor(src, DIMS), MINUS, [k], "compiled"))[1].reshape(-1)
+                              - tgt) < 1e-10
 
     def test_ladder_areas_are_pi_pulses_at_the_sideband_coupling(self):
         # step j drives the doublet |j>, |j+1> at sideband_coupling(j) = sqrt(j+1)
@@ -245,9 +249,9 @@ class TestCompiledShifters:
     def test_near_cutoff_rejected(self):
         compiled = ProtocolSettings(D, v_mode="compiled")
         with pytest.raises(ValueError):
-            _slice_images(0, 7, compiled, np.eye(D))
+            next(_cell_images([(0, 7)], compiled, np.eye(D)))
         with pytest.raises(ValueError):
-            _slice_images(7, 0, compiled, np.eye(D))
+            next(_cell_images([(7, 0)], compiled, np.eye(D)))
 
     def test_minus_schedule_addresses_z_and_minus(self):
         for spec in v_minus_schedule(3):
@@ -264,8 +268,8 @@ class TestComposedUnitary:
         for spec in u00_schedule():
             act_pulse(spec, w)
         for v_mode in ("ideal", "compiled"):
-            assert np.array_equal(_slice_images(0, 0, ProtocolSettings(D, v_mode=v_mode),
-                                                np.eye(D)), w)
+            settings = ProtocolSettings(D, v_mode=v_mode)
+            assert np.array_equal(next(_cell_images([(0, 0)], settings, np.eye(D)))[2], w)
 
     def test_example_final_state(self):
         # (m, n) = (1, 2) on phi = |1>: (|1,1,-> + |2,1,+>)/sqrt(2)
@@ -375,7 +379,7 @@ class TestBranchIsolation:
             v[oracle.index(DIMS, PLUS, 0, 2)] = 1 / math.sqrt(2)
             return tensor(v, DIMS)
 
-        outs = [_shift(make_state(zq), 0, 2, "compiled").reshape(-1) for zq in (0, 1)]
+        outs = [next(_ladder(make_state(zq), PLUS, [2], "compiled"))[1].reshape(-1) for zq in (0, 1)]
         plus_and_xi = slice(D * D, 3 * D * D)
         assert np.linalg.norm(outs[0][plus_and_xi] - outs[1][plus_and_xi]) < 1e-12
         # and the minus branch itself is untouched
@@ -389,7 +393,7 @@ class TestBranchIsolation:
             v[oracle.index(DIMS, PLUS, xq, 2)] = 1 / math.sqrt(2)
             return tensor(v, DIMS)
 
-        outs = [_shift(make_state(xq), 2, 0, "compiled").reshape(-1) for xq in (0, 3)]
+        outs = [next(_ladder(make_state(xq), MINUS, [2], "compiled"))[1].reshape(-1) for xq in (0, 3)]
         minus_slice = slice(0, D * D)
         assert np.linalg.norm(outs[0][minus_slice] - outs[1][minus_slice]) < 1e-12
 
@@ -580,7 +584,7 @@ class TestHotPathInvariants:
         rho_vibr = dephase(coherent(0.6 + 0.5j, 8, tail_tol=1e-5), 0.3).density_matrix()
         for m in range(5):
             for n in range(5):
-                w = _slice_images(m, n, settings, np.eye(D)).reshape(N, -1)
+                w = next(_cell_images([(m, n)], settings, np.eye(D)))[2].reshape(N, -1)
                 assert np.max(np.abs(w.conj().T @ w - np.eye(D))) <= 1e-10
                 rho = w @ rho_vibr @ w.conj().T
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
@@ -617,7 +621,7 @@ class TestSliceEngine:
                 dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
                 value = measure_element(phi, m, n, settings).value
                 assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
-                w = _slice_images(m, n, settings, np.eye(d)).reshape(3, d * d, d)
+                w = next(_cell_images([(m, n)], settings, np.eye(d)))[2].reshape(3, d * d, d)
                 red = _slice_reduced(w, rho_vibr)
                 assert np.max(np.abs(red - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
@@ -626,7 +630,7 @@ class TestSliceEngine:
         settings = ProtocolSettings(D, v_mode=v_mode)
         columns = [oracle.index(DIMS, MINUS, k, 0) for k in range(D)]
         for m, n in ((0, 0), (3, 1), (6, 5)):
-            w = _slice_images(m, n, settings, np.eye(D)).reshape(N, D)
+            w = next(_cell_images([(m, n)], settings, np.eye(D)))[2].reshape(N, D)
             assert np.max(np.abs(w - oracle.u_mn(m, n, settings)[:, columns])) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
@@ -759,7 +763,7 @@ def test_random_cell_matches_oracle(cell):
     dense = oracle.evolve(oracle.u_mn(m, n, settings), oracle.prepare_initial(phi, dims))
     assert abs(measure_element(phi, m, n, settings).value - oracle.coherence(dense, dims)) <= 1e-12
     columns, gram = _columns_and_gram(phi)
-    w = _slice_images(m, n, settings, columns).reshape(3, settings.d ** 2, -1)
+    w = next(_cell_images([(m, n)], settings, columns))[2].reshape(3, settings.d ** 2, -1)
     assert np.max(np.abs(_slice_reduced(w, gram) - oracle.electronic_reduced(dense, dims))) <= 1e-12
 
 
