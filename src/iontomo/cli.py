@@ -2,9 +2,10 @@
 
 Subcommands: reconstruct, coherence, monitor, validate. Runs are driven by a
 JSON config (archivable, reproducible); output is JSON or CSV with sorted
-keys, floats printed to 17 significant digits and complex values as {re, im}
-pairs, so identical configs produce byte-identical files. Every failure path
-emits a structured error record and a nonzero exit code.
+keys, each float in its shortest form that reads back to the same value (as
+Python's repr writes it) and complex values as {re, im} pairs, so identical
+configs produce byte-identical files. Every failure path emits a structured
+error record and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -44,32 +44,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # stable serialization
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+def _record(obj):
+    """A dataclass instance as its fields; the encoder calls this for any object it cannot write."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def stable_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats, a dataclass instance as its fields."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {stable_json(v)}" for k, v in sorted(obj.items()))
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(stable_json(v) for v in obj) + "]"
-    if dataclasses.is_dataclass(obj):
-        return stable_json(dataclasses.asdict(obj))
-    raise TypeError(f"cannot serialize {type(obj)}")
+    """Deterministic JSON: sorted keys, each float in its shortest round-trip form, a dataclass as its fields."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)
+    except ValueError:  # the encoder's NaN or infinity error
+        raise ValueError("cannot serialize non-finite float") from None
 
 
 def complex_record(z: complex) -> dict:
@@ -344,7 +331,7 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
         checks.append({"name": name, "passed": bool(deviation <= tol),
                        "deviation": float(deviation), "tolerance": float(tol)})
 
-    record("mode-swap-identity", protocol.mode_swap_deviation(d, range(d)), 1e-10)
+    record("mode-swap-identity", protocol.mode_swap_deviation(d), 1e-10)
 
     # Entangler: U_00 |phi,0,-> = (|phi,0,-> + |0,phi,+>)/sqrt(2).
     try:

@@ -381,19 +381,18 @@ def _max_column_norm(w: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(w.reshape(-1, w.shape[-1]), axis=0)))
 
 
-def mode_swap_deviation(d: int, fock_numbers) -> float:
-    """Largest |amplitude - 1| of the mode swap |n>_x|0>_z -> |0>_x|n>_z over the given n.
+def mode_swap_deviation(d: int) -> float:
+    """Largest |amplitude - 1| of the mode swap |n>_x|0>_z -> |0>_x|n>_z over every n < d.
 
     The vibrational pulse at pi/2 acts as exp(i (pi/2) L_y) on the bright
     state |alpha> = (|+> + |xi>)/sqrt(2); each |alpha>|n>_x|0>_z must land on
     |alpha>|0>_x|n>_z with amplitude exactly +1.
     """
-    ns = np.asarray(fock_numbers)
-    cols = np.arange(len(ns))
-    w = np.zeros((ELECTRONIC_DIM, d, d, len(ns)), dtype=complex)
-    w[PLUS, ns, 0, cols] = w[XI, ns, 0, cols] = 1.0 / _SQRT2
+    ns = np.arange(d)
+    w = np.zeros((ELECTRONIC_DIM, d, d, d), dtype=complex)
+    w[PLUS, ns, 0, ns] = w[XI, ns, 0, ns] = 1.0 / _SQRT2
     act_pulse(MODE_SWAP, w)
-    amplitude = (w[PLUS, 0, ns, cols] + w[XI, 0, ns, cols]) / _SQRT2
+    amplitude = (w[PLUS, 0, ns, ns] + w[XI, 0, ns, ns]) / _SQRT2
     return float(np.max(np.abs(amplitude - 1.0)))
 
 

@@ -40,13 +40,16 @@ class ReconstructionReport:
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) sum |eigenvalues of A - B| for hermitian A, B (density matrices or blocks)."""
+    """(1/2) ||A - B||_1: half the sum of the singular values of A - B.
+
+    For hermitian A, B (density matrices) that is half the sum of |eigenvalues|
+    of A - B. A sampled or compat estimate is not hermitian, and its
+    anti-hermitian error counts too.
+    """
     ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    diff = ma - mb
-    diff = (diff + diff.conj().T) / 2.0
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * float(np.linalg.norm(ma - mb, "nuc"))
 
 
 def hs_distance(a, b) -> float:

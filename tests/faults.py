@@ -67,8 +67,8 @@ CATALOGUE = [
           "var *= 1.0",
           "tests/test_protocol.py::TestSampling::test_stderr_calibrated"),
     Fault("trace-distance-largest-eigenvalue", "tomography.py",
-          "return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))",
-          "return float(np.max(np.abs(np.linalg.eigvalsh(diff))))",
+          "return 0.5 * float(np.linalg.norm(ma - mb, \"nuc\"))",
+          "return 0.5 * float(np.linalg.norm(ma - mb, 2))",
           "tests/test_tomography.py::TestDistances::test_diagonal_is_half_l1_distance"),
     Fault("monitor-bound-unclipped", "tomography.py",
           "bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))",
@@ -139,6 +139,14 @@ CATALOGUE = [
           "raise argparse.ArgumentTypeError(f\"{token!r} is not {what}\") from None",
           "return convert(float(token), token)",
           "tests/test_cli.py::test_argv_number_reads_as_the_config_reads_it"),
+    Fault("writer-keys-unsorted", "cli.py",
+          "return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)",
+          "return json.dumps(obj, sort_keys=False, allow_nan=False, default=_record)",
+          "tests/test_cli.py::test_records_sort_keys_and_write_shortest_floats"),
+    Fault("writer-allows-non-finite-floats", "cli.py",
+          "return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)",
+          "return json.dumps(obj, sort_keys=True, allow_nan=True, default=_record)",
+          "tests/test_cli.py::TestStableJson::test_rejects_non_finite_float"),
     Fault("validate-emits-only-to-out", "cli.py",
           "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
           "if args.out is not None: "

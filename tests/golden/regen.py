@@ -12,8 +12,9 @@ Run this file to rewrite expected/:
     PYTHONPATH=src python tests/golden/regen.py
 
 For every case whose record changed it prints the largest parsed numeric
-difference per field and every changed non-numeric field, ready to paste
-into CHANGES.md. A change to any expected output comes with that report.
+difference per field and every changed non-numeric field, or one line per
+output whose text alone changed, ready to paste into CHANGES.md. A change to
+any expected output comes with that report.
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ def diff_lines(old: dict, new: dict) -> list[str]:
     """What changed in one case: per field its largest numeric difference, or its old and new values.
 
     An output that holds a different document (an error record in place of a
-    report, say), or that appeared or vanished, is shown whole, shortened.
+    report, say), or that appeared or vanished, is shown whole, shortened. An
+    output whose text changed while every parsed field stayed equal (a number
+    written another way) gets one line saying so.
     """
     lines = [f"exit: {old['exit']} -> {new['exit']}"] if old["exit"] != new["exit"] else []
     a, b = _streams(old), _streams(new)
@@ -195,6 +198,9 @@ def diff_lines(old: dict, new: dict) -> list[str]:
         fb = _fields(tb, stream) if tb else {}
         if not set(fa) & set(fb):
             lines.append(f"{stream}: {_short(ta)} -> {_short(tb)}")
+            continue
+        if fa == fb:
+            lines.append(f"{stream}: formatting only, every parsed field equal")
             continue
         for field in sorted(set(fa) | set(fb)):
             va, vb = fa.get(field), fb.get(field)

@@ -307,6 +307,33 @@ class TestStableJson:
             stable_json({"value": 1j})
 
 
+@pytest.mark.parametrize("shots", [None, 1000])
+@pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])
+def test_records_sort_keys_and_write_shortest_floats(write_config, tmp_path, command, shots):
+    # every object's keys are sorted, and every float is written in its shortest round-trip form
+    cfg = write_config(shots=shots)
+    out = tmp_path / "out.json"
+    args = {"coherence": ["--m", "1", "--n", "0"], "monitor": ["--lambdas", "0,0.3"]}.get(command, [])
+    assert run([command, "--config", cfg, "--out", str(out), *args]) == 0
+    text = out.read_text()
+    objects, floats = [], []
+
+    def pairs(items):
+        objects.append([key for key, _ in items])
+        return dict(items)
+
+    def number(token):
+        floats.append(token)
+        return float(token)
+
+    json.loads(text, object_pairs_hook=pairs, parse_float=number)
+    assert len(objects) > 1 and floats
+    assert all(keys == sorted(keys) for keys in objects)
+    assert [token for token in floats if token != repr(float(token))] == []
+    if command != "validate":  # validate's record reads no state
+        assert '"state": {"alpha": 0.8, "kind": "coherent", "tail_tol": 1e-05}' in text
+
+
 def test_unexpected_exception_is_internal_error(write_config, capsys, monkeypatch):
     # a failure no error type names still ends in a structured record, not a traceback
     def broken(*args, **kwargs):

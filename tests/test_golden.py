@@ -29,3 +29,12 @@ def test_every_config_and_record_belongs_to_a_case():
     configs = {path.stem for path in regen.CONFIGS.glob("*.json")}
     assert configs == set(CASES) - {"error-unreadable"}
     assert {path.stem for path in regen.EXPECTED.glob("*.json")} == set(CASES)
+
+
+def test_report_names_an_output_whose_text_alone_changed():
+    # the same values written another way change the bytes but no parsed field
+    old = {"exit": 0, "stdout": '{"alpha": 0.80000000000000004}\n', "files": {"out.csv": "m,re\n0,0.8\n"}}
+    new = {"exit": 0, "stdout": '{"alpha": 0.8}\n', "files": {"out.csv": "m,re\n0,0.80000000000000004\n"}}
+    assert regen.diff_lines(old, new) == ["file out.csv: formatting only, every parsed field equal",
+                                          "stdout: formatting only, every parsed field equal"]
+    assert regen.diff_lines(old, old) == []

@@ -276,6 +276,21 @@ class TestDistances:
         ra, rb = (q @ m @ q.conj().T for m in (a, b))
         assert trace_distance(ra, rb) == pytest.approx(0.3, abs=1e-14)
 
+    def test_anti_hermitian_difference_counts(self):
+        # the difference has no hermitian part, but singular values 1 and 1
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        assert trace_distance(a, np.zeros((2, 2))) == pytest.approx(1.0, abs=1e-15)
+
+    def test_sampled_block_is_half_the_trace_norm_of_its_error(self):
+        # sampled estimates are not hermitian: the metric counts the whole error, not its hermitian part
+        st = ProtocolSettings(14, shots=1000, seed=3)
+        report = reconstruct(coherent(0.9, 14, tail_tol=1e-6), 5, st)
+        diff = report.estimates - report.truth
+        half_norm = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
+        hermitian_part = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
+        assert report.metrics["trace_distance"] == pytest.approx(half_norm, rel=1e-12)
+        assert half_norm > hermitian_part + 0.05
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
