@@ -211,7 +211,7 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
         if not isinstance(values, list):
             raise ConfigError("state.amplitudes must be a list")
         amps = [_as_complex(v, f"state.amplitudes[{i}]") for i, v in enumerate(values)]
-        state = from_amplitudes(amps, d)
+        state = from_amplitudes(amps)
     lam = _field(spec, "state.dephase", _as_float)
     return state if lam is None else dephase(state, lam)
 

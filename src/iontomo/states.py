@@ -76,23 +76,21 @@ class VibrationalState:
     """Pure or mixed state of one vibrational mode on a truncated Fock space.
 
     This is the one place a caller's state is checked. Amplitudes must be
-    finite and normalized to 1e-10; a density matrix must be dim x dim, finite,
+    finite and normalized to 1e-10; a density matrix must be square, finite,
     hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue below
     -1e-10. Either is kept as a write-locked copy. tail_mass records the
     analytic population the truncation discarded (zero for states defined
     directly on the truncated space); the constructor that truncated the
     family decided whether it leaks too much (TruncationLeakageError), so here
-    it is only a population in [0, 1]. dim (check_int) and tail_mass
-    (check_real) are stored as the Python numbers their checks return.
+    it is only a population in [0, 1], stored as the float check_real returns.
+    dim is the array's size; only a run compares it with d (protocol._run_inputs).
     """
 
-    dim: int
     amplitudes: np.ndarray | None = None
     matrix: np.ndarray | None = None
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", check_int(self.dim, "dim"))
         object.__setattr__(self, "tail_mass", check_real(self.tail_mass, "tail_mass"))
         if not 0.0 <= self.tail_mass <= 1.0:
             raise ValueError(f"tail_mass must be a population in [0, 1], got {self.tail_mass!r}")
@@ -100,8 +98,6 @@ class VibrationalState:
             raise ValueError("exactly one of amplitudes / matrix must be given")
         if self.amplitudes is not None:
             v = np.array(self.amplitudes, dtype=complex).reshape(-1)
-            if v.shape[0] != self.dim:
-                raise ValueError(f"amplitude vector length {v.shape[0]} != dim {self.dim}")
             if not np.all(np.isfinite(v)):
                 raise ValueError("pure vibrational state has non-finite amplitudes")
             if abs(np.linalg.norm(v) - 1.0) > STATE_NORM_TOL:
@@ -110,8 +106,8 @@ class VibrationalState:
             object.__setattr__(self, "amplitudes", v)
         else:
             m = np.array(self.matrix, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"density matrix shape {m.shape} != ({self.dim}, {self.dim})")
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"density matrix must be square, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
                 raise ValueError("density matrix has non-finite entries")
             if np.max(np.abs(m - m.conj().T)) > 1e-12:
@@ -128,6 +124,11 @@ class VibrationalState:
     @property
     def is_pure(self) -> bool:
         return self.amplitudes is not None
+
+    @property
+    def dim(self) -> int:
+        """The Fock cutoff: the length of amplitudes, or the size of the square matrix."""
+        return len(self.amplitudes if self.is_pure else self.matrix)
 
     def density_matrix(self) -> np.ndarray:
         """dim x dim density matrix regardless of the internal representation."""
@@ -172,7 +173,7 @@ def fock(n: int, dim: int) -> VibrationalState:
         raise ValueError(f"Fock index {n} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
-    return VibrationalState(dim, amplitudes=v)
+    return VibrationalState(amplitudes=v)
 
 
 def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> VibrationalState:
@@ -183,7 +184,7 @@ def _truncated(kind: str, amps: np.ndarray, dim: int, tail_tol: float) -> Vibrat
     if norm == 0.0:
         raise ValueError(f"{kind} state keeps no representable amplitude below the cutoff "
                          f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
-    return VibrationalState(dim, amplitudes=v / norm, tail_mass=tail)
+    return VibrationalState(amplitudes=v / norm, tail_mass=tail)
 
 
 def _abs_sq(z: complex) -> float:
@@ -275,7 +276,7 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
         raise ValueError(f"thermal state keeps no representable population below the cutoff "
                          f"dim={dim} (tail mass {tail:.3e} within tolerance {tail_tol:.3e})")
     p = p / p.sum()
-    return VibrationalState(dim, matrix=np.diag(p).astype(complex), tail_mass=tail)
+    return VibrationalState(matrix=np.diag(p).astype(complex), tail_mass=tail)
 
 
 def dephase(state: VibrationalState, lam: float) -> VibrationalState:
@@ -292,7 +293,7 @@ def dephase(state: VibrationalState, lam: float) -> VibrationalState:
     # Capping lam where exp underflows changes no entry and keeps lam (m-n)^2 finite.
     kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * (n[:, None] - n[None, :]) ** 2)
     rho = state.density_matrix() * kernel
-    return VibrationalState(state.dim, matrix=rho, tail_mass=state.tail_mass)
+    return VibrationalState(matrix=rho, tail_mass=state.tail_mass)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -303,12 +304,10 @@ def _norm(v: np.ndarray) -> float:
     return big * float(np.linalg.norm(v / big))
 
 
-def from_amplitudes(values, dim: int | None = None) -> VibrationalState:
-    """Pure state from a raw amplitude list; must be normalized within 1e-6 (then renormalized)."""
+def from_amplitudes(values) -> VibrationalState:
+    """Pure state, of the list's length, from raw amplitudes normalized within 1e-6 (then renormalized)."""
     v = np.array(values, dtype=complex).reshape(-1)
-    if dim is not None and v.shape[0] != check_int(dim, "dim"):
-        raise ValueError(f"raw amplitude list has length {v.shape[0]}, expected {dim}")
     norm = _norm(v)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"raw amplitude list norm {norm} deviates from 1 by more than 1e-6")
-    return VibrationalState(v.shape[0], amplitudes=v / norm)
+    return VibrationalState(amplitudes=v / norm)

@@ -39,22 +39,34 @@ class ReconstructionReport:
     metrics: dict
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """value as a complex array if it has an entry and every entry is finite; else a ValueError naming it."""
+    m = np.asarray(value, dtype=complex)
+    if m.size == 0 or not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be a nonempty array of finite numbers, got shape {m.shape}")
+    return m
+
+
 def trace_distance(a, b) -> float:
     """(1/2) ||A - B||_1: half the sum of the singular values of A - B.
 
     For hermitian A, B (density matrices) that is half the sum of |eigenvalues|
     of A - B. A sampled or compat estimate is not hermitian, and its
-    anti-hermitian error counts too.
+    anti-hermitian error counts too. a and b must be nonempty, finite and of
+    one shape; else a ValueError names the one that is not.
     """
-    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ma, mb = _finite(a, "a"), _finite(b, "b")
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     return 0.5 * float(np.linalg.norm(ma - mb, "nuc"))
 
 
 def hs_distance(a, b) -> float:
-    """Hilbert-Schmidt (Frobenius) distance between two matrices."""
-    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    """Hilbert-Schmidt (Frobenius) distance between two nonempty, finite matrices of one shape.
+
+    A ValueError names an argument that is empty or has a non-finite entry.
+    """
+    ma, mb = _finite(a, "a"), _finite(b, "b")
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     return float(np.linalg.norm(ma - mb))
@@ -68,11 +80,12 @@ def project_physical(matrix) -> np.ndarray:
     shift t that makes them sum to one (Smolin, Gambetta & Smith, PRL 108,
     070502 (2012)). The result is a hermitian array of unit trace with no
     negative eigenvalue, to rounding, and is not checked again. The map is
-    total: t may be negative, so a block with no positive eigenvalue (shot
-    noise on a small block) still has a nearest density matrix, and the zero
-    matrix goes to I/d.
+    total on nonempty, finite square matrices: t may be negative, so a block
+    with no positive eigenvalue (shot noise on a small block) still has a
+    nearest density matrix, and the zero matrix goes to I/d. Any other matrix
+    is a ValueError.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _finite(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = (m + m.conj().T) / 2.0
@@ -148,11 +161,11 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
-    the state. lambdas is a sequence, not a string, of real numbers
-    (states.check_real).
+    the state. lambdas is an iterable, not a string, of real numbers
+    (states.check_real); a lone number, even a 0-d array, is a ValueError.
     """
-    if isinstance(lambdas, (str, bytes)):
-        raise ValueError(f"lambdas must be a sequence of numbers, not the string {lambdas!r}")
+    if isinstance(lambdas, (str, bytes)) or not np.iterable(lambdas):
+        raise ValueError(f"lambdas must be a sequence of numbers, got {lambdas!r}")
     lambdas = [check_real(lam, f"lambdas[{i}]") for i, lam in enumerate(lambdas)]
     if not lambdas:
         raise ValueError("lambda list must not be empty")

@@ -152,6 +152,22 @@ CATALOGUE = [
           "if args.out is not None: "
           "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
           "tests/test_cli.py::test_output_follows_out_and_format"),
+    Fault("state-matrix-not-checked-square", "states.py",
+          "if m.ndim != 2 or m.shape[0] != m.shape[1]:",
+          "if False:",
+          "tests/test_states.py::TestTypeInvariants::test_density_matrix_must_be_square"),
+    Fault("run-skips-state-size-check", "protocol.py",
+          "if phi.dim != settings.d:",
+          "if False:",
+          "tests/test_cli.py::TestConfigAndErrors::test_raw_state_of_another_size_is_the_runs_error"),
+    Fault("metrics-accept-non-finite-matrices", "tomography.py",
+          "if m.size == 0 or not np.all(np.isfinite(m)):",
+          "if False:",
+          "tests/test_tomography.py::TestDistances::test_trace_distance_rejects_empty_or_non_finite"),
+    Fault("monitor-iterates-a-lone-number", "tomography.py",
+          "if isinstance(lambdas, (str, bytes)) or not np.iterable(lambdas):",
+          "if isinstance(lambdas, (str, bytes)):",
+          "tests/test_tomography.py::TestDecoherenceMonitor::test_rejects_non_number_lambdas"),
 ]
 
 

@@ -20,7 +20,6 @@ from iontomo import (
     decoherence_monitor,
     dephase,
     fock,
-    from_amplitudes,
     measure_element,
     reconstruct,
     squeezed,
@@ -68,8 +67,8 @@ SETTINGS = ProtocolSettings(4)
 # Every number argument of a public callable: (id, the call with that argument set to x,
 # the name its error gives it, what it must be, a valid value). CoherenceEstimate,
 # MonitorPoint and ReconstructionReport are the engine's results and take no caller's
-# numbers; the array arguments of act_pulse and the distances are not numbers, and a
-# PulseSpec's levels are names (tests/test_pulses.py).
+# numbers; the array arguments of act_pulse, VibrationalState, from_amplitudes and the
+# distances are not numbers, and a PulseSpec's levels are names (tests/test_pulses.py).
 NUMBER_ARGUMENTS = [
     ("ProtocolSettings-d", lambda x: ProtocolSettings(x), "d", "int", 4),
     ("ProtocolSettings-shots", lambda x: ProtocolSettings(4, shots=x), "shots", "int-or-none", 10),
@@ -82,8 +81,7 @@ NUMBER_ARGUMENTS = [
     ("PulseSpec-angle", lambda x: PulseSpec("carrier", ("+", "xi"), "x", x), "pulse angle", "real", 0.5),
     ("PulseSpec-phase", lambda x: PulseSpec("carrier", ("+", "xi"), "x", 0.5, x),
      "pulse phase", "real", 1.0),
-    ("VibrationalState-dim", lambda x: VibrationalState(x, amplitudes=[1, 0]), "dim", "int", 2),
-    ("VibrationalState-tail_mass", lambda x: VibrationalState(2, amplitudes=[1, 0], tail_mass=x),
+    ("VibrationalState-tail_mass", lambda x: VibrationalState(amplitudes=[1, 0], tail_mass=x),
      "tail_mass", "real", 0.0),
     ("fock-n", lambda x: fock(x, 4), "n", "int", 1),
     ("fock-dim", lambda x: fock(1, x), "dim", "int", 4),
@@ -101,7 +99,6 @@ NUMBER_ARGUMENTS = [
     ("thermal-dim", lambda x: thermal(0.1, x, 1e-3), "dim", "int", 8),
     ("thermal-tail_tol", lambda x: thermal(0.1, 8, x), "tail_tol", "real", 1e-3),
     ("dephase-lam", lambda x: dephase(PHI, x), "dephasing strength lam", "real", 0.1),
-    ("from_amplitudes-dim", lambda x: from_amplitudes([1, 0], x), "dim", "int-or-none", 2),
 ]
 
 # Values of the wrong type for each kind of argument. None is valid where the argument is
@@ -209,4 +206,4 @@ def test_non_finite_number_is_named_value_error(call, name, value):
 @pytest.mark.parametrize("value", [-1.0, 1.5])
 def test_tail_mass_outside_unit_interval_is_named_value_error(value):
     raises_named_value_error_without_warning(
-        lambda x: VibrationalState(2, amplitudes=[1, 0], tail_mass=x), value, "tail_mass")
+        lambda x: VibrationalState(amplitudes=[1, 0], tail_mass=x), value, "tail_mass")

@@ -414,6 +414,18 @@ class TestConfigAndErrors:
         record = json.loads(capsys.readouterr().out)
         assert record["error"]["type"] == "invalid-arguments"
 
+    @pytest.mark.parametrize("size", [7, 9])
+    @pytest.mark.parametrize("argv", [["reconstruct"], ["coherence", "--m", "0", "--n", "0"],
+                                      ["monitor", "--lambdas", "0,0.3"]],
+                             ids=["reconstruct", "coherence", "monitor"])
+    def test_raw_state_of_another_size_is_the_runs_error(self, write_config, capsys, argv, size):
+        # a raw state's size is its list's, and only the run compares it with d = 8
+        cfg = write_config(state={"kind": "raw", "amplitudes": [1.0] + [0.0] * (size - 1)})
+        assert run([argv[0], "--config", cfg, *argv[1:]]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"] == {"type": "invalid-arguments",
+                                   "message": f"vibrational state dim {size} != d 8"}
+
     def test_unknown_state_kind(self, write_config, capsys):
         cfg = write_config(state={"kind": "wigner"})
         assert run(["reconstruct", "--config", cfg]) == 1

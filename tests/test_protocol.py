@@ -745,11 +745,11 @@ def _random_cells(draw):
     rank = draw(st.one_of(st.none(), st.integers(1, d)))
     if rank is None:
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi = VibrationalState(d, amplitudes=vec / np.linalg.norm(vec))
+        phi = VibrationalState(amplitudes=vec / np.linalg.norm(vec))
     else:
         factor = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
         rho = factor @ factor.conj().T
-        phi = VibrationalState(d, matrix=(rho + rho.conj().T) / (2 * np.trace(rho).real))
+        phi = VibrationalState(matrix=(rho + rho.conj().T) / (2 * np.trace(rho).real))
     return phi, m, n, settings
 
 
@@ -773,7 +773,7 @@ def test_pure_input_matches_its_density_matrix(v_mode, compat):
     # the one-column route of a pure input and the dx-column route of the same state
     # given as a density matrix read the same element in every cell
     phi = coherent(0.6 + 0.4j, 8, tail_tol=1e-3)
-    as_matrix = VibrationalState(8, matrix=phi.density_matrix())
+    as_matrix = VibrationalState(matrix=phi.density_matrix())
     settings = ProtocolSettings(D, v_mode=v_mode, compat_rminus_final=compat)
     reach = shifter_reach(8, v_mode)
     for m in range(reach + 1):

@@ -221,18 +221,18 @@ class TestDephase:
 class TestRawAndInvariants:
     def test_from_amplitudes_renormalizes(self):
         v = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2) * (1 + 4e-7)
-        st = from_amplitudes(v, 4)
+        st = from_amplitudes(v)
         assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
     def test_from_amplitudes_rejects_bad_norm(self):
         with pytest.raises(ValueError):
-            from_amplitudes([1.0, 1.0], 2)
+            from_amplitudes([1.0, 1.0])
 
     def test_from_amplitudes_rejects_zero(self):
         # the zero vector fails the normalization check like any other bad norm
         message = r"^raw amplitude list norm 0\.0 deviates from 1 by more than 1e-6$"
         with pytest.raises(ValueError, match=message):
-            from_amplitudes([0.0, 0.0], 2)
+            from_amplitudes([0.0, 0.0])
 
     @pytest.mark.parametrize("state", [
         fock(2, 8),
@@ -249,12 +249,23 @@ class TestRawAndInvariants:
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     def test_requires_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            VibrationalState(4)
+        with pytest.raises(ValueError, match="^exactly one of amplitudes / matrix must be given$"):
+            VibrationalState()
+        with pytest.raises(ValueError, match="^exactly one of amplitudes / matrix must be given$"):
+            VibrationalState(amplitudes=[1, 0], matrix=np.diag([1.0, 0.0]))
 
-    def test_amplitude_length_must_match_dim(self):
-        with pytest.raises(ValueError, match=r"^amplitude vector length 2 != dim 3$"):
-            VibrationalState(3, amplitudes=[1, 0])
+    @pytest.mark.parametrize("build,size", [
+        (lambda: VibrationalState(amplitudes=[0.6, 0.8j, 0.0]), 3),
+        (lambda: VibrationalState(matrix=np.eye(5) / 5), 5),
+        (lambda: from_amplitudes([0.0, 1.0]), 2),
+        (lambda: thermal(0.5, 12, tail_tol=1e-3), 12),
+        (lambda: dephase(coherent(0.8, 12, tail_tol=1e-9), 0.3), 12),
+    ], ids=["pure", "mixed", "raw", "thermal", "dephased"])
+    def test_dim_is_the_array_size(self, build, size):
+        # a state's size is its array's, and a run compares it with d (test_protocol.py)
+        state = build()
+        assert state.dim == size and type(state.dim) is int
+        assert state.density_matrix().shape == (size, size)
 
 
 # Each of these used to run as if given 1, or end in an unrelated error.
@@ -268,11 +279,8 @@ class TestRawAndInvariants:
     (lambda: thermal(True, 12, 1e-3), "nbar must be a real number, got True"),
     (lambda: thermal(0.5, "8"), "dim must be an integer, got '8'"),
     (lambda: cat(0.5, "even", True), "dim must be an integer, got True"),
-    (lambda: VibrationalState(2.0, amplitudes=[1, 0]), "dim must be an integer, got 2.0"),
-    (lambda: VibrationalState(True, amplitudes=[1]), "dim must be an integer, got True"),
 ], ids=["fock-bool-n", "fock-float-n", "fock-float-dim", "coherent-bool-alpha", "coherent-str-alpha",
-        "coherent-bool-tail-tol", "thermal-bool-nbar", "thermal-str-dim", "cat-bool-dim",
-        "state-float-dim", "state-bool-dim"])
+        "coherent-bool-tail-tol", "thermal-bool-nbar", "thermal-str-dim", "cat-bool-dim"])
 def test_constructors_coerce_nothing(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -283,23 +291,32 @@ class TestTypeInvariants:
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
-            VibrationalState(2, amplitudes=np.array([1.0, 1.0]))
+            VibrationalState(amplitudes=np.array([1.0, 1.0]))
 
     def test_density_operator_checks(self):
         with pytest.raises(ValueError, match="eigenvalue"):
-            VibrationalState(2, matrix=np.diag([1.2, -0.2]))
-        with pytest.raises(ValueError, match="shape"):
-            VibrationalState(3, matrix=np.eye(2) / 2)
+            VibrationalState(matrix=np.diag([1.2, -0.2]))
         with pytest.raises(ValueError, match="hermitian"):
-            VibrationalState(2, matrix=np.array([[0.5, 1e-11], [0.0, 0.5]]))
+            VibrationalState(matrix=np.array([[0.5, 1e-11], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="trace"):
-            VibrationalState(2, matrix=np.diag([0.5, 0.5 + 1e-9]))
+            VibrationalState(matrix=np.diag([0.5, 0.5 + 1e-9]))
+
+    @pytest.mark.parametrize("matrix,shape", [
+        (np.ones((2, 3)) / 2, "(2, 3)"),
+        (np.array([0.5, 0.5]), "(2,)"),
+        (np.eye(2).reshape(1, 2, 2) / 2, "(1, 2, 2)"),
+        (np.array(1.0), "()"),
+    ], ids=["rectangle", "vector", "stack", "scalar"])
+    def test_density_matrix_must_be_square(self, matrix, shape):
+        message = f"density matrix must be square, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VibrationalState(matrix=matrix)
 
     def test_matrices_are_frozen(self):
-        rho = VibrationalState(3, matrix=np.eye(3) / 3)
+        rho = VibrationalState(matrix=np.eye(3) / 3)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
-        pure = VibrationalState(2, amplitudes=np.array([0.6, 0.8]))
+        pure = VibrationalState(amplitudes=np.array([0.6, 0.8]))
         with pytest.raises(ValueError):
             pure.amplitudes[0] = 1.0
 
@@ -307,11 +324,11 @@ class TestTypeInvariants:
     def test_non_finite_entries_rejected(self, bad):
         # NaN passes every "> tol" comparison, so it needs its own check
         with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, matrix=np.array([[1.0, bad], [bad, 0.0]]))
+            VibrationalState(matrix=np.array([[1.0, bad], [bad, 0.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, matrix=np.array([[1.0, 0.0], [0.0, bad]]))
+            VibrationalState(matrix=np.array([[1.0, 0.0], [0.0, bad]]))
         with pytest.raises(ValueError, match="non-finite"):
-            VibrationalState(2, amplitudes=np.array([1.0, bad]))
+            VibrationalState(amplitudes=np.array([1.0, bad]))
 
     @pytest.mark.parametrize("tail_mass", [math.nan, math.inf], ids=["nan-tail", "inf-tail"])
     def test_rejects_leaky_state(self, tail_mass):
@@ -321,7 +338,7 @@ class TestTypeInvariants:
         vec[0] = 1.0
         message = f"tail_mass must be finite, got {tail_mass!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            VibrationalState(8, amplitudes=vec, tail_mass=tail_mass)
+            VibrationalState(amplitudes=vec, tail_mass=tail_mass)
 
 
 class TestFarTail:

@@ -36,6 +36,19 @@ from util import random_density, random_hermitian
 D = 8
 SETTINGS = ProtocolSettings(D)
 
+# Matrices the projection and the distances reject, each with a ValueError naming the argument:
+# numpy would end in an IndexError, a failed SVD or a NaN distance.
+NOT_FINITE_OR_EMPTY = {
+    "nan": np.array([[math.nan]]),
+    "inf": np.array([[math.inf, 0.0], [0.0, 1.0]]),
+    "empty": np.zeros((0, 0)),
+}
+
+
+def not_finite_or_empty(name, matrix):
+    message = f"{name} must be a nonempty array of finite numbers, got shape {matrix.shape}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
 
 class TestReconstruct:
     def test_vacuum_block(self):
@@ -241,6 +254,11 @@ class TestProjectPhysical:
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             project_physical(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", NOT_FINITE_OR_EMPTY.values(), ids=NOT_FINITE_OR_EMPTY.keys())
+    def test_rejects_empty_or_non_finite(self, bad):
+        with not_finite_or_empty("matrix", bad):
+            project_physical(bad)
+
     def test_zero_matrix_is_maximally_mixed(self):
         # a block with no positive eigenvalue is still measured data: the projection is total
         assert np.max(np.abs(project_physical(np.zeros((4, 4))) - np.eye(4) / 4)) <= 1e-12
@@ -297,6 +315,22 @@ class TestDistances:
             t = trace_distance(random_density(7, rng), random_density(7, rng))
             assert -1e-12 <= t <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("bad", NOT_FINITE_OR_EMPTY.values(), ids=NOT_FINITE_OR_EMPTY.keys())
+    def test_trace_distance_rejects_empty_or_non_finite(self, bad):
+        good = np.eye(2)  # checked before the shapes are compared
+        with not_finite_or_empty("a", bad):
+            trace_distance(bad, good)
+        with not_finite_or_empty("b", bad):
+            trace_distance(good, bad)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE_OR_EMPTY.values(), ids=NOT_FINITE_OR_EMPTY.keys())
+    def test_hs_distance_rejects_empty_or_non_finite(self, bad):
+        good = np.eye(2)  # checked before the shapes are compared
+        with not_finite_or_empty("a", bad):
+            hs_distance(bad, good)
+        with not_finite_or_empty("b", bad):
+            hs_distance(good, bad)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(3) / 3, np.eye(4) / 4)
@@ -344,13 +378,18 @@ class TestDecoherenceMonitor:
         with pytest.raises(ValueError):
             decoherence_monitor(fock(0, 8), [], SETTINGS)
 
-    # a string would be read character by character, a bool as lambda = 1
+    # a string would be read character by character, a bool as lambda = 1, and a lone
+    # number is no list at all
     @pytest.mark.parametrize("lambdas,message", [
-        ("12", "lambdas must be a sequence of numbers, not the string '12'"),
+        ("12", "lambdas must be a sequence of numbers, got '12'"),
+        (0.3, "lambdas must be a sequence of numbers, got 0.3"),
+        (None, "lambdas must be a sequence of numbers, got None"),
+        (np.float64(0.3), f"lambdas must be a sequence of numbers, got {np.float64(0.3)!r}"),
+        (np.array(0.3), "lambdas must be a sequence of numbers, got array(0.3)"),
         ([True], "lambdas[0] must be a real number, got True"),
         ([0.0, np.True_], f"lambdas[1] must be a real number, got {np.True_!r}"),
         (["0.3"], "lambdas[0] must be a real number, got '0.3'"),
-    ], ids=["str", "bool", "numpy-bool", "str-element"])
+    ], ids=["str", "float", "none", "numpy-float", "0d-array", "bool", "numpy-bool", "str-element"])
     def test_rejects_non_number_lambdas(self, lambdas, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             decoherence_monitor(fock(0, 8), lambdas, SETTINGS)
