@@ -333,21 +333,16 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
 
     record("mode-swap-identity", protocol.mode_swap_deviation(d), 1e-10)
 
-    # Entangler: U_00 |phi,0,-> = (|phi,0,-> + |0,phi,+>)/sqrt(2).
-    try:
-        family = [fock(0, d), fock(min(2, d - 1), d), coherent(0.5, d, tail_tol=1e-6)]
-    except TruncationLeakageError:
-        family = [fock(0, d)]
-    amplitudes = np.stack([phi.amplitudes for phi in family], axis=1)
-    record("entangler-identity", protocol.entangled_target_deviation(settings, 0, 0, amplitudes), 1e-9)
-
-    # Element identity, ideal and compiled branch shifters.
-    kmax = min(2, protocol.shifter_reach(d, "compiled"))
+    # U_mn |phi,0,-> = (|phi,m,-> + |n,phi,+>)/sqrt(2) on one phi that fills every Fock level with
+    # distinct phases: U_00 in the run's settings, then every cell m, n <= min(2, d-2) with either shifter.
+    phi = np.exp(1j * np.arange(d)) / np.sqrt(d)
+    record("entangler-identity", protocol.entangled_target_deviation(settings, [(0, 0)], phi), 1e-9)
+    targets = range(min(2, protocol.shifter_reach(d, "compiled")) + 1)
+    cells = [(m, n) for m in targets for n in targets]
     for v_mode, tol in (("ideal", 1e-9), ("compiled", 1e-7)):
         st = protocol.ProtocolSettings(d, v_mode=v_mode,
                                        compat_rminus_final=settings.compat_rminus_final)
-        record(f"element-identity-{v_mode}",
-               tomography.reconstruct(family[-1], kmax, st).metrics["max_abs_error"], tol)
+        record(f"element-identity-{v_mode}", protocol.entangled_target_deviation(st, cells, phi), tol)
 
     # Compiled vs ideal shifters on the branch slices |->|j>_x|0>_z and |+>|0>_x|j>_z,
     # each the other shifter's spectator.

@@ -396,17 +396,20 @@ def mode_swap_deviation(d: int) -> float:
     return float(np.max(np.abs(amplitude - 1.0)))
 
 
-def entangled_target_deviation(settings: ProtocolSettings, m: int, n: int, amplitudes) -> float:
-    """Largest norm of U_mn|phi,0,-> - (|phi,m,-> + |n,phi,+>)/sqrt(2) over the given inputs.
+def entangled_target_deviation(settings: ProtocolSettings, cells: list[tuple[int, int]], amplitudes) -> float:
+    """Largest norm of U_mn|phi,0,-> - (|phi,m,-> + |n,phi,+>)/sqrt(2) over the cells (m, n) and inputs.
 
-    amplitudes is a (d, r) matrix whose columns are the input states phi.
+    amplitudes is a (d, r) matrix whose columns are the input states phi; the
+    cells run in one sweep (_cell_images). A cell's deviation e on phi bounds
+    its readout's error on phi by 2 e + e^2.
     """
     phi = np.asarray(amplitudes, dtype=complex).reshape(settings.d, -1)
-    [(_, _, got)] = _cell_images([(m, n)], settings, phi)
-    target = np.zeros_like(got)
-    target[MINUS, :, m] = phi / _SQRT2
-    target[PLUS, n, :] = phi / _SQRT2
-    return _max_column_norm(got - target)
+    dev = 0.0
+    for m, n, w in _cell_images(cells, settings, phi):
+        w[MINUS, :, m] -= phi / _SQRT2
+        w[PLUS, n, :] -= phi / _SQRT2
+        dev = max(dev, _max_column_norm(w))
+    return dev
 
 
 def shifter_deviation(k: int, states: np.ndarray) -> float:

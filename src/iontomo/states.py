@@ -76,13 +76,13 @@ class VibrationalState:
     """Pure or mixed state of one vibrational mode on a truncated Fock space.
 
     This is the one place a caller's state is checked. Amplitudes must be
-    finite and normalized to 1e-10; a density matrix must be square, finite,
-    hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue below
-    -1e-10. Either is kept as a write-locked copy. tail_mass records the
+    finite and normalized to 1e-10; a density matrix must be square, nonempty,
+    finite, hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue
+    below -1e-10. Either is kept as a write-locked copy. tail_mass records the
     analytic population the truncation discarded (zero for states defined
-    directly on the truncated space); the constructor that truncated the
-    family decided whether it leaks too much (TruncationLeakageError), so here
-    it is only a population in [0, 1], stored as the float check_real returns.
+    directly on the truncated space); the constructor that truncated the family
+    decided whether it leaks too much (TruncationLeakageError), so here it is
+    only a population in [0, 1], stored as the float check_real returns.
     dim is the array's size; only a run compares it with d (protocol._run_inputs).
     """
 
@@ -106,8 +106,8 @@ class VibrationalState:
             object.__setattr__(self, "amplitudes", v)
         else:
             m = np.array(self.matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"density matrix must be square, got shape {m.shape}")
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+                raise ValueError(f"density matrix must be square and nonempty, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
                 raise ValueError("density matrix has non-finite entries")
             if np.max(np.abs(m - m.conj().T)) > 1e-12:

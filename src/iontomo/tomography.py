@@ -29,7 +29,10 @@ class ReconstructionReport:
     mode. truth is the same block of the known input, and projected is the
     Hilbert-Schmidt-nearest density matrix to the estimates (see
     project_physical); all four are plain (nmax+1)-square arrays, and nmax is
-    the caller's. metrics compares estimates with truth.
+    the caller's. metrics compares estimates with truth. projected always has
+    trace 1, so a truncated block, whose trace is below 1, is pulled up to it
+    even when its estimates are exact: on a positive block of trace t each of
+    its k eigenvalues is shifted up by (1 - t) / k.
     """
 
     estimates: np.ndarray

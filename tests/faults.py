@@ -147,14 +147,28 @@ CATALOGUE = [
           "return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)",
           "return json.dumps(obj, sort_keys=True, allow_nan=True, default=_record)",
           "tests/test_cli.py::TestStableJson::test_rejects_non_finite_float"),
+    # validate's entangled-target checks: a probe short of some Fock level, or a compiled check
+    # that runs the ideal shifters, misses a defect there.
+    Fault("validate-probe-is-vacuum", "cli.py",
+          "phi = np.exp(1j * np.arange(d)) / np.sqrt(d)",
+          "phi = np.eye(d)[:, 0]",
+          "tests/test_cli.py::TestValidateCommand::test_pulse_unitarity_catches_beam_splitter_defect"),
+    Fault("validate-element-checks-run-ideal-shifters", "cli.py",
+          "st = protocol.ProtocolSettings(d, v_mode=v_mode,",
+          "st = protocol.ProtocolSettings(d, v_mode=\"ideal\",",
+          "tests/test_cli.py::TestValidateCommand::test_element_identity_catches_a_closing_carrier_defect"),
     Fault("validate-emits-only-to-out", "cli.py",
           "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
           "if args.out is not None: "
           "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
           "tests/test_cli.py::test_output_follows_out_and_format"),
     Fault("state-matrix-not-checked-square", "states.py",
-          "if m.ndim != 2 or m.shape[0] != m.shape[1]:",
+          "if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:",
           "if False:",
+          "tests/test_states.py::TestTypeInvariants::test_density_matrix_must_be_square"),
+    Fault("state-matrix-empty-not-rejected", "states.py",
+          "if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:",
+          "if m.ndim != 2 or m.shape[0] != m.shape[1]:",
           "tests/test_states.py::TestTypeInvariants::test_density_matrix_must_be_square"),
     Fault("run-skips-state-size-check", "protocol.py",
           "if phi.dim != settings.d:",

@@ -59,14 +59,10 @@ def test_criterion_1_mode_swap_convention():
 
 def test_criterion_2_end_to_end_entangled_state():
     start = time.perf_counter()
-    worst = {"ideal": 0.0, "compiled": 0.0}
     amplitudes = _amplitudes(_phi_family(12))
-    for v_mode in ("ideal", "compiled"):
-        settings = ProtocolSettings(D12, v_mode=v_mode)
-        for m in range(3):
-            for n in range(3):
-                worst[v_mode] = max(worst[v_mode],
-                                    entangled_target_deviation(settings, m, n, amplitudes))
+    cells = [(m, n) for m in range(3) for n in range(3)]
+    worst = {v_mode: entangled_target_deviation(ProtocolSettings(D12, v_mode=v_mode), cells, amplitudes)
+             for v_mode in ("ideal", "compiled")}
     elapsed = time.perf_counter() - start
     ok = worst["ideal"] <= 1e-9 and worst["compiled"] <= 1e-7 and elapsed < 30.0
     _report(2, "composed unitary produces the entangled target state", ok,
@@ -176,7 +172,7 @@ def test_criterion_9_final_pulse_regression():
     amplitudes = _amplitudes(family)
     out = next(_cell_images([(0, 0)], settings, amplitudes))[2]
     min_xi = float(np.min(np.sum(np.abs(out[XI]) ** 2, axis=(0, 1))))
-    max_resid = entangled_target_deviation(settings, 0, 0, amplitudes)
+    max_resid = entangled_target_deviation(settings, [(0, 0)], amplitudes)
     ok = min_xi > 0.05 and max_resid > 1e-7
     _report(9, "historical final-pulse ordering fails with stray xi population",
             ok, f"min xi population {min_xi:.3f}")

@@ -257,8 +257,10 @@ class TestValidateCommand:
         monkeypatch.setattr(pulses, "_ly_blocks", defective)
         cfg = write_config()
         assert run(["validate", "--config", cfg]) == 1
-        # the mode swap is a beam splitter too, so its identity check fails with it
-        assert failed_checks(json.loads(capsys.readouterr().out)) == ["mode-swap-identity", "pulse-unitarity"]
+        # the mode swap and U_00 hold beam splitters too, and the probe fills the defective block,
+        # so their identity checks fail with it; the compiled element identity's tolerance is 1e-7
+        assert failed_checks(json.loads(capsys.readouterr().out)) == [
+            "mode-swap-identity", "entangler-identity", "element-identity-ideal", "pulse-unitarity"]
 
     def test_compiled_vs_ideal_catches_a_ladder_defect(self, write_config, capsys, monkeypatch):
         # scale every sideband area of the compiled ladders by 1 + 1e-6
@@ -270,6 +272,18 @@ class TestValidateCommand:
 
         monkeypatch.setattr(protocol, "_ladder_step", defective)
         cfg = write_config()
+        assert run(["validate", "--config", cfg]) == 1
+        assert failed_checks(json.loads(capsys.readouterr().out)) == [
+            "element-identity-compiled", "compiled-vs-ideal"]
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_element_identity_catches_a_closing_carrier_defect(self, write_config, capsys, monkeypatch, d):
+        # a closing carrier at laser phase pi/2 spoils every odd target; the probe fills every
+        # Fock level, so the compiled element identity sees it at a small cutoff too
+        exact = protocol._closing_carrier
+        monkeypatch.setattr(protocol, "_closing_carrier",
+                            lambda branch: dataclasses.replace(exact(branch), phase=protocol.HALF_PI))
+        cfg = write_config(dims={"dx": d, "dz": d})
         assert run(["validate", "--config", cfg]) == 1
         assert failed_checks(json.loads(capsys.readouterr().out)) == [
             "element-identity-compiled", "compiled-vs-ideal"]

@@ -296,7 +296,7 @@ class TestComposedUnitary:
         st = ProtocolSettings(D, v_mode=v_mode)
         for m in range(3):
             for n in range(3):
-                resid = entangled_target_deviation(st, m, n, phi.amplitudes)
+                resid = entangled_target_deviation(st, [(m, n)], phi.amplitudes)
                 assert resid <= tol, f"(m={m}, n={n}): residual {resid:.2e}"
                 assert np.linalg.norm(run_pure(phi, m, n, st)
                                       - entangled_target(phi, DIMS, m, n)) == pytest.approx(resid)

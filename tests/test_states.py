@@ -306,9 +306,10 @@ class TestTypeInvariants:
         (np.array([0.5, 0.5]), "(2,)"),
         (np.eye(2).reshape(1, 2, 2) / 2, "(1, 2, 2)"),
         (np.array(1.0), "()"),
-    ], ids=["rectangle", "vector", "stack", "scalar"])
+        (np.zeros((0, 0)), "(0, 0)"),
+    ], ids=["rectangle", "vector", "stack", "scalar", "empty"])
     def test_density_matrix_must_be_square(self, matrix, shape):
-        message = f"density matrix must be square, got shape {shape}"
+        message = f"density matrix must be square and nonempty, got shape {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             VibrationalState(matrix=matrix)
 

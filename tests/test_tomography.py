@@ -131,6 +131,14 @@ class TestReconstruct:
         assert abs(np.trace(proj) - 1) <= 1e-10
         assert np.linalg.eigvalsh(proj)[0] >= -1e-10
 
+    def test_projected_pulls_a_truncated_block_to_trace_one(self):
+        # exact estimates of a 5x5 block of trace 0.969: each of its 5 eigenvalues moves up by 0.031 / 5
+        report = reconstruct(thermal(1.0, 12, tail_tol=1e-3), 4, ProtocolSettings(12))
+        trace = np.trace(report.truth).real
+        assert np.max(np.abs(report.estimates - report.truth)) <= 1e-15
+        assert trace == pytest.approx(0.969, abs=1e-3)
+        assert np.max(np.abs(report.projected - report.estimates - (1 - trace) / 5 * np.eye(5))) <= 1e-15
+
     @pytest.mark.parametrize("settings", [
         ProtocolSettings(D, v_mode="compiled"),
         ProtocolSettings(D, shots=3000, seed=6),
