@@ -315,8 +315,8 @@ def _schedules(settings: protocol.ProtocolSettings) -> dict:
     """The pulses validate checks and records: U_00, and V+_k, V-_k for k <= 4 within the compiled reach."""
     targets = range(min(4, protocol.shifter_reach(settings.d, "compiled")) + 1)
     return {"u00": protocol.u00_schedule(settings.compat_rminus_final),
-            "v_plus": {k: protocol.v_plus_schedule(k) for k in targets},
-            "v_minus": {k: protocol.v_minus_schedule(k) for k in targets}}
+            **{name: {k: protocol.ladder_schedule(k, branch) for k in targets}
+               for name, branch in (("v_plus", PLUS), ("v_minus", MINUS))}}
 
 
 def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> list[dict]:
@@ -350,8 +350,7 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     slices = np.zeros((ELECTRONIC_DIM, d, d, 2 * d), dtype=complex)
     slices[MINUS, j, 0, j] = 1.0
     slices[PLUS, 0, j, d + j] = 1.0
-    record("compiled-vs-ideal",
-           max(protocol.shifter_deviation(k, slices) for k in schedules["v_plus"]), 1e-8)
+    record("compiled-vs-ideal", protocol.shifter_deviation(list(schedules["v_plus"]), slices), 1e-8)
 
     # Unitarity of every scheduled pulse, on d seeded random orthonormal states.
     specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])

@@ -27,7 +27,7 @@ one-cell run copy nothing. Each cell still runs its own run's operations in
 its own run's order; measure_element is the one-cell case. The identity
 checks at the end of this module (mode swap, entangled target, compiled vs
 ideal shifters, pulse unitarity) run on the same actions: the entangled
-target is a one-cell sweep, and each shifter is the walker with one target.
+target is one sweep over its cells, and the shifters one walk per branch.
 The validate subcommand and the acceptance tests share them.
 """
 
@@ -179,11 +179,13 @@ def _closing_carrier(branch: int) -> PulseSpec:
     return PulseSpec("carrier", levels, mode, HALF_PI, 3.0 * HALF_PI)
 
 
-def _ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
-    """Alternating blue/red sideband pi-pulses climbing |0> -> |k> on one branch.
+def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
+    """Pulse list of the branch's shifter |0> -> |k>: V+_k for branch PLUS, V-_k for MINUS.
 
-    The k steps (_ladder_step) leave an odd k on the other level of the pair,
-    and the closing carrier (_closing_carrier) brings it back. The laser
+    Alternating blue/red sideband pi-pulses on the branch's level pair and
+    mode ({+, xi} and x for V+, {-, xi} and z for V-). The k steps
+    (_ladder_step) leave an odd k on the other level of the pair, and the
+    closing carrier (_closing_carrier) brings it back. The laser
     phases cancel the factor i that each resonant pi-pulse would otherwise
     contribute, so every step's coefficient is +1 up to rounding: the phases
     enter through np.exp(1j * phase), whose real part at pi/2 is 6.1e-17, not
@@ -191,16 +193,6 @@ def _ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     """
     closing = [_closing_carrier(branch)] if k % 2 == 1 else []
     return [_ladder_step(j, branch) for j in range(k)] + closing
-
-
-def v_plus_schedule(n: int) -> list[PulseSpec]:
-    """Pulse list realizing V+_n on the {+, xi} pair and mode x."""
-    return _ladder_schedule(n, PLUS)
-
-
-def v_minus_schedule(m: int) -> list[PulseSpec]:
-    """Pulse list realizing V-_m on the {-, xi} pair and mode z."""
-    return _ladder_schedule(m, MINUS)
 
 
 def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
@@ -412,14 +404,18 @@ def entangled_target_deviation(settings: ProtocolSettings, cells: list[tuple[int
     return dev
 
 
-def shifter_deviation(k: int, states: np.ndarray) -> float:
-    """Largest norm of compiled minus ideal V+_k and V-_k over a (3, dx, dz, r) tensor of states.
+def shifter_deviation(targets: list[int], states: np.ndarray) -> float:
+    """Largest norm of compiled minus ideal V+_k and V-_k over the targets k and a tensor of states.
+
+    targets are ascending and distinct; states is a (3, dx, dz, r) tensor.
 
     Each shifter is compared on the part of every state the protocol feeds
     it: the shifted branch's vacuum slice (|+>|0>_x|.>_z for V+_k,
     |->|.>_x|0>_z for V-_k) and the whole spectator sector (|-> for V+_k,
-    |+> for V-_k). The rest of each state is masked out. Both images come
-    from the sweep's own walker (_ladder) with the one target k.
+    |+> for V-_k). The rest of each state is masked out. Per branch, one
+    compiled and one ideal walk of the sweep's own walker (_ladder) climb
+    over all the targets side by side; each target's pair of images is
+    bit for bit that of a walk to it alone.
     """
     dev = 0.0
     for branch, spectator in ((PLUS, MINUS), (MINUS, PLUS)):
@@ -429,9 +425,9 @@ def shifter_deviation(k: int, states: np.ndarray) -> float:
             w[PLUS, 0] = states[PLUS, 0]
         else:
             w[MINUS, :, 0] = states[MINUS, :, 0]
-        [(_, compiled)] = _ladder(w.copy(), branch, [k], "compiled")
-        [(_, ideal)] = _ladder(w, branch, [k], "ideal")
-        dev = max(dev, _max_column_norm(compiled - ideal))
+        for (_, compiled), (_, ideal) in zip(_ladder(w.copy(), branch, targets, "compiled"),
+                                             _ladder(w, branch, targets, "ideal")):
+            dev = max(dev, _max_column_norm(compiled - ideal))
     return dev
 
 

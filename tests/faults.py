@@ -94,9 +94,15 @@ CATALOGUE = [
           "tests/test_protocol.py::TestSliceEngine::test_slice_images_are_dense_columns"),
     # An identity check that compares a thing with itself passes on any defect.
     Fault("shifter-check-compares-compiled-with-itself", "protocol.py",
-          "[(_, ideal)] = _ladder(w, branch, [k], \"ideal\")",
-          "[(_, ideal)] = _ladder(w, branch, [k], \"compiled\")",
+          "_ladder(w, branch, targets, \"ideal\")):",
+          "_ladder(w, branch, targets, \"compiled\")):",
           "tests/test_cli.py::TestValidateCommand::test_compiled_vs_ideal_catches_a_ladder_defect"),
+    # validate's last target (2 or 4) is even, so a check that keeps only the last pair it
+    # reads misses a defect of the odd targets' closing carriers.
+    Fault("shifter-check-reads-only-the-last-target", "protocol.py",
+          "dev = max(dev, _max_column_norm(compiled - ideal))",
+          "dev = _max_column_norm(compiled - ideal)",
+          "tests/test_cli.py::TestValidateCommand::test_element_identity_catches_a_closing_carrier_defect"),
     # The sweep (protocol._ladder, walked by _cell_images): every cell must stay, bit for bit,
     # its own run.
     Fault("row-node-is-the-v-minus-node", "protocol.py",

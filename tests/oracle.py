@@ -14,7 +14,7 @@ once themselves (see schedule).
 import numpy as np
 
 from iontomo.hilbert import LEVEL_NAMES, MINUS, PLUS, XI
-from iontomo.protocol import u00_schedule, v_minus_schedule, v_plus_schedule
+from iontomo.protocol import ladder_schedule, u00_schedule
 
 
 def size(dims) -> int:
@@ -138,13 +138,13 @@ def protocol_dims(settings) -> tuple[int, int]:
 
 def v_minus(m, settings, completion="cycle", built=None) -> np.ndarray:
     if settings.v_mode == "compiled":
-        return schedule(v_minus_schedule(m), protocol_dims(settings), built)
+        return schedule(ladder_schedule(m, MINUS), protocol_dims(settings), built)
     return shift(protocol_dims(settings), MINUS, "z", m, completion)
 
 
 def v_plus(n, settings, completion="cycle", built=None) -> np.ndarray:
     if settings.v_mode == "compiled":
-        return schedule(v_plus_schedule(n), protocol_dims(settings), built)
+        return schedule(ladder_schedule(n, PLUS), protocol_dims(settings), built)
     return shift(protocol_dims(settings), PLUS, "x", n, completion)
 
 

@@ -9,17 +9,16 @@ import time
 
 import numpy as np
 
-from iontomo.hilbert import XI
+from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
     ProtocolSettings,
     _cell_images,
     entangled_target_deviation,
+    ladder_schedule,
     measure_element,
     mode_swap_deviation,
     pulse_unitarity_defect,
     shifter_deviation,
-    v_minus_schedule,
-    v_plus_schedule,
 )
 from iontomo.states import cat, coherent, dephase, fock, thermal
 from iontomo.tomography import decoherence_monitor, reconstruct
@@ -114,8 +113,8 @@ def test_criterion_6_compiled_vs_ideal_shifters():
     # the full basis: every branch and spectator state, and full unitarity of each pulse
     n = 3 * D12 * D12
     basis = np.eye(n, dtype=complex).reshape(3, D12, D12, n)
-    worst_agree = max(shifter_deviation(k, basis) for k in range(5))
-    specs = [spec for k in range(5) for spec in v_plus_schedule(k) + v_minus_schedule(k)]
+    worst_agree = shifter_deviation(list(range(5)), basis)
+    specs = [spec for k in range(5) for spec in ladder_schedule(k, PLUS) + ladder_schedule(k, MINUS)]
     worst_unitary = pulse_unitarity_defect(specs, basis)
     _report(6, "compiled shifters agree with ideal on the protocol subspace",
             worst_agree <= 1e-8 and worst_unitary <= 1e-10,

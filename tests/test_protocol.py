@@ -25,12 +25,12 @@ from iontomo.protocol import (
     _ladder,
     _slice_reduced,
     entangled_target_deviation,
+    ladder_schedule,
     measure_element,
     reduced_probabilities,
+    shifter_deviation,
     shifter_reach,
     u00_schedule,
-    v_minus_schedule,
-    v_plus_schedule,
 )
 from iontomo.pulses import act_pulse, sideband_coupling
 from iontomo.states import VibrationalState, cat, coherent, dephase, fock, thermal
@@ -193,7 +193,7 @@ class TestCompiledShifters:
     """The engine's compiled shifters: sideband ladders acting through act_pulse."""
 
     def test_zero_schedule_empty(self):
-        assert v_plus_schedule(0) == []
+        assert ladder_schedule(0, PLUS) == []
         rng = np.random.default_rng(1)
         state = rng.normal(size=(3, 8, 8, 2)) + 1j * rng.normal(size=(3, 8, 8, 2))
         for branch in (MINUS, PLUS):
@@ -202,7 +202,7 @@ class TestCompiledShifters:
     def test_schedule_lengths(self):
         # n sideband pulses, plus a closing carrier when n is odd
         for n in range(6):
-            sched = v_plus_schedule(n)
+            sched = ladder_schedule(n, PLUS)
             assert len(sched) == n + (n % 2)
 
     def test_single_step_matches_ideal_on_branch(self):
@@ -243,7 +243,7 @@ class TestCompiledShifters:
     def test_ladder_areas_are_pi_pulses_at_the_sideband_coupling(self):
         # step j drives the doublet |j>, |j+1> at sideband_coupling(j) = sqrt(j+1)
         assert np.array_equal(sideband_coupling(np.arange(6)), np.sqrt(np.arange(1, 7)))
-        for j, spec in enumerate(v_plus_schedule(5)[:5]):
+        for j, spec in enumerate(ladder_schedule(5, PLUS)[:5]):
             assert spec.angle * sideband_coupling(j) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_near_cutoff_rejected(self):
@@ -253,8 +253,30 @@ class TestCompiledShifters:
         with pytest.raises(ValueError):
             next(_cell_images([(7, 0)], compiled, np.eye(D)))
 
+    @pytest.mark.parametrize("defect", [False, True], ids=["exact", "closing-carrier-at-pi/2"])
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_one_walk_per_branch_is_the_worst_single_target(self, d, defect, monkeypatch):
+        # shifter_deviation over validate's targets walks each branch once; it must read every
+        # target exactly as a walk to that target alone does, on validate's branch slices and on
+        # a seeded random tensor, with the exact pulses and with a defect that spoils odd targets
+        if defect:
+            exact = protocol._closing_carrier
+            monkeypatch.setattr(protocol, "_closing_carrier",
+                                lambda branch: dataclasses.replace(exact(branch), phase=protocol.HALF_PI))
+        targets = list(range(min(4, shifter_reach(d, "compiled")) + 1))
+        j = np.arange(d)
+        slices = np.zeros((3, d, d, 2 * d), dtype=complex)
+        slices[MINUS, j, 0, j] = 1.0
+        slices[PLUS, 0, j, d + j] = 1.0
+        rng = np.random.default_rng(d)
+        random = rng.normal(size=(3, d, d, 3)) + 1j * rng.normal(size=(3, d, d, 3))
+        for states in (slices, random):
+            dev = shifter_deviation(targets, states)
+            assert dev == max(shifter_deviation([k], states) for k in targets)
+            assert (dev > 1e-3) if defect else (dev <= 1e-10)
+
     def test_minus_schedule_addresses_z_and_minus(self):
-        for spec in v_minus_schedule(3):
+        for spec in ladder_schedule(3, MINUS):
             assert spec.mode == "z"
             assert spec.levels[0] == "-"
 

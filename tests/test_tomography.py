@@ -16,11 +16,10 @@ from iontomo.protocol import (
     ProtocolSettings,
     _sample_reduced,
     _slice_reduced,
+    ladder_schedule,
     measure_element,
     shifter_reach,
     u00_schedule,
-    v_minus_schedule,
-    v_plus_schedule,
 )
 from iontomo.pulses import act_pulse
 from iontomo.states import coherent, dephase, fock, thermal
@@ -506,7 +505,7 @@ def _own_image(columns, m, n, settings) -> np.ndarray:
         w[MINUS] = np.roll(w[MINUS], m, axis=1)
         w[PLUS] = np.roll(w[PLUS], n, axis=0)
     else:
-        for spec in v_minus_schedule(m) + v_plus_schedule(n):
+        for spec in ladder_schedule(m, MINUS) + ladder_schedule(n, PLUS):
             act_pulse(spec, w)
     return w
 
