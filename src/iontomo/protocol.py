@@ -227,17 +227,25 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
     (outcomes +1, -1, and 0 for the |xi> sector, see reduced_probabilities)
     with a generator seeded from (seed, m, n, observable tag), so estimates
     are reproducible bit-for-bit and independent of evaluation order. The
-    stream does not depend on the state: two runs of the same cell on
-    different inputs (such as the points of a decoherence monitor) share
-    their random numbers, but share outcomes only where the probabilities
-    agree to the last bit (numpy's multinomial draws n - B(n, 1-p) for p > 1/2,
-    so p = 1/2 moved by one ulp mirrors its draw). stderr = sqrt(var_x + var_y) / sqrt(shots).
+    draw reads the probabilities on a grid of 2^-32: p(+1) and p(+1) + p(-1)
+    are rounded to it, so the three rounded values are nonnegative and sum
+    to 1 exactly, and each moves by at most 2^-32 (below the statistical
+    error up to ~1e16 shots). numpy's multinomial draws n - B(n, 1-p) for
+    p > 1/2, so without the grid p = 1/2 moved by one ulp would mirror its
+    draw. The stream does not depend on the state: two runs of the same cell
+    on different inputs (such as the points of a decoherence monitor) share
+    their random numbers, and share outcomes where the probabilities agree
+    to 2^-32. A probability within rounding of a grid midpoint can still
+    move to the next grid point, so rounding noise of one ulp flips a draw
+    with a chance of about 1e-6. stderr = sqrt(var_x + var_y) / sqrt(shots).
     """
     stats = {}
     for observable, (tag, _, _) in _OBSERVABLES.items():
-        probs = reduced_probabilities(red, observable)
+        p_plus, p_minus, _ = reduced_probabilities(red, observable).tolist()
+        plus = round(p_plus * 2.0 ** 32) / 2.0 ** 32
+        both = round((p_plus + p_minus) * 2.0 ** 32) / 2.0 ** 32
         rng = np.random.default_rng([int(seed), int(m), int(n), tag])
-        c_plus, c_minus, _ = rng.multinomial(shots, probs)
+        c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))
         mean = (c_plus - c_minus) / shots
         second_moment = (c_plus + c_minus) / shots
         var = max(second_moment - mean * mean, 0.0)

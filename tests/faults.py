@@ -125,6 +125,10 @@ CATALOGUE = [
           "cells[m, n] = _read_out(w, gram, m, n, settings).value",
           "cells[m, n] = _read_out(w, gram, n, m, settings).value",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("sampler-draws-unrounded-probabilities", "protocol.py",
+          "c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))",
+          "c_plus, c_minus, _ = rng.multinomial(shots, reduced_probabilities(red, observable))",
+          "tests/test_protocol.py::test_sampled_estimate_ignores_rounding_noise"),
     Fault("xi-outcome-dropped", "protocol.py",
           "red[XI, XI].real,",
           "0.0,",

@@ -527,6 +527,24 @@ class TestSampling:
         red = self._reduced_with_p_plus(-1e-15)
         assert np.array_equal(reduced_probabilities(red, "x"), [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("probs,grid", [
+        ([0.5 + 2.0 ** -33, 0.5 - 2.0 ** -33, 0.0], [0.5, 0.5, 0.0]),
+        ([0.5 - 2.0 ** -33, 0.5 + 2.0 ** -33, 0.0], [0.5, 0.5, 0.0]),
+        ([0.5 + 3 * 2.0 ** -33, 0.5 - 3 * 2.0 ** -33 + 2.0 ** -54, 0.0],
+         [0.5 + 2.0 ** -31, 0.5 - 2.0 ** -31, 0.0]),
+    ], ids=["tie-above", "tie-below", "both-above-a-midpoint"])
+    def test_draw_reads_the_probabilities_on_a_grid_that_sums_to_one(self, probs, grid, monkeypatch):
+        # p(+1) and p(+1) + p(-1) go on the 2^-32 grid, so the drawn triple sums to 1 exactly even
+        # where each probability rounded alone would not, and numpy rejects p(+1) + p(-1) > 1 + 1e-12
+        if grid[0] != 0.5:
+            alone = np.round(np.array(probs) * 2.0 ** 32) / 2.0 ** 32
+            with pytest.raises(ValueError, match="pvals"):
+                np.random.default_rng(0).multinomial(1, alone)
+        monkeypatch.setattr(protocol, "reduced_probabilities", lambda red, observable: np.array(probs))
+        est = _sample_reduced(np.zeros((3, 3)), 1, 0, shots=1000, seed=5)
+        monkeypatch.setattr(protocol, "reduced_probabilities", lambda red, observable: np.array(grid))
+        assert est == _sample_reduced(np.zeros((3, 3)), 1, 0, shots=1000, seed=5)
+
     def test_xi_outcome_is_the_xi_population(self):
         # the 0 outcome of either observable reads |xi>, where the compat entangler leaves population
         red = np.diag([0.25, 0.25, 0.5]).astype(complex)
@@ -787,6 +805,24 @@ def test_random_cell_matches_oracle(cell):
     columns, gram = _columns_and_gram(phi)
     w = next(_cell_images([(m, n)], settings, columns))[2].reshape(3, settings.d ** 2, -1)
     assert np.max(np.abs(_slice_reduced(w, gram) - oracle.electronic_reduced(dense, dims))) <= 1e-12
+
+
+_NOISE_INPUTS = (fock(2, 6), coherent(0.9, 6, tail_tol=1e-3), thermal(0.5, 6, tail_tol=1e-2))
+
+
+@hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
+@given(which=st.integers(0, len(_NOISE_INPUTS) - 1), v_mode=st.sampled_from(["ideal", "compiled"]),
+       m=st.integers(0, 2), n=st.integers(0, 2), seed=st.integers(0, 2 ** 16),
+       noise_seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(0.0, 1e-14))
+def test_sampled_estimate_ignores_rounding_noise(which, v_mode, m, n, seed, noise_seed, eps):
+    # hermitian noise of up to eps = 1e-14 times the largest entry of a cell's reduced state moves
+    # no outcome probability off its 2^-32 grid point, so the estimate is ==; a Fock input puts
+    # most cells at p(+-1) = 1/2, where an unrounded draw mirrors on a one-ulp change
+    red = engine_reduced(_NOISE_INPUTS[which], m, n, ProtocolSettings(6, v_mode=v_mode))
+    rng = np.random.default_rng(noise_seed)
+    noise = rng.uniform(-1, 1, size=(3, 3)) + 1j * rng.uniform(-1, 1, size=(3, 3))
+    noisy = red + eps * np.max(np.abs(red)) * (noise + noise.conj().T) / 2
+    assert _sample_reduced(noisy, m, n, 1000, seed) == _sample_reduced(red, m, n, 1000, seed)
 
 
 @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
