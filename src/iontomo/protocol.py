@@ -17,18 +17,19 @@ the other branch.
 
 Both modes keep the same Fock cutoff d, since U_00 maps the x-support onto z.
 A run applies its cell's pulse schedule in closed form (pulses.act_pulse) to a
-(3, d, d, r) tensor of the input's own columns (_run_inputs: r = 1 for a pure
-input, d for a mixed one) and reads the element out of its |-> and |+> blocks,
-with no operator on the composite space (dimension N = 3 d^2). A set of cells
-of one input is one sweep (_cell_images): U_00 runs once, and one walker
-(_ladder) climbs the V- ladder down the rows and each row's V+ ladder across
-it, closing each ladder's last target in place, so a row's last cell and a
-one-cell run copy nothing. Each cell still runs its own run's operations in
-its own run's order; measure_element is the one-cell case. The identity
-checks at the end of this module (mode swap, entangled target, compiled vs
-ideal shifters, pulse unitarity) run on the same actions: the entangled
-target is one sweep over its cells, and the shifters one walk per branch.
-The validate subcommand and the acceptance tests share them.
+(3, d, d, r) tensor of the input's own columns (r = 1 for a pure input, d for
+a mixed one) and reads the element out of its |-> and |+> blocks, with no
+operator on the composite space (dimension N = 3 d^2). The engine's one
+entry, _measure, turns states and cells into estimates; measure_element is
+its one-cell case. Its cells are one sweep (_cell_images): U_00 runs once,
+and one walker (_ladder) climbs the V- ladder down the rows and each row's
+V+ ladder across it, closing each ladder's last target in place, so a row's
+last cell and a one-cell run copy nothing. Each cell still runs its own
+run's operations in its own run's order. The identity checks at the end of
+this module (mode swap, entangled target, compiled vs ideal shifters, pulse
+unitarity) run on the same actions: the entangled target is one sweep over
+its cells, and the shifters one walk per branch. The validate subcommand
+and the acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -323,51 +324,49 @@ def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
             yield m, n, cell
 
 
-def _run_inputs(phi: VibrationalState, settings: ProtocolSettings) -> tuple[np.ndarray, np.ndarray]:
-    """The columns C and Gram matrix G, rho_vibr = C G C^dag, that a run reads phi through.
-
-    A pure phi is its amplitude column with G = [[1]], a mixed phi the d basis
-    columns with G = rho_vibr. phi was checked when it was built; only its
-    dimension is checked here.
-    """
-    if phi.dim != settings.d:
-        raise ValueError(f"vibrational state dim {phi.dim} != d {settings.d}")
-    if phi.is_pure:
-        return phi.amplitudes[:, None], np.ones((1, 1))
-    return np.eye(settings.d), phi.matrix
-
-
 def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """3 x 3 electronic state Tr_v(W_a G W_b^dag) from the (3, d^2, r) images W of C."""
     return np.einsum("avk,bvk->ab", w @ gram, w.conj())
 
 
-def _read_out(w: np.ndarray, gram: np.ndarray, m: int, n: int,
-              settings: ProtocolSettings) -> CoherenceEstimate:
-    """The estimate of cell (m, n) from its images W = U_mn |->C|0>_z and the input's Gram matrix G.
+def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
+             settings: ProtocolSettings) -> Iterator[tuple[int, int, list[CoherenceEstimate]]]:
+    """Stream (m, n, [the estimate of cell (m, n) on each state]) over a set of cells, in one sweep.
 
-    With row blocks W_a = <a|W, the transformed state's block <a|rho|b> is
-    W_a G W_b^dag. Exact mode returns <sigma_x> - i <sigma_y> =
-    2 Tr_v(W_+ G W_-^dag); sampled mode samples from Tr_v(W_a G W_b^dag)
-    (_sample_reduced) on the cell's own streams.
+    The engine's one entry. A run reads a state through columns C and a Gram
+    matrix G, rho_vibr = C G C^dag: a pure state's amplitude column with
+    G = [[1]], or a mixed one's d basis columns with G = rho_vibr. Only the
+    states' size is checked here. The sweep (_cell_images) runs on the first
+    state's columns, so several states must all be mixed, as a monitor's
+    dephased inputs are. Each image W is read against every G before the next
+    cell is drawn, since W is that cell's buffer too. Exact mode returns
+    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag); sampled mode samples from
+    the reduced state Tr_v(W_a G W_b^dag) (_sample_reduced) on the cell's own
+    streams.
     """
-    w = w.reshape(ELECTRONIC_DIM, settings.d ** 2, -1)
-    if settings.shots is None:
-        return CoherenceEstimate(complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0)
-    return _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+    for phi in states:
+        if phi.dim != settings.d:
+            raise ValueError(f"vibrational state dim {phi.dim} != d {settings.d}")
+    grams = [np.ones((1, 1)) if phi.is_pure else phi.matrix for phi in states]
+    columns = states[0].amplitudes[:, None] if states[0].is_pure else np.eye(settings.d)
+    for m, n, w in _cell_images(cells, settings, columns):
+        w = w.reshape(ELECTRONIC_DIM, settings.d ** 2, -1)
+        if settings.shots is None:
+            yield m, n, [CoherenceEstimate(complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0)
+                         for gram in grams]
+        else:
+            yield m, n, [_sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+                         for gram in grams]
 
 
 def measure_element(phi: VibrationalState, m: int, n: int,
                     settings: ProtocolSettings) -> CoherenceEstimate:
     """One protocol run on the input phi: read out <m| rho_vibr |n>.
 
-    The one-cell case of a sweep: phi's columns C and Gram matrix G
-    (_run_inputs), the cell's images W = U_mn |->C|0>_z (_cell_images), and
-    their readout (_read_out).
+    The one-cell, one-state case of the engine's entry (_measure).
     """
-    columns, gram = _run_inputs(phi, settings)
-    [(_, _, w)] = _cell_images([(m, n)], settings, columns)
-    return _read_out(w, gram, m, n, settings)
+    [(_, _, [estimate])] = _measure([phi], [(m, n)], settings)
+    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class VibrationalState:
     directly on the truncated space); the constructor that truncated the family
     decided whether it leaks too much (TruncationLeakageError), so here it is
     only a population in [0, 1], stored as the float check_real returns.
-    dim is the array's size; only a run compares it with d (protocol._run_inputs).
+    dim is the array's size; only a run compares it with d (protocol._measure).
     """
 
     amplitudes: np.ndarray | None = None

@@ -1,14 +1,15 @@
 """Element-by-element reconstruction, physical projection, and quality metrics.
 
-reconstruct() measures a square block of matrix elements in one sweep of
-protocol runs (protocol._cell_images), which shares U_00 and the shifter
-ladder prefixes between cells while every cell stays, bit for bit, its own
-run, and copies a row's image only for the cells before its last; by
-default no hermiticity shortcut is taken, so the (n, m) cell really is
-measured through its own composed unitary rather than copied from the
-conjugate of (m, n). decoherence_monitor() is the three-element use case: it
-tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling the full
-block, and builds the images of its three cells once for all its points.
+reconstruct() measures a square block of matrix elements, and
+decoherence_monitor() its three cells for every point, each in one call of
+the engine's entry (protocol._measure), which turns states and cells into
+estimates: one sweep shares U_00 and the shifter ladder prefixes between
+cells while every cell stays, bit for bit, its own run. This module sees
+only the estimates, never a cell's images. By default no hermiticity
+shortcut is taken, so the (n, m) cell really is measured through its own
+composed unitary rather than copied from the conjugate of (m, n). The
+monitor tracks |rho_20| against sqrt(rho_00 rho_22) without ever filling
+the full block, and reads its three cells once for all its points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolSettings, _cell_images, _read_out, _run_inputs, check_reach
+from . import protocol
+from .protocol import ProtocolSettings, check_reach
 from .states import VibrationalState, check_real, dephase
 
 
@@ -105,26 +107,24 @@ def reconstruct(phi: VibrationalState, nmax: int, settings: ProtocolSettings,
                 use_hermitian_symmetry: bool = False) -> ReconstructionReport:
     """Measure every matrix element of the (nmax+1)-square block of rho_vibr.
 
-    Each cell is one full protocol run; the block's runs are one sweep
-    (protocol._cell_images) that yields every cell bit for bit as its own run
-    would. With use_hermitian_symmetry only the cells n >= m, about half, are
-    measured and the lower triangle is filled from the conjugate upper one, at
-    the cost of no longer exercising the element-independence property. Each
-    row's V+ ladder still climbs from |0>, so an ideal block, whose rolls jump
-    to the row's first target, takes about half the time, but a compiled one,
-    whose ladder steps dominate, saves only 15-30% at d = 30. The flag must be
-    a bool.
+    Each cell is one full protocol run; the block's runs are one call of the
+    engine's entry (protocol._measure), whose sweep yields every cell bit for
+    bit as its own run would. With use_hermitian_symmetry only the cells
+    n >= m, about half, are measured and the lower triangle is filled from the
+    conjugate upper one, at the cost of no longer exercising the
+    element-independence property. Each row's V+ ladder still climbs from |0>,
+    so an ideal block, whose rolls jump to the row's first target, takes about
+    half the time, but a compiled one, whose ladder steps dominate, saves only
+    15-30% at d = 30. The flag must be a bool.
     """
     if not isinstance(use_hermitian_symmetry, bool):
         raise ValueError(f"use_hermitian_symmetry must be a bool, got {use_hermitian_symmetry!r}")
     check_reach(nmax, settings, "nmax")
     size = nmax + 1
-    columns, gram = _run_inputs(phi, settings)
     cells = [(m, n) for m in range(size) for n in range(m if use_hermitian_symmetry else 0, size)]
     estimates = np.zeros((size, size), dtype=complex)
     stderrs = np.zeros((size, size), dtype=float)
-    for m, n, w in _cell_images(cells, settings, columns):
-        est = _read_out(w, gram, m, n, settings)
+    for m, n, [est] in protocol._measure([phi], cells, settings):
         estimates[m, n] = est.value
         stderrs[m, n] = est.stderr
     if use_hermitian_symmetry:
@@ -156,9 +156,9 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
 
     For each lambda the input is dephased once, and exactly three elements
     are measured, each by its own protocol run: (2, 0), (0, 0) and (2, 2).
-    A dephased input is mixed, so every point has the same d basis columns
-    (protocol._run_inputs): the three cells' images are built once on them
-    (protocol._cell_images) and read out against every point's matrix.
+    A dephased input is mixed, so all points are one call of the engine's
+    entry (protocol._measure): the three cells' images are built once, on the
+    d basis columns every point shares, and read against every point's matrix.
     For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
     equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
     the sampler (common random numbers), so the populations (0, 0) and
@@ -175,11 +175,11 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     if lambdas != sorted(lambdas):
         raise ValueError("dephasing strengths must be sorted ascending")
     check_reach(2, settings, "monitor target m")
-    inputs = [_run_inputs(dephase(phi, lam), settings) for lam in lambdas]
+    states = [dephase(phi, lam) for lam in lambdas]
     values = [{} for _ in lambdas]
-    for m, n, w in _cell_images([(2, 0), (0, 0), (2, 2)], settings, inputs[0][0]):
-        for cells, (_, gram) in zip(values, inputs):
-            cells[m, n] = _read_out(w, gram, m, n, settings).value
+    for m, n, estimates in protocol._measure(states, [(2, 0), (0, 0), (2, 2)], settings):
+        for cells, est in zip(values, estimates):
+            cells[m, n] = est.value
     points = []
     for lam, cells in zip(lambdas, values):
         bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))

@@ -121,10 +121,16 @@ CATALOGUE = [
           "np.copyto(copy, w)",
           "pass",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
-    Fault("monitor-reads-a-cell-on-its-transpose-stream", "tomography.py",
-          "cells[m, n] = _read_out(w, gram, m, n, settings).value",
-          "cells[m, n] = _read_out(w, gram, n, m, settings).value",
+    # The engine's entry (protocol._measure): every state is read on the cell's own streams,
+    # against its own Gram matrix.
+    Fault("monitor-reads-a-cell-on-its-transpose-stream", "protocol.py",
+          "yield m, n, [_sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)",
+          "yield m, n, [_sample_reduced(_slice_reduced(w, gram), n, m, settings.shots, settings.seed)",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("entry-reads-every-state-on-the-first-gram", "protocol.py",
+          "grams = [np.ones((1, 1)) if phi.is_pure else phi.matrix for phi in states]",
+          "grams = [np.ones((1, 1)) if phi.is_pure else states[0].matrix for phi in states]",
+          "tests/test_tomography.py::TestOneCellEntry::test_monitor_measures_three_cells_per_lambda"),
     Fault("sampler-draws-unrounded-probabilities", "protocol.py",
           "c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))",
           "c_plus, c_minus, _ = rng.multinomial(shots, reduced_probabilities(red, observable))",

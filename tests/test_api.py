@@ -1,10 +1,12 @@
 """The public API: exactly the names the iontomo package exports, and one type rule for their numbers."""
 
+import ast
 import dataclasses
 import inspect
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,19 @@ def test_public_names_are_pinned():
     exported = {name for name, obj in vars(iontomo).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == PUBLIC
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each module reaches the others only through their public names: the engine's entry is
+    # protocol's own, and what lies behind it (the sweep, the columns, the readout) stays there
+    private = []
+    for path in sorted(Path(iontomo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "iontomo")
+            if internal:
+                private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 _COMMON_OPTIONS = {"-h", "--help", "--config", "--out", "--format", "--compat-rminus-final"}

@@ -433,26 +433,46 @@ class TestDecoherenceMonitor:
 
 
 class TestOneCellEntry:
-    """A block or a monitor is one protocol._cell_images sweep, and each of its cells' images
-    is read out (protocol._read_out) once per input."""
+    """A run, a block or a monitor is one call of the engine's entry (protocol._measure),
+    whose cells are one protocol._cell_images sweep, and the entry reads each cell's images
+    once per input."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"sweeps": [], "images": [], "reads": []}
+        seen = {"entries": [], "sweeps": [], "images": [], "reads": []}
+        sweep, entry = protocol._cell_images, protocol._measure
 
-        def sweep(cells, settings, columns):
+        def counted_sweep(cells, settings, columns):
             seen["sweeps"].append((list(cells), columns))
-            for m, n, w in protocol._cell_images(cells, settings, columns):
+            for m, n, w in sweep(cells, settings, columns):
                 seen["images"].append((m, n, w.copy()))
                 yield m, n, w
 
-        def read_out(w, gram, m, n, settings):
-            seen["reads"].append((m, n, w.copy(), gram))
-            return protocol._read_out(w, gram, m, n, settings)
+        def counted_entry(states, cells, settings):
+            seen["entries"].append((list(states), list(cells)))
+            for m, n, estimates in entry(states, cells, settings):
+                seen["reads"].append((m, n, estimates))
+                yield m, n, estimates
 
-        monkeypatch.setattr(tomography, "_cell_images", sweep)
-        monkeypatch.setattr(tomography, "_read_out", read_out)
+        monkeypatch.setattr(protocol, "_cell_images", counted_sweep)
+        monkeypatch.setattr(protocol, "_measure", counted_entry)
         return seen
+
+    @staticmethod
+    def read(image, gram) -> complex:
+        """The exact readout 2 Tr_v(W_+ G W_-^dag) of a cell's images W against a Gram matrix G."""
+        w = image.reshape(3, D * D, -1)
+        return complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram))
+
+    def test_measure_element_is_one_cell_of_the_entry(self, calls):
+        phi = coherent(0.8, D, tail_tol=1e-5)
+        est = measure_element(phi, 2, 1, SETTINGS)
+        assert calls["entries"] == [([phi], [(2, 1)])]
+        [(cells, columns)] = calls["sweeps"]
+        assert cells == [(2, 1)] and np.array_equal(columns, phi.amplitudes[:, None])
+        [(_, _, image)] = calls["images"]
+        assert calls["reads"] == [(2, 1, [est])]
+        assert est.value == self.read(image, np.ones((1, 1)))
 
     @pytest.mark.parametrize("nmax", [0, 3])
     @pytest.mark.parametrize("symmetric", [False, True], ids=["full", "hermitian"])
@@ -462,22 +482,27 @@ class TestOneCellEntry:
         size = nmax + 1
         expected = [(m, n) for m in range(size) for n in range(size) if not symmetric or n >= m]
         assert len(expected) == (size * (size + 1) // 2 if symmetric else size ** 2)
-        # one sweep over exactly the expected cells, on the input's basis columns
+        # one call of the entry, one sweep over exactly the expected cells, on the input's basis columns
+        assert calls["entries"] == [([phi], expected)]
         [(cells, columns)] = calls["sweeps"]
         assert cells == expected
         assert np.array_equal(columns, np.eye(8))
         assert [(m, n) for m, n, _ in calls["images"]] == expected
         # each image read out once, as it came, against the input's density matrix
         assert len(calls["reads"]) == len(expected)
-        for (m, n, image), (rm, rn, w, gram) in zip(calls["images"], calls["reads"]):
+        for (m, n, image), (rm, rn, estimates) in zip(calls["images"], calls["reads"]):
             assert (rm, rn) == (m, n)
-            assert np.array_equal(w, image)
-            assert gram is phi.matrix
+            [est] = estimates
+            assert est.value == self.read(image, phi.matrix)
 
     def test_monitor_measures_three_cells_per_lambda(self, calls):
         lams = [0.0, 0.3, 0.6, 1.0]
         phi = coherent(0.8, 8, tail_tol=1e-5)
         decoherence_monitor(phi, lams, SETTINGS)
+        # one call of the entry on every point's dephased input
+        [(states, _)] = calls["entries"]
+        assert [state.matrix.tolist() for state in states] == [dephase(phi, lam).matrix.tolist()
+                                                                for lam in lams]
         # one sweep builds the three cells' images once, on the d basis columns
         [(cells, columns)] = calls["sweeps"]
         assert sorted(cells) == [(0, 0), (2, 0), (2, 2)]
@@ -485,13 +510,11 @@ class TestOneCellEntry:
         images = {(m, n): image for m, n, image in calls["images"]}
         assert len(images) == len(calls["images"]) == 3
         # every lambda reads the same image of each cell, once, against its own dephased matrix
-        assert len(calls["reads"]) == 3 * len(lams)
-        for cell, image in images.items():
-            reads = [(w, gram) for m, n, w, gram in calls["reads"] if (m, n) == cell]
-            assert len(reads) == len(lams)
-            for (w, gram), lam in zip(reads, lams):
-                assert np.array_equal(w, image)
-                assert np.array_equal(gram, dephase(phi, lam).matrix)
+        assert [(m, n) for m, n, _ in calls["reads"]] == list(images)
+        for m, n, estimates in calls["reads"]:
+            assert len(estimates) == len(lams)
+            for est, lam in zip(estimates, lams):
+                assert est.value == self.read(images[m, n], dephase(phi, lam).matrix)
 
 
 def _own_image(columns, m, n, settings) -> np.ndarray:
