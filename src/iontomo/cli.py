@@ -158,6 +158,13 @@ def _as_complex(value, where: str) -> complex:
     return complex(_as_float(value["re"], f"{where}.re"), _as_float(value["im"], f"{where}.im"))
 
 
+def _as_str(value, where: str) -> str:
+    """A JSON string; numbers, null, lists and objects are rejected."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"field '{where}' must be a string, got {value!r}")
+
+
 def _argv_number(convert, what: str):
     """An argparse type: the token read as JSON and checked by convert, as the config reads a number."""
     def read(token: str):
@@ -203,7 +210,7 @@ def build_state(cfg: dict, d: int) -> VibrationalState:
                          _field(spec, "state.phi", _as_float, 0.0), d, tail_tol)
     elif kind == "cat":
         state = cat(_field(spec, "state.alpha", _as_complex, required=True),
-                    _field(spec, "state.parity", required=True), d, tail_tol)
+                    _field(spec, "state.parity", _as_str, required=True), d, tail_tol)
     elif kind == "thermal":
         state = thermal(_field(spec, "state.nbar", _as_float, required=True), d, tail_tol)
     else:
@@ -220,7 +227,7 @@ def build_settings(cfg: dict, d: int, compat: bool) -> protocol.ProtocolSettings
     shots = _field(cfg, "shots")
     return protocol.ProtocolSettings(
         d=d,
-        v_mode=_field(cfg, "v_mode", default="ideal"),
+        v_mode=_field(cfg, "v_mode", _as_str, "ideal"),
         shots=None if shots is None else _as_int(shots, "shots"),
         seed=_field(cfg, "seed", _as_int, 0),
         compat_rminus_final=compat,

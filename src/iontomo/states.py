@@ -167,9 +167,18 @@ def _guard_tail(kind: str, populations: np.ndarray, dim: int, tail_tol: float) -
     return tail
 
 
+def _check_dim(dim) -> int:
+    """dim as the Python int check_int returns if it is at least 1; else a ValueError naming it."""
+    dim = check_int(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return dim
+
+
 def fock(n: int, dim: int) -> VibrationalState:
     """Number state |n>."""
-    if not 0 <= check_int(n, "n") < check_int(dim, "dim"):
+    n, dim = check_int(n, "n"), _check_dim(dim)
+    if not 0 <= n < dim:
         raise ValueError(f"Fock index {n} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
@@ -212,7 +221,7 @@ def _displaced_vacuum(alpha: complex, nbig: int) -> np.ndarray:
 def coherent(alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
     """Coherent state, <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized on the cutoff."""
     alpha = _check_alpha(alpha)
-    dim = check_int(dim, "dim")
+    dim = _check_dim(dim)
     return _truncated("coherent", _displaced_vacuum(alpha, dim + _TAIL_EXTEND), dim, tail_tol)
 
 
@@ -224,7 +233,7 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
     r = check_real(r, "r")
     if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
-    dim = check_int(dim, "dim")
+    dim = _check_dim(dim)
     nbig = dim + _TAIL_EXTEND
     amps = np.zeros(nbig, dtype=complex)
     try:
@@ -249,7 +258,7 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
     if norm_sq < 1e-30:
         raise ValueError("odd cat with alpha = 0 is the zero vector")
-    dim = check_int(dim, "dim")
+    dim = _check_dim(dim)
     nbig = dim + _TAIL_EXTEND
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)
     amps = _displaced_vacuum(alpha, nbig) * (1.0 + sign * parities) / math.sqrt(norm_sq)
@@ -263,7 +272,7 @@ def thermal(nbar: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Vibrat
         raise ValueError("mean occupation nbar must be >= 0")
     tail_tol = _check_tail_tol(tail_tol)
     q = nbar / (1.0 + nbar)
-    dim = check_int(dim, "dim")
+    dim = _check_dim(dim)
     tail = q ** dim  # geometric series remainder
     if tail > tail_tol:
         # q**d <= tail_tol from d = log(tail_tol) / log(q); log(q) = -log1p(1/nbar)

@@ -155,6 +155,10 @@ CATALOGUE = [
           "raise argparse.ArgumentTypeError(f\"{token!r} is not {what}\") from None",
           "return convert(float(token), token)",
           "tests/test_cli.py::test_argv_number_reads_as_the_config_reads_it"),
+    Fault("config-v-mode-read-unconverted", "cli.py",
+          "v_mode=_field(cfg, \"v_mode\", _as_str, \"ideal\"),",
+          "v_mode=_field(cfg, \"v_mode\", default=\"ideal\"),",
+          "tests/test_cli.py::test_non_string_name_is_config_error"),
     Fault("writer-keys-unsorted", "cli.py",
           "return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)",
           "return json.dumps(obj, sort_keys=False, allow_nan=False, default=_record)",
@@ -178,6 +182,10 @@ CATALOGUE = [
           "if args.out is not None: "
           "_emit(args, payload, [\"name\", \"passed\", \"deviation\", \"tolerance\"], rows)",
           "tests/test_cli.py::test_output_follows_out_and_format"),
+    Fault("state-cutoff-zero-accepted", "states.py",
+          "if dim < 1:",
+          "if dim < 0:",
+          "tests/test_states.py::test_constructors_reject_a_cutoff_below_one"),
     Fault("state-matrix-not-checked-square", "states.py",
           "if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:",
           "if False:",

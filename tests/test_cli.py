@@ -572,8 +572,8 @@ LIBRARY_REJECTS = [
      "tail_tol must be a positive number, got 0.0"),
     ("state.dephase", {"state": {"kind": "fock", "n": 0, "dephase": -1}},
      "dephasing strength lam must be >= 0, got -1.0"),
-    ("state.parity", {"state": {"kind": "cat", "alpha": 0.3, "parity": 3}},
-     "parity must be 'even' or 'odd', got 3"),
+    ("state.parity", {"state": {"kind": "cat", "alpha": 0.3, "parity": "EVEN"}},
+     "parity must be 'even' or 'odd', got 'EVEN'"),
 ]
 
 
@@ -584,6 +584,21 @@ def test_library_rejected_value_is_invalid_arguments(write_config, capsys, overr
     assert run(["reconstruct", "--config", cfg]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == {"type": "invalid-arguments", "message": message}
+
+
+# A v_mode or parity that is no JSON string has the wrong form, as a kind or a seed that is
+# none has; a string that the library does not know stays its error (LIBRARY_REJECTS).
+@pytest.mark.parametrize("value", [5, None, ["ideal"]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("path,overrides", [
+    ("v_mode", lambda value: {"v_mode": value}),
+    ("state.parity", lambda value: {"state": {"kind": "cat", "alpha": 0.3, "parity": value}}),
+], ids=["v_mode", "state.parity"])
+def test_non_string_name_is_config_error(write_config, capsys, path, overrides, value):
+    cfg = write_config(**{"dims": {"dx": 6, "dz": 6}, **overrides(value)})
+    assert run(["reconstruct", "--config", cfg]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == {"type": "config-error",
+                               "message": f"field '{path}' must be a string, got {value!r}"}
 
 
 # A lambda that is no finite JSON number is malformed argv; a well-formed one that the

@@ -286,6 +286,21 @@ def test_constructors_coerce_nothing(build, message):
         build()
 
 
+# A cutoff below one used to slice the extended range with a negative index (a state of
+# hundreds of levels), divide by zero, or report a tail mass above one.
+@pytest.mark.parametrize("dim", [0, -1, -3])
+@pytest.mark.parametrize("build", [
+    lambda dim: fock(0, dim),
+    lambda dim: coherent(0.5, dim),
+    lambda dim: squeezed(0.3, 0.0, dim),
+    lambda dim: cat(0.5, "even", dim),
+    lambda dim: thermal(0.0, dim),
+], ids=["fock", "coherent", "squeezed", "cat", "thermal"])
+def test_constructors_reject_a_cutoff_below_one(build, dim):
+    with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+        build(dim)
+
+
 class TestTypeInvariants:
     """VibrationalState checks its representation once, when it is built, and freezes it."""
 
