@@ -48,8 +48,9 @@ def test_public_names_are_pinned():
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # each module reaches the others only through their public names: the engine's entry is
-    # protocol's own, and what lies behind it (the sweep, the columns, the readout) stays there
+    # no module imports a private name of another: tomography reaches the engine through its
+    # one entry, protocol._measure, and what lies behind it (the sweep, the columns, the
+    # readout) stays in protocol
     private = []
     for path in sorted(Path(iontomo.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
