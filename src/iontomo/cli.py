@@ -76,11 +76,6 @@ def to_csv(header: list[str], rows: list[list]) -> str:
 # One config describes the run and serves every subcommand, so each accepts all top-level
 # fields; where the output goes and in which format is for the flags to say.
 _TOP_FIELDS = ("dims", "state", "nmax", "v_mode", "shots", "seed")
-_STATE_COMMON = ("kind", "dephase")
-# tail_tol belongs to the families a cutoff truncates; fock and raw live on the cutoff.
-_STATE_FIELDS = {"fock": ("n",), "raw": ("amplitudes",),
-                 "coherent": ("alpha", "tail_tol"), "squeezed": ("r", "phi", "tail_tol"),
-                 "cat": ("alpha", "parity", "tail_tol"), "thermal": ("nbar", "tail_tol")}
 
 
 def _reject_unknown(obj: dict, allowed, prefix: str = "") -> None:
@@ -158,6 +153,12 @@ def _as_complex(value, where: str) -> complex:
     return complex(_as_float(value["re"], f"{where}.re"), _as_float(value["im"], f"{where}.im"))
 
 
+def _as_complex_list(value, where: str) -> list[complex]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return [_as_complex(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_str(value, where: str) -> str:
     """A JSON string; numbers, null, lists and objects are rejected."""
     if isinstance(value, str):
@@ -192,33 +193,31 @@ def build_dims(cfg: dict) -> int:
     return dx
 
 
+# Each state kind: its constructor, called by parameter name with dim=d, and the fields it reads in
+# order, as (name, reader) or (name, reader, default); a field is allowed exactly when read, as are
+# kind and dephase. fock and raw live on the cutoff (no tail_tol); protocol._measure checks raw's size.
+_TAIL_TOL = ("tail_tol", _as_float, DEFAULT_TAIL_TOL)
+_STATE_KINDS = {
+    "fock": (fock, (("n", _as_int),)),
+    "coherent": (coherent, (_TAIL_TOL, ("alpha", _as_complex))),
+    "squeezed": (squeezed, (_TAIL_TOL, ("r", _as_float), ("phi", _as_float, 0.0))),
+    "cat": (cat, (_TAIL_TOL, ("alpha", _as_complex), ("parity", _as_str))),
+    "thermal": (thermal, (_TAIL_TOL, ("nbar", _as_float))),
+    "raw": (lambda amplitudes, dim: from_amplitudes(amplitudes), (("amplitudes", _as_complex_list),)),
+}
+
+
 def build_state(cfg: dict, d: int) -> VibrationalState:
     spec = _field(cfg, "state", required=True)
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
     kind = _field(spec, "state.kind", required=True)
-    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
         raise ConfigError(f"unknown state kind {kind!r}")
-    _reject_unknown(spec, _STATE_COMMON + _STATE_FIELDS[kind], "state.")
-    tail_tol = _field(spec, "state.tail_tol", _as_float, DEFAULT_TAIL_TOL)
-    if kind == "fock":
-        state = fock(_field(spec, "state.n", _as_int, required=True), d)
-    elif kind == "coherent":
-        state = coherent(_field(spec, "state.alpha", _as_complex, required=True), d, tail_tol)
-    elif kind == "squeezed":
-        state = squeezed(_field(spec, "state.r", _as_float, required=True),
-                         _field(spec, "state.phi", _as_float, 0.0), d, tail_tol)
-    elif kind == "cat":
-        state = cat(_field(spec, "state.alpha", _as_complex, required=True),
-                    _field(spec, "state.parity", _as_str, required=True), d, tail_tol)
-    elif kind == "thermal":
-        state = thermal(_field(spec, "state.nbar", _as_float, required=True), d, tail_tol)
-    else:
-        values = _field(spec, "state.amplitudes", required=True)
-        if not isinstance(values, list):
-            raise ConfigError("state.amplitudes must be a list")
-        amps = [_as_complex(v, f"state.amplitudes[{i}]") for i, v in enumerate(values)]
-        state = from_amplitudes(amps)
+    constructor, fields = _STATE_KINDS[kind]
+    _reject_unknown(spec, ("kind", "dephase", *(name for name, *_ in fields)), "state.")
+    state = constructor(dim=d, **{name: _field(spec, f"state.{name}", reader, *default, required=not default)
+                                  for name, reader, *default in fields})
     lam = _field(spec, "state.dephase", _as_float)
     return state if lam is None else dephase(state, lam)
 
