@@ -193,28 +193,33 @@ def build_dims(cfg: dict) -> int:
     return dx
 
 
-# Each state kind: its constructor, called by parameter name with dim=d, and the fields it reads in
-# order, as (name, reader) or (name, reader, default); a field is allowed exactly when read, as are
-# kind and dephase. fock and raw live on the cutoff (no tail_tol); protocol._measure checks raw's size.
-_TAIL_TOL = ("tail_tol", _as_float, DEFAULT_TAIL_TOL)
-_STATE_KINDS = {
-    "fock": (fock, (("n", _as_int),)),
-    "coherent": (coherent, (_TAIL_TOL, ("alpha", _as_complex))),
-    "squeezed": (squeezed, (_TAIL_TOL, ("r", _as_float), ("phi", _as_float, 0.0))),
-    "cat": (cat, (_TAIL_TOL, ("alpha", _as_complex), ("parity", _as_str))),
-    "thermal": (thermal, (_TAIL_TOL, ("nbar", _as_float))),
-    "raw": (lambda amplitudes, dim: from_amplitudes(amplitudes), (("amplitudes", _as_complex_list),)),
-}
+def _state_kinds() -> dict:
+    """Each state kind's constructor, called by parameter name with dim=d, and the fields it reads.
+
+    Fields come in reading order, as (name, reader) or (name, reader, default); a field is allowed
+    exactly when read, as are kind and dephase. fock and raw live on the cutoff (no tail_tol), and
+    protocol._measure checks a raw list's size. Made per call, so that a wrapper put on a
+    constructor's name here (as perfbench/child.py's states.build spans are) sees the call.
+    """
+    tail_tol = ("tail_tol", _as_float, DEFAULT_TAIL_TOL)
+    return {
+        "fock": (fock, (("n", _as_int),)),
+        "coherent": (coherent, (tail_tol, ("alpha", _as_complex))),
+        "squeezed": (squeezed, (tail_tol, ("r", _as_float), ("phi", _as_float, 0.0))),
+        "cat": (cat, (tail_tol, ("alpha", _as_complex), ("parity", _as_str))),
+        "thermal": (thermal, (tail_tol, ("nbar", _as_float))),
+        "raw": (lambda amplitudes, dim: from_amplitudes(amplitudes), (("amplitudes", _as_complex_list),)),
+    }
 
 
 def build_state(cfg: dict, d: int) -> VibrationalState:
     spec = _field(cfg, "state", required=True)
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
-    kind = _field(spec, "state.kind", required=True)
-    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+    kind, kinds = _field(spec, "state.kind", required=True), _state_kinds()
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"unknown state kind {kind!r}")
-    constructor, fields = _STATE_KINDS[kind]
+    constructor, fields = kinds[kind]
     _reject_unknown(spec, ("kind", "dephase", *(name for name, *_ in fields)), "state.")
     state = constructor(dim=d, **{name: _field(spec, f"state.{name}", reader, *default, required=not default)
                                   for name, reader, *default in fields})
