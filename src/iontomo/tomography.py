@@ -52,6 +52,14 @@ def _finite(value, name: str) -> np.ndarray:
     return m
 
 
+def _difference(a, b) -> np.ndarray:
+    """a - b, for a and b nonempty, finite and of one shape; else a ValueError names the fault."""
+    ma, mb = _finite(a, "a"), _finite(b, "b")
+    if ma.shape != mb.shape:
+        raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
+    return ma - mb
+
+
 def trace_distance(a, b) -> float:
     """(1/2) ||A - B||_1: half the sum of the singular values of A - B.
 
@@ -60,10 +68,7 @@ def trace_distance(a, b) -> float:
     anti-hermitian error counts too. a and b must be nonempty, finite and of
     one shape; else a ValueError names the one that is not.
     """
-    ma, mb = _finite(a, "a"), _finite(b, "b")
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return 0.5 * float(np.linalg.norm(ma - mb, "nuc"))
+    return 0.5 * float(np.linalg.norm(_difference(a, b), "nuc"))
 
 
 def hs_distance(a, b) -> float:
@@ -71,10 +76,7 @@ def hs_distance(a, b) -> float:
 
     A ValueError names an argument that is empty or has a non-finite entry.
     """
-    ma, mb = _finite(a, "a"), _finite(b, "b")
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return float(np.linalg.norm(ma - mb))
+    return float(np.linalg.norm(_difference(a, b)))
 
 
 def project_physical(matrix) -> np.ndarray:

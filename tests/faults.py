@@ -67,8 +67,8 @@ CATALOGUE = [
           "var *= 1.0",
           "tests/test_protocol.py::TestSampling::test_stderr_calibrated"),
     Fault("trace-distance-largest-eigenvalue", "tomography.py",
-          "return 0.5 * float(np.linalg.norm(ma - mb, \"nuc\"))",
-          "return 0.5 * float(np.linalg.norm(ma - mb, 2))",
+          "return 0.5 * float(np.linalg.norm(_difference(a, b), \"nuc\"))",
+          "return 0.5 * float(np.linalg.norm(_difference(a, b), 2))",
           "tests/test_tomography.py::TestDistances::test_diagonal_is_half_l1_distance"),
     Fault("monitor-bound-unclipped", "tomography.py",
           "bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))",
@@ -198,6 +198,33 @@ CATALOGUE = [
           "if phi.dim != settings.d:",
           "if False:",
           "tests/test_cli.py::TestConfigAndErrors::test_raw_state_of_another_size_is_the_runs_error"),
+    # The state table (cli._state_kinds): a field is allowed exactly when it is read, through its
+    # reader, with the constructor's default when absent.
+    Fault("state-parity-read-as-float", "cli.py",
+          "\"cat\": (cat, (tail_tol, (\"alpha\", _as_complex), (\"parity\", _as_str))),",
+          "\"cat\": (cat, (tail_tol, (\"alpha\", _as_complex), (\"parity\", _as_float))),",
+          "tests/test_cli.py::test_every_allowed_state_field_is_read"),
+    Fault("state-coherent-reads-no-tail-tol", "cli.py",
+          "\"coherent\": (coherent, (tail_tol, (\"alpha\", _as_complex))),",
+          "\"coherent\": (coherent, ((\"alpha\", _as_complex),)),",
+          "tests/test_cli.py::test_every_allowed_state_field_is_read"),
+    Fault("state-tail-tol-default-changed", "cli.py",
+          "tail_tol = (\"tail_tol\", _as_float, DEFAULT_TAIL_TOL)",
+          "tail_tol = (\"tail_tol\", _as_float, 1e-10)",
+          "tests/test_cli.py::test_absent_tail_tol_is_the_constructors_default"),
+    Fault("state-phi-default-changed", "cli.py",
+          "\"squeezed\": (squeezed, (tail_tol, (\"r\", _as_float), (\"phi\", _as_float, 0.0))),",
+          "\"squeezed\": (squeezed, (tail_tol, (\"r\", _as_float), (\"phi\", _as_float, 0.5))),",
+          "tests/test_cli.py::test_absent_phi_is_zero"),
+    Fault("state-dephase-not-allowed", "cli.py",
+          "_reject_unknown(spec, (\"kind\", \"dephase\", *(name for name, *_ in fields)), \"state.\")",
+          "_reject_unknown(spec, (\"kind\", *(name for name, *_ in fields)), \"state.\")",
+          "tests/test_cli.py::test_every_allowed_state_field_is_read"),
+    # numpy's allocation error is a MemoryError, not a ValueError.
+    Fault("unallocatable-cutoff-is-internal-error", "cli.py",
+          "(MemoryError, \"invalid-arguments\", 1),  # numpy's array too large to allocate, named with its size",
+          "",
+          "tests/test_cli.py::test_unallocatable_cutoff_is_invalid_arguments"),
     Fault("metrics-accept-non-finite-matrices", "tomography.py",
           "if m.size == 0 or not np.all(np.isfinite(m)):",
           "if False:",

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iontomo import protocol, pulses, tomography
-from iontomo.cli import (ConfigError, UsageError, _as_float, _as_int, _build_parser, _field, build_dims,
-                         build_settings, load_config, main, stable_json)
+from iontomo import TruncationLeakageError, cli, protocol, pulses, tomography
+from iontomo.cli import (ConfigError, UsageError, _as_float, _as_int, _build_parser, _field, _state_kinds,
+                         build_dims, build_settings, build_state, load_config, main, stable_json)
+from iontomo.states import DEFAULT_TAIL_TOL
 from util import subcommand_parsers
 
 RHO10_COH08 = 0.42183393923443885
@@ -289,14 +291,33 @@ class TestValidateCommand:
             "element-identity-compiled", "compiled-vs-ideal"]
 
 
-def test_module_entry_point_is_main(write_config, capsys):
-    # python -m iontomo.cli exits with main's code and prints main's output
+# Each subcommand, a CSV run, an --out run and an error record; {out} is the run's output path.
+ENTRY_RUNS = {
+    "reconstruct": ["reconstruct"],
+    "coherence": ["coherence", "--m", "1", "--n", "0"],
+    "monitor": ["monitor", "--lambdas", "0,0.5"],
+    "validate": ["validate"],
+    "csv": ["reconstruct", "--format", "csv"],
+    "out": ["monitor", "--lambdas", "0.1", "--out", "{out}"],
+    "error": ["coherence", "--m", "99", "--n", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", ENTRY_RUNS.values(), ids=ENTRY_RUNS)
+def test_module_entry_point_is_main(write_config, tmp_path, capsys, argv):
+    # python -m iontomo.cli writes main's bytes, to stdout or --out, and exits with main's code;
+    # the process also freezes its heap at exit, which must lose nothing
     cfg = write_config()
-    code = run(["validate", "--config", cfg])
+    outs = {who: tmp_path / f"{who}.out" for who in ("main", "module")}
+    code = run([*(arg.format(out=outs["main"]) for arg in argv), "--config", cfg])
     env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "iontomo.cli", "validate", "--config", cfg],
-                          env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+    proc = subprocess.run([sys.executable, "-m", "iontomo.cli",
+                           *(arg.format(out=outs["module"]) for arg in argv), "--config", cfg],
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, capsys.readouterr().out.encode(), b"")
+    assert code == (1 if argv is ENTRY_RUNS["error"] else 0)
+    written = [path.read_bytes() for path in outs.values() if path.exists()]
+    assert (written[0] == written[1] != b"") if "--out" in argv else written == []
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])
@@ -937,6 +958,28 @@ def test_extreme_inputs_leave_stderr_empty(write_config, capsys, state, d, outco
         assert code == 0 and doc["value"] == {"re": outcome, "im": outcome}
 
 
+# A cutoff whose first array takes 7 or 14 PiB, far past the 128 TiB of address space a 64-bit
+# process is given by default, so its allocation fails before any memory is touched.
+HUGE_CUTOFF_STATES = [{"kind": "fock", "n": 1}, {"kind": "thermal", "nbar": 0.5},
+                      {"kind": "coherent", "alpha": 0.5}]
+HUGE_CUTOFF_RUNS = [(command, state) for command in ("reconstruct", "coherence", "monitor", "validate")
+                    for state in HUGE_CUTOFF_STATES]
+
+
+@pytest.mark.parametrize("command,state", HUGE_CUTOFF_RUNS,
+                         ids=[f"{command}-{state['kind']}" for command, state in HUGE_CUTOFF_RUNS])
+def test_unallocatable_cutoff_is_invalid_arguments(write_config, capsys, command, state):
+    cfg = write_config(dims={"dx": 10 ** 15, "dz": 10 ** 15}, state=state)
+    args = {"coherence": ["--m", "0", "--n", "0"], "monitor": ["--lambdas", "0"]}.get(command, [])
+    assert run([command, "--config", cfg, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "invalid-arguments"
+    assert re.fullmatch(r"Unable to allocate [\d.]+ PiB for an array with shape \(\d+,\) "
+                        r"and data type \w+", error["message"]), error["message"]
+
+
 # One misspelt field per level of the config, and the name the error must give.
 UNKNOWN_FIELDS = [
     ("top", {"shot": 1000}, "'shot'"),
@@ -1008,6 +1051,76 @@ def test_every_documented_field_is_accepted(write_config, tmp_path):
                        state={"kind": "squeezed", "r": 0.1, "phi": 0.2, "tail_tol": 1e-3, "dephase": 0.1})
     assert run(["reconstruct", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
     assert out.read_text().startswith("m,n,re,im,stderr\n")
+
+
+# Each kind's state block that builds at d = 8, and for each field the kind allows, a value that
+# must change what build_state returns or raises: a tail_tol below the state's tail mass, and a
+# dephase that mixes a state with coherences or, on a diagonal one, is out of range.
+STATE_BASES = {
+    "fock": ({"kind": "fock", "n": 1}, {"n": 2, "dephase": -1.0}),
+    "coherent": ({"kind": "coherent", "alpha": 0.5, "tail_tol": 1e-3},
+                 {"alpha": {"re": 0.5, "im": 0.1}, "tail_tol": 1e-30, "dephase": 0.5}),
+    "squeezed": ({"kind": "squeezed", "r": 0.3, "tail_tol": 1e-3},
+                 {"r": 0.4, "phi": 1.0, "tail_tol": 1e-30, "dephase": 0.5}),
+    "cat": ({"kind": "cat", "alpha": 0.5, "parity": "even", "tail_tol": 1e-3},
+            {"alpha": 0.6, "parity": "odd", "tail_tol": 1e-30, "dephase": 0.5}),
+    "thermal": ({"kind": "thermal", "nbar": 0.3, "tail_tol": 1e-3},
+                {"nbar": 0.4, "tail_tol": 1e-30, "dephase": -1.0}),
+    "raw": ({"kind": "raw", "amplitudes": [0.6, 0.8]},
+            {"amplitudes": [0.8, {"re": 0.0, "im": 0.6}], "dephase": 0.5}),
+}
+STATE_FIELD_CASES = [(kind, field) for kind, (_, changes) in STATE_BASES.items() for field in changes]
+
+
+def _built(state: dict):
+    """What build_state makes of a state block at d = 8: the state's numbers, or the error it raises."""
+    try:
+        phi = build_state({"state": state}, 8)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return phi.is_pure, phi.density_matrix().tolist(), phi.tail_mass
+
+
+def test_state_field_cases_cover_the_table():
+    # a field a kind reads and no case below changes could be ignored without a test failing
+    assert {kind: set(changes) for kind, (_, changes) in STATE_BASES.items()} == \
+        {kind: {"dephase", *(name for name, *_ in fields)} for kind, (_, fields) in _state_kinds().items()}
+
+
+@pytest.mark.parametrize("kind,field", STATE_FIELD_CASES, ids=[f"{k}-{f}" for k, f in STATE_FIELD_CASES])
+def test_every_allowed_state_field_is_read(kind, field):
+    base, changes = STATE_BASES[kind]
+    built = _built(base)
+    assert built[0] in (True, False), built  # the base block builds a state
+    changed = _built({**base, field: changes[field]})
+    assert changed != built and changed[0] != "ConfigError", changed  # each changed value is well-formed
+
+
+@pytest.mark.parametrize("kind", ["coherent", "squeezed", "cat", "thermal"])
+def test_absent_tail_tol_is_the_constructors_default(kind):
+    # each base leaks more than DEFAULT_TAIL_TOL past d = 8, so the default is the tolerance it breaks
+    state = {key: value for key, value in STATE_BASES[kind][0].items() if key != "tail_tol"}
+    with pytest.raises(TruncationLeakageError) as info:
+        build_state({"state": state}, 8)
+    assert info.value.tail_tol == DEFAULT_TAIL_TOL
+
+
+def test_absent_phi_is_zero():
+    state = STATE_BASES["squeezed"][0]
+    assert _built(state) == _built({**state, "phi": 0.0}) != _built({**state, "phi": 1e-3})
+
+
+def test_state_builders_are_called_by_their_cli_names(monkeypatch):
+    # perfbench/child.py times state construction by wrapping these attributes of the cli module
+    called = []
+    for name in ("fock", "coherent", "squeezed", "cat", "thermal", "from_amplitudes", "dephase"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, _name=name, **kwargs:
+                            called.append(_name) or _fn(*args, **kwargs))
+    for base, _ in STATE_BASES.values():
+        build_state({"state": {**base, "dephase": 0.1}}, 8)
+    assert called == ["fock", "dephase", "coherent", "dephase", "squeezed", "dephase", "cat", "dephase",
+                      "thermal", "dephase", "from_amplitudes", "dephase"]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
