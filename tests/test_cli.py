@@ -303,21 +303,21 @@ ENTRY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", ENTRY_RUNS.values(), ids=ENTRY_RUNS)
-def test_module_entry_point_is_main(write_config, tmp_path, capsys, argv):
+def test_module_entry_point_is_main(write_config, tmp_path, capsys):
     # python -m iontomo.cli writes main's bytes, to stdout or --out, and exits with main's code;
     # the process also freezes its heap at exit, which must lose nothing
     cfg = write_config()
-    outs = {who: tmp_path / f"{who}.out" for who in ("main", "module")}
-    code = run([*(arg.format(out=outs["main"]) for arg in argv), "--config", cfg])
     env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "iontomo.cli",
-                           *(arg.format(out=outs["module"]) for arg in argv), "--config", cfg],
-                          env=env, capture_output=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, capsys.readouterr().out.encode(), b"")
-    assert code == (1 if argv is ENTRY_RUNS["error"] else 0)
-    written = [path.read_bytes() for path in outs.values() if path.exists()]
-    assert (written[0] == written[1] != b"") if "--out" in argv else written == []
+    for name, argv in ENTRY_RUNS.items():
+        outs = {who: tmp_path / f"{name}-{who}.out" for who in ("main", "module")}
+        code = run([*(arg.format(out=outs["main"]) for arg in argv), "--config", cfg])
+        proc = subprocess.run([sys.executable, "-m", "iontomo.cli",
+                               *(arg.format(out=outs["module"]) for arg in argv), "--config", cfg],
+                              env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, capsys.readouterr().out.encode(), b""), name
+        assert code == (1 if name == "error" else 0), name
+        written = [path.read_bytes() for path in outs.values() if path.exists()]
+        assert (written[0] == written[1] != b"") if name == "out" else written == [], name
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])
@@ -1113,10 +1113,15 @@ def test_absent_phi_is_zero():
 def test_state_builders_are_called_by_their_cli_names(monkeypatch):
     # perfbench/child.py times state construction by wrapping these attributes of the cli module
     called = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
     for name in ("fock", "coherent", "squeezed", "cat", "thermal", "from_amplitudes", "dephase"):
-        fn = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, _name=name, **kwargs:
-                            called.append(_name) or _fn(*args, **kwargs))
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
     for base, _ in STATE_BASES.values():
         build_state({"state": {**base, "dephase": 0.1}}, 8)
     assert called == ["fock", "dephase", "coherent", "dephase", "squeezed", "dephase", "cat", "dephase",
