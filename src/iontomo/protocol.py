@@ -188,9 +188,10 @@ def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     (_ladder_step) leave an odd k on the other level of the pair, and the
     closing carrier (_closing_carrier) brings it back. The laser
     phases cancel the factor i that each resonant pi-pulse would otherwise
-    contribute, so every step's coefficient is +1 up to rounding: the phases
-    enter through np.exp(1j * phase), whose real part at pi/2 is 6.1e-17, not
-    0, so V+_1 leaves |0> -> |1> with coefficient 1 - 1.2e-16 i.
+    contribute, and their factors are exactly +-1 or +-i (pulses reads the
+    quarter turns exactly), so every step's coefficient is exactly +1: V+_1
+    takes |0> to |1> with coefficient 1. Only the pi-pulse's cosine, 6.1e-17
+    for V+_1, is left on the level it came from, and a real input stays real.
     """
     closing = [_closing_carrier(branch)] if k % 2 == 1 else []
     return [_ladder_step(j, branch) for j in range(k)] + closing
@@ -266,9 +267,12 @@ def _ladder(w: np.ndarray, branch: int, targets: list[int],
 
     The ideal shifter rolls its sector's Fock index: the exact shift on the
     protocol's states (z vacuum in the |-> branch, x vacuum in the |+>
-    branch), completed to a unitary by the cycle; any completion gives the
-    same observables. The compiled one runs ladder steps 0..k-1, and an odd
-    target takes its closing carrier. The ladder to k+1 is the ladder to k
+    branch), completed to a unitary by the cycle. Without compat any
+    completion gives the same observables, since the wrapped levels are
+    empty. Under compat_rminus_final the completion matters: the |-> branch
+    also holds |0>_x|phi>_z, and the roll wraps it around the cutoff into
+    column 0 of the read block. The compiled shifter runs ladder steps
+    0..k-1, and an odd target takes its closing carrier. The ladder to k+1 is the ladder to k
     plus one step, so w climbs once, in place. Each target but the last is
     closed in one reused copy of w, the next target's copy too, so use it
     before drawing the next; the last is closed in w itself, so one target

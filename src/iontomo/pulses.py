@@ -8,25 +8,24 @@ pair in the Lamb-Dicke regime:
     ajc          e^{i phase} a     |l><j|    + h.c.     (phonon -1 on l<-j)
 
 On top of these sit the electronic rotations R^l(theta) = exp(i theta sigma_y)
-on the {l, xi} pair and the two-mode vibrational rotation generated by
-L_y = i (a-dag_x a_z - a-dag_z a_x) gated by the {+, xi} sigma_x. The sign
-and scale of L_y are fixed operationally: exp(i (pi/2) L_y) maps |n>_x|0>_z to
-|0>_x|n>_z with coefficient +1, to rounding, for every n below the cutoff
-(protocol.mode_swap_deviation: 6.7e-16 at d = 6, 1.8e-15 at d = 40). Pulse
-areas are dimensionless: the coupling constant and duration enter only
-through angle = gamma * t, so no physical rates are modeled.
+on the {l, xi} pair and the mode swap exp(i (pi/2) L_y sigma_x^{+xi}), with
+L_y = i (a-dag_x a_z - a-dag_z a_x): on the bright state (|+> + |xi>)/sqrt(2)
+it maps |n>_x|0>_z to |0>_x|n>_z with coefficient +1 for every n below the
+cutoff (protocol.mode_swap_deviation: 2.2e-16 at d = 10, 40 and 100, the
+rounding of the check's own 1/sqrt(2)). Pulse areas are dimensionless: the coupling
+constant and duration enter only through angle = gamma * t, so no physical
+rates are modeled.
 
 A pulse of area theta is the unitary exp(i theta H). act_pulse applies it in
 closed form to a (3, dx, dz, r) tensor of r states: the carrier, sideband and
-electronic pulses are 2x2 rotations on level-pair doublets, the vibrational
-rotation a beam splitter block per total phonon number. No operator on the
-composite space is formed; the tests compare each action with the dense
-N x N unitary of tests/oracle.py.
+electronic pulses are 2x2 rotations on level-pair doublets, the mode swap a
+signed transpose of the two Fock axes. No operator on the composite space is
+formed; the tests compare each action with the dense N x N unitary of
+tests/oracle.py.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,9 @@ PULSE_KINDS = ("carrier", "jc", "ajc", "erot", "vrot")
 
 TWO_PI = 2.0 * math.pi
 
+# e^{i phase} at the quarter turns, exactly: np.exp(1j * pi/2) is 6.1e-17 + 1j.
+_QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: 1j, math.pi: -1 + 0j, 1.5 * math.pi: -1j}
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -47,7 +49,8 @@ class PulseSpec:
     Carrier and sideband pulses name mode 'x' or 'z' and a level pair that
     contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
     ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
-    mode None and phase 0. levels is a tuple of two names from LEVEL_NAMES,
+    mode None and phase 0. vrot is the mode swap, the quarter turn: its angle
+    is pi/2 and nothing else. levels is a tuple of two names from LEVEL_NAMES,
     and angle and phase are finite real numbers (states.check_real), stored as
     the Python floats they equal. Any other value raises ValueError naming the
     field.
@@ -84,11 +87,18 @@ class PulseSpec:
             object.__setattr__(self, name, check_real(getattr(self, name), f"pulse {name}"))
         if not 0.0 <= self.phase < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
+        if self.kind == "vrot" and self.angle != math.pi / 2:
+            raise ValueError(f"vrot is the mode swap at angle pi/2, got angle {self.angle!r}")
 
 
 def sideband_coupling(k):
     """Strength sqrt(k+1) of a sideband on the Fock doublet |k>, |k+1> (Lamb-Dicke regime); k may be an array."""
     return np.sqrt(k + 1.0)
+
+
+def _phase_factor(phase: float) -> complex:
+    """The laser-phase factor e^{i phase}: exactly 1, i, -1 or -i at multiples of pi/2, np.exp elsewhere."""
+    return _QUARTER_TURNS.get(phase, np.exp(1j * phase))
 
 
 def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
@@ -115,53 +125,34 @@ def _rotate_pair(state: np.ndarray, up: int, down: int, axis: int | None,
     hi[...] = new_hi
 
 
-@functools.lru_cache(maxsize=4)
-def _ly_blocks(theta: float, dx: int, dz: int) -> tuple:
-    """exp(i theta L_y) as (nx, nz, block) per total phonon number K = nx + nz.
+def _mode_swap(state: np.ndarray) -> None:
+    """exp(i (pi/2) L_y sigma_x^{+xi}) in place: a signed transpose of the two Fock axes.
 
-    The truncated L_y only couples |nx, nz> to |nx+1, nz-1> at strength
-    sqrt((nx+1) nz), so each K is one tridiagonal block of at most
-    min(dx, dz) states. i L_y is real antisymmetric, so each exponential is a
-    real orthogonal matrix and exp(-i theta L_y) is its transpose. The blocks
-    hold O(d^3) numbers in all.
+    sigma_x of {+, xi} is +-1 on the bright and dark states (|+> +- |xi>)/sqrt(2),
+    which exp(+-i (pi/2) L_y) take from |nx, nz> to (-1)^nz |nz, nx> and
+    (-1)^nx |nz, nx>. The two signs agree where nx + nz is even and differ
+    where it is odd, so in the {+, xi} basis the swap is a signed permutation:
 
-    The cache serves the mode swaps that repeat one (theta, dx, dz). A
-    reconstruct, monitor or coherence run builds U_00 once, so it misses once
-    and never hits; validate's identity checks hit it 4 times in 5 calls.
+        out[+][a, b] = (-1)^a (in[+] if a + b even else in[xi])[b, a]
+        out[xi][a, b] = (-1)^a (in[xi] if a + b even else in[+])[b, a]
+
+    and |-> is untouched. It maps the d x d box onto itself, so it is exact
+    at every cutoff, for dx = dz.
     """
-    blocks = []
-    for k in range(dx + dz - 1):
-        nx = np.arange(max(0, k - dz + 1), min(k, dx - 1) + 1)
-        g = np.sqrt((nx[:-1] + 1.0) * (k - nx[:-1]))
-        ly = np.diag(1j * g, -1) - np.diag(1j * g, 1)
-        w, v = np.linalg.eigh(ly)
-        block = ((v * np.exp(1j * theta * w)) @ v.conj().T).real
-        blocks.append((nx, k - nx, block))
-    return tuple(blocks)
-
-
-def _beam_split(theta: float, state: np.ndarray) -> None:
-    """exp(i theta L_y sigma_x^{+xi}) in place.
-
-    sigma_x of {+, xi} is +-1 on (|+> +- |xi>)/sqrt(2); those branches turn
-    by exp(+-i theta L_y), one block per total phonon number.
-    """
-    bright = (state[PLUS] + state[XI]) / math.sqrt(2.0)
-    dark = (state[PLUS] - state[XI]) / math.sqrt(2.0)
-    for nx, nz, block in _ly_blocks(theta, state.shape[1], state.shape[2]):
-        bright[nx, nz] = block @ bright[nx, nz]
-        dark[nx, nz] = block.T @ dark[nx, nz]
-    state[PLUS] = (bright + dark) / math.sqrt(2.0)
-    state[XI] = (bright - dark) / math.sqrt(2.0)
+    n = np.arange(state.shape[1])
+    sign = (-1.0) ** n[:, None, None]
+    odd = ((n[:, None] + n) % 2 == 1)[:, :, None]
+    plus, xi = state[PLUS].swapaxes(0, 1), state[XI].swapaxes(0, 1)
+    state[PLUS], state[XI] = sign * np.where(odd, xi, plus), sign * np.where(odd, plus, xi)
 
 
 def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     """Apply the pulse's unitary in place to a (3, dx, dz, r) complex tensor of r states; return it.
 
     Axis 0 is the electronic level, axes 1 and 2 the Fock indices of modes x
-    and z, axis 3 runs over the states. A doublet rotation (erot, carrier, jc,
-    ajc) costs O(dx dz r); the vibrational rotation multiplies one block per
-    total phonon number, O(min(dx, dz) dx dz r).
+    and z, axis 3 runs over the states. Every action costs O(dx dz r). The
+    mode swap (vrot) maps the Fock box onto itself only at equal cutoffs, so
+    on a tensor with dx != dz it raises ValueError naming the shape.
     """
     if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
         raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "
@@ -169,16 +160,18 @@ def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
     axis = 0 if spec.mode == "x" else 1
     if spec.kind == "vrot":
-        _beam_split(spec.angle, state)
+        if state.shape[1] != state.shape[2]:
+            raise ValueError(f"the mode swap needs equal cutoffs dx = dz, got a {state.shape} tensor")
+        _mode_swap(state)
     elif spec.kind == "erot":
         # exp(i angle sigma_y) is the carrier rotation at laser phase pi/2.
         _rotate_pair(state, l, j, None, spec.angle, 1j)
     elif spec.kind == "carrier":
-        _rotate_pair(state, l, j, None, spec.angle, np.exp(1j * spec.phase))
+        _rotate_pair(state, l, j, None, spec.angle, _phase_factor(spec.phase))
     elif spec.kind == "jc":
         # e^{i phase} a-dag |l><j| + h.c. raises the phonon number on l.
-        _rotate_pair(state, l, j, axis, spec.angle, np.exp(1j * spec.phase))
+        _rotate_pair(state, l, j, axis, spec.angle, _phase_factor(spec.phase))
     else:
         # ajc: e^{i phase} a |l><j| + h.c. = e^{-i phase} a-dag |j><l| + h.c.
-        _rotate_pair(state, j, l, axis, spec.angle, np.exp(-1j * spec.phase))
+        _rotate_pair(state, j, l, axis, spec.angle, np.conj(_phase_factor(spec.phase)))
     return state

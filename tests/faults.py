@@ -84,10 +84,29 @@ CATALOGUE = [
           "t = shifts[np.nonzero(desc > shifts)[0][-1]]",
           "t = shifts[np.nonzero(desc >= shifts)[0][-1]]",
           "", equivalent=True),
+    # The mode swap (pulses._mode_swap) is a signed transpose: the sign follows the output
+    # row, and the two levels trade places where the total phonon number is odd.
     Fault("beam-split-sign", "pulses.py",
-          "state[XI] = (bright - dark) / math.sqrt(2.0)",
-          "state[XI] = (dark - bright) / math.sqrt(2.0)",
+          "state[PLUS], state[XI] = sign * np.where(odd, xi, plus), sign * np.where(odd, plus, xi)",
+          "state[PLUS], state[XI] = sign * np.where(odd, xi, plus), -sign * np.where(odd, plus, xi)",
           "tests/test_pulses.py::TestVibrationalRotation::test_swaps_bright_branch"),
+    # The laser-phase factor is read exactly at the quarter turns (pulses._QUARTER_TURNS).
+    Fault("quarter-turns-conjugated", "pulses.py",
+          "_QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: 1j, math.pi: -1 + 0j, 1.5 * math.pi: -1j}",
+          "_QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: -1j, math.pi: -1 + 0j, 1.5 * math.pi: 1j}",
+          "tests/test_pulses.py::TestCompilePulse::test_quarter_turn_phases_are_exact"),
+    Fault("swap-sign-on-the-column", "pulses.py",
+          "sign = (-1.0) ** n[:, None, None]",
+          "sign = (-1.0) ** n[None, :, None]",
+          "tests/test_acceptance.py::test_criterion_1_mode_swap_convention"),
+    Fault("swap-without-sign", "pulses.py",
+          "sign = (-1.0) ** n[:, None, None]",
+          "sign = 1.0",
+          "tests/test_pulses.py::TestVibrationalRotation::test_matches_oracle_on_the_box"),
+    Fault("swap-parity-flipped", "pulses.py",
+          "odd = ((n[:, None] + n) % 2 == 1)[:, :, None]",
+          "odd = ((n[:, None] + n) % 2 == 0)[:, :, None]",
+          "tests/test_pulses.py::TestVibrationalRotation::test_branches_turn_opposite_ways"),
     Fault("shift-ideal-m-n-swapped", "protocol.py",
           "for m, row in _ladder(w, MINUS, list(ns), settings.v_mode):",
           "for m, row in _ladder(w, PLUS, list(ns), settings.v_mode):",
@@ -113,10 +132,24 @@ CATALOGUE = [
           "act_pulse(_closing_carrier(branch), out)",
           "act_pulse(_closing_carrier(branch), w)",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    # Under compat the |-> branch holds |0>_x|phi>_z too, and the ideal roll wraps it around
+    # the cutoff: a shift that zero-fills the wrapped levels loses that term.
+    Fault("ideal-shift-zero-fills", "protocol.py",
+          "w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0])",
+          "w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0]); "
+          "np.moveaxis(w[branch], _SHIFTERS[branch][0], 0)[:k - done] = 0",
+          "tests/test_protocol.py::TestEntangler::"
+          "test_compat_reads_half_of_each_element_and_a_wrap_around_column"),
     Fault("v-minus-node-restarts-each-row", "protocol.py",
           "done = k",
           "done = 0",
           "tests/test_tomography.py::TestReconstruct::test_cells_equal_per_cell_runs"),
+    # Walking each row's V+ ladder from |0> for every target keeps every cell its own run, bit
+    # for bit, and only the count of pulse actions sees the work it repeats.
+    Fault("compiled-ladder-rewalks-each-target", "protocol.py",
+          "for n, cell in _ladder(row, PLUS, ns[m], settings.v_mode):",
+          "for n, cell in ((t, c) for t in ns[m] for _, c in _ladder(row.copy(), PLUS, [t], settings.v_mode)):",
+          "tests/test_tomography.py::TestPulseActionCount::test_counts"),
     Fault("ladder-copy-never-refreshed", "protocol.py",
           "np.copyto(copy, w)",
           "pass",

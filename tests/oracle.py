@@ -7,6 +7,8 @@ those tensors. Electronic levels are indices here (hilbert.MINUS, PLUS, XI);
 only hamiltonian reads a PulseSpec's level names.
 Each pulse is exp(i angle H) from an eigendecomposition of its dense
 generator H, cross-checked against the series exponential of tests/util.py.
+The mode swap (vrot) is built at cutoff dx + dz - 1 and restricted to the
+box, so no truncation enters the blocks of total phonon number it touches.
 Nothing here is cached; tests that sweep many cells build the shared factors
 once themselves (see schedule).
 """
@@ -93,7 +95,17 @@ def hamiltonian(spec, dims) -> np.ndarray:
 
 
 def pulse(spec, dims) -> np.ndarray:
-    return unitary(hamiltonian(spec, dims), spec.angle)
+    """exp(i angle H) on the (dx, dz) box.
+
+    A box state has total phonon number K <= dx + dz - 2, and L_y couples a K block only
+    within itself, so at cutoff dx + dz - 1 on both modes every block the box touches is
+    whole: the mode swap is built there and restricted to the box.
+    """
+    if spec.kind != "vrot":
+        return unitary(hamiltonian(spec, dims), spec.angle)
+    big = (dims[0] + dims[1] - 1,) * 2
+    box = [index(big, e, nx, nz) for e in range(3) for nx in range(dims[0]) for nz in range(dims[1])]
+    return unitary(hamiltonian(spec, big), spec.angle)[np.ix_(box, box)]
 
 
 def schedule(specs, dims, built=None) -> np.ndarray:

@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from iontomo import TruncationLeakageError, cli, protocol, pulses, tomography
 from iontomo.cli import (ConfigError, UsageError, _as_float, _as_int, _build_parser, _field, _state_kinds,
                          build_dims, build_settings, build_state, load_config, main, stable_json)
+from iontomo.hilbert import PLUS, XI
 from iontomo.states import DEFAULT_TAIL_TOL
 from util import subcommand_parsers
 
@@ -246,21 +248,21 @@ class TestValidateCommand:
         assert peak < 100 * 2 ** 20
 
     def test_pulse_unitarity_catches_beam_splitter_defect(self, write_config, capsys, monkeypatch):
-        # scale the largest per-K block of exp(i theta L_y) by 1 + 1e-8
-        exact = pulses._ly_blocks
+        # the mode swap's signs on the sites of odd total phonon number, where it trades the
+        # + and xi amplitudes, scaled by 1 + 1e-8
+        exact = pulses._mode_swap
 
-        def defective(theta, dx, dz):
-            blocks = list(exact(theta, dx, dz))
-            k = max(range(len(blocks)), key=lambda i: len(blocks[i][0]))
-            nx, nz, block = blocks[k]
-            blocks[k] = (nx, nz, block * (1 + 1e-8))
-            return tuple(blocks)
+        def defective(state):
+            exact(state)
+            n = np.arange(state.shape[1])
+            state[[PLUS, XI]] *= np.where((n[:, None] + n) % 2 == 1, 1 + 1e-8, 1.0)[:, :, None]
 
-        monkeypatch.setattr(pulses, "_ly_blocks", defective)
+        monkeypatch.setattr(pulses, "_mode_swap", defective)
         cfg = write_config()
         assert run(["validate", "--config", cfg]) == 1
-        # the mode swap and U_00 hold beam splitters too, and the probe fills the defective block,
-        # so their identity checks fail with it; the compiled element identity's tolerance is 1e-7
+        # |n>_x|0>_z lands on an odd site for every odd n, and the probe fills every level, so the
+        # mode swap's and U_00's identity checks fail with it; the compiled element identity's
+        # tolerance is 1e-7
         assert failed_checks(json.loads(capsys.readouterr().out)) == [
             "mode-swap-identity", "entangler-identity", "element-identity-ideal", "pulse-unitarity"]
 

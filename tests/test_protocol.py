@@ -77,12 +77,18 @@ def _test_rotation_matrix(level, theta, dims):
 
 
 def _test_vrot_matrix(theta, dims):
-    """Hand-built vibrational rotation via the series exponential."""
-    a = np.diag(np.sqrt(np.arange(1, dims[0])), 1).astype(complex)
+    """Hand-built vibrational rotation via the series exponential, on the d x d box.
+
+    It is built at cutoff 2d - 1, where every block of total phonon number the box
+    touches is whole, and restricted to the box.
+    """
+    big = 2 * dims[0] - 1
+    a = np.diag(np.sqrt(np.arange(1, big)), 1).astype(complex)
     l2 = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
     sig = np.zeros((3, 3), dtype=complex)
     sig[PLUS, XI] = sig[XI, PLUS] = 1.0
-    return expm_taylor(1j * theta * np.kron(sig, l2))
+    box = np.arange(3 * big * big).reshape(3, big, big)[:, :dims[0], :dims[0]].reshape(-1)
+    return expm_taylor(1j * theta * np.kron(sig, l2))[np.ix_(box, box)]
 
 
 class TestEntangler:
@@ -129,6 +135,21 @@ class TestEntangler:
         out = run_pure(fock(1, 4), 0, 0, ProtocolSettings(4, compat_rminus_final=True))
         xi_slice = out[2 * dims[0] * dims[1]:]
         assert np.sum(np.abs(xi_slice) ** 2) > 0.05
+
+    @pytest.mark.parametrize("phi", [coherent(0.8 + 0.3j, 10, tail_tol=1e-6),
+                                     dephase(coherent(0.7 + 0.4j, 10, tail_tol=1e-6), 0.2),
+                                     thermal(0.8, 10, tail_tol=1e-3)], ids=["pure", "dephased", "thermal"])
+    def test_compat_reads_half_of_each_element_and_a_wrap_around_column(self, phi):
+        # the repeated {-, xi} pulse leaves |phi,0>/2 - |0,phi>/(2 sqrt 2) on |-> and |0,phi>/2 on |+>;
+        # the ideal V-_m rolls the second term's z mode around the cutoff, and it meets |n,phi> at
+        # n = 0 only: estimate[m, n] = rho_mn / 2 - delta_n0 sum_k rho_{(k+m) mod d, k} / (2 sqrt 2)
+        d = 10
+        rho = phi.density_matrix()
+        k = np.arange(d)
+        closed = rho / 2
+        closed[:, 0] -= [rho[(k + m) % d, k].sum() / (2 * math.sqrt(2)) for m in range(d)]
+        report = reconstruct(phi, d - 1, ProtocolSettings(d, compat_rminus_final=True))
+        assert np.max(np.abs(report.estimates - closed)) <= 1e-14
 
 
 class TestIdealShifters:
@@ -204,6 +225,19 @@ class TestCompiledShifters:
         for n in range(6):
             sched = ladder_schedule(n, PLUS)
             assert len(sched) == n + (n % 2)
+
+    def test_coefficients_are_exactly_one_and_real_inputs_stay_real(self):
+        # the laser phases enter as exact quarter turns, so every step takes |j> to |j+1> with
+        # coefficient exactly 1, and a compiled block's images of real columns are real
+        for branch in (PLUS, MINUS):
+            for k in range(1, 4):
+                w = np.zeros((3, D, D, 1), dtype=complex)
+                w[branch, 0, 0] = 1.0
+                lifted = next(_ladder(w, branch, [k], "compiled"))[1]
+                assert lifted[(branch, k, 0) if branch == PLUS else (branch, 0, k)] == 1.0
+        cells = [(m, n) for m in range(D - 1) for n in range(D - 1)]
+        run = ProtocolSettings(D, v_mode="compiled")
+        assert all(not np.any(w.imag) for _, _, w in _cell_images(cells, run, np.eye(D)))
 
     def test_single_step_matches_ideal_on_branch(self):
         chi = coherent(0.5, 8, tail_tol=1e-6)
@@ -720,15 +754,13 @@ class TestSliceEngine:
         assert peak < 6 * 16 * 3 * d ** 3
 
     def test_builds_no_dense_operator(self):
-        # the only cache in the package is the bounded beam-splitter block cache, and a
-        # reconstruct in both modes plus a sampled cell at d = 24 (N = 1728) peaks far
-        # below the 48 MB of one N x N operator
+        # the package holds no cache, and a reconstruct in both modes plus a sampled cell at
+        # d = 24 (N = 1728) peaks far below the 48 MB of one N x N operator
         caches = [f"{mod.__name__}.{name}" for mod in (hilbert, pulses, protocol, states,
                                                        tomography, cli)
                   for name, obj in vars(mod).items()
                   if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
-        assert caches == ["iontomo.pulses._ly_blocks"]
-        assert pulses._ly_blocks.cache_info().maxsize is not None
+        assert caches == []
         d = 24
         phi = dephase(coherent(0.5, d), 0.1)
         tracemalloc.start()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracle
 from iontomo.cli import stable_json
 from iontomo.hilbert import MINUS, PLUS, XI
-from iontomo.protocol import pulse_unitarity_defect
+from iontomo.protocol import MODE_SWAP, pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
 from util import act, full_action
@@ -41,15 +41,16 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec("erot", ("-", "+"), None, 0.5)
 
-    # erot and vrot name no mode and read no laser phase, and vrot has one level pair:
-    # a spec that gives them anything else is rejected, never rewritten.
+    # erot and vrot name no mode and read no laser phase, and vrot has one level pair and one
+    # area, the quarter turn: a spec that gives them anything else is rejected, never rewritten.
     @pytest.mark.parametrize("kind,levels,mode,phase,message", [
         ("vrot", ("+", "xi"), "x", 0.0, "vrot pulse takes mode None and phase 0, got mode 'x' and phase 0.0"),
         ("vrot", ("-", "xi"), None, 0.0, "vrot addresses the level pair ('+', 'xi')"),
         ("erot", ("-", "xi"), "z", 0.0, "erot pulse takes mode None and phase 0, got mode 'z' and phase 0.0"),
         ("erot", ("+", "xi"), None, 0.4, "erot pulse takes mode None and phase 0, got mode None and phase 0.4"),
         ("vrot", ("+", "xi"), None, 0.4, "vrot pulse takes mode None and phase 0, got mode None and phase 0.4"),
-    ], ids=["vrot-mode", "vrot-minus-pair", "erot-mode", "erot-phase", "vrot-phase"])
+        ("vrot", ("+", "xi"), None, 0.0, "vrot is the mode swap at angle pi/2, got angle 0.5"),
+    ], ids=["vrot-mode", "vrot-minus-pair", "erot-mode", "erot-phase", "vrot-phase", "vrot-angle"])
     def test_rejects_what_the_kind_does_not_take(self, kind, levels, mode, phase, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, mode, 0.5, phase)
@@ -139,11 +140,14 @@ class TestElectronicRotation:
         assert np.max(np.abs(u @ v - np.eye(oracle.size(DIMS)))) < 1e-12
 
 
-def _vrot(theta):
-    return PulseSpec("vrot", ("+", "xi"), None, theta)
+def _branch(sign, nx, nz, dims):
+    """|nx>_x|nz>_z on the bright (sign +1) or dark (sign -1) state (|+> +- |xi>)/sqrt(2)."""
+    return (oracle.basis(dims, PLUS, nx, nz) + sign * oracle.basis(dims, XI, nx, nz)) / math.sqrt(2)
 
 
 class TestVibrationalRotation:
+    """vrot is the mode swap exp(i (pi/2) L_y sigma_x^{+xi}), a signed transpose of the Fock axes."""
+
     def test_swaps_bright_branch(self):
         # |phi>_x|0>_z|alpha> -> |0>_x|phi>_z|alpha> with |alpha> = (|+> + |xi>)/sqrt(2)
         dims = (8, 8)
@@ -153,7 +157,7 @@ class TestVibrationalRotation:
         z0 = np.zeros(8, dtype=complex)
         z0[0] = 1.0
         src = np.kron(alpha_e, np.kron(phi.amplitudes, z0))
-        out = act(_vrot(math.pi / 2), src, dims)
+        out = act(MODE_SWAP, src, dims)
         target = np.kron(alpha_e, np.kron(z0, phi.amplitudes))
         assert np.linalg.norm(out - target) < 1e-12
 
@@ -164,16 +168,46 @@ class TestVibrationalRotation:
         e_minus = np.zeros(3, dtype=complex)
         e_minus[MINUS] = 1.0
         src = np.kron(e_minus, np.kron(phi.amplitudes, z))
-        assert np.linalg.norm(act(_vrot(1.3), src, DIMS) - src) < 1e-13
+        assert np.array_equal(act(MODE_SWAP, src, DIMS), src)
 
     def test_conserves_total_phonon_number(self):
         n_tot = np.kron(np.eye(3), np.kron(np.diag(np.arange(4.0)), np.eye(4))) \
             + np.kron(np.eye(3), np.kron(np.eye(4), np.diag(np.arange(4.0))))
         src = oracle.basis(DIMS, PLUS, 2, 1)
-        out = act(_vrot(0.9), src, DIMS)
+        out = act(MODE_SWAP, src, DIMS)
         before = np.vdot(src, n_tot @ src)
         after = np.vdot(out, n_tot @ out)
         assert abs(before - after) < 1e-12
+
+    def test_branches_turn_opposite_ways(self):
+        # Schwinger's map: exp(i (pi/2) L_y) |nx, nz> = (-1)^nz |nz, nx> on the bright branch,
+        # and its inverse (-1)^nx |nz, nx> on the dark one, at every level of the box
+        dims = (5, 5)
+        for nx in range(5):
+            for nz in range(5):
+                for sign, parity in ((1, nz), (-1, nx)):
+                    out = act(MODE_SWAP, _branch(sign, nx, nz, dims), dims)
+                    assert np.max(np.abs(out - (-1) ** parity * _branch(sign, nz, nx, dims))) <= 1e-15
+
+    def test_twice_is_the_phonon_parity(self):
+        # two swaps give (-1)^(nx + nz) on {+, xi} and the identity on |->, so four are the identity
+        d = 6
+        rng = np.random.default_rng(19)
+        state = rng.normal(size=(3, d, d, 2)) + 1j * rng.normal(size=(3, d, d, 2))
+        twice = act_pulse(MODE_SWAP, act_pulse(MODE_SWAP, state.copy()))
+        n = np.arange(d)
+        parity = (-1.0) ** (n[:, None] + n)[None, :, :, None]
+        assert np.array_equal(twice[MINUS], state[MINUS])
+        assert np.array_equal(twice[[PLUS, XI]], parity * state[[PLUS, XI]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_oracle_on_the_box(self, d):
+        # the oracle's dense exp(i (pi/2) L_y sigma_x) at cutoff 2d - 1, restricted to the d x d box
+        rng = np.random.default_rng(d)
+        state = rng.normal(size=(3, d, d, 4)) + 1j * rng.normal(size=(3, d, d, 4))
+        expected = oracle.pulse(MODE_SWAP, (d, d)) @ state.reshape(-1, 4)
+        got = act_pulse(MODE_SWAP, state.copy())
+        assert np.max(np.abs(got.reshape(-1, 4) - expected)) <= 1e-12
 
 
 class TestCompilePulse:
@@ -184,6 +218,16 @@ class TestCompilePulse:
         assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-12)
         # phase of the transferred amplitude is set by the laser phase
         assert amp == pytest.approx(1j, abs=1e-12)
+
+    @pytest.mark.parametrize("phase,amplitude", [(0.0, 1j), (math.pi / 2, -1.0), (math.pi, -1j),
+                                                 (3.0 * (math.pi / 2), 1.0)], ids=["0", "pi/2", "pi", "3pi/2"])
+    def test_quarter_turn_phases_are_exact(self, phase, amplitude):
+        # a carrier pi-pulse moves |xi> to i e^{i phase} |+>, exactly at a quarter-turn phase; an
+        # anti-Jaynes-Cummings pulse on (xi, +) moves |xi, 0> to i e^{-i phase} |+, 1>
+        spec = PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, phase)
+        assert act(spec, oracle.basis(DIMS, XI, 1, 1), DIMS)[oracle.index(DIMS, PLUS, 1, 1)] == amplitude
+        spec = PulseSpec("ajc", ("xi", "+"), "x", math.pi / 2, phase)
+        assert act(spec, oracle.basis(DIMS, XI, 0, 1), DIMS)[oracle.index(DIMS, PLUS, 1, 1)] == -np.conj(amplitude)
 
     def test_erot_dispatch_matches_r_electronic(self):
         # the oracle's erot is the closed-form rotation |l> -> cos|l> + sin|xi>, |xi> -> -sin|l> + cos|xi>
@@ -215,7 +259,7 @@ class TestCompilePulse:
         (PulseSpec("jc", ("+", "xi"), "x", 0.7, 1.0), MINUS),
         (PulseSpec("ajc", ("-", "xi"), "z", 0.7, 1.0), PLUS),
         (PulseSpec("erot", ("-", "xi"), None, 0.7), PLUS),
-        (PulseSpec("vrot", ("+", "xi"), None, 0.7), MINUS),
+        (MODE_SWAP, MINUS),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_sector_confinement(self, spec, excluded):
         # a pulse whose levels exclude a sector commutes with that sector's projector
@@ -225,9 +269,9 @@ class TestCompilePulse:
 
 
 def _action_specs():
-    """Every pulse kind on both level pairs (both orders), both modes, random angles and phases."""
+    """The mode swap, and every other kind on both level pairs (both orders), both modes, random angles and phases."""
     rng = np.random.default_rng(2003)
-    specs = [PulseSpec("vrot", ("+", "xi"), None, rng.uniform(-4, 4))]
+    specs = [MODE_SWAP]
     for level in ("-", "+"):
         specs.append(PulseSpec("erot", (level, "xi"), None, rng.uniform(-4, 4)))
         for kind in ("carrier", "jc", "ajc"):
@@ -253,11 +297,16 @@ class TestPulseActions:
 
     @pytest.mark.parametrize("kind", ["vrot", "jc"])
     def test_unequal_cutoffs(self, kind):
+        # a sideband acts at any pair of cutoffs; the mode swap maps the box onto itself only at equal ones
         dims = (4, 6)
-        spec = (PulseSpec(kind, ("+", "xi"), None, 1.3) if kind == "vrot"
-                else PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4))
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, 4, 6, 3)) + 1j * rng.normal(size=(3, 4, 6, 3))
+        if kind == "vrot":
+            message = "the mode swap needs equal cutoffs dx = dz, got a (3, 4, 6, 3) tensor"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                act_pulse(MODE_SWAP, state)
+            return
+        spec = PulseSpec(kind, ("+", "xi"), "z", 1.3, 0.4)
         expected = oracle.pulse(spec, dims) @ state.reshape(oracle.size(dims), 3)
         got = act_pulse(spec, state.copy())
         assert np.max(np.abs(got.reshape(oracle.size(dims), 3) - expected)) <= 1e-12
@@ -273,13 +322,12 @@ class TestPulseActions:
                                              ((3, 4, 4, 1), float)])
     def test_rejects_bad_tensor(self, shape, dtype):
         with pytest.raises(ValueError):
-            act_pulse(PulseSpec("vrot", ("+", "xi"), None, 0.3), np.zeros(shape, dtype=dtype))
+            act_pulse(MODE_SWAP, np.zeros(shape, dtype=dtype))
 
 
 def _every_kind(angle):
-    """One pulse of each kind at the given area, with a generic laser phase."""
+    """One pulse of each kind but the mode swap, which has one area, at the given area, with a generic laser phase."""
     return [PulseSpec("erot", ("-", "xi"), None, angle),
-            PulseSpec("vrot", ("+", "xi"), None, angle),
             PulseSpec("carrier", ("+", "xi"), "x", angle, 0.4),
             PulseSpec("jc", ("xi", "-"), "z", angle, 1.3),
             PulseSpec("ajc", ("+", "xi"), "x", angle, 5.1)]
@@ -332,29 +380,33 @@ class TestOperatorAlgebra:
 
 
 @st.composite
-def _pulses(draw):
-    """Any pulse: every kind, level pair (both orders), mode, angle and laser phase."""
-    kind = draw(st.sampled_from(PULSE_KINDS))
+def _pulses(draw, kinds):
+    """Any pulse of the given kinds: every level pair (both orders), mode, angle and laser phase."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "vrot":
+        return MODE_SWAP
     level = draw(st.sampled_from(["-", "+"]))
     angle = draw(st.floats(-4.0, 4.0))
-    if kind in ("erot", "vrot"):
-        return PulseSpec(kind, (level, "xi") if kind == "erot" else ("+", "xi"), None, angle)
+    if kind == "erot":
+        return PulseSpec(kind, (level, "xi"), None, angle)
     levels = draw(st.sampled_from([(level, "xi"), ("xi", level)]))
     phase = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
     return PulseSpec(kind, levels, draw(st.sampled_from(["x", "z"])), angle, phase)
 
 
 @st.composite
-def _unequal_cutoffs(draw):
-    dx = draw(st.integers(2, 5))
-    return dx, draw(st.integers(2, 5).filter(lambda dz: dz != dx))
+def _schedules(draw):
+    """Cutoffs (dx, dz) from 2 to 5 and up to 8 pulses; the mode swap only where dx = dz."""
+    dims = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    kinds = PULSE_KINDS if dims[0] == dims[1] else [k for k in PULSE_KINDS if k != "vrot"]
+    return dims, draw(st.lists(_pulses(kinds), min_size=1, max_size=8))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(specs=st.lists(_pulses(), min_size=1, max_size=8), dims=_unequal_cutoffs(),
-       r=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_random_schedule_matches_oracle(specs, dims, r, seed):
+@given(schedule=_schedules(), r=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_schedule_matches_oracle(schedule, r, seed):
     # the pulses applied in place one after another act as the oracle's product of dense unitaries
+    dims, specs = schedule
     rng = np.random.default_rng(seed)
     state = rng.normal(size=(3, *dims, r)) + 1j * rng.normal(size=(3, *dims, r))
     expected = oracle.schedule(specs, dims) @ state.reshape(oracle.size(dims), r)

@@ -517,6 +517,46 @@ class TestOneCellEntry:
                 assert est.value == self.read(images[m, n], dephase(phi, lam).matrix)
 
 
+class TestPulseActionCount:
+    """The engine's work counted in pulse actions, which no machine or noise can move.
+
+    U_00 is four actions and an ideal shifter none, since it rolls. A compiled
+    walk over the targets 0..nmax takes s = nmax + (nmax + 1) // 2 actions, its
+    steps and the odd targets' closing carriers: a block walks V- once and V+
+    once per row, 4 + (nmax + 2) s in all.
+    """
+
+    @pytest.fixture
+    def actions(self, monkeypatch):
+        seen = []
+        act = protocol.act_pulse
+
+        def counted(spec, state):
+            seen.append(spec)
+            return act(spec, state)
+
+        monkeypatch.setattr(protocol, "act_pulse", counted)
+        return seen
+
+    RUNS = {
+        "block-5": lambda phi, st: reconstruct(phi, 5, st),
+        "block-10": lambda phi, st: reconstruct(phi, 10, st),
+        "monitor": lambda phi, st: decoherence_monitor(phi, [0.0, 0.5], st),
+        "cell-4-3": lambda phi, st: measure_element(phi, 4, 3, st),
+    }
+
+    @pytest.mark.parametrize("v_mode,run,count", [
+        ("ideal", "block-5", 4), ("ideal", "block-10", 4), ("ideal", "monitor", 4), ("ideal", "cell-4-3", 4),
+        ("compiled", "block-5", 4 + 7 * 8), ("compiled", "block-10", 4 + 12 * 15), ("compiled", "monitor", 8),
+        ("compiled", "cell-4-3", 12),
+    ])
+    def test_counts(self, actions, v_mode, run, count):
+        phi = coherent(0.8, 12, tail_tol=1e-5)
+        self.RUNS[run](phi, ProtocolSettings(12, v_mode=v_mode))
+        assert len(actions) == count
+        assert actions[:4] == u00_schedule()
+
+
 def _own_image(columns, m, n, settings) -> np.ndarray:
     """The images W of cell (m, n) run on its own, built here: U_00 and both shifters on the columns."""
     d = settings.d
