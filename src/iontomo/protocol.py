@@ -56,10 +56,11 @@ _OBSERVABLES = {
     "y": (1, np.array([1.0, -1.0j, 0.0]) / _SQRT2, np.array([1.0, 1.0j, 0.0]) / _SQRT2),
 }
 
-# U_00's two electronic rotations: the {-, xi} pulse that opens it, and the {+, xi} pulse
-# that turns |xi> into the bright state |alpha> and, last, |alpha> back into |+>.
-SPLIT = PulseSpec("erot", ("-", "xi"), None, QUARTER_PI)
-BRIGHT = PulseSpec("erot", ("+", "xi"), None, -QUARTER_PI)
+# U_00's two electronic rotations exp(i theta sigma_y), carriers at laser phase pi/2 that
+# couple no mode: the {-, xi} pulse that opens it, and the {+, xi} pulse that turns |xi>
+# into the bright state |alpha> and, last, |alpha> back into |+>.
+SPLIT = PulseSpec("carrier", ("-", "xi"), None, QUARTER_PI, HALF_PI)
+BRIGHT = PulseSpec("carrier", ("+", "xi"), None, -QUARTER_PI, HALF_PI)
 
 # The pi/2 vibrational rotation: on the bright branch it swaps the contents of modes x and z.
 MODE_SWAP = PulseSpec("vrot", ("+", "xi"), None, HALF_PI)
@@ -164,14 +165,14 @@ _SHIFTERS = {MINUS: (1, ("-", "xi"), "z"), PLUS: (0, ("+", "xi"), "x")}
 def _ladder_step(j: int, branch: int) -> PulseSpec:
     """Sideband pi-pulse j of the branch's compiled ladder: it takes |j> to |j+1>.
 
-    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j):
-    blue (ajc) at laser phase pi/2 on even j, red (jc) at 3*pi/2 on odd j.
+    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j).
+    Every step is a jc pulse at laser phase 3*pi/2, which raises the phonon number on
+    the pair's first level: the pair reversed, (xi, level), on even j, where the step
+    leaves the branch's level, and (level, xi) on odd j, where it comes back.
     """
     _, levels, mode = _SHIFTERS[branch]
-    area = HALF_PI / sideband_coupling(j)
-    if j % 2 == 0:
-        return PulseSpec("ajc", levels, mode, area, HALF_PI)
-    return PulseSpec("jc", levels, mode, area, 3.0 * HALF_PI)
+    levels = levels[::-1] if j % 2 == 0 else levels
+    return PulseSpec("jc", levels, mode, HALF_PI / sideband_coupling(j), 3.0 * HALF_PI)
 
 
 def _closing_carrier(branch: int) -> PulseSpec:
@@ -183,13 +184,13 @@ def _closing_carrier(branch: int) -> PulseSpec:
 def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     """Pulse list of the branch's shifter |0> -> |k>: V+_k for branch PLUS, V-_k for MINUS.
 
-    Alternating blue/red sideband pi-pulses on the branch's level pair and
-    mode ({+, xi} and x for V+, {-, xi} and z for V-). The k steps
-    (_ladder_step) leave an odd k on the other level of the pair, and the
-    closing carrier (_closing_carrier) brings it back. The laser
-    phases cancel the factor i that each resonant pi-pulse would otherwise
-    contribute, and their factors are exactly +-1 or +-i (pulses reads the
-    quarter turns exactly), so every step's coefficient is exactly +1: V+_1
+    Sideband pi-pulses of one kind (jc) on the branch's level pair, in
+    alternating order, and mode ({+, xi} and x for V+, {-, xi} and z for V-).
+    The k steps (_ladder_step) leave an odd k on the other level of the pair,
+    and the closing carrier (_closing_carrier) brings it back. Every pulse runs
+    at the one laser phase 3*pi/2, whose factor -i (exact: pulses reads the
+    quarter turns exactly) cancels the factor i that each resonant pi-pulse
+    would otherwise contribute, so every step's coefficient is exactly +1: V+_1
     takes |0> to |1> with coefficient 1. Only the pi-pulse's cosine, 6.1e-17
     for V+_1, is left on the level it came from, and a real input stays real.
     """

@@ -1,14 +1,16 @@
 """Primitive laser pulses and their closed-form actions on states.
 
-Three resonant couplings act on one vibrational mode and one electronic level
-pair in the Lamb-Dicke regime:
+Two resonant couplings act on one electronic level pair that contains xi and,
+in the Lamb-Dicke regime, on one vibrational mode:
 
     carrier      e^{i phase} |l><j|          + h.c.     (no phonon change)
     jc           e^{i phase} a-dag |l><j|    + h.c.     (phonon +1 on l<-j)
-    ajc          e^{i phase} a     |l><j|    + h.c.     (phonon -1 on l<-j)
 
-On top of these sit the electronic rotations R^l(theta) = exp(i theta sigma_y)
-on the {l, xi} pair and the mode swap exp(i (pi/2) L_y sigma_x^{+xi}), with
+The anti-Jaynes-Cummings coupling e^{i phase} a |l><j| + h.c. is jc on the
+reversed pair (j, l) at laser phase 2 pi - phase, and the electronic rotations
+R^l(theta) = exp(i theta sigma_y) on the {l, xi} pair are carriers at laser
+phase pi/2 that name mode None, since no motional coupling enters them. The
+third kind, vrot, is the mode swap exp(i (pi/2) L_y sigma_x^{+xi}), with
 L_y = i (a-dag_x a_z - a-dag_z a_x): on the bright state (|+> + |xi>)/sqrt(2)
 it maps |n>_x|0>_z to |0>_x|n>_z with coefficient +1 for every n below the
 cutoff (protocol.mode_swap_deviation: 2.2e-16 at d = 10, 40 and 100, the
@@ -17,11 +19,10 @@ constant and duration enter only through angle = gamma * t, so no physical
 rates are modeled.
 
 A pulse of area theta is the unitary exp(i theta H). act_pulse applies it in
-closed form to a (3, dx, dz, r) tensor of r states: the carrier, sideband and
-electronic pulses are 2x2 rotations on level-pair doublets, the mode swap a
-signed transpose of the two Fock axes. No operator on the composite space is
-formed; the tests compare each action with the dense N x N unitary of
-tests/oracle.py.
+closed form to a (3, dx, dz, r) tensor of r states: a carrier or sideband is a
+2x2 rotation on level-pair doublets, the mode swap a signed transpose of the
+two Fock axes. No operator on the composite space is formed; the tests compare
+each action with the dense N x N unitary of tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .hilbert import ELECTRONIC_DIM, LEVEL_NAMES, PLUS, XI
 from .states import check_real
 
-PULSE_KINDS = ("carrier", "jc", "ajc", "erot", "vrot")
+PULSE_KINDS = ("carrier", "jc", "vrot")
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,11 +47,12 @@ _QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: 1j, math.pi: -1 + 0j, 1.5 * math.pi:
 class PulseSpec:
     """One primitive laser pulse: kind, addressed level pair, mode, area, laser phase.
 
-    Carrier and sideband pulses name mode 'x' or 'z' and a level pair that
-    contains xi. erot addresses ('-', 'xi') or ('+', 'xi') and vrot exactly
-    ('+', 'xi'); neither names a mode or reads the laser phase, so each takes
-    mode None and phase 0. vrot is the mode swap, the quarter turn: its angle
-    is pi/2 and nothing else. levels is a tuple of two names from LEVEL_NAMES,
+    Every kind addresses a level pair that contains xi. A jc pulse names mode
+    'x' or 'z'; a carrier names the mode whose Debye-Waller factor would weigh
+    it, or None for an electronic rotation. vrot addresses exactly ('+', 'xi'),
+    names no mode and reads no laser phase, so it takes mode None and phase 0;
+    it is the mode swap, the quarter turn: its angle is pi/2 and nothing else.
+    levels is a tuple of two names from LEVEL_NAMES,
     and angle and phase are finite real numbers (states.check_real), stored as
     the Python floats they equal. Any other value raises ValueError naming the
     field.
@@ -71,16 +73,15 @@ class PulseSpec:
         l, j = self.levels
         if l == j:
             raise ValueError("pulse level pair must be distinct")
-        if self.kind in ("carrier", "jc", "ajc"):
-            if self.mode not in ("x", "z"):
-                raise ValueError(f"{self.kind} pulse must name mode 'x' or 'z'")
-            if "xi" not in (l, j):
-                raise ValueError(f"{self.kind} pulse level pair must contain 'xi'")
-        elif self.mode is not None or self.phase != 0.0:
-            raise ValueError(f"{self.kind} pulse takes mode None and phase 0, "
+        if "xi" not in (l, j):
+            raise ValueError(f"{self.kind} pulse level pair must contain 'xi'")
+        if self.kind == "jc" and self.mode not in ("x", "z"):
+            raise ValueError(f"jc pulse must name mode 'x' or 'z', got {self.mode!r}")
+        if self.kind == "carrier" and self.mode not in ("x", "z", None):
+            raise ValueError(f"carrier pulse takes mode 'x', 'z' or None, got {self.mode!r}")
+        if self.kind == "vrot" and (self.mode is not None or self.phase != 0.0):
+            raise ValueError(f"vrot pulse takes mode None and phase 0, "
                              f"got mode {self.mode!r} and phase {self.phase!r}")
-        if self.kind == "erot" and (l not in ("-", "+") or j != "xi"):
-            raise ValueError("erot addresses level '-' or '+' paired with 'xi'")
         if self.kind == "vrot" and (l, j) != ("+", "xi"):
             raise ValueError("vrot addresses the level pair ('+', 'xi')")
         for name in ("angle", "phase"):
@@ -157,21 +158,13 @@ def act_pulse(spec: PulseSpec, state: np.ndarray) -> np.ndarray:
     if state.ndim != 4 or state.shape[0] != ELECTRONIC_DIM or state.dtype != complex:
         raise ValueError(f"pulse action needs a complex (3, dx, dz, r) tensor, got "
                          f"{state.dtype} {state.shape}")
-    l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
-    axis = 0 if spec.mode == "x" else 1
     if spec.kind == "vrot":
         if state.shape[1] != state.shape[2]:
             raise ValueError(f"the mode swap needs equal cutoffs dx = dz, got a {state.shape} tensor")
         _mode_swap(state)
-    elif spec.kind == "erot":
-        # exp(i angle sigma_y) is the carrier rotation at laser phase pi/2.
-        _rotate_pair(state, l, j, None, spec.angle, 1j)
-    elif spec.kind == "carrier":
-        _rotate_pair(state, l, j, None, spec.angle, _phase_factor(spec.phase))
-    elif spec.kind == "jc":
-        # e^{i phase} a-dag |l><j| + h.c. raises the phonon number on l.
-        _rotate_pair(state, l, j, axis, spec.angle, _phase_factor(spec.phase))
-    else:
-        # ajc: e^{i phase} a |l><j| + h.c. = e^{-i phase} a-dag |j><l| + h.c.
-        _rotate_pair(state, j, l, axis, spec.angle, np.conj(_phase_factor(spec.phase)))
+        return state
+    l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
+    # A carrier couples no mode; jc's e^{i phase} a-dag |l><j| + h.c. raises the phonon number on l.
+    axis = "xz".index(spec.mode) if spec.kind == "jc" else None
+    _rotate_pair(state, l, j, axis, spec.angle, _phase_factor(spec.phase))
     return state

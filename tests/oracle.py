@@ -82,14 +82,9 @@ def unitary(generator, theta) -> np.ndarray:
 def hamiltonian(spec, dims) -> np.ndarray:
     """The generator H of a pulse, whose unitary is exp(i angle H)."""
     l, j = (LEVEL_NAMES.index(x) for x in spec.levels)
-    if spec.kind == "erot":
-        return pauli(l, XI, "y", dims)
     if spec.kind == "vrot":
         return pauli(PLUS, XI, "x", dims) @ l_y(dims)
-    vib = np.eye(size(dims))
-    if spec.kind != "carrier":
-        a = annihilator(spec.mode, dims)
-        vib = a.conj().T if spec.kind == "jc" else a
+    vib = annihilator(spec.mode, dims).conj().T if spec.kind == "jc" else np.eye(size(dims))
     term = np.exp(1j * spec.phase) * electronic(l, j, dims) @ vib
     return term + term.conj().T
 

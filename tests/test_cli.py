@@ -221,7 +221,9 @@ class TestValidateCommand:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert len(doc["schedules"]["u00"]) == 4
-        assert doc["schedules"]["v_plus"]["2"][0]["kind"] == "ajc"
+        # the ladder's first step is jc on the reversed pair (xi, +), at the ladder's one phase
+        first = doc["schedules"]["v_plus"]["2"][0]
+        assert (first["kind"], first["levels"], first["phase"]) == ("jc", ["xi", "+"], 1.5 * math.pi)
 
     def test_csv_report(self, write_config, capsys):
         # --format csv holds the record's checks, one name,passed,deviation,tolerance row each

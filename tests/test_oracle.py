@@ -19,7 +19,7 @@ from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import ProtocolSettings
 from iontomo.pulses import PulseSpec
 from iontomo.states import coherent, fock, thermal
-from util import RHO20_COH08, expm_taylor, random_density, random_hermitian
+from util import RHO20_COH08, anti_jc, expm_taylor, random_density, random_hermitian
 
 DIMS = (3, 4)
 N = oracle.size(DIMS)
@@ -217,7 +217,8 @@ def h_jc(mode, levels, phase, dims):
 
 
 def h_ajc(mode, levels, phase, dims):
-    return oracle.hamiltonian(PulseSpec("ajc", levels, mode, 0.0, phase), dims)
+    """The anti-JC generator, which no pulse kind names, built from the oracle's factors."""
+    return anti_jc(levels, mode, phase, dims)
 
 
 class TestHamiltonians:
@@ -258,6 +259,15 @@ class TestHamiltonians:
         h = h_jc("x", ("+", "xi"), 0.3, DIMS4)
         for nx in range(4):
             assert np.max(np.abs(h @ oracle.basis(DIMS4, MINUS, nx, 1))) == 0.0
+
+    @pytest.mark.parametrize("mode", ["x", "z"])
+    @pytest.mark.parametrize("levels", [("-", "xi"), ("xi", "-"), ("+", "xi"), ("xi", "+")])
+    def test_ajc_is_jc_on_the_reversed_pair(self, levels, mode):
+        # e^{i phi} a |l><j| + h.c. = e^{i (2 pi - phi)} a-dag |j><l| + h.c.
+        rng = np.random.default_rng(37)
+        for phase in rng.uniform(0, 2 * math.pi, size=4):
+            jc = h_jc(mode, levels[::-1], 2 * math.pi - phase, DIMS)
+            assert np.max(np.abs(h_ajc(mode, levels, phase, DIMS) - jc)) <= 1e-12
 
     def test_ajc_ladder_coupling(self):
         # on |k>_x|+> the coupling reaches |k+1>_x|xi> with element sqrt(k+1)

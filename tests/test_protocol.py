@@ -310,9 +310,11 @@ class TestCompiledShifters:
             assert (dev > 1e-3) if defect else (dev <= 1e-10)
 
     def test_minus_schedule_addresses_z_and_minus(self):
-        for spec in ladder_schedule(3, MINUS):
-            assert spec.mode == "z"
-            assert spec.levels[0] == "-"
+        # one kind and one laser phase: jc on (xi, -) for the even steps, which leave |->, and on
+        # (-, xi) for the odd ones, then the closing carrier on (-, xi)
+        kinds = [(spec.kind, spec.levels, spec.mode, spec.phase) for spec in ladder_schedule(3, MINUS)]
+        assert kinds == [("jc", ("xi", "-"), "z", 1.5 * math.pi), ("jc", ("-", "xi"), "z", 1.5 * math.pi),
+                         ("jc", ("xi", "-"), "z", 1.5 * math.pi), ("carrier", ("-", "xi"), "z", 1.5 * math.pi)]
 
 
 class TestComposedUnitary:

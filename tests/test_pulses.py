@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import oracle
 from iontomo.cli import stable_json
-from iontomo.hilbert import MINUS, PLUS, XI
+from iontomo.hilbert import LEVEL_NAMES, MINUS, PLUS, XI
 from iontomo.protocol import MODE_SWAP, pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
-from util import act, full_action
+from util import act, anti_jc, full_action
 
 DIMS = (4, 4)
 NOT_LEVELS = "levels must be a pair of level names ('-', '+', 'xi'), got "
@@ -27,7 +27,7 @@ UNEQUAL = (3, 4)
 class TestPulseSpec:
     def test_roundtrip_record(self):
         # the stable_json record of a spec carries every field the constructor needs to rebuild it
-        spec = PulseSpec("ajc", ("+", "xi"), "x", 0.7, 1.2)
+        spec = PulseSpec("jc", ("xi", "+"), "x", 0.7, 1.2)
         record = json.loads(stable_json(spec))
         assert set(record) == {f.name for f in dataclasses.fields(PulseSpec)}
         # JSON has no tuple, and a spec's levels are one: the reader turns the list back
@@ -38,22 +38,31 @@ class TestPulseSpec:
             PulseSpec("jc", ("+", "xi"), None, 0.5)
 
     def test_erot_levels_checked(self):
-        with pytest.raises(ValueError):
-            PulseSpec("erot", ("-", "+"), None, 0.5)
+        # an electronic rotation is a carrier that names no mode, on a pair that contains xi
+        with pytest.raises(ValueError, match="^carrier pulse level pair must contain 'xi'$"):
+            PulseSpec("carrier", ("-", "+"), None, 0.5, math.pi / 2)
 
-    # erot and vrot name no mode and read no laser phase, and vrot has one level pair and one
-    # area, the quarter turn: a spec that gives them anything else is rejected, never rewritten.
+    # A jc pulse names a mode, a carrier mode 'x', 'z' or None; vrot names no mode and reads no
+    # laser phase, and has one level pair and one area, the quarter turn: a spec that gives a
+    # kind anything else is rejected, never rewritten.
     @pytest.mark.parametrize("kind,levels,mode,phase,message", [
         ("vrot", ("+", "xi"), "x", 0.0, "vrot pulse takes mode None and phase 0, got mode 'x' and phase 0.0"),
         ("vrot", ("-", "xi"), None, 0.0, "vrot addresses the level pair ('+', 'xi')"),
-        ("erot", ("-", "xi"), "z", 0.0, "erot pulse takes mode None and phase 0, got mode 'z' and phase 0.0"),
-        ("erot", ("+", "xi"), None, 0.4, "erot pulse takes mode None and phase 0, got mode None and phase 0.4"),
+        ("carrier", ("-", "xi"), "y", 0.0, "carrier pulse takes mode 'x', 'z' or None, got 'y'"),
+        ("jc", ("+", "xi"), None, 0.4, "jc pulse must name mode 'x' or 'z', got None"),
         ("vrot", ("+", "xi"), None, 0.4, "vrot pulse takes mode None and phase 0, got mode None and phase 0.4"),
         ("vrot", ("+", "xi"), None, 0.0, "vrot is the mode swap at angle pi/2, got angle 0.5"),
-    ], ids=["vrot-mode", "vrot-minus-pair", "erot-mode", "erot-phase", "vrot-phase", "vrot-angle"])
+    ], ids=["vrot-mode", "vrot-minus-pair", "carrier-mode", "jc-no-mode", "vrot-phase", "vrot-angle"])
     def test_rejects_what_the_kind_does_not_take(self, kind, levels, mode, phase, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, mode, 0.5, phase)
+
+    @pytest.mark.parametrize("levels", [("-", "xi"), ("xi", "+")])
+    def test_carrier_without_mode_takes_any_phase(self, levels):
+        # the electronic rotations are the carriers at pi/2, but a carrier with mode None reads
+        # its laser phase like any other
+        for phase in (0.0, 0.4, math.pi / 2, 5.9):
+            assert PulseSpec("carrier", levels, None, 0.5, phase).phase == phase
 
     def test_phase_range(self):
         with pytest.raises(ValueError):
@@ -65,14 +74,16 @@ class TestPulseSpec:
 
     @pytest.mark.parametrize("kind,levels,message", [
         ("rsb", ("+", "xi"), "unknown pulse kind 'rsb'"),
+        ("erot", ("+", "xi"), "unknown pulse kind 'erot'"),
+        ("ajc", ("+", "xi"), "unknown pulse kind 'ajc'"),
         ("carrier", ("+", "zeta"), f"{NOT_LEVELS}('+', 'zeta')"),
         ("carrier", (3, "xi"), f"{NOT_LEVELS}(3, 'xi')"),
         ("carrier", ("xi", 2), f"{NOT_LEVELS}('xi', 2)"),
         ("carrier", ("xi", "xi"), "pulse level pair must be distinct"),
         ("carrier", (1.7, "xi"), f"{NOT_LEVELS}(1.7, 'xi')"),
         ("carrier", (True, "xi"), f"{NOT_LEVELS}(True, 'xi')"),
-    ], ids=["unknown-kind", "unknown-level-name", "level-index-3", "equal-pair", "equal-names",
-            "level-float", "level-bool"])
+    ], ids=["unknown-kind", "unknown-kind-erot", "unknown-kind-ajc", "unknown-level-name", "level-index-3",
+            "equal-pair", "equal-names", "level-float", "level-bool"])
     def test_rejects_bad_kind_or_levels(self, kind, levels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(kind, levels, "x", 0.5)
@@ -89,7 +100,7 @@ class TestPulseSpec:
     def test_levels_must_be_a_pair(self, levels):
         message = f"{NOT_LEVELS}{levels!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PulseSpec("erot", levels, None, 0.5)
+            PulseSpec("carrier", levels, None, 0.5)
 
     @pytest.mark.parametrize("angle,phase,message", [
         (True, 0.0, "pulse angle must be a real number, got True"),
@@ -99,27 +110,31 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec("carrier", ("+", "xi"), "x", angle, phase)
 
-    @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
-    def test_numpy_numbers_act_as_the_equal_floats(self, kind):
+    # the anti-JC on ('+', 'xi') is jc on the reversed pair
+    @pytest.mark.parametrize("kind,levels", [("carrier", ("+", "xi")), ("jc", ("+", "xi")),
+                                             ("jc", ("xi", "+"))], ids=["carrier", "jc", "ajc"])
+    def test_numpy_numbers_act_as_the_equal_floats(self, kind, levels):
         # a float32 area is stored as the Python float it equals, so the spec acts bit for
         # bit as the spec built from that float does
-        numpy_spec = PulseSpec(kind, ("+", "xi"), "x", np.float32(0.3), np.float32(1.0))
-        spec = PulseSpec(kind, ("+", "xi"), "x", float(np.float32(0.3)), 1.0)
+        numpy_spec = PulseSpec(kind, levels, "x", np.float32(0.3), np.float32(1.0))
+        spec = PulseSpec(kind, levels, "x", float(np.float32(0.3)), 1.0)
         assert numpy_spec == spec
         assert type(numpy_spec.angle) is float and type(numpy_spec.phase) is float
         rng = np.random.default_rng(5)
         state = rng.normal(size=(3, *DIMS, 2)) + 1j * rng.normal(size=(3, *DIMS, 2))
         assert np.array_equal(act_pulse(numpy_spec, state.copy()), act_pulse(spec, state.copy()))
 
-    @pytest.mark.parametrize("kind", ["carrier", "jc", "ajc"])
-    def test_coupled_pair_contains_xi(self, kind):
-        with pytest.raises(ValueError):
-            PulseSpec(kind, ("-", "+"), "x", 1.0)
-        assert PulseSpec(kind, ("xi", "-"), "x", 1.0).levels == ("xi", "-")
+    @pytest.mark.parametrize("kind,mode", [("carrier", "x"), ("jc", "x"), ("carrier", None)],
+                             ids=["carrier", "jc", "carrier-none"])
+    def test_coupled_pair_contains_xi(self, kind, mode):
+        with pytest.raises(ValueError, match=f"^{kind} pulse level pair must contain 'xi'$"):
+            PulseSpec(kind, ("-", "+"), mode, 1.0)
+        assert PulseSpec(kind, ("xi", "-"), mode, 1.0).levels == ("xi", "-")
 
 
 def _erot(level, theta):
-    return PulseSpec("erot", (level, "xi"), None, theta)
+    """The electronic rotation exp(i theta sigma_y) on {level, xi}: a carrier at pi/2 with no mode."""
+    return PulseSpec("carrier", (level, "xi"), None, theta, math.pi / 2)
 
 
 class TestElectronicRotation:
@@ -222,15 +237,16 @@ class TestCompilePulse:
     @pytest.mark.parametrize("phase,amplitude", [(0.0, 1j), (math.pi / 2, -1.0), (math.pi, -1j),
                                                  (3.0 * (math.pi / 2), 1.0)], ids=["0", "pi/2", "pi", "3pi/2"])
     def test_quarter_turn_phases_are_exact(self, phase, amplitude):
-        # a carrier pi-pulse moves |xi> to i e^{i phase} |+>, exactly at a quarter-turn phase; an
-        # anti-Jaynes-Cummings pulse on (xi, +) moves |xi, 0> to i e^{-i phase} |+, 1>
+        # a carrier pi-pulse moves |xi> to i e^{i phase} |+>, exactly at a quarter-turn phase, and
+        # so does a jc pulse on (+, xi) from |xi, 0> to |+, 1>
         spec = PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, phase)
         assert act(spec, oracle.basis(DIMS, XI, 1, 1), DIMS)[oracle.index(DIMS, PLUS, 1, 1)] == amplitude
-        spec = PulseSpec("ajc", ("xi", "+"), "x", math.pi / 2, phase)
-        assert act(spec, oracle.basis(DIMS, XI, 0, 1), DIMS)[oracle.index(DIMS, PLUS, 1, 1)] == -np.conj(amplitude)
+        spec = PulseSpec("jc", ("+", "xi"), "x", math.pi / 2, phase)
+        assert act(spec, oracle.basis(DIMS, XI, 0, 1), DIMS)[oracle.index(DIMS, PLUS, 1, 1)] == amplitude
 
     def test_erot_dispatch_matches_r_electronic(self):
-        # the oracle's erot is the closed-form rotation |l> -> cos|l> + sin|xi>, |xi> -> -sin|l> + cos|xi>
+        # the oracle's carrier at pi/2 with no mode is the closed-form rotation
+        # |l> -> cos|l> + sin|xi>, |xi> -> -sin|l> + cos|xi>
         theta = 0.41
         r3 = np.eye(3)
         r3[MINUS, MINUS] = r3[XI, XI] = math.cos(theta)
@@ -246,8 +262,8 @@ class TestCompilePulse:
     @pytest.mark.parametrize("spec", [
         PulseSpec("carrier", ("+", "xi"), "x", math.pi / 2, 4.71238898038469),
         PulseSpec("jc", ("-", "xi"), "z", 1.11072073453959, 4.71238898038469),
-        PulseSpec("ajc", ("+", "xi"), "x", math.pi / 2, math.pi / 2),
-        PulseSpec("erot", ("+", "xi"), None, -math.pi / 4),
+        PulseSpec("jc", ("xi", "+"), "x", math.pi / 2, 3 * math.pi / 2),
+        _erot("+", -math.pi / 4),
         PulseSpec("vrot", ("+", "xi"), None, math.pi / 2),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_all_compiled_pulses_unitary(self, spec):
@@ -257,8 +273,8 @@ class TestCompilePulse:
     @pytest.mark.parametrize("spec,excluded", [
         (PulseSpec("carrier", ("+", "xi"), "x", 0.7, 1.0), MINUS),
         (PulseSpec("jc", ("+", "xi"), "x", 0.7, 1.0), MINUS),
-        (PulseSpec("ajc", ("-", "xi"), "z", 0.7, 1.0), PLUS),
-        (PulseSpec("erot", ("-", "xi"), None, 0.7), PLUS),
+        (PulseSpec("jc", ("xi", "-"), "z", 0.7, 1.0), PLUS),
+        (_erot("-", 0.7), PLUS),
         (MODE_SWAP, MINUS),
     ], ids=["carrier", "jc", "ajc", "erot", "vrot"])
     def test_sector_confinement(self, spec, excluded):
@@ -268,30 +284,44 @@ class TestCompilePulse:
         assert np.max(np.abs(u @ proj - proj @ u)) <= 1e-12
 
 
-def _action_specs():
-    """The mode swap, and every other kind on both level pairs (both orders), both modes, random angles and phases."""
+def _action_cases():
+    """Cases (spec, dense generator or None) of pulses to compare with the oracle, random angles and phases.
+
+    The mode swap, and the carrier and jc kinds on both level pairs (both orders) and both
+    modes, are compared with the oracle's own generator (None). Two couplings no kind names
+    are compared with their defining generators: the electronic rotation exp(i theta sigma_y)
+    on {l, xi}, a carrier at pi/2 with no mode (id erot), and the anti-JC
+    e^{i phi} a |l><j| + h.c., jc on (j, l) at 2 pi - phi (id ajc, named by (l, j)).
+    """
     rng = np.random.default_rng(2003)
-    specs = [MODE_SWAP]
+    cases = [pytest.param(MODE_SWAP, None, id="vrot-+xi-None")]
     for level in ("-", "+"):
-        specs.append(PulseSpec("erot", (level, "xi"), None, rng.uniform(-4, 4)))
+        l = LEVEL_NAMES.index(level)
+        cases.append(pytest.param(_erot(level, rng.uniform(-4, 4)), oracle.pauli(l, XI, "y", (6, 6)),
+                                  id=f"erot-{level}xi-None"))
         for kind in ("carrier", "jc", "ajc"):
             for levels in ((level, "xi"), ("xi", level)):
                 for mode in ("x", "z"):
-                    specs.append(PulseSpec(kind, levels, mode, rng.uniform(-4, 4),
-                                           rng.uniform(0, 2 * math.pi)))
-    return specs
+                    angle, phase = rng.uniform(-4, 4), rng.uniform(0, 2 * math.pi)
+                    case = f"{kind}-{''.join(levels)}-{mode}"
+                    if kind == "ajc":
+                        spec = PulseSpec("jc", levels[::-1], mode, angle, 2 * math.pi - phase)
+                        cases.append(pytest.param(spec, anti_jc(levels, mode, phase, (6, 6)), id=case))
+                    else:
+                        cases.append(pytest.param(PulseSpec(kind, levels, mode, angle, phase), None, id=case))
+    return cases
 
 
 class TestPulseActions:
-    """act_pulse against the oracle's dense pulse unitary on random tensors of states."""
+    """act_pulse against the dense pulse unitary on random tensors of states."""
 
-    @pytest.mark.parametrize("spec", _action_specs(),
-                             ids=lambda s: f"{s.kind}-{''.join(s.levels)}-{s.mode}")
-    def test_matches_compiled_matrix(self, spec):
+    @pytest.mark.parametrize("spec,generator", _action_cases())
+    def test_matches_compiled_matrix(self, spec, generator):
         dims = (6, 6)
         rng = np.random.default_rng(7)
         state = rng.normal(size=(3, 6, 6, 5)) + 1j * rng.normal(size=(3, 6, 6, 5))
-        expected = oracle.pulse(spec, dims) @ state.reshape(oracle.size(dims), 5)
+        u = oracle.pulse(spec, dims) if generator is None else oracle.unitary(generator, spec.angle)
+        expected = u @ state.reshape(oracle.size(dims), 5)
         got = act_pulse(spec, state.copy())
         assert np.max(np.abs(got.reshape(oracle.size(dims), 5) - expected)) <= 1e-12
 
@@ -314,7 +344,7 @@ class TestPulseActions:
     def test_acts_in_place(self):
         state = np.zeros((3, 4, 4, 1), dtype=complex)
         state[PLUS, 0, 0, 0] = 1.0
-        out = act_pulse(PulseSpec("erot", ("+", "xi"), None, math.pi / 2), state)
+        out = act_pulse(_erot("+", math.pi / 2), state)
         assert out is state
         assert abs(state[XI, 0, 0, 0] - 1.0) < 1e-15
 
@@ -327,10 +357,10 @@ class TestPulseActions:
 
 def _every_kind(angle):
     """One pulse of each kind but the mode swap, which has one area, at the given area, with a generic laser phase."""
-    return [PulseSpec("erot", ("-", "xi"), None, angle),
+    return [PulseSpec("carrier", ("-", "xi"), None, angle, 2.2),
             PulseSpec("carrier", ("+", "xi"), "x", angle, 0.4),
             PulseSpec("jc", ("xi", "-"), "z", angle, 1.3),
-            PulseSpec("ajc", ("+", "xi"), "x", angle, 5.1)]
+            PulseSpec("jc", ("+", "xi"), "x", angle, 5.1)]
 
 
 def _random_columns(rng, r):
@@ -387,11 +417,10 @@ def _pulses(draw, kinds):
         return MODE_SWAP
     level = draw(st.sampled_from(["-", "+"]))
     angle = draw(st.floats(-4.0, 4.0))
-    if kind == "erot":
-        return PulseSpec(kind, (level, "xi"), None, angle)
     levels = draw(st.sampled_from([(level, "xi"), ("xi", level)]))
     phase = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
-    return PulseSpec(kind, levels, draw(st.sampled_from(["x", "z"])), angle, phase)
+    modes = ["x", "z"] if kind == "jc" else ["x", "z", None]
+    return PulseSpec(kind, levels, draw(st.sampled_from(modes)), angle, phase)
 
 
 @st.composite

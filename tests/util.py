@@ -1,16 +1,19 @@
 """Shared test helpers.
 
 expm_taylor and the random matrices are kept independent of the package's own
-linear algebra paths; tensor, act and full_action run the engine's pulse actions
-on flat composite-space vectors, for comparison with the dense oracle;
-subcommand_parsers reads the CLI's options off its own parser.
+linear algebra paths; anti_jc builds the anti-Jaynes-Cummings generator, which
+no pulse kind names, from the oracle's factors; tensor, act and full_action run
+the engine's pulse actions on flat composite-space vectors, for comparison with
+the dense oracle; subcommand_parsers reads the CLI's options off its own parser.
 """
 
 import argparse
 
 import numpy as np
 
+import oracle
 from iontomo.cli import _build_parser
+from iontomo.hilbert import LEVEL_NAMES
 from iontomo.pulses import act_pulse
 
 # <2| rho |0> of the coherent state alpha = 0.8: exp(-0.64) * 0.64 / sqrt(2)
@@ -47,6 +50,13 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def anti_jc(levels, mode, phase, dims) -> np.ndarray:
+    """The dense anti-Jaynes-Cummings generator e^{i phase} a |l><j| + h.c.: phonon -1 on l <- j."""
+    l, j = (LEVEL_NAMES.index(x) for x in levels)
+    term = np.exp(1j * phase) * oracle.electronic(l, j, dims) @ oracle.annihilator(mode, dims)
+    return term + term.conj().T
 
 
 def tensor(vector, dims) -> np.ndarray:
