@@ -375,7 +375,7 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     slices[PLUS, 0, j, d + j] = 1.0
     record("compiled-vs-ideal", protocol.shifter_deviation(list(schedules["v_plus"]), slices), 1e-8)
 
-    # Unitarity of every scheduled pulse, on d seeded random orthonormal states.
+    # Unitarity of every scheduled pulse and the mode swap's parity, on d seeded random orthonormal states.
     specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])
                                   for ladder in ladders.values() for spec in ladder)]
     rng = np.random.default_rng(0)
@@ -383,6 +383,7 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     probe = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
     probe = probe.reshape(ELECTRONIC_DIM, d, d, d)
     record("pulse-unitarity", protocol.pulse_unitarity_defect(specs, probe), 1e-10)
+    record("mode-swap-parity", protocol.mode_swap_parity_deviation(probe), 1e-10)
 
     return checks
 

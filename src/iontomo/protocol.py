@@ -26,10 +26,10 @@ and one walker (_ladder) climbs the V- ladder down the rows and each row's
 V+ ladder across it, closing each ladder's last target in place, so a row's
 last cell and a one-cell run copy nothing. Each cell still runs its own
 run's operations in its own run's order. The identity checks at the end of
-this module (mode swap, entangled target, compiled vs ideal shifters, pulse
-unitarity) run on the same actions: the entangled target is one sweep over
-its cells, and the shifters one walk per branch. The validate subcommand
-and the acceptance tests share them.
+this module (mode swap and its parity, entangled target, compiled vs ideal
+shifters, pulse unitarity) run on the same actions: the entangled target is
+one sweep over its cells, and the shifters one walk per branch. The validate
+subcommand and the acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ _OBSERVABLES = {
     "y": (1, np.array([1.0, -1.0j, 0.0]) / _SQRT2, np.array([1.0, 1.0j, 0.0]) / _SQRT2),
 }
 
-# U_00's two electronic rotations exp(i theta sigma_y), carriers at laser phase pi/2 that
-# couple no mode: the {-, xi} pulse that opens it, and the {+, xi} pulse that turns |xi>
-# into the bright state |alpha> and, last, |alpha> back into |+>.
+# U_00's electronic rotations, carriers at pi/2 with no mode: the {-, xi} pulse that opens it, and the
+# {+, xi} pulse that turns |xi> into the bright state |alpha> and, last, |alpha> back into |+>.
 SPLIT = PulseSpec("carrier", ("-", "xi"), None, QUARTER_PI, HALF_PI)
 BRIGHT = PulseSpec("carrier", ("+", "xi"), None, -QUARTER_PI, HALF_PI)
 
@@ -165,10 +164,9 @@ _SHIFTERS = {MINUS: (1, ("-", "xi"), "z"), PLUS: (0, ("+", "xi"), "x")}
 def _ladder_step(j: int, branch: int) -> PulseSpec:
     """Sideband pi-pulse j of the branch's compiled ladder: it takes |j> to |j+1>.
 
-    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j).
-    Every step is a jc pulse at laser phase 3*pi/2, which raises the phonon number on
-    the pair's first level: the pair reversed, (xi, level), on even j, where the step
-    leaves the branch's level, and (level, xi) on odd j, where it comes back.
+    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j). It is
+    jc at laser phase 3*pi/2, raising the phonon number on the level it lands on: xi for
+    even j, on the reversed pair (xi, level), and the branch's level for odd j.
     """
     _, levels, mode = _SHIFTERS[branch]
     levels = levels[::-1] if j % 2 == 0 else levels
@@ -184,15 +182,15 @@ def _closing_carrier(branch: int) -> PulseSpec:
 def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     """Pulse list of the branch's shifter |0> -> |k>: V+_k for branch PLUS, V-_k for MINUS.
 
-    Sideband pi-pulses of one kind (jc) on the branch's level pair, in
-    alternating order, and mode ({+, xi} and x for V+, {-, xi} and z for V-).
-    The k steps (_ladder_step) leave an odd k on the other level of the pair,
-    and the closing carrier (_closing_carrier) brings it back. Every pulse runs
-    at the one laser phase 3*pi/2, whose factor -i (exact: pulses reads the
-    quarter turns exactly) cancels the factor i that each resonant pi-pulse
-    would otherwise contribute, so every step's coefficient is exactly +1: V+_1
-    takes |0> to |1> with coefficient 1. Only the pi-pulse's cosine, 6.1e-17
-    for V+_1, is left on the level it came from, and a real input stays real.
+    jc pi-pulses on the branch's level pair, its order alternating, and mode
+    ({+, xi} and x for V+, {-, xi} and z for V-). The k steps (_ladder_step)
+    leave an odd k on the other level of the pair, and the closing carrier
+    (_closing_carrier) brings it back. Every pulse runs at laser phase 3*pi/2,
+    whose factor, exactly -i (pulses reads the quarter turns exactly), cancels
+    the factor i of each resonant pi-pulse, so every step's coefficient is
+    exactly +1: V+_1 takes |0> to |1> with coefficient 1. Only the pi-pulse's
+    cosine, 6.1e-17 for V+_1, is left on the level it came from, and a real
+    input stays real.
     """
     closing = [_closing_carrier(branch)] if k % 2 == 1 else []
     return [_ladder_step(j, branch) for j in range(k)] + closing
@@ -388,9 +386,8 @@ def _max_column_norm(w: np.ndarray) -> float:
 def mode_swap_deviation(d: int) -> float:
     """Largest |amplitude - 1| of the mode swap |n>_x|0>_z -> |0>_x|n>_z over every n < d.
 
-    The vibrational pulse at pi/2 acts as exp(i (pi/2) L_y) on the bright
-    state |alpha> = (|+> + |xi>)/sqrt(2); each |alpha>|n>_x|0>_z must land on
-    |alpha>|0>_x|n>_z with amplitude exactly +1.
+    The swap acts as exp(i (pi/2) L_y) on the bright state |alpha> = (|+> + |xi>)/sqrt(2),
+    so each |alpha>|n>_x|0>_z must land on |alpha>|0>_x|n>_z with amplitude exactly +1.
     """
     ns = np.arange(d)
     w = np.zeros((ELECTRONIC_DIM, d, d, d), dtype=complex)
@@ -398,6 +395,18 @@ def mode_swap_deviation(d: int) -> float:
     act_pulse(MODE_SWAP, w)
     amplitude = (w[PLUS, 0, ns, ns] + w[XI, 0, ns, ns]) / _SQRT2
     return float(np.max(np.abs(amplitude - 1.0)))
+
+
+def mode_swap_parity_deviation(states: np.ndarray) -> float:
+    """Largest |two mode swaps - the phonon parity| over a (3, d, d, r) tensor of states.
+
+    exp(i pi L_y) is (-1)^(nx+nz) on |nx, nz>, so two swaps are that parity on {+, xi}
+    and the identity on |->: the swap is read at every Fock level of the states.
+    """
+    twice = act_pulse(MODE_SWAP, act_pulse(MODE_SWAP, states.copy()))
+    n = np.arange(states.shape[1])
+    twice[[PLUS, XI]] *= ((-1.0) ** (n[:, None] + n))[:, :, None]
+    return float(np.max(np.abs(twice - states)))
 
 
 def entangled_target_deviation(settings: ProtocolSettings, cells: list[tuple[int, int]], amplitudes) -> float:

@@ -1,25 +1,23 @@
 """Primitive laser pulses and their closed-form actions on states.
 
-Two resonant couplings act on one electronic level pair that contains xi and,
-in the Lamb-Dicke regime, on one vibrational mode:
+Three pulse kinds act on an electronic level pair that contains xi:
 
     carrier      e^{i phase} |l><j|          + h.c.     (no phonon change)
     jc           e^{i phase} a-dag |l><j|    + h.c.     (phonon +1 on l<-j)
+    vrot         exp(i (pi/2) L_y sigma_x^{+xi})           (the mode swap)
 
-The anti-Jaynes-Cummings coupling e^{i phase} a |l><j| + h.c. is jc on the
-reversed pair (j, l) at laser phase 2 pi - phase, and the electronic rotations
-R^l(theta) = exp(i theta sigma_y) on the {l, xi} pair are carriers at laser
-phase pi/2 that name mode None, since no motional coupling enters them. The
-third kind, vrot, is the mode swap exp(i (pi/2) L_y sigma_x^{+xi}), with
-L_y = i (a-dag_x a_z - a-dag_z a_x): on the bright state (|+> + |xi>)/sqrt(2)
-it maps |n>_x|0>_z to |0>_x|n>_z with coefficient +1 for every n below the
+jc drives mode x or z in the Lamb-Dicke regime; the anti-JC e^{i phase} a |l><j|
++ h.c. is jc on (j, l) at laser phase 2 pi - phase. The electronic rotations
+exp(i theta sigma_y) on {l, xi} are carriers at phase pi/2 with mode None. With
+L_y = i (a-dag_x a_z - a-dag_z a_x), the swap maps |n>_x|0>_z on the bright state
+(|+> + |xi>)/sqrt(2) to |0>_x|n>_z with coefficient +1 for every n below the
 cutoff (protocol.mode_swap_deviation: 2.2e-16 at d = 10, 40 and 100, the
 rounding of the check's own 1/sqrt(2)). Pulse areas are dimensionless: the coupling
 constant and duration enter only through angle = gamma * t, so no physical
 rates are modeled.
 
 A pulse of area theta is the unitary exp(i theta H). act_pulse applies it in
-closed form to a (3, dx, dz, r) tensor of r states: a carrier or sideband is a
+closed form to a (3, dx, dz, r) tensor of r states: a carrier or jc pulse is a
 2x2 rotation on level-pair doublets, the mode swap a signed transpose of the
 two Fock axes. No operator on the composite space is formed; the tests compare
 each action with the dense N x N unitary of tests/oracle.py.
@@ -52,10 +50,9 @@ class PulseSpec:
     it, or None for an electronic rotation. vrot addresses exactly ('+', 'xi'),
     names no mode and reads no laser phase, so it takes mode None and phase 0;
     it is the mode swap, the quarter turn: its angle is pi/2 and nothing else.
-    levels is a tuple of two names from LEVEL_NAMES,
-    and angle and phase are finite real numbers (states.check_real), stored as
-    the Python floats they equal. Any other value raises ValueError naming the
-    field.
+    levels is a tuple of two names from LEVEL_NAMES, and angle and phase are
+    finite real numbers (states.check_real), stored as the Python floats they
+    equal. Any other value raises ValueError naming the field.
     """
 
     kind: str
@@ -79,17 +76,14 @@ class PulseSpec:
             raise ValueError(f"jc pulse must name mode 'x' or 'z', got {self.mode!r}")
         if self.kind == "carrier" and self.mode not in ("x", "z", None):
             raise ValueError(f"carrier pulse takes mode 'x', 'z' or None, got {self.mode!r}")
-        if self.kind == "vrot" and (self.mode is not None or self.phase != 0.0):
-            raise ValueError(f"vrot pulse takes mode None and phase 0, "
-                             f"got mode {self.mode!r} and phase {self.phase!r}")
-        if self.kind == "vrot" and (l, j) != ("+", "xi"):
-            raise ValueError("vrot addresses the level pair ('+', 'xi')")
         for name in ("angle", "phase"):
             object.__setattr__(self, name, check_real(getattr(self, name), f"pulse {name}"))
         if not 0.0 <= self.phase < TWO_PI:
             raise ValueError(f"pulse phase {self.phase} not in [0, 2*pi)")
-        if self.kind == "vrot" and self.angle != math.pi / 2:
-            raise ValueError(f"vrot is the mode swap at angle pi/2, got angle {self.angle!r}")
+        shape = (self.levels, self.mode, self.angle, self.phase)
+        if self.kind == "vrot" and shape != (("+", "xi"), None, math.pi / 2, 0.0):
+            raise ValueError(f"vrot is the mode swap: levels ('+', 'xi'), mode None, angle pi/2 and phase 0, "
+                             f"got {shape!r}")
 
 
 def sideband_coupling(k):

@@ -54,6 +54,12 @@ CATALOGUE = [
           "return PulseSpec(\"carrier\", levels, mode, HALF_PI, 3.0 * HALF_PI)",
           "return PulseSpec(\"carrier\", levels, mode, HALF_PI, HALF_PI)",
           "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
+    # Every ladder step is jc at 3*pi/2; an even step, which leaves the branch's level, runs on
+    # the reversed pair (protocol._ladder_step).
+    Fault("ladder-even-steps-keep-the-pair-order", "protocol.py",
+          "levels = levels[::-1] if j % 2 == 0 else levels",
+          "levels = levels",
+          "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
     Fault("unclipped-probabilities", "protocol.py",
           "clipped = np.clip(p, 0.0, 1.0)",
           "clipped = p",
@@ -95,6 +101,15 @@ CATALOGUE = [
           "_QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: 1j, math.pi: -1 + 0j, 1.5 * math.pi: -1j}",
           "_QUARTER_TURNS = {0.0: 1 + 0j, math.pi / 2: -1j, math.pi: -1 + 0j, 1.5 * math.pi: 1j}",
           "tests/test_pulses.py::TestCompilePulse::test_quarter_turn_phases_are_exact"),
+    # act_pulse's one rotation: a jc pulse couples its mode's Fock axis, a carrier none.
+    Fault("jc-without-its-sideband-axis", "pulses.py",
+          "axis = \"xz\".index(spec.mode) if spec.kind == \"jc\" else None",
+          "axis = None",
+          "tests/test_pulses.py::TestPulseActions::test_matches_compiled_matrix"),
+    Fault("carrier-takes-the-sideband-axis", "pulses.py",
+          "axis = \"xz\".index(spec.mode) if spec.kind == \"jc\" else None",
+          "axis = None if spec.mode is None else \"xz\".index(spec.mode)",
+          "tests/test_pulses.py::TestCompilePulse::test_carrier_pi_pulse_transfers_population"),
     Fault("swap-sign-on-the-column", "pulses.py",
           "sign = (-1.0) ** n[:, None, None]",
           "sign = (-1.0) ** n[None, :, None]",
@@ -116,6 +131,10 @@ CATALOGUE = [
           "_ladder(w, branch, targets, \"ideal\")):",
           "_ladder(w, branch, targets, \"compiled\")):",
           "tests/test_cli.py::TestValidateCommand::test_compiled_vs_ideal_catches_a_ladder_defect"),
+    Fault("parity-check-compares-the-probe-with-itself", "protocol.py",
+          "return float(np.max(np.abs(twice - states)))",
+          "return float(np.max(np.abs(states - states)))",
+          "tests/test_cli.py::TestValidateCommand::test_mode_swap_parity_catches_an_unsigned_swap"),
     # validate's last target (2 or 4) is even, so a check that keeps only the last pair it
     # reads misses a defect of the odd targets' closing carriers.
     Fault("shifter-check-reads-only-the-last-target", "protocol.py",

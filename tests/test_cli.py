@@ -184,7 +184,7 @@ class TestMonitorCommand:
 
 
 VALIDATE_CHECKS = ["mode-swap-identity", "entangler-identity", "element-identity-ideal",
-                   "element-identity-compiled", "compiled-vs-ideal", "pulse-unitarity"]
+                   "element-identity-compiled", "compiled-vs-ideal", "pulse-unitarity", "mode-swap-parity"]
 
 
 def failed_checks(record: dict) -> list[str]:
@@ -266,7 +266,23 @@ class TestValidateCommand:
         # mode swap's and U_00's identity checks fail with it; the compiled element identity's
         # tolerance is 1e-7
         assert failed_checks(json.loads(capsys.readouterr().out)) == [
-            "mode-swap-identity", "entangler-identity", "element-identity-ideal", "pulse-unitarity"]
+            "mode-swap-identity", "entangler-identity", "element-identity-ideal", "pulse-unitarity",
+            "mode-swap-parity"]
+
+    def test_mode_swap_parity_catches_an_unsigned_swap(self, write_config, capsys, monkeypatch):
+        # the swap without its sign (-1)^a on the output row is still a permutation, and on the
+        # bright branch's |n>_x|0>_z it lands on the even row a = 0: only two swaps as the phonon
+        # parity, read on the whole probe, see it
+        exact = pulses._mode_swap
+
+        def unsigned(state):
+            exact(state)
+            state[[PLUS, XI]] *= ((-1.0) ** np.arange(state.shape[1]))[:, None, None]
+
+        monkeypatch.setattr(pulses, "_mode_swap", unsigned)
+        cfg = write_config()
+        assert run(["validate", "--config", cfg]) == 1
+        assert failed_checks(json.loads(capsys.readouterr().out)) == ["mode-swap-parity"]
 
     def test_compiled_vs_ideal_catches_a_ladder_defect(self, write_config, capsys, monkeypatch):
         # scale every sideband area of the compiled ladders by 1 + 1e-6

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 import oracle
 from iontomo.cli import stable_json
 from iontomo.hilbert import LEVEL_NAMES, MINUS, PLUS, XI
-from iontomo.protocol import MODE_SWAP, pulse_unitarity_defect
+from iontomo.protocol import MODE_SWAP, mode_swap_parity_deviation, pulse_unitarity_defect
 from iontomo.pulses import PULSE_KINDS, PulseSpec, act_pulse
 from iontomo.states import coherent
 from util import act, anti_jc, full_action
 
 DIMS = (4, 4)
 NOT_LEVELS = "levels must be a pair of level names ('-', '+', 'xi'), got "
+NOT_VROT = "vrot is the mode swap: levels ('+', 'xi'), mode None, angle pi/2 and phase 0, got "
+HALF_PI = math.pi / 2
 # The pulse actions take any (3, dx, dz, r) tensor; the unitarity checks run at unequal cutoffs.
 UNEQUAL = (3, 4)
 
@@ -42,20 +44,20 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match="^carrier pulse level pair must contain 'xi'$"):
             PulseSpec("carrier", ("-", "+"), None, 0.5, math.pi / 2)
 
-    # A jc pulse names a mode, a carrier mode 'x', 'z' or None; vrot names no mode and reads no
-    # laser phase, and has one level pair and one area, the quarter turn: a spec that gives a
-    # kind anything else is rejected, never rewritten.
-    @pytest.mark.parametrize("kind,levels,mode,phase,message", [
-        ("vrot", ("+", "xi"), "x", 0.0, "vrot pulse takes mode None and phase 0, got mode 'x' and phase 0.0"),
-        ("vrot", ("-", "xi"), None, 0.0, "vrot addresses the level pair ('+', 'xi')"),
-        ("carrier", ("-", "xi"), "y", 0.0, "carrier pulse takes mode 'x', 'z' or None, got 'y'"),
-        ("jc", ("+", "xi"), None, 0.4, "jc pulse must name mode 'x' or 'z', got None"),
-        ("vrot", ("+", "xi"), None, 0.4, "vrot pulse takes mode None and phase 0, got mode None and phase 0.4"),
-        ("vrot", ("+", "xi"), None, 0.0, "vrot is the mode swap at angle pi/2, got angle 0.5"),
+    # A jc pulse names a mode, a carrier mode 'x', 'z' or None; vrot has one shape, the quarter
+    # turn on ('+', 'xi') with no mode and no laser phase: a spec that gives a kind anything else
+    # is rejected, never rewritten.
+    @pytest.mark.parametrize("kind,levels,mode,angle,phase,message", [
+        ("vrot", ("+", "xi"), "x", HALF_PI, 0.0, f"{NOT_VROT}(('+', 'xi'), 'x', {HALF_PI!r}, 0.0)"),
+        ("vrot", ("-", "xi"), None, HALF_PI, 0.0, f"{NOT_VROT}(('-', 'xi'), None, {HALF_PI!r}, 0.0)"),
+        ("carrier", ("-", "xi"), "y", 0.5, 0.0, "carrier pulse takes mode 'x', 'z' or None, got 'y'"),
+        ("jc", ("+", "xi"), None, 0.5, 0.4, "jc pulse must name mode 'x' or 'z', got None"),
+        ("vrot", ("+", "xi"), None, HALF_PI, 0.4, f"{NOT_VROT}(('+', 'xi'), None, {HALF_PI!r}, 0.4)"),
+        ("vrot", ("+", "xi"), None, 0.5, 0.0, f"{NOT_VROT}(('+', 'xi'), None, 0.5, 0.0)"),
     ], ids=["vrot-mode", "vrot-minus-pair", "carrier-mode", "jc-no-mode", "vrot-phase", "vrot-angle"])
-    def test_rejects_what_the_kind_does_not_take(self, kind, levels, mode, phase, message):
+    def test_rejects_what_the_kind_does_not_take(self, kind, levels, mode, angle, phase, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PulseSpec(kind, levels, mode, 0.5, phase)
+            PulseSpec(kind, levels, mode, angle, phase)
 
     @pytest.mark.parametrize("levels", [("-", "xi"), ("xi", "+")])
     def test_carrier_without_mode_takes_any_phase(self, levels):
@@ -214,6 +216,8 @@ class TestVibrationalRotation:
         parity = (-1.0) ** (n[:, None] + n)[None, :, :, None]
         assert np.array_equal(twice[MINUS], state[MINUS])
         assert np.array_equal(twice[[PLUS, XI]], parity * state[[PLUS, XI]])
+        # validate's check of the same identity reads it exactly
+        assert mode_swap_parity_deviation(state) == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_oracle_on_the_box(self, d):
