@@ -261,7 +261,8 @@ class TestHamiltonians:
             assert np.max(np.abs(h @ oracle.basis(DIMS4, MINUS, nx, 1))) == 0.0
 
     @pytest.mark.parametrize("mode", ["x", "z"])
-    @pytest.mark.parametrize("levels", [("-", "xi"), ("xi", "-"), ("+", "xi"), ("xi", "+")])
+    @pytest.mark.parametrize("levels", [("-", "xi"), ("xi", "-"), ("+", "xi"), ("xi", "+")],
+                             ids=["-xi", "xi-", "+xi", "xi+"])
     def test_ajc_is_jc_on_the_reversed_pair(self, levels, mode):
         # e^{i phi} a |l><j| + h.c. = e^{i (2 pi - phi)} a-dag |j><l| + h.c.
         rng = np.random.default_rng(37)
