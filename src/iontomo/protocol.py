@@ -49,13 +49,6 @@ QUARTER_PI = math.pi / 4.0
 
 _SQRT2 = math.sqrt(2.0)
 
-# The transverse readout of the {-, +} pseudospin: per observable, the tag of its sampler
-# stream and its +1 and -1 eigenvectors in the electronic basis (-, +, xi).
-_OBSERVABLES = {
-    "x": (0, np.array([1.0, 1.0, 0.0]) / _SQRT2, np.array([1.0, -1.0, 0.0]) / _SQRT2),
-    "y": (1, np.array([1.0, -1.0j, 0.0]) / _SQRT2, np.array([1.0, 1.0j, 0.0]) / _SQRT2),
-}
-
 # U_00's electronic rotations, carriers at pi/2 with no mode: the {-, xi} pulse that opens it, and the
 # {+, xi} pulse that turns |xi> into the bright state |alpha> and, last, |alpha> back into |+>.
 SPLIT = PulseSpec("carrier", ("-", "xi"), None, QUARTER_PI, HALF_PI)
@@ -196,23 +189,22 @@ def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     return [_ladder_step(j, branch) for j in range(k)] + closing
 
 
-def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
-    """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin.
+def transverse_probabilities(value: complex, populations: np.ndarray, observable: str) -> np.ndarray:
+    """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin of a cell.
 
-    red is the 3 x 3 reduced electronic state. The +-1 outcomes project onto
-    the transverse eigenvectors of the {-, +} pair; the 0 outcome is the |xi>
-    level. Rounding can put a probability a hair outside [0, 1]; it is
-    clipped and the three renormalized, but clipping more than 1e-10 of
-    probability mass in all means red is no state, and raises ValueError.
+    value is the cell's element <sigma_x> - i <sigma_y>, and populations its
+    levels' (P_-, P_+, P_xi). The +-1 outcomes read the {-, +} pair,
+    p(+-1) = (P_- + P_+ +- <sigma>) / 2 with <sigma_x> = Re value and
+    <sigma_y> = -Im value; the 0 outcome is the |xi> level, p(0) = P_xi.
+    Rounding can put a probability a hair outside [0, 1]; it is clipped and
+    the three renormalized, but clipping more than 1e-10 of probability mass
+    in all means the numbers are no state's, and raises ValueError.
     """
-    if observable not in _OBSERVABLES:
+    if observable not in ("x", "y"):
         raise ValueError(f"observable must be 'x' or 'y', got {observable!r}")
-    _, s_plus, s_minus = _OBSERVABLES[observable]
-    p = np.array([
-        (s_plus.conj() @ red @ s_plus).real,
-        (s_minus.conj() @ red @ s_minus).real,
-        red[XI, XI].real,
-    ])
+    mean = value.real if observable == "x" else -value.imag
+    pair = populations[MINUS] + populations[PLUS]
+    p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, populations[XI]])
     clipped = np.clip(p, 0.0, 1.0)
     lost = float(np.sum(np.abs(p - clipped)))
     if lost > CLIP_TOL:
@@ -221,28 +213,30 @@ def reduced_probabilities(red: np.ndarray, observable: str) -> np.ndarray:
     return clipped / clipped.sum()
 
 
-def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> CoherenceEstimate:
-    """Finite-statistics estimate of cell (m, n) from its 3 x 3 reduced electronic state red.
+def _sample_cell(value: complex, populations: np.ndarray, m: int, n: int, shots: int,
+                 seed: int) -> CoherenceEstimate:
+    """Finite-statistics estimate of cell (m, n) from its element value and level populations.
 
     Each transverse observable is measured `shots` times in its own eigenbasis
-    (outcomes +1, -1, and 0 for the |xi> sector, see reduced_probabilities)
-    with a generator seeded from (seed, m, n, observable tag), so estimates
-    are reproducible bit-for-bit and independent of evaluation order. The
-    draw reads the probabilities on a grid of 2^-32: p(+1) and p(+1) + p(-1)
-    are rounded to it, so the three rounded values are nonnegative and sum
-    to 1 exactly, and each moves by at most 2^-32 (below the statistical
-    error up to ~1e16 shots). numpy's multinomial draws n - B(n, 1-p) for
-    p > 1/2, so without the grid p = 1/2 moved by one ulp would mirror its
-    draw. The stream does not depend on the state: two runs of the same cell
-    on different inputs (such as the points of a decoherence monitor) share
-    their random numbers, and share outcomes where the probabilities agree
-    to 2^-32. A probability within rounding of a grid midpoint can still
-    move to the next grid point, so rounding noise of one ulp flips a draw
-    with a chance of about 1e-6. stderr = sqrt(var_x + var_y) / sqrt(shots).
+    (outcomes +1, -1, and 0 for the |xi> level, see transverse_probabilities)
+    with a generator seeded from (seed, m, n, tag), tag 0 for x and 1 for y,
+    so estimates are reproducible bit-for-bit and independent of evaluation
+    order. The draw reads the probabilities on a grid of 2^-32: p(+1) and
+    p(+1) + p(-1) are rounded to it, so the three rounded values are
+    nonnegative and sum to 1 exactly, and each moves by at most 2^-32 (below
+    the statistical error up to ~1e16 shots). numpy's multinomial draws
+    n - B(n, 1-p) for p > 1/2, so without the grid p = 1/2 moved by one ulp
+    would mirror its draw. The stream does not depend on the state: two runs
+    of the same cell on different inputs (such as the points of a decoherence
+    monitor) share their random numbers, and share outcomes where the
+    probabilities agree to 2^-32. A probability within rounding of a grid
+    midpoint can still move to the next grid point, so rounding noise of one
+    ulp flips a draw with a chance of about 1e-6.
+    stderr = sqrt(var_x + var_y) / sqrt(shots).
     """
-    stats = {}
-    for observable, (tag, _, _) in _OBSERVABLES.items():
-        p_plus, p_minus, _ = reduced_probabilities(red, observable).tolist()
+    stats = []
+    for tag, observable in enumerate(("x", "y")):
+        p_plus, p_minus, _ = transverse_probabilities(value, populations, observable).tolist()
         plus = round(p_plus * 2.0 ** 32) / 2.0 ** 32
         both = round((p_plus + p_minus) * 2.0 ** 32) / 2.0 ** 32
         rng = np.random.default_rng([int(seed), int(m), int(n), tag])
@@ -252,12 +246,10 @@ def _sample_reduced(red: np.ndarray, m: int, n: int, shots: int, seed: int) -> C
         var = max(second_moment - mean * mean, 0.0)
         if shots > 1:
             var *= shots / (shots - 1)
-        stats[observable] = (mean, var)
-    mean_x, var_x = stats["x"]
-    mean_y, var_y = stats["y"]
-    value = complex(mean_x, -mean_y)
+        stats.append((mean, var))
+    (mean_x, var_x), (mean_y, var_y) = stats
     stderr = math.sqrt((var_x + var_y) / shots)
-    return CoherenceEstimate(value, stderr)
+    return CoherenceEstimate(complex(mean_x, -mean_y), stderr)
 
 
 def _ladder(w: np.ndarray, branch: int, targets: list[int],
@@ -327,11 +319,6 @@ def _cell_images(cells: list[tuple[int, int]], settings: ProtocolSettings,
             yield m, n, cell
 
 
-def _slice_reduced(w: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """3 x 3 electronic state Tr_v(W_a G W_b^dag) from the (3, d^2, r) images W of C."""
-    return np.einsum("avk,bvk->ab", w @ gram, w.conj())
-
-
 def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
              settings: ProtocolSettings) -> Iterator[tuple[int, int, list[CoherenceEstimate]]]:
     """Stream (m, n, [the estimate of cell (m, n) on each state]) over a set of cells, in one sweep.
@@ -342,10 +329,11 @@ def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
     states' size is checked here. The sweep (_cell_images) runs on the first
     state's columns, so several states must all be mixed, as a monitor's
     dephased inputs are. Each image W is read against every G before the next
-    cell is drawn, since W is that cell's buffer too. Exact mode returns
-    <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag); sampled mode samples from
-    the reduced state Tr_v(W_a G W_b^dag) (_sample_reduced) on the cell's own
-    streams.
+    cell is drawn, since W is that cell's buffer too. Both modes read the
+    paper's scalar product of the two branches' vibrational cofactors, the
+    element <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag). Exact mode returns
+    it; sampled mode adds the level populations Tr_v(W_a G W_a^dag) and draws
+    shot noise on them (_sample_cell) from the cell's own streams.
     """
     for phi in states:
         if phi.dim != settings.d:
@@ -354,12 +342,13 @@ def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
     columns = states[0].amplitudes[:, None] if states[0].is_pure else np.eye(settings.d)
     for m, n, w in _cell_images(cells, settings, columns):
         w = w.reshape(ELECTRONIC_DIM, settings.d ** 2, -1)
+        values = [complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)) for gram in grams]
         if settings.shots is None:
-            yield m, n, [CoherenceEstimate(complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0)
-                         for gram in grams]
+            yield m, n, [CoherenceEstimate(value, 0.0) for value in values]
         else:
-            yield m, n, [_sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
-                         for gram in grams]
+            yield m, n, [_sample_cell(value, np.array([np.vdot(block, block @ gram).real for block in w]),
+                                      m, n, settings.shots, settings.seed)
+                         for value, gram in zip(values, grams)]
 
 
 def measure_element(phi: VibrationalState, m: int, n: int,

@@ -53,8 +53,11 @@ def _finite(value, name: str) -> np.ndarray:
 
 
 def _difference(a, b) -> np.ndarray:
-    """a - b, for a and b nonempty, finite and of one shape; else a ValueError names the fault."""
+    """a - b, for a and b nonempty, finite matrices of one shape; else a ValueError names the fault."""
     ma, mb = _finite(a, "a"), _finite(b, "b")
+    for name, m in (("a", ma), ("b", mb)):
+        if m.ndim != 2:
+            raise ValueError(f"{name} must be a matrix, got shape {m.shape}")
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     return ma - mb
@@ -65,8 +68,8 @@ def trace_distance(a, b) -> float:
 
     For hermitian A, B (density matrices) that is half the sum of |eigenvalues|
     of A - B. A sampled or compat estimate is not hermitian, and its
-    anti-hermitian error counts too. a and b must be nonempty, finite and of
-    one shape; else a ValueError names the one that is not.
+    anti-hermitian error counts too. a and b must be nonempty, finite
+    matrices of one shape; else a ValueError names the one that is not.
     """
     return 0.5 * float(np.linalg.norm(_difference(a, b), "nuc"))
 
@@ -74,7 +77,8 @@ def trace_distance(a, b) -> float:
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt (Frobenius) distance between two nonempty, finite matrices of one shape.
 
-    A ValueError names an argument that is empty or has a non-finite entry.
+    A ValueError names an argument that is empty, has a non-finite entry or
+    is no matrix (a scalar, a vector or a stack).
     """
     return float(np.linalg.norm(_difference(a, b)))
 

@@ -176,21 +176,39 @@ CATALOGUE = [
     # The engine's entry (protocol._measure): every state is read on the cell's own streams,
     # against its own Gram matrix.
     Fault("monitor-reads-a-cell-on-its-transpose-stream", "protocol.py",
-          "yield m, n, [_sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)",
-          "yield m, n, [_sample_reduced(_slice_reduced(w, gram), n, m, settings.shots, settings.seed)",
+          "m, n, settings.shots, settings.seed)",
+          "n, m, settings.shots, settings.seed)",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("populations-read-without-the-gram", "protocol.py",
+          "yield m, n, [_sample_cell(value, np.array([np.vdot(block, block @ gram).real for block in w]),",
+          "yield m, n, [_sample_cell(value, np.array([np.vdot(block, block).real for block in w]),",
+          "tests/test_protocol.py::test_random_cell_matches_oracle"),
     Fault("entry-reads-every-state-on-the-first-gram", "protocol.py",
           "grams = [np.ones((1, 1)) if phi.is_pure else phi.matrix for phi in states]",
           "grams = [np.ones((1, 1)) if phi.is_pure else states[0].matrix for phi in states]",
           "tests/test_tomography.py::TestOneCellEntry::test_monitor_measures_three_cells_per_lambda"),
     Fault("sampler-draws-unrounded-probabilities", "protocol.py",
           "c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))",
-          "c_plus, c_minus, _ = rng.multinomial(shots, reduced_probabilities(red, observable))",
+          "c_plus, c_minus, _ = rng.multinomial(shots, transverse_probabilities(value, populations, observable))",
           "tests/test_protocol.py::test_sampled_estimate_ignores_rounding_noise"),
+    Fault("sampler-stream-tags-swapped", "protocol.py",
+          "rng = np.random.default_rng([int(seed), int(m), int(n), tag])",
+          "rng = np.random.default_rng([int(seed), int(m), int(n), 1 - tag])",
+          "tests/test_protocol.py::TestSampling::test_stream_key_is_seed_m_n_tag"),
+    # The transverse outcome probabilities in closed form (protocol.transverse_probabilities):
+    # p(+-1) = (P_- + P_+ +- <sigma>) / 2, <sigma_x> - i <sigma_y> the element, p(0) = P_xi.
     Fault("xi-outcome-dropped", "protocol.py",
-          "red[XI, XI].real,",
-          "0.0,",
+          "p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, populations[XI]])",
+          "p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, 0.0])",
           "tests/test_protocol.py::TestSampling::test_xi_outcome_is_the_xi_population"),
+    Fault("xi-population-folded-into-the-pair", "protocol.py",
+          "pair = populations[MINUS] + populations[PLUS]",
+          "pair = populations[MINUS] + populations[PLUS] + populations[XI]",
+          "tests/test_protocol.py::TestSampling::test_transverse_probabilities_are_the_eigenvector_forms"),
+    Fault("y-mean-sign-flipped", "protocol.py",
+          "mean = value.real if observable == \"x\" else -value.imag",
+          "mean = value.real if observable == \"x\" else value.imag",
+          "tests/test_protocol.py::TestSampling::test_transverse_probabilities_are_the_eigenvector_forms"),
     Fault("dephase-linear-exponent", "states.py",
           "kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * (n[:, None] - n[None, :]) ** 2)",
           "kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * abs(n[:, None] - n[None, :]))",
@@ -277,6 +295,10 @@ CATALOGUE = [
           "(MemoryError, \"invalid-arguments\", 1),  # numpy's array too large to allocate, named with its size",
           "",
           "tests/test_cli.py::test_unallocatable_cutoff_is_invalid_arguments"),
+    Fault("distances-accept-non-matrices", "tomography.py",
+          "if m.ndim != 2:",
+          "if False:",
+          "tests/test_tomography.py::TestDistances::test_hs_distance_rejects_empty_or_non_finite"),
     Fault("metrics-accept-non-finite-matrices", "tomography.py",
           "if m.size == 0 or not np.all(np.isfinite(m)):",
           "if False:",

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,17 +20,17 @@ import oracle
 from iontomo import cli, hilbert, protocol, pulses, states, tomography
 from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
+    CoherenceEstimate,
     ProtocolSettings,
-    _sample_reduced,
     _cell_images,
     _ladder,
-    _slice_reduced,
+    _sample_cell,
     entangled_target_deviation,
     ladder_schedule,
     measure_element,
-    reduced_probabilities,
     shifter_deviation,
     shifter_reach,
+    transverse_probabilities,
     u00_schedule,
 )
 from iontomo.pulses import act_pulse, sideband_coupling
@@ -59,11 +60,31 @@ def run_pure(phi, m, n, settings):
     return next(_cell_images([(m, n)], settings, phi.amplitudes[:, None]))[2].reshape(-1)
 
 
-def engine_reduced(phi, m, n, settings):
-    """The engine's 3 x 3 reduced electronic state of cell (m, n)."""
-    d = settings.d
-    w = next(_cell_images([(m, n)], settings, np.eye(d)))[2].reshape(3, d * d, d)
-    return _slice_reduced(w, phi.density_matrix())
+def engine_readout(phi, m, n, settings):
+    """(value, populations) of cell (m, n) as the engine's entry hands them to the sampler.
+
+    The cell runs in sampled mode, one shot, with the sampler replaced by a recorder.
+    """
+    seen = []
+
+    def record(value, populations, *_):
+        seen.append((value, populations))
+        return CoherenceEstimate(value, 0.0)
+
+    with mock.patch.object(protocol, "_sample_cell", record):
+        measure_element(phi, m, n, dataclasses.replace(settings, shots=1))
+    [(value, populations)] = seen
+    return value, populations
+
+
+def eigenvector_probabilities(red, observable):
+    """[p(+1), p(-1), p(0)] of a transverse pseudospin as the forms s^dag red s on a 3 x 3 state.
+
+    s is the observable's +1 or -1 eigenvector on the {-, +} pair, or |xi> for the 0 outcome.
+    """
+    s = {"x": ([1.0, 1.0, 0.0], [1.0, -1.0, 0.0]), "y": ([1.0, -1.0j, 0.0], [1.0, 1.0j, 0.0])}
+    vectors = [np.array(v) / math.sqrt(2) for v in s[observable]] + [np.array([0.0, 0.0, 1.0])]
+    return np.array([(v.conj() @ red @ v).real for v in vectors])
 
 
 def _test_rotation_matrix(level, theta, dims):
@@ -457,12 +478,9 @@ class TestBranchIsolation:
 
 
 class TestSampling:
-    def _red_00_vacuum(self):
-        return engine_reduced(fock(0, 8), 0, 0, SETTINGS)
-
     def test_x_channel_deterministic_on_vacuum(self):
         # the transformed state is a +1 eigenstate of the x pseudospin
-        probs = reduced_probabilities(self._red_00_vacuum(), "x")
+        probs = transverse_probabilities(*engine_readout(fock(0, 8), 0, 0, SETTINGS), "x")
         assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
         est = measure_element(fock(0, 8), 0, 0, ProtocolSettings(D, shots=500, seed=3))
         assert est.value.real == 1.0
@@ -475,22 +493,22 @@ class TestSampling:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_different_cells_use_independent_streams(self):
-        red = engine_reduced(coherent(0.8, 8, tail_tol=1e-5), 1, 0, SETTINGS)
-        a = _sample_reduced(red, 1, 0, shots=4096, seed=17)
-        b = _sample_reduced(red, 0, 1, shots=4096, seed=17)
+        readout = engine_readout(coherent(0.8, 8, tail_tol=1e-5), 1, 0, SETTINGS)
+        a = _sample_cell(*readout, 1, 0, shots=4096, seed=17)
+        b = _sample_cell(*readout, 0, 1, shots=4096, seed=17)
         assert a.value != b.value
 
     @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (2, 1)])
     def test_stream_key_is_seed_m_n_tag(self, m, n):
         # the documented key: one generator per (seed, m, n, observable tag), tag 0 for x, 1 for y
-        red = engine_reduced(coherent(0.8, 8, tail_tol=1e-5), m, n, SETTINGS)
+        readout = engine_readout(coherent(0.8, 8, tail_tol=1e-5), m, n, SETTINGS)
         shots, seed = 64, 23
         means = []
         for tag, observable in enumerate(("x", "y")):
             rng = np.random.default_rng([seed, m, n, tag])
-            c_plus, c_minus, _ = rng.multinomial(shots, reduced_probabilities(red, observable))
+            c_plus, c_minus, _ = rng.multinomial(shots, transverse_probabilities(*readout, observable))
             means.append((c_plus - c_minus) / shots)
-        assert _sample_reduced(red, m, n, shots, seed).value == complex(means[0], -means[1])
+        assert _sample_cell(*readout, m, n, shots, seed).value == complex(means[0], -means[1])
 
     @pytest.mark.parametrize("shots", [4, 1000])
     @pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (1, 1)])
@@ -499,10 +517,10 @@ class TestSampling:
         # mean over seeds times shots is the per-shot variance p+ + p- - (p+ - p-)^2 summed
         # over both observables
         phi = coherent(0.7 + 0.3j, 5, tail_tol=1e-3)
-        red = engine_reduced(phi, m, n, ProtocolSettings(5))
+        readout = engine_readout(phi, m, n, ProtocolSettings(5))
         per_shot = sum(p[0] + p[1] - (p[0] - p[1]) ** 2
-                       for p in (reduced_probabilities(red, o) for o in ("x", "y")))
-        mean_sq = np.mean([_sample_reduced(red, m, n, shots, seed).stderr ** 2 * shots
+                       for p in (transverse_probabilities(*readout, o) for o in ("x", "y")))
+        mean_sq = np.mean([_sample_cell(*readout, m, n, shots, seed).stderr ** 2 * shots
                            for seed in range(400)])
         assert 0.9 <= mean_sq / per_shot <= 1.1
 
@@ -532,8 +550,8 @@ class TestSampling:
         # mean over 64 seeds within 3 standard errors of that mean
         phi = coherent(0.5 + 0.3j, 8, tail_tol=1e-4)
         exact = measure_element(phi, 2, 0, SETTINGS).value
-        red = engine_reduced(phi, 2, 0, SETTINGS)
-        vals = np.array([_sample_reduced(red, 2, 0, shots=2000, seed=s).value for s in range(64)])
+        readout = engine_readout(phi, 2, 0, SETTINGS)
+        vals = np.array([_sample_cell(*readout, 2, 0, shots=2000, seed=s).value for s in range(64)])
         for part in (np.real, np.imag):
             samples = part(vals)
             sem = samples.std(ddof=1) / math.sqrt(len(samples))
@@ -548,20 +566,17 @@ class TestSampling:
         assert est.stderr == 0.0
 
     @staticmethod
-    def _reduced_with_p_plus(p_plus):
-        # p(+1) of the x observable is 1/2 + Re red[-, +]
-        red = np.zeros((3, 3), dtype=complex)
-        red[MINUS, MINUS] = red[PLUS, PLUS] = 0.5
-        red[MINUS, PLUS] = red[PLUS, MINUS] = p_plus - 0.5
-        return red
+    def _readout_with_p_plus(p_plus):
+        # p(+1) of the x observable is (P_- + P_+ + Re value) / 2 = 1/2 + Re value / 2
+        return complex(2.0 * p_plus - 1.0), np.array([0.5, 0.5, 0.0])
 
     def test_clipping_beyond_tolerance_raises(self):
         with pytest.raises(ValueError, match="clipped"):
-            reduced_probabilities(self._reduced_with_p_plus(-1e-6), "x")
+            transverse_probabilities(*self._readout_with_p_plus(-1e-6), "x")
 
     def test_rounding_is_clipped_as_before(self):
-        red = self._reduced_with_p_plus(-1e-15)
-        assert np.array_equal(reduced_probabilities(red, "x"), [0.0, 1.0, 0.0])
+        readout = self._readout_with_p_plus(-1e-15)
+        assert np.array_equal(transverse_probabilities(*readout, "x"), [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("probs,grid", [
         ([0.5 + 2.0 ** -33, 0.5 - 2.0 ** -33, 0.0], [0.5, 0.5, 0.0]),
@@ -576,29 +591,37 @@ class TestSampling:
             alone = np.round(np.array(probs) * 2.0 ** 32) / 2.0 ** 32
             with pytest.raises(ValueError, match="pvals"):
                 np.random.default_rng(0).multinomial(1, alone)
-        monkeypatch.setattr(protocol, "reduced_probabilities", lambda red, observable: np.array(probs))
-        est = _sample_reduced(np.zeros((3, 3)), 1, 0, shots=1000, seed=5)
-        monkeypatch.setattr(protocol, "reduced_probabilities", lambda red, observable: np.array(grid))
-        assert est == _sample_reduced(np.zeros((3, 3)), 1, 0, shots=1000, seed=5)
+        monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(probs))
+        est = _sample_cell(0j, np.zeros(3), 1, 0, shots=1000, seed=5)
+        monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(grid))
+        assert est == _sample_cell(0j, np.zeros(3), 1, 0, shots=1000, seed=5)
 
     def test_xi_outcome_is_the_xi_population(self):
         # the 0 outcome of either observable reads |xi>, where the compat entangler leaves population
-        red = np.diag([0.25, 0.25, 0.5]).astype(complex)
+        populations = np.array([0.25, 0.25, 0.5])
         for observable in ("x", "y"):
-            assert np.max(np.abs(reduced_probabilities(red, observable) - [0.25, 0.25, 0.5])) <= 1e-15
+            assert np.max(np.abs(transverse_probabilities(0j, populations, observable)
+                                 - [0.25, 0.25, 0.5])) <= 1e-15
 
-    def test_transverse_probabilities_reads_reduced_state(self):
-        # the sampler's probabilities from the engine's reduced state equal those of the
-        # oracle's dense transformed state
-        phi = coherent(0.8, 8, tail_tol=1e-5)
-        dense = oracle.evolve(oracle.u_mn(1, 0, SETTINGS), oracle.prepare_initial(phi, DIMS))
-        red = engine_reduced(phi, 1, 0, SETTINGS)
-        for observable in ("x", "y"):
-            assert np.max(np.abs(reduced_probabilities(red, observable)
-                                 - reduced_probabilities(oracle.electronic_reduced(dense, DIMS),
-                                                         observable))) <= 1e-12
-        with pytest.raises(ValueError):
-            reduced_probabilities(red, "z")
+    @pytest.mark.parametrize("compat", [False, True], ids=["final-plus", "compat"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_transverse_probabilities_are_the_eigenvector_forms(self, mixed, compat):
+        # the closed form from the engine's element and populations equals the projections
+        # s^dag red s of the oracle's reduced state on the transverse eigenvectors; compat
+        # leaves a large xi population
+        phi = coherent(0.6 + 0.4j, 6, tail_tol=1e-2)
+        phi = dephase(phi, 0.3) if mixed else phi
+        settings = ProtocolSettings(6, compat_rminus_final=compat)
+        dims = oracle.protocol_dims(settings)
+        for m, n in ((0, 0), (1, 0), (0, 2), (2, 1)):
+            dense = oracle.evolve(oracle.u_mn(m, n, settings), oracle.prepare_initial(phi, dims))
+            red = oracle.electronic_reduced(dense, dims)
+            readout = engine_readout(phi, m, n, settings)
+            for observable in ("x", "y"):
+                assert np.max(np.abs(transverse_probabilities(*readout, observable)
+                                     - eigenvector_probabilities(red, observable))) <= 1e-12
+        with pytest.raises(ValueError, match=r"^observable must be 'x' or 'y', got 'z'$"):
+            transverse_probabilities(*readout, "z")
 
     def test_measure_element_sampled_mode(self):
         st = ProtocolSettings(D, shots=5000, seed=9)
@@ -685,7 +708,6 @@ class TestSliceEngine:
         dims = (d, d)
         phi = MIXED_INPUTS[input_name](d)
         settings = ProtocolSettings(d, v_mode=v_mode, compat_rminus_final=compat)
-        rho_vibr = phi.density_matrix()
         # the oracle's factors, each built once for the sweep
         built = {}
         entangled = oracle.evolve(oracle.schedule(u00_schedule(compat), dims, built),
@@ -697,9 +719,11 @@ class TestSliceEngine:
                 dense = oracle.evolve(v_plus[n] @ v_minus[m], entangled)
                 value = measure_element(phi, m, n, settings).value
                 assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
-                w = next(_cell_images([(m, n)], settings, np.eye(d)))[2].reshape(3, d * d, d)
-                red = _slice_reduced(w, rho_vibr)
-                assert np.max(np.abs(red - oracle.electronic_reduced(dense, dims))) <= 1e-12
+                red = oracle.electronic_reduced(dense, dims)
+                sampled_value, populations = engine_readout(phi, m, n, settings)
+                assert sampled_value == value
+                assert abs(value - 2.0 * red[PLUS, MINUS]) <= 1e-12
+                assert np.max(np.abs(populations - np.diag(red).real)) <= 1e-12
 
     @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])
     def test_slice_images_are_dense_columns(self, v_mode):
@@ -799,13 +823,6 @@ class TestSliceEngine:
                 measure_element(fock(0, 6), m, n, SETTINGS)
 
 
-def _columns_and_gram(phi):
-    """The columns C and Gram matrix G with rho_vibr = C G C^dag that measure_element runs on."""
-    if phi.is_pure:
-        return phi.amplitudes[:, None], np.ones((1, 1))
-    return np.eye(phi.dim), phi.matrix
-
-
 @st.composite
 def _random_cells(draw):
     """A cell (m, n) within reach on d in 3..6, either shifter mode and either entangler,
@@ -830,15 +847,19 @@ def _random_cells(draw):
 @hypothesis_settings(max_examples=100, deadline=None, derandomize=True)
 @given(cell=_random_cells())
 def test_random_cell_matches_oracle(cell):
-    # the exact value and the sampler's reduced state of any cell, on pure and mixed
-    # inputs, equal those of the oracle's dense U_mn rho_0 U_mn^dag
+    # the exact value and the sampler's value and level populations of any cell, on pure
+    # and mixed inputs, equal 2 red[+, -] and the diagonal of the oracle's reduced state of
+    # the dense U_mn rho_0 U_mn^dag; sampled mode reads the exact value bit for bit
     phi, m, n, settings = cell
     dims = oracle.protocol_dims(settings)
     dense = oracle.evolve(oracle.u_mn(m, n, settings), oracle.prepare_initial(phi, dims))
-    assert abs(measure_element(phi, m, n, settings).value - oracle.coherence(dense, dims)) <= 1e-12
-    columns, gram = _columns_and_gram(phi)
-    w = next(_cell_images([(m, n)], settings, columns))[2].reshape(3, settings.d ** 2, -1)
-    assert np.max(np.abs(_slice_reduced(w, gram) - oracle.electronic_reduced(dense, dims))) <= 1e-12
+    value = measure_element(phi, m, n, settings).value
+    assert abs(value - oracle.coherence(dense, dims)) <= 1e-12
+    red = oracle.electronic_reduced(dense, dims)
+    sampled_value, populations = engine_readout(phi, m, n, settings)
+    assert sampled_value == value
+    assert abs(value - 2.0 * red[PLUS, MINUS]) <= 1e-12
+    assert np.max(np.abs(populations - np.diag(red).real)) <= 1e-12
 
 
 _NOISE_INPUTS = (fock(2, 6), coherent(0.9, 6, tail_tol=1e-3), thermal(0.5, 6, tail_tol=1e-2))
@@ -849,14 +870,16 @@ _NOISE_INPUTS = (fock(2, 6), coherent(0.9, 6, tail_tol=1e-3), thermal(0.5, 6, ta
        m=st.integers(0, 2), n=st.integers(0, 2), seed=st.integers(0, 2 ** 16),
        noise_seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(0.0, 1e-14))
 def test_sampled_estimate_ignores_rounding_noise(which, v_mode, m, n, seed, noise_seed, eps):
-    # hermitian noise of up to eps = 1e-14 times the largest entry of a cell's reduced state moves
-    # no outcome probability off its 2^-32 grid point, so the estimate is ==; a Fock input puts
+    # noise of up to eps = 1e-14 times the largest of a cell's |value| and populations moves no
+    # outcome probability off its 2^-32 grid point, so the estimate is ==; a Fock input puts
     # most cells at p(+-1) = 1/2, where an unrounded draw mirrors on a one-ulp change
-    red = engine_reduced(_NOISE_INPUTS[which], m, n, ProtocolSettings(6, v_mode=v_mode))
+    value, populations = engine_readout(_NOISE_INPUTS[which], m, n, ProtocolSettings(6, v_mode=v_mode))
     rng = np.random.default_rng(noise_seed)
-    noise = rng.uniform(-1, 1, size=(3, 3)) + 1j * rng.uniform(-1, 1, size=(3, 3))
-    noisy = red + eps * np.max(np.abs(red)) * (noise + noise.conj().T) / 2
-    assert _sample_reduced(noisy, m, n, 1000, seed) == _sample_reduced(red, m, n, 1000, seed)
+    scale = eps * max(abs(value), np.max(populations))
+    noisy_value = value + scale * complex(*rng.uniform(-1, 1, size=2))
+    noisy_populations = populations + scale * rng.uniform(-1, 1, size=3)
+    assert (_sample_cell(noisy_value, noisy_populations, m, n, 1000, seed)
+            == _sample_cell(value, populations, m, n, 1000, seed))
 
 
 @pytest.mark.parametrize("v_mode", ["ideal", "compiled"])

@@ -14,8 +14,7 @@ from iontomo import cli, protocol, tomography
 from iontomo.hilbert import MINUS, PLUS
 from iontomo.protocol import (
     ProtocolSettings,
-    _sample_reduced,
-    _slice_reduced,
+    _sample_cell,
     ladder_schedule,
     measure_element,
     shifter_reach,
@@ -46,6 +45,22 @@ NOT_FINITE_OR_EMPTY = {
 
 def not_finite_or_empty(name, matrix):
     message = f"{name} must be a nonempty array of finite numbers, got shape {matrix.shape}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+# Finite and nonempty, but no matrix: a distance function names the argument and its shape.
+NOT_A_MATRIX = {
+    "scalar": np.array(5.0),
+    "vector": np.ones(2),
+    "3-d": np.ones((2, 2, 2)),
+}
+NOT_A_DISTANCE_ARGUMENT = {**NOT_FINITE_OR_EMPTY, **NOT_A_MATRIX}
+
+
+def not_a_distance_argument(name, bad):
+    if bad.ndim == 2:
+        return not_finite_or_empty(name, bad)
+    message = f"{name} must be a matrix, got shape {bad.shape}"
     return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
@@ -322,20 +337,20 @@ class TestDistances:
             t = trace_distance(random_density(7, rng), random_density(7, rng))
             assert -1e-12 <= t <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("bad", NOT_FINITE_OR_EMPTY.values(), ids=NOT_FINITE_OR_EMPTY.keys())
+    @pytest.mark.parametrize("bad", NOT_A_DISTANCE_ARGUMENT.values(), ids=NOT_A_DISTANCE_ARGUMENT.keys())
     def test_trace_distance_rejects_empty_or_non_finite(self, bad):
         good = np.eye(2)  # checked before the shapes are compared
-        with not_finite_or_empty("a", bad):
+        with not_a_distance_argument("a", bad):
             trace_distance(bad, good)
-        with not_finite_or_empty("b", bad):
+        with not_a_distance_argument("b", bad):
             trace_distance(good, bad)
 
-    @pytest.mark.parametrize("bad", NOT_FINITE_OR_EMPTY.values(), ids=NOT_FINITE_OR_EMPTY.keys())
+    @pytest.mark.parametrize("bad", NOT_A_DISTANCE_ARGUMENT.values(), ids=NOT_A_DISTANCE_ARGUMENT.keys())
     def test_hs_distance_rejects_empty_or_non_finite(self, bad):
         good = np.eye(2)  # checked before the shapes are compared
-        with not_finite_or_empty("a", bad):
+        with not_a_distance_argument("a", bad):
             hs_distance(bad, good)
-        with not_finite_or_empty("b", bad):
+        with not_a_distance_argument("b", bad):
             hs_distance(good, bad)
 
     def test_shape_mismatch(self):
@@ -579,9 +594,11 @@ def _per_cell(phi, m, n, settings) -> tuple[complex, float]:
     columns, gram = ((phi.amplitudes[:, None], np.ones((1, 1))) if phi.is_pure
                      else (np.eye(d), phi.matrix))
     w = _own_image(columns, m, n, settings).reshape(3, d * d, -1)
+    value = complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram))
     if settings.shots is None:
-        return complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)), 0.0
-    est = _sample_reduced(_slice_reduced(w, gram), m, n, settings.shots, settings.seed)
+        return value, 0.0
+    populations = np.array([np.vdot(block, block @ gram).real for block in w])
+    est = _sample_cell(value, populations, m, n, settings.shots, settings.seed)
     return est.value, est.stderr
 
 
