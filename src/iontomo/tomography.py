@@ -165,7 +165,8 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     A dephased input is mixed, so all points are one call of the engine's
     entry (protocol._measure): the three cells' images are built once, on the
     d basis columns every point shares, and read against every point's matrix.
-    For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
+    The entry's estimates stay keyed by cell, one per point, and point i is
+    built from the i-th estimate of each of the three cells. For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
     equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
     the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
@@ -182,12 +183,8 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
         raise ValueError("dephasing strengths must be sorted ascending")
     check_reach(2, settings, "monitor target m")
     states = [dephase(phi, lam) for lam in lambdas]
-    values = [{} for _ in lambdas]
-    for m, n, estimates in protocol._measure(states, [(2, 0), (0, 0), (2, 2)], settings):
-        for cells, est in zip(values, estimates):
-            cells[m, n] = est.value
-    points = []
-    for lam, cells in zip(lambdas, values):
-        bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))
-        points.append(MonitorPoint(lam, abs(cells[2, 0]), bound))
-    return points
+    cells = {(m, n): estimates
+             for m, n, estimates in protocol._measure(states, [(2, 0), (0, 0), (2, 2)], settings)}
+    return [MonitorPoint(lam, rho20_abs=abs(r20.value),
+                         bound=float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0))))
+            for lam, r20, r00, r22 in zip(lambdas, cells[2, 0], cells[0, 0], cells[2, 2])]

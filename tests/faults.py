@@ -77,9 +77,18 @@ CATALOGUE = [
           "return 0.5 * float(np.linalg.norm(_difference(a, b), 2))",
           "tests/test_tomography.py::TestDistances::test_diagonal_is_half_l1_distance"),
     Fault("monitor-bound-unclipped", "tomography.py",
-          "bound = float(np.sqrt(max(cells[0, 0].real, 0.0) * max(cells[2, 2].real, 0.0)))",
-          "bound = float(np.sqrt(abs(cells[0, 0].real) * abs(cells[2, 2].real)))",
+          "bound=float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0))))",
+          "bound=float(np.sqrt(abs(r00.value.real) * abs(r22.value.real))))",
           "tests/test_tomography.py::TestDecoherenceMonitor::test_bound_clips_negative_sampled_population"),
+    # A monitor point reads each of its three cells by position: the i-th estimate of each.
+    Fault("monitor-rho20-read-from-the-22-cell", "tomography.py",
+          "return [MonitorPoint(lam, rho20_abs=abs(r20.value),",
+          "return [MonitorPoint(lam, rho20_abs=abs(r22.value),",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    Fault("monitor-bound-reads-the-20-cell", "tomography.py",
+          "bound=float(np.sqrt(max(r00.value.real, 0.0) * max(r22.value.real, 0.0))))",
+          "bound=float(np.sqrt(max(r00.value.real, 0.0) * max(r20.value.real, 0.0))))",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("stream-key-n-m", "protocol.py",
           "rng = np.random.default_rng([int(seed), int(m), int(n), tag])",
           "rng = np.random.default_rng([int(seed), int(n), int(m), tag])",
