@@ -71,18 +71,27 @@ class TruncationLeakageError(ValueError):
         )
 
 
+def _amplitude_vector(values) -> np.ndarray:
+    """values as a new complex array if it is a vector with an entry; else a ValueError naming its shape."""
+    v = np.array(values, dtype=complex)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"pure state amplitudes must be a nonempty vector, got shape {v.shape}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class VibrationalState:
     """Pure or mixed state of one vibrational mode on a truncated Fock space.
 
-    This is the one place a caller's state is checked. Amplitudes must be
-    finite and normalized to 1e-10; a density matrix must be square, nonempty,
-    finite, hermitian to 1e-12, of trace 1 to 1e-10 and have no eigenvalue
-    below -1e-10. Either is kept as a write-locked copy. tail_mass records the
-    analytic population the truncation discarded (zero for states defined
-    directly on the truncated space); the constructor that truncated the family
-    decided whether it leaks too much (TruncationLeakageError), so here it is
-    only a population in [0, 1], stored as the float check_real returns.
+    This is the one place a caller's state is checked. Amplitudes must be a
+    nonempty vector, which is never flattened, finite and normalized to
+    1e-10; a density matrix must be square, nonempty, finite, hermitian to
+    1e-12, of trace 1 to 1e-10 and have no eigenvalue below -1e-10. Either
+    is kept as a write-locked copy. tail_mass records the analytic population
+    the truncation discarded (zero for states defined directly on the
+    truncated space); the constructor that truncated the family decided
+    whether it leaks too much (TruncationLeakageError), so here it is only a
+    population in [0, 1], stored as the float check_real returns.
     dim is the array's size; only a run compares it with d (protocol._measure).
     """
 
@@ -97,7 +106,7 @@ class VibrationalState:
         if (self.amplitudes is None) == (self.matrix is None):
             raise ValueError("exactly one of amplitudes / matrix must be given")
         if self.amplitudes is not None:
-            v = np.array(self.amplitudes, dtype=complex).reshape(-1)
+            v = _amplitude_vector(self.amplitudes)
             if not np.all(np.isfinite(v)):
                 raise ValueError("pure vibrational state has non-finite amplitudes")
             if abs(np.linalg.norm(v) - 1.0) > STATE_NORM_TOL:
@@ -314,8 +323,12 @@ def _norm(v: np.ndarray) -> float:
 
 
 def from_amplitudes(values) -> VibrationalState:
-    """Pure state, of the list's length, from raw amplitudes normalized within 1e-6 (then renormalized)."""
-    v = np.array(values, dtype=complex).reshape(-1)
+    """Pure state, of the vector's length, from raw amplitudes normalized within 1e-6 (then renormalized).
+
+    values must be a nonempty vector (a list of numbers, not nested); it is
+    never flattened, and any other shape is a ValueError naming it.
+    """
+    v = _amplitude_vector(values)
     norm = _norm(v)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"raw amplitude list norm {norm} deviates from 1 by more than 1e-6")

@@ -269,6 +269,15 @@ CATALOGUE = [
           "if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:",
           "if False:",
           "tests/test_states.py::TestTypeInvariants::test_density_matrix_must_be_square"),
+    Fault("state-amplitudes-flattened", "states.py",
+          "v = np.array(values, dtype=complex)",
+          "v = np.array(values, dtype=complex).reshape(-1)",
+          "tests/test_states.py::TestTypeInvariants::test_amplitudes_must_be_a_nonempty_vector"),
+    # Without its own raise, a state that is a string is read as an object without a kind.
+    Fault("config-state-not-checked-an-object", "cli.py",
+          "raise ConfigError(\"config field 'state' must be an object\")",
+          "pass",
+          "tests/test_cli.py::test_misshapen_config_is_config_error"),
     Fault("state-matrix-empty-not-rejected", "states.py",
           "if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:",
           "if m.ndim != 2 or m.shape[0] != m.shape[1]:",

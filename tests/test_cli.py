@@ -1054,6 +1054,35 @@ def test_duplicate_config_field_is_config_error(tmp_path, capsys, fields, key):
     assert record["error"] == {"type": "config-error", "message": f"duplicate config field '{key}'"}
 
 
+# Well-formed JSON of the wrong form at each level the config reader walks, with the one
+# message that names the fault; none of these is the library's to reject.
+MISSHAPEN_CONFIGS = [
+    ("root-list", "[1, 2]", "config root must be a JSON object"),
+    ("pair-extra-key", {"state": {"kind": "coherent", "alpha": {"re": 0.5, "im": 0.1, "x": 1}}},
+     "field 'state.alpha' must be a finite number or an {re, im} pair, got {'re': 0.5, 'im': 0.1, 'x': 1}"),
+    ("amplitudes-object", {"state": {"kind": "raw", "amplitudes": {"re": 1.0, "im": 0.0}}},
+     "state.amplitudes must be a list"),
+    ("dims-list", {"dims": [8, 8]}, "config field 'dims' must be an object with dx and dz"),
+    ("dims-without-dz", {"dims": {"dx": 8}}, "config field 'dims' must be an object with dx and dz"),
+    ("state-string", {"state": "fock"}, "config field 'state' must be an object"),
+]
+
+
+@pytest.mark.parametrize("config,message", [case[1:] for case in MISSHAPEN_CONFIGS],
+                         ids=[case[0] for case in MISSHAPEN_CONFIGS])
+def test_misshapen_config_is_config_error(write_config, tmp_path, capsys, config, message):
+    if isinstance(config, str):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        config = str(path)
+    else:
+        config = write_config(**config)
+    assert run(["reconstruct", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": {"type": "config-error", "message": message}}
+
+
 @pytest.mark.parametrize("argv", [["--out", "missing-dir/out.json"], ["--out", ""]],
                          ids=["out-missing-dir", "flag-out-empty"])
 def test_bad_output_target_is_structured_error(write_config, capsys, monkeypatch, tmp_path, argv):

@@ -218,7 +218,23 @@ class TestDephase:
         assert np.array_equal(dephase(base, lam).matrix, dephase(base, float(lam)).matrix)
 
 
+# Unit-norm inputs that are not a nonempty vector: each entry point rejects them by their shape,
+# never flattening one into a state of another size.
+NON_VECTORS = pytest.mark.parametrize("values,shape", [
+    (np.ones((2, 2)) / 2, "(2, 2)"),
+    ([[0.6], [0.8]], "(2, 1)"),
+    (np.array(1j), "()"),
+    ([], "(0,)"),
+], ids=["matrix", "column", "scalar", "empty"])
+
+
 class TestRawAndInvariants:
+    @NON_VECTORS
+    def test_from_amplitudes_rejects_a_non_vector(self, values, shape):
+        message = f"pure state amplitudes must be a nonempty vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_amplitudes(values)
+
     def test_from_amplitudes_renormalizes(self):
         v = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2) * (1 + 4e-7)
         st = from_amplitudes(v)
@@ -307,6 +323,12 @@ class TestTypeInvariants:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
             VibrationalState(amplitudes=np.array([1.0, 1.0]))
+
+    @NON_VECTORS
+    def test_amplitudes_must_be_a_nonempty_vector(self, values, shape):
+        message = f"pure state amplitudes must be a nonempty vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VibrationalState(amplitudes=values)
 
     def test_density_operator_checks(self):
         with pytest.raises(ValueError, match="eigenvalue"):
