@@ -166,9 +166,10 @@ def decoherence_monitor(phi: VibrationalState, lambdas,
     entry (protocol._measure): the three cells' images are built once, on the
     d basis columns every point shares, and read against every point's matrix.
     The entry's estimates stay keyed by cell, one per point, and point i is
-    built from the i-th estimate of each of the three cells. For any valid density operator |rho_20| <= sqrt(rho_00 rho_22), with
-    equality on rank-one states. In sampled mode every lambda reuses the (seed, m, n) streams of
-    the sampler (common random numbers), so the populations (0, 0) and
+    built from the i-th estimate of each of the three cells. For any valid
+    density operator |rho_20| <= sqrt(rho_00 rho_22), with equality on
+    rank-one states. In sampled mode every lambda reuses the (seed, m, n)
+    streams of the sampler (common random numbers), so the populations (0, 0) and
     (2, 2), which dephasing leaves unchanged, repeat their estimates from
     point to point instead of scattering, and the points differ only through
     the state. lambdas is an iterable, not a string, of real numbers
