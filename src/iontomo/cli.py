@@ -15,6 +15,7 @@ import atexit
 import dataclasses
 import gc
 import json
+import random
 import sys
 
 import numpy as np
@@ -375,12 +376,13 @@ def _validate_checks(settings: protocol.ProtocolSettings, schedules: dict) -> li
     slices[PLUS, 0, j, d + j] = 1.0
     record("compiled-vs-ideal", protocol.shifter_deviation(list(schedules["v_plus"]), slices), 1e-8)
 
-    # Unitarity of every scheduled pulse and the mode swap's parity, on d seeded random orthonormal states.
+    # Unitarity of every scheduled pulse and the mode swap's parity, on d seeded random orthonormal
+    # states: centred uniforms read from the standard library's generator, the same on any machine.
     specs = [*schedules["u00"], *(spec for ladders in (schedules["v_plus"], schedules["v_minus"])
                                   for ladder in ladders.values() for spec in ladder)]
-    rng = np.random.default_rng(0)
-    shape = (ELECTRONIC_DIM * d * d, d)
-    probe = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    size = ELECTRONIC_DIM * d * d * d
+    uniforms = np.frombuffer(random.Random(0).randbytes(16 * size), dtype="<u8") / 2.0 ** 64 - 0.5
+    probe = np.linalg.qr((uniforms[:size] + 1j * uniforms[size:]).reshape(ELECTRONIC_DIM * d * d, d))[0]
     probe = probe.reshape(ELECTRONIC_DIM, d, d, d)
     record("pulse-unitarity", protocol.pulse_unitarity_defect(specs, probe), 1e-10)
     record("mode-swap-parity", protocol.mode_swap_parity_deviation(probe), 1e-10)

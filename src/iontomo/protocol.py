@@ -35,6 +35,7 @@ subcommand and the acceptance tests share them.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -213,25 +214,51 @@ def transverse_probabilities(value: complex, populations: np.ndarray, observable
     return clipped / clipped.sum()
 
 
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """An exact draw of B(n, p), the count of n uniforms below p, in O(log n) steps.
+
+    While n > 16 it splits the n uniforms at their order statistic a = 1 + n // 2,
+    drawn as x = Beta(a, n + 1 - a): if x >= p, the count lies among the a - 1
+    uniforms below x, uniform on [0, x); otherwise it holds those a and the count
+    among the n - a above x, uniform on (x, 1]. The last n <= 16 are Bernoulli
+    draws. p >= 1 gives n and p <= 0 gives 0 without a draw.
+    """
+    count = 0
+    while n > 16 and 0.0 < p < 1.0:
+        a = 1 + n // 2
+        x = rng.betavariate(a, n + 1 - a)
+        if x >= p:
+            n, p = a - 1, p / x
+        else:
+            count, n, p = count + a, n - a, (p - x) / (1.0 - x)
+    if p >= 1.0:
+        return count + n
+    if p <= 0.0:
+        return count
+    return count + sum(rng.random() < p for _ in range(n))
+
+
 def _sample_cell(value: complex, populations: np.ndarray, m: int, n: int, shots: int,
                  seed: int) -> CoherenceEstimate:
     """Finite-statistics estimate of cell (m, n) from its element value and level populations.
 
     Each transverse observable is measured `shots` times in its own eigenbasis
     (outcomes +1, -1, and 0 for the |xi> level, see transverse_probabilities)
-    with a generator seeded from (seed, m, n, tag), tag 0 for x and 1 for y,
-    so estimates are reproducible bit-for-bit and independent of evaluation
-    order. The draw reads the probabilities on a grid of 2^-32: p(+1) and
+    with the standard library's generator seeded from the string
+    f"{seed} {m} {n} {tag}", tag 0 for x and 1 for y, so estimates are
+    reproducible bit-for-bit and independent of evaluation order. The counts
+    are two exact binomial draws (_binomial) from that stream: c(+1) of
+    B(shots, p(+1)), then c(-1) of B(shots - c(+1), p(-1) / (1 - p(+1))).
+    The draw reads the probabilities on a grid of 2^-32: p(+1) and
     p(+1) + p(-1) are rounded to it, so the three rounded values are
     nonnegative and sum to 1 exactly, and each moves by at most 2^-32 (below
-    the statistical error up to ~1e16 shots). numpy's multinomial draws
-    n - B(n, 1-p) for p > 1/2, so without the grid p = 1/2 moved by one ulp
-    would mirror its draw. The stream does not depend on the state: two runs
-    of the same cell on different inputs (such as the points of a decoherence
-    monitor) share their random numbers, and share outcomes where the
-    probabilities agree to 2^-32. A probability within rounding of a grid
-    midpoint can still move to the next grid point, so rounding noise of one
-    ulp flips a draw with a chance of about 1e-6.
+    the statistical error up to ~1e16 shots). The stream does not depend on
+    the state: two runs of the same cell on different inputs (such as the
+    points of a decoherence monitor) share their random numbers, and the grid
+    makes them share their outcomes wherever the probabilities agree to 2^-32,
+    so rounding noise in the readout moves no draw. A probability within
+    rounding of a grid midpoint can still move to the next grid point, so
+    rounding noise of one ulp flips a draw with a chance of about 1e-6.
     stderr = sqrt(var_x + var_y) / sqrt(shots).
     """
     stats = []
@@ -239,8 +266,9 @@ def _sample_cell(value: complex, populations: np.ndarray, m: int, n: int, shots:
         p_plus, p_minus, _ = transverse_probabilities(value, populations, observable).tolist()
         plus = round(p_plus * 2.0 ** 32) / 2.0 ** 32
         both = round((p_plus + p_minus) * 2.0 ** 32) / 2.0 ** 32
-        rng = np.random.default_rng([int(seed), int(m), int(n), tag])
-        c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))
+        rng = random.Random(f"{seed} {m} {n} {tag}")
+        c_plus = _binomial(rng, shots, plus)
+        c_minus = _binomial(rng, shots - c_plus, (both - plus) / (1.0 - plus)) if plus < 1.0 else 0
         mean = (c_plus - c_minus) / shots
         second_moment = (c_plus + c_minus) / shots
         var = max(second_moment - mean * mean, 0.0)
@@ -332,8 +360,9 @@ def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
     cell is drawn, since W is that cell's buffer too. Both modes read the
     paper's scalar product of the two branches' vibrational cofactors, the
     element <sigma_x> - i <sigma_y> = 2 Tr_v(W_+ G W_-^dag). Exact mode returns
-    it; sampled mode adds the level populations Tr_v(W_a G W_a^dag) and draws
-    shot noise on them (_sample_cell) from the cell's own streams.
+    it; sampled mode adds the level populations Tr_v(W_a G W_a^dag), P_+ from the
+    element's own W_+ G, and draws shot noise on them (_sample_cell) from the
+    cell's own streams.
     """
     for phi in states:
         if phi.dim != settings.d:
@@ -342,13 +371,17 @@ def _measure(states: list[VibrationalState], cells: list[tuple[int, int]],
     columns = states[0].amplitudes[:, None] if states[0].is_pure else np.eye(settings.d)
     for m, n, w in _cell_images(cells, settings, columns):
         w = w.reshape(ELECTRONIC_DIM, settings.d ** 2, -1)
-        values = [complex(2.0 * np.vdot(w[MINUS], w[PLUS] @ gram)) for gram in grams]
-        if settings.shots is None:
-            yield m, n, [CoherenceEstimate(value, 0.0) for value in values]
-        else:
-            yield m, n, [_sample_cell(value, np.array([np.vdot(block, block @ gram).real for block in w]),
-                                      m, n, settings.shots, settings.seed)
-                         for value, gram in zip(values, grams)]
+        estimates = []
+        for gram in grams:
+            plus_gram = w[PLUS] @ gram
+            value = complex(2.0 * np.vdot(w[MINUS], plus_gram))
+            if settings.shots is None:
+                estimates.append(CoherenceEstimate(value, 0.0))
+            else:
+                populations = np.array([np.vdot(w[a], plus_gram if a == PLUS else w[a] @ gram).real
+                                        for a in range(ELECTRONIC_DIM)])
+                estimates.append(_sample_cell(value, populations, m, n, settings.shots, settings.seed))
+        yield m, n, estimates
 
 
 def measure_element(phi: VibrationalState, m: int, n: int,

@@ -90,8 +90,8 @@ CATALOGUE = [
           "bound=float(np.sqrt(max(r00.value.real, 0.0) * max(r20.value.real, 0.0))))",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("stream-key-n-m", "protocol.py",
-          "rng = np.random.default_rng([int(seed), int(m), int(n), tag])",
-          "rng = np.random.default_rng([int(seed), int(n), int(m), tag])",
+          "rng = random.Random(f\"{seed} {m} {n} {tag}\")",
+          "rng = random.Random(f\"{seed} {n} {m} {tag}\")",
           "tests/test_protocol.py::TestSampling::test_stream_key_is_seed_m_n_tag"),
     # Both comparisons pick the same shift t: where desc equals the shift, that
     # eigenvalue is clipped to zero either way.
@@ -185,25 +185,43 @@ CATALOGUE = [
     # The engine's entry (protocol._measure): every state is read on the cell's own streams,
     # against its own Gram matrix.
     Fault("monitor-reads-a-cell-on-its-transpose-stream", "protocol.py",
-          "m, n, settings.shots, settings.seed)",
-          "n, m, settings.shots, settings.seed)",
+          "estimates.append(_sample_cell(value, populations, m, n, settings.shots, settings.seed))",
+          "estimates.append(_sample_cell(value, populations, n, m, settings.shots, settings.seed))",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("populations-read-without-the-gram", "protocol.py",
-          "yield m, n, [_sample_cell(value, np.array([np.vdot(block, block @ gram).real for block in w]),",
-          "yield m, n, [_sample_cell(value, np.array([np.vdot(block, block).real for block in w]),",
+          "populations = np.array([np.vdot(w[a], plus_gram if a == PLUS else w[a] @ gram).real",
+          "populations = np.array([np.vdot(w[a], w[a]).real",
           "tests/test_protocol.py::test_random_cell_matches_oracle"),
     Fault("entry-reads-every-state-on-the-first-gram", "protocol.py",
           "grams = [np.ones((1, 1)) if phi.is_pure else phi.matrix for phi in states]",
           "grams = [np.ones((1, 1)) if phi.is_pure else states[0].matrix for phi in states]",
           "tests/test_tomography.py::TestOneCellEntry::test_monitor_measures_three_cells_per_lambda"),
+    # The sampler (protocol._sample_cell): c(+1) of B(shots, p(+1)), then c(-1) of the rest
+    # with p(-1) / (1 - p(+1)), both on the 2^-32 grid and drawn exactly by protocol._binomial.
     Fault("sampler-draws-unrounded-probabilities", "protocol.py",
-          "c_plus, c_minus, _ = rng.multinomial(shots, np.array([plus, both - plus, 1.0 - both]))",
-          "c_plus, c_minus, _ = rng.multinomial(shots, transverse_probabilities(value, populations, observable))",
-          "tests/test_protocol.py::test_sampled_estimate_ignores_rounding_noise"),
+          "c_plus = _binomial(rng, shots, plus)",
+          "c_plus = _binomial(rng, shots, p_plus)",
+          "tests/test_protocol.py::TestSampling::test_draw_reads_the_probabilities_on_a_grid_that_sums_to_one"),
     Fault("sampler-stream-tags-swapped", "protocol.py",
-          "rng = np.random.default_rng([int(seed), int(m), int(n), tag])",
-          "rng = np.random.default_rng([int(seed), int(m), int(n), 1 - tag])",
+          "rng = random.Random(f\"{seed} {m} {n} {tag}\")",
+          "rng = random.Random(f\"{seed} {m} {n} {1 - tag}\")",
           "tests/test_protocol.py::TestSampling::test_stream_key_is_seed_m_n_tag"),
+    Fault("second-binomial-on-all-shots", "protocol.py",
+          "c_minus = _binomial(rng, shots - c_plus, (both - plus) / (1.0 - plus)) if plus < 1.0 else 0",
+          "c_minus = _binomial(rng, shots, (both - plus) / (1.0 - plus)) if plus < 1.0 else 0",
+          "tests/test_protocol.py::TestSampling::test_counts_are_trinomial"),
+    Fault("second-binomial-unconditioned", "protocol.py",
+          "c_minus = _binomial(rng, shots - c_plus, (both - plus) / (1.0 - plus)) if plus < 1.0 else 0",
+          "c_minus = _binomial(rng, shots - c_plus, both - plus) if plus < 1.0 else 0",
+          "tests/test_protocol.py::TestSampling::test_counts_are_trinomial"),
+    Fault("binomial-split-below-x-unscaled", "protocol.py",
+          "n, p = a - 1, p / x",
+          "n, p = a - 1, p",
+          "tests/test_protocol.py::TestBinomial::test_short_runs_match_the_pmf_as_the_oracle_does"),
+    Fault("binomial-split-above-x-keeps-one-too-many", "protocol.py",
+          "count, n, p = count + a, n - a, (p - x) / (1.0 - x)",
+          "count, n, p = count + a, n - a + 1, (p - x) / (1.0 - x)",
+          "tests/test_protocol.py::TestBinomial::test_draws_stay_within_zero_to_n"),
     # The transverse outcome probabilities in closed form (protocol.transverse_probabilities):
     # p(+-1) = (P_- + P_+ +- <sigma>) / 2, <sigma_x> - i <sigma_y> the element, p(0) = P_xi.
     Fault("xi-outcome-dropped", "protocol.py",
@@ -321,6 +339,11 @@ CATALOGUE = [
           "if m.size == 0 or not np.all(np.isfinite(m)):",
           "if False:",
           "tests/test_tomography.py::TestDistances::test_trace_distance_rejects_empty_or_non_finite"),
+    # validate's unitarity probe reads the standard library's generator, so no CLI call imports numpy.random.
+    Fault("validate-probe-from-numpy-random", "cli.py",
+          "uniforms = np.frombuffer(random.Random(0).randbytes(16 * size), dtype=\"<u8\") / 2.0 ** 64 - 0.5",
+          "uniforms = np.random.default_rng(0).random(2 * size) - 0.5",
+          "tests/test_cli.py::test_no_call_imports_numpy_random"),
     Fault("monitor-iterates-a-lone-number", "tomography.py",
           "if isinstance(lambdas, (str, bytes)) or not np.iterable(lambdas):",
           "if isinstance(lambdas, (str, bytes)):",

@@ -340,6 +340,21 @@ def test_module_entry_point_is_main(write_config, tmp_path, capsys):
         assert (written[0] == written[1] != b"") if name == "out" else written == [], name
 
 
+@pytest.mark.parametrize("argv", [["reconstruct"], ["coherence", "--m", "1", "--n", "0"],
+                                  ["monitor", "--lambdas", "0,0.5"], ["validate"]], ids=lambda argv: argv[0])
+def test_no_call_imports_numpy_random(write_config, tmp_path, argv):
+    # sampled runs draw their shots from the standard library's generator and validate's probe
+    # reads its bytes, so a cold call never pays for importing numpy.random
+    script = ("import sys\nfrom iontomo.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\nsys.exit(code)")
+    out = tmp_path / "out.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--config", write_config(shots=1000),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "coherence", "monitor", "validate"])
 def test_run_record_carries_the_state_it_read(write_config, tmp_path, command):
     # validate reads no state, so its record must not vouch for one

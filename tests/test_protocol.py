@@ -7,8 +7,10 @@ and the engine is compared with it cell by cell.
 
 import dataclasses
 import math
+import random
 import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from iontomo.hilbert import MINUS, PLUS, XI
 from iontomo.protocol import (
     CoherenceEstimate,
     ProtocolSettings,
+    _binomial,
     _cell_images,
     _ladder,
     _sample_cell,
@@ -477,6 +480,59 @@ class TestBranchIsolation:
         assert np.linalg.norm(outs[0][minus_slice] - outs[1][minus_slice]) < 1e-12
 
 
+def slow_binomial(rng: random.Random, n: int, p: float) -> int:
+    """The slow oracle of protocol._binomial: the count of n uniforms below p."""
+    return sum(rng.random() < p for _ in range(n))
+
+
+def binomial_pmf(n: int, p: float) -> dict[int, float]:
+    """{k: P(B(n, p) = k)} in order, over every k with P above 1e-16.
+
+    math.comb gives the mode's probability, and the ratio P(k+1) / P(k) = (n - k) p / ((k + 1) (1 - p))
+    walks outward from it.
+    """
+    mode = min(int((n + 1) * p), n)
+    top = math.exp(math.log(math.comb(n, mode)) + mode * math.log(p) + (n - mode) * math.log1p(-p))
+    pmf = {mode: top}
+    k, q = mode, top
+    while k < n and q > 1e-16:
+        q *= (n - k) * p / ((k + 1) * (1 - p))
+        k += 1
+        pmf[k] = q
+    k, q = mode, top
+    while k > 0 and q > 1e-16:
+        q *= k * (1 - p) / ((n - k + 1) * p)
+        k -= 1
+        pmf[k] = q
+    assert abs(math.fsum(pmf.values()) - 1.0) <= 1e-9
+    return dict(sorted(pmf.items()))
+
+
+def chi_square(observed: Counter, pmf: dict) -> tuple[float, int]:
+    """Pearson's statistic and degrees of freedom of the outcome counts against pmf.
+
+    Outcomes pool in pmf's order until each bin expects at least 5; a short last bin joins the
+    one before. An outcome pmf does not list fails the assertion.
+    """
+    assert set(observed) <= set(pmf), sorted(set(observed) - set(pmf))
+    total = sum(observed.values())
+    bins, obs, exp = [], 0, 0.0
+    for outcome, prob in pmf.items():
+        obs, exp = obs + observed[outcome], exp + total * prob
+        if exp >= 5.0:
+            bins.append((obs, exp))
+            obs, exp = 0, 0.0
+    last_obs, last_exp = bins.pop()
+    bins.append((last_obs + obs, last_exp + exp))
+    assert len(bins) >= 2
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def chi_square_limit(df: int) -> float:
+    """The chi-square quantile of df degrees of freedom with a tail of about 1e-6 (Wilson-Hilferty)."""
+    return df * (1.0 - 2.0 / (9 * df) + 4.75 * math.sqrt(2.0 / (9 * df))) ** 3
+
+
 class TestSampling:
     def test_x_channel_deterministic_on_vacuum(self):
         # the transformed state is a +1 eigenstate of the x pseudospin
@@ -500,15 +556,39 @@ class TestSampling:
 
     @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (2, 1)])
     def test_stream_key_is_seed_m_n_tag(self, m, n):
-        # the documented key: one generator per (seed, m, n, observable tag), tag 0 for x, 1 for y
+        # the documented key: one standard-library generator per (seed, m, n, observable tag), tag 0
+        # for x, 1 for y, seeded with the string "seed m n tag"; it draws c(+1) and then c(-1) of
+        # the rest, on the 2^-32 grid
         readout = engine_readout(coherent(0.8, 8, tail_tol=1e-5), m, n, SETTINGS)
         shots, seed = 64, 23
         means = []
         for tag, observable in enumerate(("x", "y")):
-            rng = np.random.default_rng([seed, m, n, tag])
-            c_plus, c_minus, _ = rng.multinomial(shots, transverse_probabilities(*readout, observable))
+            p_plus, p_minus, _ = transverse_probabilities(*readout, observable)
+            plus = round(p_plus * 2.0 ** 32) / 2.0 ** 32
+            both = round((p_plus + p_minus) * 2.0 ** 32) / 2.0 ** 32
+            rng = random.Random(f"{seed} {m} {n} {tag}")
+            c_plus = _binomial(rng, shots, plus)
+            c_minus = _binomial(rng, shots - c_plus, (both - plus) / (1.0 - plus))
             means.append((c_plus - c_minus) / shots)
         assert _sample_cell(*readout, m, n, shots, seed).value == complex(means[0], -means[1])
+
+    def test_counts_are_trinomial(self, monkeypatch):
+        # x reads [p(+1), p(-1), p(0)] = [0.3, 0.45, 0.25] and y only the 0 outcome, so each
+        # estimate's mean and stderr give back its x counts c(+1), c(-1) of 4 shots; over 3000
+        # seeds they follow the trinomial law, never leaving c(+1) + c(-1) <= 4
+        probs = {"x": np.array([0.3, 0.45, 0.25]), "y": np.array([0.0, 0.0, 1.0])}
+        monkeypatch.setattr(protocol, "transverse_probabilities", lambda value, pops, observable: probs[observable])
+        shots = 4
+        observed = Counter()
+        for seed in range(3000):
+            est = _sample_cell(0j, np.zeros(3), 1, 0, shots, seed)
+            mean = est.value.real
+            second_moment = est.stderr ** 2 * (shots - 1) + mean ** 2
+            observed[round(shots * (second_moment + mean) / 2), round(shots * (second_moment - mean) / 2)] += 1
+        pmf = {(a, b): math.comb(shots, a) * math.comb(shots - a, b) * 0.3 ** a * 0.45 ** b * 0.25 ** (shots - a - b)
+               for a in range(shots + 1) for b in range(shots + 1 - a)}
+        stat, df = chi_square(observed, pmf)
+        assert stat <= chi_square_limit(df), (stat, df)
 
     @pytest.mark.parametrize("shots", [4, 1000])
     @pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (1, 1)])
@@ -586,15 +666,16 @@ class TestSampling:
     ], ids=["tie-above", "tie-below", "both-above-a-midpoint"])
     def test_draw_reads_the_probabilities_on_a_grid_that_sums_to_one(self, probs, grid, monkeypatch):
         # p(+1) and p(+1) + p(-1) go on the 2^-32 grid, so the drawn triple sums to 1 exactly even
-        # where each probability rounded alone would not, and numpy rejects p(+1) + p(-1) > 1 + 1e-12
+        # where each probability rounded alone would sum above 1; at 2^40 shots a probability moved
+        # by 2^-33 moves the exact draw, so only the grid makes the two estimates equal
         if grid[0] != 0.5:
             alone = np.round(np.array(probs) * 2.0 ** 32) / 2.0 ** 32
-            with pytest.raises(ValueError, match="pvals"):
-                np.random.default_rng(0).multinomial(1, alone)
-        monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(probs))
-        est = _sample_cell(0j, np.zeros(3), 1, 0, shots=1000, seed=5)
-        monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(grid))
-        assert est == _sample_cell(0j, np.zeros(3), 1, 0, shots=1000, seed=5)
+            assert math.fsum(alone) == 1.0 + 2.0 ** -32
+        for shots in (1000, 2 ** 40):
+            monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(probs))
+            est = _sample_cell(0j, np.zeros(3), 1, 0, shots=shots, seed=5)
+            monkeypatch.setattr(protocol, "transverse_probabilities", lambda *_: np.array(grid))
+            assert est == _sample_cell(0j, np.zeros(3), 1, 0, shots=shots, seed=5), shots
 
     def test_xi_outcome_is_the_xi_population(self):
         # the 0 outcome of either observable reads |xi>, where the compat entangler leaves population
@@ -627,6 +708,55 @@ class TestSampling:
         st = ProtocolSettings(D, shots=5000, seed=9)
         est = measure_element(coherent(0.8, 8, tail_tol=1e-5), 1, 0, st)
         assert est.stderr > 0
+
+
+class TestBinomial:
+    """protocol._binomial, the exact order-statistic split, against the exact pmf and the slow oracle."""
+
+    @pytest.mark.parametrize("p", [0.03, 0.5, 0.97])
+    @pytest.mark.parametrize("n", [1, 16, 17, 24, 40])
+    def test_short_runs_match_the_pmf_as_the_oracle_does(self, n, p):
+        # n <= 16 takes no split, 17..33 one and 40 two; 4000 draws at fixed seeds from the split
+        # and from the oracle each pass a chi-square test against the exact pmf
+        pmf = binomial_pmf(n, p)
+        for draw in (_binomial, slow_binomial):
+            rng = random.Random(f"binomial {n} {p} {draw.__name__}")
+            stat, df = chi_square(Counter(draw(rng, n, p) for _ in range(4000)), pmf)
+            assert stat <= chi_square_limit(df), (draw.__name__, stat, df)
+
+    @pytest.mark.parametrize("p", [1e-4, 0.5, 1 - 1e-4])
+    def test_large_runs_match_the_pmf(self, p):
+        n = 100_000
+        rng = random.Random(f"binomial {n} {p}")
+        stat, df = chi_square(Counter(_binomial(rng, n, p) for _ in range(2000)), binomial_pmf(n, p))
+        assert stat <= chi_square_limit(df), (stat, df)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 16])
+    def test_no_split_is_the_oracle_bit_for_bit(self, n):
+        # below 17 the draw is the oracle's own n Bernoulli draws on the same stream
+        for seed in range(50):
+            assert _binomial(random.Random(seed), n, 0.37) == slow_binomial(random.Random(seed), n, 0.37)
+
+    def test_draws_stay_within_zero_to_n(self):
+        # p within 1e-12 of an end makes nearly every split go one way, so a count that overruns
+        # its range shows; p at or past an end gives 0 or n without touching the stream
+        rng = random.Random("range")
+        for n in range(0, 200, 7):
+            for p in (1e-12, 0.5, 1.0 - 1e-12):
+                assert all(0 <= _binomial(rng, n, p) <= n for _ in range(20))
+            state = rng.getstate()
+            assert [_binomial(rng, n, p) for p in (-0.5, 0.0, 1.0, 1.5)] == [0, 0, n, n]
+            assert rng.getstate() == state
+
+    def test_mean_and_variance_at_a_billion(self):
+        # 2000 draws of B(1e9, 0.3): the mean within 5 standard errors of n p, the variance within
+        # 5 standard errors of n p (1 - p)
+        n, p, draws = 10 ** 9, 0.3, 2000
+        rng = random.Random("billion")
+        counts = np.array([_binomial(rng, n, p) for _ in range(draws)], dtype=float)
+        var = n * p * (1 - p)
+        assert abs(counts.mean() - n * p) <= 5 * math.sqrt(var / draws)
+        assert abs(counts.var(ddof=1) / var - 1) <= 5 * math.sqrt(2 / (draws - 1))
 
 
 class TestSettingsValidation:
