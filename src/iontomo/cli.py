@@ -259,23 +259,21 @@ def _settings_echo(settings: protocol.ProtocolSettings, **extra) -> dict:
     return echo
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
+def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
+    """Write payload as stable JSON or rows as CSV to args.out or stdout.
+
+    An args.out that cannot be opened or written raises ValueError("cannot write output
+    <path>: ..."), which main reports as the invalid-arguments record.
+    """
+    text = to_csv(header, rows) if args.format == "csv" else stable_json(payload) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
-        return
+        return 0
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write output {path}: {exc}") from exc
-
-
-def _emit(args, payload: dict, header: list[str], rows: list[list]) -> int:
-    """Write payload as stable JSON or rows as CSV to args.out or stdout."""
-    if args.format == "csv":
-        _write_output(to_csv(header, rows), args.out)
-    else:
-        _write_output(stable_json(payload) + "\n", args.out)
+        raise ValueError(f"cannot write output {args.out}: {exc}") from exc
     return 0
 
 

@@ -193,25 +193,26 @@ def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
 def transverse_probabilities(value: complex, populations: np.ndarray, observable: str) -> np.ndarray:
     """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin of a cell.
 
-    value is the cell's element <sigma_x> - i <sigma_y>, and populations its
-    levels' (P_-, P_+, P_xi). The +-1 outcomes read the {-, +} pair,
-    p(+-1) = (P_- + P_+ +- <sigma>) / 2 with <sigma_x> = Re value and
-    <sigma_y> = -Im value; the 0 outcome is the |xi> level, p(0) = P_xi.
-    Rounding can put a probability a hair outside [0, 1]; it is clipped and
-    the three renormalized, but clipping more than 1e-10 of probability mass
-    in all means the numbers are no state's, and raises ValueError.
+    value is the cell's element <sigma_x> - i <sigma_y>, populations its
+    levels' (P_-, P_+, P_xi), and observable "x" (any other reads as "y").
+    The +-1 outcomes read the {-, +} pair, p(+-1) = (P_- + P_+ +- <sigma>) / 2
+    with <sigma_x> = Re value and <sigma_y> = -Im value; the 0 outcome is the
+    |xi> level, p(0) = P_xi. Rounding can put a probability a hair outside
+    [0, 1]; it is clipped and the three renormalized, but clipping more than
+    1e-10 of probability mass in all means the numbers are no state's, and
+    raises ValueError. Three Python floats carry the arithmetic, in numpy's
+    order for a length-3 array, and only the result is an array.
     """
-    if observable not in ("x", "y"):
-        raise ValueError(f"observable must be 'x' or 'y', got {observable!r}")
     mean = value.real if observable == "x" else -value.imag
-    pair = populations[MINUS] + populations[PLUS]
-    p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, populations[XI]])
-    clipped = np.clip(p, 0.0, 1.0)
-    lost = float(np.sum(np.abs(p - clipped)))
+    pair = float(populations[MINUS] + populations[PLUS])
+    p = [(pair + mean) / 2.0, (pair - mean) / 2.0, float(populations[XI])]
+    clipped = [min(max(q, 0.0), 1.0) for q in p]
+    lost = abs(p[0] - clipped[0]) + abs(p[1] - clipped[1]) + abs(p[2] - clipped[2])
     if lost > CLIP_TOL:
-        raise ValueError(f"transverse {observable} probabilities {p.tolist()} need {lost:.3e} "
+        raise ValueError(f"transverse {observable} probabilities {p} need {lost:.3e} "
                          f"of probability mass clipped (tolerance {CLIP_TOL:.0e})")
-    return clipped / clipped.sum()
+    total = clipped[0] + clipped[1] + clipped[2]
+    return np.array([q / total for q in clipped])
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:

@@ -61,7 +61,7 @@ CATALOGUE = [
           "levels = levels",
           "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
     Fault("unclipped-probabilities", "protocol.py",
-          "clipped = np.clip(p, 0.0, 1.0)",
+          "clipped = [min(max(q, 0.0), 1.0) for q in p]",
           "clipped = p",
           "tests/test_protocol.py::TestSampling::test_rounding_is_clipped_as_before"),
     Fault("stderr-halved-variance", "protocol.py",
@@ -225,13 +225,17 @@ CATALOGUE = [
     # The transverse outcome probabilities in closed form (protocol.transverse_probabilities):
     # p(+-1) = (P_- + P_+ +- <sigma>) / 2, <sigma_x> - i <sigma_y> the element, p(0) = P_xi.
     Fault("xi-outcome-dropped", "protocol.py",
-          "p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, populations[XI]])",
-          "p = np.array([(pair + mean) / 2.0, (pair - mean) / 2.0, 0.0])",
+          "p = [(pair + mean) / 2.0, (pair - mean) / 2.0, float(populations[XI])]",
+          "p = [(pair + mean) / 2.0, (pair - mean) / 2.0, 0.0]",
           "tests/test_protocol.py::TestSampling::test_xi_outcome_is_the_xi_population"),
     Fault("xi-population-folded-into-the-pair", "protocol.py",
-          "pair = populations[MINUS] + populations[PLUS]",
-          "pair = populations[MINUS] + populations[PLUS] + populations[XI]",
+          "pair = float(populations[MINUS] + populations[PLUS])",
+          "pair = float(populations[MINUS] + populations[PLUS] + populations[XI])",
           "tests/test_protocol.py::TestSampling::test_transverse_probabilities_are_the_eigenvector_forms"),
+    Fault("renormalized-by-the-pair", "protocol.py",
+          "total = clipped[0] + clipped[1] + clipped[2]",
+          "total = pair",
+          "tests/test_protocol.py::TestSampling::test_xi_outcome_is_the_xi_population"),
     Fault("y-mean-sign-flipped", "protocol.py",
           "mean = value.real if observable == \"x\" else -value.imag",
           "mean = value.real if observable == \"x\" else value.imag",
@@ -264,6 +268,10 @@ CATALOGUE = [
           "return json.dumps(obj, sort_keys=True, allow_nan=False, default=_record)",
           "return json.dumps(obj, sort_keys=True, allow_nan=True, default=_record)",
           "tests/test_cli.py::TestStableJson::test_rejects_non_finite_float"),
+    Fault("csv-ignores-out", "cli.py",
+          "if args.out is None:",
+          "if args.out is None or args.format == \"csv\":",
+          "tests/test_cli.py::test_every_documented_field_is_accepted"),
     # validate's entangled-target checks: a probe short of some Fock level, or a compiled check
     # that runs the ideal shifters, misses a defect there.
     Fault("validate-probe-is-vacuum", "cli.py",

@@ -1098,15 +1098,20 @@ def test_misshapen_config_is_config_error(write_config, tmp_path, capsys, config
     assert json.loads(captured.out) == {"error": {"type": "config-error", "message": message}}
 
 
-@pytest.mark.parametrize("argv", [["--out", "missing-dir/out.json"], ["--out", ""]],
-                         ids=["out-missing-dir", "flag-out-empty"])
+@pytest.mark.parametrize("argv", [["--out", "missing-dir/out.json"], ["--out", ""],
+                                  ["--out", "missing-dir/out.csv", "--format", "csv"]],
+                         ids=["out-missing-dir", "flag-out-empty", "csv-out-missing-dir"])
 def test_bad_output_target_is_structured_error(write_config, capsys, monkeypatch, tmp_path, argv):
+    # either format's writer names the path it could not open, and nothing reaches stdout but
+    # the error record
     monkeypatch.chdir(tmp_path)
     cfg = write_config()
     assert run(["reconstruct", "--config", cfg, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert json.loads(captured.out)["error"]["type"] == "invalid-arguments"
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "invalid-arguments"
+    assert error["message"].startswith(f"cannot write output {argv[1]}: ")
 
 
 def test_every_documented_field_is_accepted(write_config, tmp_path):

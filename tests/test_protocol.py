@@ -701,8 +701,6 @@ class TestSampling:
             for observable in ("x", "y"):
                 assert np.max(np.abs(transverse_probabilities(*readout, observable)
                                      - eigenvector_probabilities(red, observable))) <= 1e-12
-        with pytest.raises(ValueError, match=r"^observable must be 'x' or 'y', got 'z'$"):
-            transverse_probabilities(*readout, "z")
 
     def test_measure_element_sampled_mode(self):
         st = ProtocolSettings(D, shots=5000, seed=9)
