@@ -149,48 +149,30 @@ def check_reach(k: int, settings: ProtocolSettings, what: str) -> None:
                          f"at d={settings.d}")
 
 
-# The two branch shifters, by the sector each lifts: V-_m moves mode z (axis 1 of a sector) of
-# the |-> branch, V+_n mode x (axis 0) of the |+> branch. Per branch: that axis, and the level
-# pair and mode its compiled ladder drives.
-_SHIFTERS = {MINUS: (1, ("-", "xi"), "z"), PLUS: (0, ("+", "xi"), "x")}
-
-
-def _ladder_step(j: int, branch: int) -> PulseSpec:
-    """Sideband pi-pulse j of the branch's compiled ladder: it takes |j> to |j+1>.
-
-    Step j drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j). It is
-    jc at laser phase 3*pi/2, raising the phonon number on the level it lands on: xi for
-    even j, on the reversed pair (xi, level), and the branch's level for odd j.
-    """
-    _, levels, mode = _SHIFTERS[branch]
-    levels = levels[::-1] if j % 2 == 0 else levels
-    return PulseSpec("jc", levels, mode, HALF_PI / sideband_coupling(j), 3.0 * HALF_PI)
-
-
-def _closing_carrier(branch: int) -> PulseSpec:
-    """The carrier pi-pulse that ends the branch's ladder to an odd target, at laser phase 3*pi/2."""
-    _, levels, mode = _SHIFTERS[branch]
-    return PulseSpec("carrier", levels, mode, HALF_PI, 3.0 * HALF_PI)
-
-
 def ladder_schedule(k: int, branch: int) -> list[PulseSpec]:
     """Pulse list of the branch's shifter |0> -> |k>: V+_k for branch PLUS, V-_k for MINUS.
 
-    jc pi-pulses on the branch's level pair, its order alternating, and mode
-    ({+, xi} and x for V+, {-, xi} and z for V-). The k steps (_ladder_step)
-    leave an odd k on the other level of the pair, and the closing carrier
-    (_closing_carrier) brings it back. Every pulse runs at laser phase 3*pi/2,
-    whose factor, exactly -i (pulses reads the quarter turns exactly), cancels
-    the factor i of each resonant pi-pulse, so every step's coefficient is
-    exactly +1: V+_1 takes |0> to |1> with coefficient 1. Only the pi-pulse's
-    cosine, 6.1e-17 for V+_1, is left on the level it came from, and a real
-    input stays real.
+    The ladder drives the branch's level pair and mode: {+, xi} and x for V+,
+    {-, xi} and z for V-. Step j is a jc pi-pulse that takes |j> to |j+1>: it
+    drives the doublet |j>, |j+1>, so its area is (pi/2)/sideband_coupling(j),
+    and it raises the phonon number on the level it lands on, xi for even j,
+    on the reversed pair (xi, level), and the branch's level for odd j. The k
+    steps leave an odd k on xi, and a closing carrier pi-pulse on the pair
+    brings it back. Every pulse runs at laser phase 3*pi/2, whose factor,
+    exactly -i (pulses reads the quarter turns exactly), cancels the factor i
+    of each resonant pi-pulse, so every step's coefficient is exactly +1: V+_1
+    takes |0> to |1> with coefficient 1. Only the pi-pulse's cosine, 6.1e-17
+    for V+_1, is left on the level it came from, and a real input stays real.
     """
-    closing = [_closing_carrier(branch)] if k % 2 == 1 else []
-    return [_ladder_step(j, branch) for j in range(k)] + closing
+    levels, mode = (("+", "xi"), "x") if branch == PLUS else (("-", "xi"), "z")
+    steps = [PulseSpec("jc", levels[::-1] if j % 2 == 0 else levels, mode,
+                       HALF_PI / sideband_coupling(j), 3.0 * HALF_PI) for j in range(k)]
+    closing = [PulseSpec("carrier", levels, mode, HALF_PI, 3.0 * HALF_PI)] if k % 2 == 1 else []
+    return steps + closing
 
 
-def transverse_probabilities(value: complex, populations: np.ndarray, observable: str) -> np.ndarray:
+def transverse_probabilities(value: complex, populations: np.ndarray,
+                             observable: str) -> tuple[float, float, float]:
     """Outcome probabilities [p(+1), p(-1), p(0)] of one transverse pseudospin of a cell.
 
     value is the cell's element <sigma_x> - i <sigma_y>, populations its
@@ -201,7 +183,7 @@ def transverse_probabilities(value: complex, populations: np.ndarray, observable
     [0, 1]; it is clipped and the three renormalized, but clipping more than
     1e-10 of probability mass in all means the numbers are no state's, and
     raises ValueError. Three Python floats carry the arithmetic, in numpy's
-    order for a length-3 array, and only the result is an array.
+    order for a length-3 array, and the result is a tuple of three floats.
     """
     mean = value.real if observable == "x" else -value.imag
     pair = float(populations[MINUS] + populations[PLUS])
@@ -212,7 +194,7 @@ def transverse_probabilities(value: complex, populations: np.ndarray, observable
         raise ValueError(f"transverse {observable} probabilities {p} need {lost:.3e} "
                          f"of probability mass clipped (tolerance {CLIP_TOL:.0e})")
     total = clipped[0] + clipped[1] + clipped[2]
-    return np.array([q / total for q in clipped])
+    return clipped[0] / total, clipped[1] / total, clipped[2] / total
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:
@@ -264,7 +246,7 @@ def _sample_cell(value: complex, populations: np.ndarray, m: int, n: int, shots:
     """
     stats = []
     for tag, observable in enumerate(("x", "y")):
-        p_plus, p_minus, _ = transverse_probabilities(value, populations, observable).tolist()
+        p_plus, p_minus, _ = transverse_probabilities(value, populations, observable)
         plus = round(p_plus * 2.0 ** 32) / 2.0 ** 32
         both = round((p_plus + p_minus) * 2.0 ** 32) / 2.0 ** 32
         rng = random.Random(f"{seed} {m} {n} {tag}")
@@ -285,34 +267,39 @@ def _ladder(w: np.ndarray, branch: int, targets: list[int],
             v_mode: str) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (k, the branch's shifter to k applied to w) over ascending distinct targets k.
 
-    The ideal shifter rolls its sector's Fock index: the exact shift on the
-    protocol's states (z vacuum in the |-> branch, x vacuum in the |+>
-    branch), completed to a unitary by the cycle. Without compat any
+    The ideal shifter rolls the Fock index of the mode it lifts, z (axis 1 of
+    the |-> sector) for V- and x (axis 0 of the |+> sector) for V+: the exact
+    shift on the protocol's states (z vacuum in the |-> branch, x vacuum in
+    the |+> branch), completed to a unitary by the cycle. Without compat any
     completion gives the same observables, since the wrapped levels are
     empty. Under compat_rminus_final the completion matters: the |-> branch
     also holds |0>_x|phi>_z, and the roll wraps it around the cutoff into
-    column 0 of the read block. The compiled shifter runs ladder steps
-    0..k-1, and an odd target takes its closing carrier. The ladder to k+1 is the ladder to k
-    plus one step, so w climbs once, in place. Each target but the last is
-    closed in one reused copy of w, the next target's copy too, so use it
-    before drawing the next; the last is closed in w itself, so one target
-    copies nothing.
+    column 0 of the read block. The compiled shifter builds no pulse: per
+    walk it reads ladder_schedule to the last target, runs steps 0..k-1 of
+    it, and closes an odd k with ladder_schedule(1)'s closing carrier. The
+    ladder to k+1 is the ladder to k plus one step, so w climbs once, in
+    place. Each target but the last is closed in one reused copy of w, the
+    next target's copy too, so use it before drawing the next; the last is
+    closed in w itself, so one target copies nothing.
     """
     copy = np.empty_like(w) if len(targets) > 1 else None
+    if v_mode == "compiled":
+        steps = ladder_schedule(max(targets, default=0), branch)
+        closing = ladder_schedule(1, branch)[1]
     done = 0
     for k in targets:
         if v_mode == "compiled":
-            for j in range(done, k):
-                act_pulse(_ladder_step(j, branch), w)
+            for spec in steps[done:k]:
+                act_pulse(spec, w)
         elif k != done:
-            w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0])
+            w[branch] = np.roll(w[branch], k - done, axis=0 if branch == PLUS else 1)
         done = k
         out = w
         if k != targets[-1]:
             np.copyto(copy, w)
             out = copy
         if v_mode == "compiled" and k % 2 == 1:
-            act_pulse(_closing_carrier(branch), out)
+            act_pulse(closing, out)
         yield k, out
 
 

@@ -52,7 +52,8 @@ class TruncationLeakageError(ValueError):
     violated, and the smallest cutoff required_dim that would satisfy it.
     When no cutoff in the range the constructor examines meets the tolerance,
     that range's end is only a lower bound on the cutoff: lower_bound is set
-    and the message says so.
+    and the message says so. It pickles and copies through its six
+    constructor arguments, so a worker process can raise it.
     """
 
     def __init__(self, kind: str, dim: int, tail_mass: float, tail_tol: float,
@@ -69,6 +70,10 @@ class TruncationLeakageError(ValueError):
             f"{kind} state leaks past the cutoff: tail mass {tail_mass:.3e} "
             f"exceeds tolerance {tail_tol:.3e} at dim={dim}; need dim >= {required_dim}{bound}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.dim, self.tail_mass, self.tail_tol, self.required_dim,
+                            self.lower_bound)
 
 
 def _amplitude_vector(values) -> np.ndarray:
@@ -256,7 +261,11 @@ def squeezed(r: float, phi: float, dim: int, tail_tol: float = DEFAULT_TAIL_TOL)
 
 
 def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -> VibrationalState:
-    """Normalized |alpha> + |-alpha> (even) or |alpha> - |-alpha> (odd)."""
+    """Normalized |alpha> + |-alpha> (even) or |alpha> - |-alpha> (odd).
+
+    The odd cat, about |1> with alpha's phase at small alpha, is rejected only where its squared
+    norm 4 |alpha|^2 has lost its digits, below sys.float_info.min (|alpha| < 7.5e-155).
+    """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     sign = 1.0 if parity == "even" else -1.0
@@ -265,8 +274,10 @@ def cat(alpha: complex, parity: str, dim: int, tail_tol: float = DEFAULT_TAIL_TO
     # <alpha|-alpha> = exp(x); the odd norm takes 1 - exp(x) by expm1, which keeps its digits
     # as alpha -> 0.
     norm_sq = 2.0 * (1.0 + math.exp(x)) if parity == "even" else -2.0 * math.expm1(x)
-    if norm_sq < 1e-30:
-        raise ValueError("odd cat with alpha = 0 is the zero vector")
+    if norm_sq < sys.float_info.min:
+        raise ValueError("odd cat with alpha = 0 is the zero vector" if alpha == 0 else
+                         f"odd cat with alpha = {alpha} has a squared norm {norm_sq:.3e} below "
+                         f"the smallest normal float")
     dim = _check_dim(dim)
     nbig = dim + _TAIL_EXTEND
     parities = np.where(np.arange(nbig) % 2 == 0, 1.0, -1.0)

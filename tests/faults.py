@@ -51,14 +51,20 @@ class Fault:
 
 CATALOGUE = [
     Fault("closing-carrier-phase", "protocol.py",
-          "return PulseSpec(\"carrier\", levels, mode, HALF_PI, 3.0 * HALF_PI)",
-          "return PulseSpec(\"carrier\", levels, mode, HALF_PI, HALF_PI)",
+          "closing = [PulseSpec(\"carrier\", levels, mode, HALF_PI, 3.0 * HALF_PI)] if k % 2 == 1 else []",
+          "closing = [PulseSpec(\"carrier\", levels, mode, HALF_PI, HALF_PI)] if k % 2 == 1 else []",
           "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
     # Every ladder step is jc at 3*pi/2; an even step, which leaves the branch's level, runs on
-    # the reversed pair (protocol._ladder_step).
+    # the reversed pair (protocol.ladder_schedule).
     Fault("ladder-even-steps-keep-the-pair-order", "protocol.py",
-          "levels = levels[::-1] if j % 2 == 0 else levels",
-          "levels = levels",
+          "steps = [PulseSpec(\"jc\", levels[::-1] if j % 2 == 0 else levels, mode,",
+          "steps = [PulseSpec(\"jc\", levels, mode,",
+          "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
+    # The walker closes an odd target with ladder_schedule(1)'s closing carrier, its second
+    # pulse; its first is the jc step 0.
+    Fault("closing-carrier-is-a-step", "protocol.py",
+          "closing = ladder_schedule(1, branch)[1]",
+          "closing = ladder_schedule(1, branch)[0]",
           "tests/test_protocol.py::TestCompiledShifters::test_branch_action_both_shifters"),
     Fault("unclipped-probabilities", "protocol.py",
           "clipped = [min(max(q, 0.0), 1.0) for q in p]",
@@ -157,15 +163,21 @@ CATALOGUE = [
           "out = w",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     Fault("closing-carrier-on-the-row-node", "protocol.py",
-          "act_pulse(_closing_carrier(branch), out)",
-          "act_pulse(_closing_carrier(branch), w)",
+          "act_pulse(closing, out)",
+          "act_pulse(closing, w)",
+          "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
+    # The walk's steps run up to its last target, and its closing carrier after them: a climb
+    # to k that takes step k too runs a step twice, or the closing carrier as a step.
+    Fault("walker-climbs-one-step-too-far", "protocol.py",
+          "for spec in steps[done:k]:",
+          "for spec in steps[done:k + 1]:",
           "tests/test_tomography.py::test_cells_are_bitwise_per_cell_runs"),
     # Under compat the |-> branch holds |0>_x|phi>_z too, and the ideal roll wraps it around
     # the cutoff: a shift that zero-fills the wrapped levels loses that term.
     Fault("ideal-shift-zero-fills", "protocol.py",
-          "w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0])",
-          "w[branch] = np.roll(w[branch], k - done, axis=_SHIFTERS[branch][0]); "
-          "np.moveaxis(w[branch], _SHIFTERS[branch][0], 0)[:k - done] = 0",
+          "w[branch] = np.roll(w[branch], k - done, axis=0 if branch == PLUS else 1)",
+          "w[branch] = np.roll(w[branch], k - done, axis=0 if branch == PLUS else 1); "
+          "np.moveaxis(w[branch], 0 if branch == PLUS else 1, 0)[:k - done] = 0",
           "tests/test_protocol.py::TestEntangler::"
           "test_compat_reads_half_of_each_element_and_a_wrap_around_column"),
     Fault("v-minus-node-restarts-each-row", "protocol.py",
@@ -244,6 +256,17 @@ CATALOGUE = [
           "kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * (n[:, None] - n[None, :]) ** 2)",
           "kernel = np.exp(-min(lam, _EXP_UNDERFLOW) * abs(n[:, None] - n[None, :]))",
           "tests/test_states.py::TestDephase::test_scaling_of_specific_element"),
+    # A worker process hands a leakage error back through pickle: every field must survive.
+    Fault("leakage-error-pickles-without-lower-bound", "states.py",
+          "self.lower_bound)",
+          ")",
+          "tests/test_states.py::TestFarTail::test_pickles_and_copies"),
+    # The odd cat's squared norm is about 4 |alpha|^2: only below the normal floats has it lost
+    # its digits.
+    Fault("odd-cat-threshold-1e-30", "states.py",
+          "if norm_sq < sys.float_info.min:",
+          "if norm_sq < 1e-30:",
+          "tests/test_states.py::TestCat::test_odd_cat_at_tiny_alpha_is_one_phonon"),
     Fault("required-dim-off-by-one", "states.py",
           "raise TruncationLeakageError(kind, dim, tail, tail_tol, int(ok[0]))",
           "raise TruncationLeakageError(kind, dim, tail, tail_tol, int(ok[0]) + 1)",

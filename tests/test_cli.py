@@ -286,13 +286,13 @@ class TestValidateCommand:
 
     def test_compiled_vs_ideal_catches_a_ladder_defect(self, write_config, capsys, monkeypatch):
         # scale every sideband area of the compiled ladders by 1 + 1e-6
-        exact = protocol._ladder_step
+        exact = protocol.ladder_schedule
 
-        def defective(j, branch):
-            spec = exact(j, branch)
-            return dataclasses.replace(spec, angle=spec.angle * (1 + 1e-6))
+        def defective(k, branch):
+            return [dataclasses.replace(spec, angle=spec.angle * (1 + 1e-6)) if spec.kind == "jc" else spec
+                    for spec in exact(k, branch)]
 
-        monkeypatch.setattr(protocol, "_ladder_step", defective)
+        monkeypatch.setattr(protocol, "ladder_schedule", defective)
         cfg = write_config()
         assert run(["validate", "--config", cfg]) == 1
         assert failed_checks(json.loads(capsys.readouterr().out)) == [
@@ -302,9 +302,10 @@ class TestValidateCommand:
     def test_element_identity_catches_a_closing_carrier_defect(self, write_config, capsys, monkeypatch, d):
         # a closing carrier at laser phase pi/2 spoils every odd target; the probe fills every
         # Fock level, so the compiled element identity sees it at a small cutoff too
-        exact = protocol._closing_carrier
-        monkeypatch.setattr(protocol, "_closing_carrier",
-                            lambda branch: dataclasses.replace(exact(branch), phase=protocol.HALF_PI))
+        exact = protocol.ladder_schedule
+        monkeypatch.setattr(protocol, "ladder_schedule", lambda k, branch: [
+            dataclasses.replace(spec, phase=protocol.HALF_PI) if spec.kind == "carrier" else spec
+            for spec in exact(k, branch)])
         cfg = write_config(dims={"dx": d, "dz": d})
         assert run(["validate", "--config", cfg]) == 1
         assert failed_checks(json.loads(capsys.readouterr().out)) == [

@@ -318,9 +318,10 @@ class TestCompiledShifters:
         # target exactly as a walk to that target alone does, on validate's branch slices and on
         # a seeded random tensor, with the exact pulses and with a defect that spoils odd targets
         if defect:
-            exact = protocol._closing_carrier
-            monkeypatch.setattr(protocol, "_closing_carrier",
-                                lambda branch: dataclasses.replace(exact(branch), phase=protocol.HALF_PI))
+            exact = protocol.ladder_schedule
+            monkeypatch.setattr(protocol, "ladder_schedule", lambda k, branch: [
+                dataclasses.replace(spec, phase=protocol.HALF_PI) if spec.kind == "carrier" else spec
+                for spec in exact(k, branch)])
         targets = list(range(min(4, shifter_reach(d, "compiled")) + 1))
         j = np.arange(d)
         slices = np.zeros((3, d, d, 2 * d), dtype=complex)
@@ -681,7 +682,7 @@ class TestSampling:
         # the 0 outcome of either observable reads |xi>, where the compat entangler leaves population
         populations = np.array([0.25, 0.25, 0.5])
         for observable in ("x", "y"):
-            assert np.max(np.abs(transverse_probabilities(0j, populations, observable)
+            assert np.max(np.abs(np.array(transverse_probabilities(0j, populations, observable))
                                  - [0.25, 0.25, 0.5])) <= 1e-15
 
     @pytest.mark.parametrize("compat", [False, True], ids=["final-plus", "compat"])

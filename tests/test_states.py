@@ -1,6 +1,8 @@
 """Tests for the vibrational state constructors and the dephasing channel."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -141,6 +143,20 @@ class TestCat:
     def test_odd_cat_at_zero_alpha_degenerate(self):
         with pytest.raises(ValueError, match=r"^odd cat with alpha = 0 is the zero vector$"):
             cat(0.0, "odd", 8)
+
+    @pytest.mark.parametrize("alpha", [1e-15, 1e-16, 1e-100, 3e-77j, 1e-154])
+    def test_odd_cat_at_tiny_alpha_is_one_phonon(self, alpha):
+        # the squared norm, about 4 |alpha|^2, is still a normal float: the state is |1> with
+        # alpha's phase
+        st = cat(alpha, "odd", 4)
+        assert np.max(np.abs(st.amplitudes - np.eye(4)[1] * alpha / abs(alpha))) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [7e-155, 1e-160, 5e-324])
+    def test_odd_cat_below_the_float_range_is_named(self, alpha):
+        # below sys.float_info.min the squared norm has lost its digits
+        with pytest.raises(ValueError, match=rf"^odd cat with alpha = {re.escape(str(complex(alpha)))} "
+                                             r"has a squared norm .* below the smallest normal float$"):
+            cat(alpha, "odd", 4)
 
     def test_bad_parity(self):
         with pytest.raises(ValueError):
@@ -446,6 +462,20 @@ class TestFarTail:
             build()
         assert not err.value.lower_bound
         assert str(err.value).endswith(f"need dim >= {err.value.required_dim}")
+
+    @pytest.mark.parametrize("build, lower_bound", [(lambda: coherent(2.0, 4), False),
+                                                    (lambda: coherent(25, 12), True)],
+                             ids=["in-range", "lower-bound"])
+    def test_pickles_and_copies(self, build, lower_bound):
+        # a worker process hands the error back through pickle: the type, the message and all
+        # six fields survive
+        with pytest.raises(TruncationLeakageError) as err:
+            build()
+        assert err.value.lower_bound is lower_bound
+        for clone in (pickle.loads(pickle.dumps(err.value)), copy.copy(err.value)):
+            assert type(clone) is TruncationLeakageError
+            assert str(clone) == str(err.value)
+            assert vars(clone) == vars(err.value)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
     def test_tail_tol_must_be_positive(self, tol):
